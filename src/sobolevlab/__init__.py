@@ -17,6 +17,7 @@ from .criteria import (
     eigen_limit_estimate,
     eigen_limit_report,
     gamma_index,
+    gamma_sequence,
     gamma_via_kernel,
     sobolev_domination_bound,
     toeplitz_rigidity,
@@ -32,6 +33,7 @@ from .measures import (
     from_json,
     moment,
     moment_quadrature,
+    moment_section,
     support_hull_radius,
     to_json,
 )

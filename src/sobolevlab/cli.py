@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import criteria, measures, momentmatrix, numkernel, reporting, sobolev
-from .polynomials import differentiate, evaluate, random_coeffs
+from .polynomials import differentiate, evaluate, random_coeffs, recenter
 
 __all__ = ["Scenario", "ScenarioFormatError", "list_builtins", "main", "parse_scenario", "run"]
 
@@ -83,18 +83,6 @@ def _parse_pencil(obj) -> tuple:
     return (mu0, mu1)
 
 
-def _parse_weight(items) -> tuple:
-    fourier: dict[int, complex] = {}
-    if not isinstance(items, (list, tuple)):
-        raise ScenarioFormatError("weight must be a list of [k, re, im] triples")
-    for item in items:
-        if not isinstance(item, (list, tuple)) or len(item) != 3:
-            raise ScenarioFormatError(f"expected [k, re, im] triple, got {item!r}")
-        k = int(item[0])
-        fourier[k] = fourier.get(k, 0j) + complex(float(item[1]), float(item[2]))
-    return tuple(fourier.items())
-
-
 def _parse_circles(items) -> tuple:
     if not isinstance(items, (list, tuple)) or not items:
         raise ScenarioFormatError("circles must be a nonempty list")
@@ -104,9 +92,19 @@ def _parse_circles(items) -> tuple:
             raise ScenarioFormatError(
                 f"expected [re, im, radius, fourier] circle entry, got {item!r}"
             )
-        center = complex(float(item[0]), float(item[1]))
-        out.append((center, float(item[2]), _parse_weight(item[3])))
+        center = measures.parse_pair(item[:2], "circle center")
+        radius = measures.parse_real(item[2], "circle radius")
+        out.append((center, radius, measures.parse_fourier(item[3])))
     return tuple(out)
+
+
+_INPUT_PARSERS = {
+    "measure": measures.from_json,
+    "pencil": _parse_pencil,
+    "pencil_b": _parse_pencil,
+    "weight": measures.parse_fourier,
+    "circles": _parse_circles,
+}
 
 
 def _int_in(params, key, lo, hi) -> int:
@@ -136,7 +134,7 @@ def parse_scenario(obj) -> Scenario:
     for key in needs:
         if key not in obj:
             raise ScenarioFormatError(f"command {command!r} requires {key!r}")
-    for key in ("measure", "pencil", "pencil_b", "weight", "circles"):
+    for key in _INPUT_PARSERS:
         if key in obj and key not in needs:
             raise ScenarioFormatError(f"command {command!r} does not take {key!r}")
     params = obj.get("parameters", {})
@@ -150,16 +148,8 @@ def parse_scenario(obj) -> Scenario:
             raise ScenarioFormatError(f"command {command!r} requires parameter {key!r}")
 
     sc = Scenario(name=name, command=command, parameters=dict(params))
-    if "measure" in needs:
-        sc.measure = measures.from_json(obj["measure"])
-    if "pencil" in needs:
-        sc.pencil = _parse_pencil(obj["pencil"])
-    if "pencil_b" in needs:
-        sc.pencil_b = _parse_pencil(obj["pencil_b"])
-    if "weight" in needs:
-        sc.weight = _parse_weight(obj["weight"])
-    if "circles" in needs:
-        sc.circles = _parse_circles(obj["circles"])
+    for key in needs:
+        setattr(sc, key, _INPUT_PARSERS[key](obj[key]))
 
     # numeric bounds
     if "n" in param_spec:
@@ -183,10 +173,7 @@ def parse_scenario(obj) -> Scenario:
             raise ScenarioFormatError("n_list must be a strictly increasing list of sizes <= 64")
         sc.parameters["n_list"] = [int(n) for n in ns]
     if "a" in param_spec:
-        a = params["a"]
-        if not isinstance(a, (list, tuple)) or len(a) != 2:
-            raise ScenarioFormatError("parameter 'a' must be an [re, im] pair")
-        sc.parameters["a"] = complex(float(a[0]), float(a[1]))
+        sc.parameters["a"] = measures.parse_pair(params["a"], "parameter 'a'", ScenarioFormatError)
     if "constant" in param_spec:
         c = params["constant"]
         if not isinstance(c, (int, float)) or isinstance(c, bool) or not c > 0:
@@ -199,20 +186,13 @@ def parse_scenario(obj) -> Scenario:
 # Command runners
 # ---------------------------------------------------------------------------
 
-def _pencil_obj(pair, label="") -> sobolev.SobolevPencil:
-    mu0, mu1 = pair
-    return sobolev.pencil_of_measures(mu0, mu1, label=label)
-
-
-def _write_sequence_csv(out_dir, name, tag, seq: sobolev.NormSequence):
-    rows = [
-        (n, v, "" if e is None else e)
-        for n, v, e in zip(seq.n_list, seq.values, seq.errors)
-    ]
-    reporting.write_csv(os.path.join(out_dir, f"{name}_{tag}.csv"), ("n", "value", "error"), rows)
-
-
-def _sequence_payload(seq: sobolev.NormSequence) -> dict:
+def _mult_op(pen: sobolev.SobolevPencil, n_max: int, out_dir=None, name="") -> dict:
+    """Report fields of the mult_op sequence; with ``out_dir``, the
+    sequence is also written to <name>_multop.csv."""
+    seq = sobolev.norm_sequence(pen, n_max, "mult_op")
+    if out_dir is not None:
+        rows = [(n, v, "" if e is None else e) for n, v, e in zip(seq.n_list, seq.values, seq.errors)]
+        reporting.write_csv(os.path.join(out_dir, f"{name}_multop.csv"), ("n", "value", "error"), rows)
     return {
         "pencil_label": seq.label,
         "quantity": seq.quantity,
@@ -223,26 +203,35 @@ def _sequence_payload(seq: sobolev.NormSequence) -> dict:
     }
 
 
+def _quadrature_deviation(mu: measures.Measure, a: np.ndarray, grid: int) -> float:
+    """Largest |a[i, j] - moment_quadrature(mu, i, j)| over the section."""
+    n = a.shape[0]
+    return max(abs(a[i, j] - measures.moment_quadrature(mu, i, j, grid)) for i in range(n) for j in range(n))
+
+
+def _write_matrix(path: str, a: np.ndarray) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(momentmatrix.section_csv(a))
+
+
 def run(sc: Scenario, out_dir: str, seed: int = DEFAULT_SEED) -> dict:
     """Execute a parsed scenario, write its files, return the report."""
     cmd = sc.command
     p = sc.parameters
-    report: dict
+    pen = None if sc.pencil is None else sobolev.pencil_of_measures(*sc.pencil)
+
+    def side_file(tag: str) -> str:
+        return os.path.join(out_dir, f"{sc.name}_{tag}.csv")
+
+    rep = None
     if cmd == "moments":
         m = momentmatrix.of_measure(sc.measure)
         n = p["n"]
         grid = p.get("grid_points", measures.WEIGHT_GRID_POINTS)
         a = momentmatrix.section(m, n)
-        dev = 0.0
-        for i in range(n):
-            for j in range(n):
-                q = measures.moment_quadrature(sc.measure, i, j, grid)
-                dev = max(dev, abs(a[i, j] - q))
-        with open(os.path.join(out_dir, f"{sc.name}_section.csv"), "w", encoding="utf-8") as fh:
-            fh.write(momentmatrix.section_csv(a))
-        report = {
-            "scenario": sc.name,
-            "command": cmd,
+        dev = _quadrature_deviation(sc.measure, a, grid)
+        _write_matrix(side_file("section"), a)
+        body = {
             "label": m.label,
             "n": n,
             "grid_points": grid,
@@ -251,21 +240,16 @@ def run(sc: Scenario, out_dir: str, seed: int = DEFAULT_SEED) -> dict:
             "verdict": "holds" if dev <= 1e-10 else "inconclusive",
         }
     elif cmd == "gram":
-        pen = _pencil_obj(sc.pencil)
         n = p["n"]
         g = sobolev.gram_section(pen, n)
-        with open(os.path.join(out_dir, f"{sc.name}_gram.csv"), "w", encoding="utf-8") as fh:
-            fh.write(momentmatrix.section_csv(g))
-        report = {
-            "scenario": sc.name,
-            "command": cmd,
+        _write_matrix(side_file("gram"), g)
+        body = {
             "pencil_label": pen.label,
             "n": n,
             "diagonal": [float(x) for x in g.diagonal().real],
             "verdict": "holds",
         }
     elif cmd == "opoly":
-        pen = _pencil_obj(sc.pencil)
         n = p["n"]
         ops = sobolev.orthonormal_polys(pen, n)
         g = sobolev.gram_section(pen, n)
@@ -278,33 +262,20 @@ def run(sc: Scenario, out_dir: str, seed: int = DEFAULT_SEED) -> dict:
         for k, c in enumerate(ops.coeffs):
             padded = list(c) + [0j] * (n - len(c))
             rows.append([k] + [f"{z.real:.12e}{z.imag:+.12e}i" for z in padded])
-        reporting.write_csv(
-            os.path.join(out_dir, f"{sc.name}_opoly.csv"),
-            ["degree"] + [f"c{j}" for j in range(n)],
-            rows,
-        )
-        report = {
-            "scenario": sc.name,
-            "command": cmd,
+        reporting.write_csv(side_file("opoly"), ["degree"] + [f"c{j}" for j in range(n)], rows)
+        body = {
             "pencil_label": pen.label,
             "n": n,
             "orthonormality_residual": resid,
             "verdict": "holds" if resid <= 1e-9 else "inconclusive",
         }
     elif cmd == "zeros":
-        pen = _pencil_obj(sc.pencil)
         deg = p["degree"]
         zeros = sobolev.sobolev_zeros(pen, deg)
         bound = sobolev.mult_op_norm(pen, deg + 1)
         max_mod = float(np.max(np.abs(zeros)))
-        reporting.write_csv(
-            os.path.join(out_dir, f"{sc.name}_zeros.csv"),
-            ("re", "im", "modulus"),
-            [(z.real, z.imag, abs(z)) for z in zeros],
-        )
-        report = {
-            "scenario": sc.name,
-            "command": cmd,
+        reporting.write_csv(side_file("zeros"), ("re", "im", "modulus"), [(z.real, z.imag, abs(z)) for z in zeros])
+        body = {
             "pencil_label": pen.label,
             "degree": deg,
             "zeros": [[z.real, z.imag] for z in zeros],
@@ -313,28 +284,18 @@ def run(sc: Scenario, out_dir: str, seed: int = DEFAULT_SEED) -> dict:
             "verdict": "holds" if max_mod <= bound + 1e-6 else "fails",
         }
     elif cmd == "multop":
-        pen = _pencil_obj(sc.pencil)
-        seq = sobolev.norm_sequence(pen, p["n_max"], "mult_op")
-        _write_sequence_csv(out_dir, sc.name, "multop", seq)
-        payload = _sequence_payload(seq)
-        report = {"scenario": sc.name, "command": cmd, **payload,
-                  "verdict": "holds" if payload["plateau"] else "inconclusive"}
+        body = _mult_op(pen, p["n_max"], out_dir, sc.name)
+        body["verdict"] = "holds" if body["plateau"] else "inconclusive"
     elif cmd == "gamma":
         m = momentmatrix.of_measure(sc.measure)
         a = p["a"]
         n_max = p["n_max"]
         ns = list(range(2, n_max + 1))
-        vals = [criteria.gamma_index(m, a, n) for n in ns]
+        vals = criteria.gamma_sequence(m, a, n_max)[1:]
         kernel = criteria.gamma_via_kernel(m, a, n_max)
         agreement = abs(vals[-1] - kernel) / max(abs(kernel), 1e-300)
-        reporting.write_csv(
-            os.path.join(out_dir, f"{sc.name}_gamma.csv"),
-            ("n", "gamma"),
-            list(zip(ns, vals)),
-        )
-        report = {
-            "scenario": sc.name,
-            "command": cmd,
+        reporting.write_csv(side_file("gamma"), ("n", "gamma"), list(zip(ns, vals)))
+        body = {
             "label": m.label,
             "point": [a.real, a.imag],
             "n_list": ns,
@@ -344,13 +305,9 @@ def run(sc: Scenario, out_dir: str, seed: int = DEFAULT_SEED) -> dict:
             "verdict": "holds" if agreement <= 1e-9 else "inconclusive",
         }
     elif cmd == "bpe":
-        m = momentmatrix.of_measure(sc.measure)
-        rep = criteria.bpe_decide(m, p["a"], p["n_max"])
-        report = {"scenario": sc.name, "command": cmd, "report": rep.to_dict(), "verdict": rep.verdict}
+        rep = criteria.bpe_decide(momentmatrix.of_measure(sc.measure), p["a"], p["n_max"])
     elif cmd == "wirtinger":
-        m = momentmatrix.of_measure(sc.measure)
-        rep = criteria.wirtinger_psd_check(m, p["constant"], p["n"])
-        report = {"scenario": sc.name, "command": cmd, "report": rep.to_dict(), "verdict": rep.verdict}
+        rep = criteria.wirtinger_psd_check(momentmatrix.of_measure(sc.measure), p["constant"], p["n"])
     elif cmd == "dominance":
         mu0, mu1 = sc.pencil
         if mu1 is None:
@@ -358,40 +315,31 @@ def run(sc: Scenario, out_dir: str, seed: int = DEFAULT_SEED) -> dict:
         rep = criteria.dominance_check(
             momentmatrix.of_measure(mu0), momentmatrix.of_measure(mu1), p["constant"], p["n"]
         )
-        report = {"scenario": sc.name, "command": cmd, "report": rep.to_dict(), "verdict": rep.verdict}
     elif cmd == "cond4":
-        pen = _pencil_obj(sc.pencil)
         rep = criteria.sobolev_domination_bound(pen, p["n_max"])
-        reporting.write_csv(
-            os.path.join(out_dir, f"{sc.name}_cond4.csv"),
-            ("n", "value"),
-            list(zip(rep.n_list, rep.values)),
-        )
-        report = {"scenario": sc.name, "command": cmd, "report": rep.to_dict(), "verdict": rep.verdict}
+        reporting.write_csv(side_file("cond4"), ("n", "value"), list(zip(rep.n_list, rep.values)))
     elif cmd == "compare":
-        pen = _pencil_obj(sc.pencil)
-        pen_b = _pencil_obj(sc.pencil_b)
-        rep = criteria.comparability_bounds(pen, pen_b, p["n_max"])
+        rep = criteria.comparability_bounds(pen, sobolev.pencil_of_measures(*sc.pencil_b), p["n_max"])
         reporting.write_csv(
-            os.path.join(out_dir, f"{sc.name}_compare.csv"),
+            side_file("compare"),
             ("n", "lower", "upper"),
             list(zip(rep.n_list, rep.details["lower_values"], rep.values)),
         )
-        report = {"scenario": sc.name, "command": cmd, "report": rep.to_dict(), "verdict": rep.verdict}
     elif cmd == "eigenlimits":
         rep = criteria.eigen_limit_report(sc.weight, p["n_list"])
         reporting.write_csv(
-            os.path.join(out_dir, f"{sc.name}_eigenlimits.csv"),
+            side_file("eigenlimits"),
             ("n", "lambda_min", "lambda_max"),
             list(zip(rep.n_list, rep.values, rep.details["beta_values"])),
         )
-        report = {"scenario": sc.name, "command": cmd, "report": rep.to_dict(), "verdict": rep.verdict}
     elif cmd == "prop12":
         rep = criteria.bpe_weighted_circles_report(sc.measure, sc.circles, p["n_max"])
-        report = {"scenario": sc.name, "command": cmd, "report": rep.to_dict(), "verdict": rep.verdict}
     else:  # pragma: no cover - parse_scenario guards this
         raise ScenarioFormatError(f"unknown command {cmd!r}")
+    if rep is not None:
+        body = {"report": rep.to_dict(), "verdict": rep.verdict}
 
+    report = {"scenario": sc.name, "command": cmd, **body}
     reporting.write_json(os.path.join(out_dir, f"{sc.name}.json"), report)
     return report
 
@@ -432,17 +380,10 @@ def _builtin_identity_moments(out_dir, n_max, rng) -> dict:
     n = 32
     a = momentmatrix.section(m, n)
     identity_dev = float(np.max(np.abs(a - np.eye(n))))
-    quad_dev = 0.0
-    for i in range(n):
-        for j in range(n):
-            q = measures.moment_quadrature(UNIT, i, j, 4096)
-            quad_dev = max(quad_dev, abs(a[i, j] - q))
-    with open(os.path.join(out_dir, "identity-moments_section.csv"), "w", encoding="utf-8") as fh:
-        fh.write(momentmatrix.section_csv(a))
+    quad_dev = _quadrature_deviation(UNIT, a, 4096)
+    _write_matrix(os.path.join(out_dir, "identity-moments_section.csv"), a)
     verdict = "holds" if identity_dev == 0.0 and quad_dev <= 1e-10 else "fails"
     return {
-        "scenario": "identity-moments",
-        "command": "builtin",
         "label": m.label,
         "n": n,
         "max_identity_deviation": identity_dev,
@@ -465,8 +406,6 @@ def _builtin_lemma3_unitcircle(out_dir, n_max, rng) -> dict:
         rhs = momentmatrix.norm_sq(big[:deg, :deg], differentiate(v))
         worst = max(worst, lhs - rhs)
     return {
-        "scenario": "lemma3-unitcircle",
-        "command": "builtin",
         "label": m.label,
         "samples": 500,
         "max_degree": 20,
@@ -476,8 +415,6 @@ def _builtin_lemma3_unitcircle(out_dir, n_max, rng) -> dict:
 
 
 def _builtin_lemma3_shifted(out_dir, n_max, rng) -> dict:
-    from .polynomials import recenter
-
     worst_rel_excess = -math.inf
     worst_identity_dev = 0.0
     pairs = []
@@ -509,8 +446,6 @@ def _builtin_lemma3_shifted(out_dir, n_max, rng) -> dict:
                 )
     ok = worst_rel_excess <= 1e-9 and worst_identity_dev <= 1e-10
     return {
-        "scenario": "lemma3-shifted",
-        "command": "builtin",
         "pairs": [[a.real, a.imag, r] for a, r in pairs],
         "samples_per_pair": 25,
         "worst_relative_excess": worst_rel_excess,
@@ -521,9 +456,8 @@ def _builtin_lemma3_shifted(out_dir, n_max, rng) -> dict:
 
 def _builtin_prop6_equivalence(out_dir, n_max, rng) -> dict:
     graded = momentmatrix.MomentMatrix(
-        entry=lambda i, j: complex(5.0**i) if i == j else 0j,
+        build=lambda n: np.diag([5.0**k for k in range(n)]).astype(complex),
         label="diag(5^k)",
-        hpd_hint=False,
     )
     cases = [
         ("lebesgue-unit", momentmatrix.of_measure(UNIT), 1.0, 16, "holds"),
@@ -538,9 +472,9 @@ def _builtin_prop6_equivalence(out_dir, n_max, rng) -> dict:
         ok = rep.verdict == expected
         consistency = True
         detail = 0.0
+        big = momentmatrix.section(m, n + 1)
+        small = momentmatrix.section(m, n)
         if rep.verdict == "holds":
-            big = momentmatrix.section(m, n + 1)
-            small = momentmatrix.section(m, n)
             for _ in range(500):
                 deg = int(rng.integers(1, n + 1))
                 v = random_coeffs(rng, deg)
@@ -553,8 +487,6 @@ def _builtin_prop6_equivalence(out_dir, n_max, rng) -> dict:
                 if excess > 1e-10 * max(lhs, rhs, 1.0):
                     consistency = False
         elif rep.witness is not None:
-            big = momentmatrix.section(m, n + 1)
-            small = momentmatrix.section(m, n)
             lhs = momentmatrix.norm_sq(big, rep.witness)
             rhs = c * momentmatrix.norm_sq(small, differentiate(rep.witness))
             detail = lhs - rhs
@@ -573,8 +505,6 @@ def _builtin_prop6_equivalence(out_dir, n_max, rng) -> dict:
             }
         )
     return {
-        "scenario": "prop6-equivalence",
-        "command": "builtin",
         "cases": case_rows,
         "verdict": "holds" if all_ok else "fails",
     }
@@ -609,8 +539,6 @@ def _builtin_prop7_rigidity(out_dir, n_max, rng) -> dict:
             }
         )
     return {
-        "scenario": "prop7-rigidity",
-        "command": "builtin",
         "n": n,
         "cases": rows,
         "mismatches": mismatches,
@@ -627,23 +555,19 @@ def _builtin_example4(out_dir, n_max, rng) -> dict:
     )
     pen = sobolev.pencil_of_measures(HALF, UNIT, label="{m0=circle(0;1/2), m1=circle(0;1)}")
     bound = criteria.sobolev_domination_bound(pen, n_max)
-    mseq = sobolev.norm_sequence(pen, n_max, "mult_op")
-    _write_sequence_csv(out_dir, "example4-mr-m", "multop", mseq)
-    mult_ok = mseq.ok() and sobolev.plateau(mseq.n_list, mseq.values)
+    mult = _mult_op(pen, n_max, out_dir, "example4-mr-m")
     ok = (
         dom.verdict == "fails"
         and witness_top is not None
         and witness_top >= 10
         and bound.verdict == "holds"
-        and mult_ok
+        and mult["plateau"]
     )
     return {
-        "scenario": "example4-mr-m",
-        "command": "builtin",
         "dominance": dom.to_dict(),
         "dominance_witness_top_power": witness_top,
         "domination": bound.to_dict(),
-        "mult_op": _sequence_payload(mseq),
+        "mult_op": mult,
         "verdict": "holds" if ok else "fails",
     }
 
@@ -652,16 +576,12 @@ def _builtin_example5(out_dir, n_max, rng) -> dict:
     atoms = measures.Atomic(((0.3 + 0.0j, 1.0), (-0.2 + 0.4j, 1.0)))
     pen = sobolev.pencil_of_measures(UNIT, atoms)
     bound = criteria.sobolev_domination_bound(pen, n_max)
-    mseq = sobolev.norm_sequence(pen, n_max, "mult_op")
-    _write_sequence_csv(out_dir, "example5-discrete", "multop", mseq)
-    mult_ok = mseq.ok() and sobolev.plateau(mseq.n_list, mseq.values)
+    mult = _mult_op(pen, n_max, out_dir, "example5-discrete")
     zeros = _zero_bound_scan(pen, range(1, 13))
-    ok = bound.verdict == "holds" and mult_ok and zeros["bounded"]
+    ok = bound.verdict == "holds" and mult["plateau"] and zeros["bounded"]
     return {
-        "scenario": "example5-discrete",
-        "command": "builtin",
         "domination": bound.to_dict(),
-        "mult_op": _sequence_payload(mseq),
+        "mult_op": mult,
         "zero_bound_scan": zeros,
         "verdict": "holds" if ok else "fails",
     }
@@ -669,9 +589,7 @@ def _builtin_example5(out_dir, n_max, rng) -> dict:
 
 def _builtin_example6(out_dir, n_max, rng) -> dict:
     pen = sobolev.pencil_of_measures(UNIT, measures.CircleLebesgue(0.5, 2.0))
-    mseq = sobolev.norm_sequence(pen, n_max, "mult_op")
-    _write_sequence_csv(out_dir, "example6-circles", "multop", mseq)
-    mult_ok = mseq.ok() and sobolev.plateau(mseq.n_list, mseq.values)
+    mult = _mult_op(pen, n_max, out_dir, "example6-circles")
     zeros = _zero_bound_scan(pen, range(1, 21))
     reporting.write_csv(
         os.path.join(out_dir, "example6-circles_zeros.csv"),
@@ -679,11 +597,9 @@ def _builtin_example6(out_dir, n_max, rng) -> dict:
         list(zip(zeros["degrees"], zeros["max_zero_modulus"], zeros["mult_op_bound"])),
     )
     bound = criteria.sobolev_domination_bound(pen, n_max)
-    ok = mult_ok and zeros["bounded"] and bound.verdict == "holds"
+    ok = mult["plateau"] and zeros["bounded"] and bound.verdict == "holds"
     return {
-        "scenario": "example6-circles",
-        "command": "builtin",
-        "mult_op": _sequence_payload(mseq),
+        "mult_op": mult,
         "zero_bound_scan": zeros,
         "domination": bound.to_dict(),
         "verdict": "holds" if ok else "fails",
@@ -711,9 +627,8 @@ def _builtin_example7(out_dir, n_max, rng) -> dict:
         den = measures.moment(HALF, k, k).real
         expected = 1.0 + 4.0**k
         ratio_dev = max(ratio_dev, abs(num / den - expected) / expected)
-    mseq = sobolev.norm_sequence(pen_p, n_max, "mult_op")
+    mult = _mult_op(pen_p, n_max)
     zeros = _zero_bound_scan(pen_p, range(1, 21))
-    mult_ok = mseq.ok() and sobolev.plateau(mseq.n_list, mseq.values)
     ok = (
         comp.verdict == "holds"
         and comp.details["lower_constant"] >= 1.0
@@ -721,17 +636,15 @@ def _builtin_example7(out_dir, n_max, rng) -> dict:
         and contrast_top is not None
         and contrast_top >= 10
         and ratio_dev <= 1e-8
-        and mult_ok
+        and mult["plateau"]
         and zeros["bounded"]
     )
     return {
-        "scenario": "example7-comparability",
-        "command": "builtin",
         "comparability": comp.to_dict(),
         "component_dominance": contrast.to_dict(),
         "component_dominance_witness_top_power": contrast_top,
         "monomial_ratio_max_relative_deviation": ratio_dev,
-        "mult_op": _sequence_payload(mseq),
+        "mult_op": mult,
         "zero_bound_scan": zeros,
         "verdict": "holds" if ok else "fails",
     }
@@ -760,8 +673,6 @@ def _builtin_bpe_disk_map(out_dir, n_max, rng) -> dict:
         rows,
     )
     return {
-        "scenario": "bpe-disk-map",
-        "command": "builtin",
         "label": m.label,
         "n_max": n_max,
         "points": len(points),
@@ -779,8 +690,6 @@ def _builtin_eigenlimits(out_dir, n_max, rng) -> dict:
         list(zip(rep.n_list, rep.values, rep.details["beta_values"])),
     )
     return {
-        "scenario": "eigenlimits-weighted",
-        "command": "builtin",
         "report": rep.to_dict(),
         "verdict": rep.verdict,
     }
@@ -812,7 +721,7 @@ def run_builtin(name: str, out_dir: str, n_max: int = DEFAULT_NMAX, seed: int = 
     os.makedirs(out_dir, exist_ok=True)
     index = list_builtins().index(name)
     rng = np.random.default_rng([seed, index])
-    report = _BUILTINS[name](out_dir, n_max, rng)
+    report = {"scenario": name, "command": "builtin", **_BUILTINS[name](out_dir, n_max, rng)}
     reporting.write_json(os.path.join(out_dir, f"{name}.json"), report)
     return report
 

@@ -23,7 +23,7 @@ import scipy.linalg
 
 from . import measures, momentmatrix, numkernel, sobolev
 from .momentmatrix import MomentMatrix
-from .polynomials import evaluate
+from .polynomials import evaluate, vandermonde
 
 __all__ = [
     "CenterNotBoundedEvaluation",
@@ -35,6 +35,7 @@ __all__ = [
     "eigen_limit_estimate",
     "eigen_limit_report",
     "gamma_index",
+    "gamma_sequence",
     "gamma_via_kernel",
     "sobolev_domination_bound",
     "toeplitz_rigidity",
@@ -118,12 +119,15 @@ def _canonical_vector(u: np.ndarray) -> np.ndarray:
 # Point-evaluation index
 # ---------------------------------------------------------------------------
 
-def _power_column(a: complex, n: int) -> np.ndarray:
-    e = np.empty(n, dtype=complex)
-    e[0] = 1.0
-    for k in range(1, n):
-        e[k] = e[k - 1] * a
-    return e
+def gamma_sequence(m: MomentMatrix, a: complex, n_max: int) -> list[float]:
+    """The index of gamma_index for every n = 1..n_max, from one
+    factorization: with L the Cholesky factor of the n_max section and
+    y = L^{-1} e, e^H G_n^{-1} e = |y_0|^2 + ... + |y_{n-1}|^2, because
+    the factor of the n section is the leading block of L.
+    """
+    lower = numkernel.cholesky(momentmatrix.section(m, n_max), m.label)
+    y = scipy.linalg.solve_triangular(lower, vandermonde(complex(a), n_max)[:, 0], lower=True)
+    return [1.0 / float(s) for s in np.cumsum(np.abs(y) ** 2)]
 
 
 def gamma_index(m: MomentMatrix, a: complex, n: int) -> float:
@@ -133,10 +137,7 @@ def gamma_index(m: MomentMatrix, a: complex, n: int) -> float:
     evaluated through the Cholesky factor of the section.  Positive, and
     nonincreasing in n.
     """
-    g = momentmatrix.section(m, n)
-    lower = numkernel.cholesky(g, m.label)
-    y = scipy.linalg.solve_triangular(lower, _power_column(a, n), lower=True)
-    return 1.0 / float(np.real(np.vdot(y, y)))
+    return gamma_sequence(m, a, n)[-1]
 
 
 def gamma_via_kernel(m: MomentMatrix, a: complex, n: int) -> float:
@@ -155,7 +156,7 @@ def gamma_via_kernel(m: MomentMatrix, a: complex, n: int) -> float:
 def _gamma_minimizer(m: MomentMatrix, a: complex, n: int) -> np.ndarray:
     """Coefficient row attaining gamma: p(a) = 1 with minimal norm^2."""
     g = momentmatrix.section(m, n)
-    e = _power_column(a, n)
+    e = vandermonde(complex(a), n)[:, 0]
     x = np.linalg.solve(g, e)
     s = float(np.real(np.vdot(e, x)))
     return np.conj(x) / s
@@ -177,7 +178,7 @@ def bpe_decide(m: MomentMatrix, a: complex, n_max: int) -> CriterionReport:
     if n_max < 4:
         raise ValueError("bpe decision needs n_max >= 4")
     ns = list(range(2, n_max + 1))
-    gammas = [gamma_index(m, a, n) for n in ns]
+    gammas = gamma_sequence(m, a, n_max)[1:]
     g_end = gammas[-1]
     half = n_max // 2
     g_half = gammas[ns.index(half)]
@@ -281,8 +282,9 @@ def toeplitz_rigidity(t: MomentMatrix, n: int) -> CriterionReport:
     if not momentmatrix.is_toeplitz(t, n):
         raise ValueError("matrix section is not Toeplitz")
     rep = wirtinger_psd_check(t, 1.0, n)
-    diag0 = complex(t.entry(0, 0)).real
-    offdiag = max(abs(complex(t.entry(0, k))) for k in range(1, n))
+    row0 = momentmatrix.section(t, n)[0]
+    diag0 = float(row0[0].real)
+    offdiag = max(abs(complex(z)) for z in row0[1:])
     offdiag_zero = offdiag <= RIGIDITY_OFFDIAG_RTOL * max(abs(diag0), 1e-300)
     return CriterionReport(
         criterion="toeplitz_rigidity",
@@ -378,10 +380,11 @@ def comparability_bounds(
         raise ValueError("need n_max >= 2")
     ns = list(range(2, n_max + 1))
     lows, highs = [], []
-    for n in ns:
-        lam = numkernel.gen_eig_definite(
-            sobolev.gram_section(q, n), sobolev.gram_section(p, n), p.label
-        )
+    for lam in numkernel.nested_gen_eig(
+        sobolev.gram_section(q, n_max), sobolev.gram_section(p, n_max), p.label
+    )[1:]:
+        if isinstance(lam, Exception):
+            raise lam
         lows.append(float(lam[0]))
         highs.append(float(lam[-1]))
     settled = (

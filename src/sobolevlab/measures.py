@@ -1,28 +1,33 @@
-"""Measures on the plane with closed-form complex moments.
+"""Measures on the plane and their moment sections.
 
 Four kinds are supported: normalized Lebesgue measure on a circle,
 trigonometric-polynomial-weighted circle measure, finitely atomic
 measures, and positive linear combinations of the above.  The central
-operation is the moment
+operation is the leading n x n section of the moment matrix
 
     c[i, j] = integral of  z**i * conj(z)**j  d(mu),
 
-computed in closed form (binomial expansions around the circle center,
-Fourier coefficients for weighted circles, plain sums for atoms) and
-cross-checkable against trapezoid quadrature on a uniform angular grid.
-
-Hermitian symmetry ``moment(m, i, j) == conj(moment(m, j, i))`` holds
-*exactly* (bit for bit): entries with i > j are produced by conjugating
-the mirrored entry rather than re-evaluating the closed form.
+built as a matrix product: P T P^* for circles (row i of P expands
+(center + radius e^{i theta})**i, T is the Toeplitz matrix of the weight's
+Fourier coefficients or the identity), V diag(mass) V^* for atoms (V the
+Vandermonde matrix), and the scaled sum for sums.  Sections are exactly
+Hermitian (the lower triangle mirrors the upper one) and cross-checkable
+against trapezoid quadrature on a uniform angular grid.  Numbers entering
+a measure pass one validation layer (``parse_real``, ``parse_pair``,
+``parse_fourier``), shared with the scenario parser.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+
+from . import numkernel
+from .polynomials import vandermonde
 
 __all__ = [
     "Atomic",
@@ -35,6 +40,10 @@ __all__ = [
     "has_infinite_support",
     "moment",
     "moment_quadrature",
+    "moment_section",
+    "parse_fourier",
+    "parse_pair",
+    "parse_real",
     "support_hull_radius",
     "to_json",
     "weight_values",
@@ -54,6 +63,53 @@ class MeasureFormatError(ValueError):
     """Malformed measure description (constructor argument or JSON)."""
 
 
+def parse_real(x, what: str, error=MeasureFormatError) -> float:
+    """``x`` as a finite float; ``error`` for NaN, infinities and anything
+    but a real number (booleans and numeric strings included)."""
+    try:
+        v = float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise error(f"{what} must be a finite number, got {x!r}")
+    return v
+
+
+def parse_pair(pair, what: str, error=MeasureFormatError) -> complex:
+    """An [re, im] pair of finite numbers as a complex number."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise error(f"{what} must be an [re, im] pair, got {pair!r}")
+    return complex(parse_real(pair[0], what, error), parse_real(pair[1], what, error))
+
+
+def _finite_complex(z, what: str) -> complex:
+    z = complex(z)
+    return complex(parse_real(z.real, what), parse_real(z.imag, what))
+
+
+def _rows(items, width: int, shape: str) -> list:
+    """``items`` as a list of length-``width`` lists or tuples."""
+    if not isinstance(items, (list, tuple)):
+        raise MeasureFormatError(f"expected a list of {shape} entries, got {items!r}")
+    for item in items:
+        if not isinstance(item, (list, tuple)) or len(item) != width:
+            raise MeasureFormatError(f"expected {shape} entry, got {item!r}")
+    return list(items)
+
+
+def parse_fourier(items) -> tuple[tuple[int, complex], ...]:
+    """Weight coefficients from ``[[k, re, im], ...]``; coefficients of a
+    repeated frequency add up."""
+    fourier: dict[int, complex] = {}
+    for item in _rows(items, 3, "[k, re, im]"):
+        k = parse_real(item[0], "weight frequency")
+        if k != int(k):
+            raise MeasureFormatError(f"weight frequency must be an integer, got {item[0]!r}")
+        k = int(k)
+        fourier[k] = fourier.get(k, 0.0 + 0.0j) + parse_pair(item[1:], "weight coefficient")
+    return tuple(fourier.items())
+
+
 @dataclass(frozen=True)
 class CircleLebesgue:
     """Normalized arc-length measure on the circle |z - center| = radius."""
@@ -62,8 +118,8 @@ class CircleLebesgue:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", complex(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "center", _finite_complex(self.center, "circle center"))
+        object.__setattr__(self, "radius", parse_real(self.radius, "circle radius"))
         if not self.radius > 0:
             raise MeasureFormatError("circle radius must be positive")
 
@@ -84,8 +140,8 @@ class WeightedCircle:
     fourier: tuple[tuple[int, complex], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "center", complex(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "center", _finite_complex(self.center, "circle center"))
+        object.__setattr__(self, "radius", parse_real(self.radius, "circle radius"))
         if not self.radius > 0:
             raise MeasureFormatError("circle radius must be positive")
         object.__setattr__(self, "fourier", _canonical_weight(self.fourier))
@@ -104,7 +160,9 @@ class Atomic:
     atoms: tuple[tuple[complex, float], ...]
 
     def __post_init__(self):
-        atoms = tuple((complex(z), float(w)) for z, w in self.atoms)
+        atoms = tuple(
+            (_finite_complex(z, "atom"), parse_real(w, "atom mass")) for z, w in self.atoms
+        )
         if not atoms:
             raise MeasureFormatError("atomic measure needs at least one atom")
         if any(w <= 0 for _, w in atoms):
@@ -119,7 +177,7 @@ class MeasureSum:
     terms: tuple[tuple[float, "Measure"], ...]
 
     def __post_init__(self):
-        terms = tuple((float(s), m) for s, m in self.terms)
+        terms = tuple((parse_real(s, "sum scale"), m) for s, m in self.terms)
         if not terms:
             raise MeasureFormatError("sum measure needs at least one term")
         if any(s <= 0 for s, _ in terms):
@@ -143,7 +201,7 @@ def _canonical_weight(fourier) -> tuple[tuple[int, complex], ...]:
     """
     raw: dict[int, complex] = {}
     for k, c in dict(fourier).items():
-        raw[int(k)] = raw.get(int(k), 0.0 + 0.0j) + complex(c)
+        raw[int(k)] = raw.get(int(k), 0.0 + 0.0j) + _finite_complex(c, "weight coefficient")
     if not raw:
         raise MeasureFormatError("weight needs at least the mean coefficient")
     scale = max(abs(c) for c in raw.values())
@@ -187,62 +245,60 @@ def weight_values(fourier, theta) -> np.ndarray:
     return out
 
 
-def _powers(a: complex, n: int) -> np.ndarray:
-    """[a**0, ..., a**n] by iterated multiplication (0**0 == 1)."""
-    p = np.empty(n + 1, dtype=complex)
-    p[0] = 1.0
-    for k in range(1, n + 1):
-        p[k] = p[k - 1] * a
+def _circle_expansion(center: complex, radius: float, n: int) -> np.ndarray:
+    """P[i, k] = C(i, k) center**(i-k) radius**k: row i expands
+    (center + radius e^{i theta})**i in powers of e^{i theta}."""
+    a_pow = vandermonde(complex(center), n)[:, 0]
+    r_pow = vandermonde(float(radius), n)[:, 0]
+    i, k = np.tril_indices(n)
+    binom = np.array([float(math.comb(ii, kk)) for ii, kk in zip(i, k)])
+    p = np.zeros((n, n), dtype=complex)
+    p[i, k] = binom * a_pow[i - k] * r_pow[k]
     return p
 
 
-def _moment_upper(m: Measure, i: int, j: int) -> complex:
-    # closed forms, evaluated only for i <= j (see moment())
-    if isinstance(m, CircleLebesgue):
-        a, r = m.center, m.radius
-        ap = _powers(a, max(i, j))
-        r2 = _powers(r * r, min(i, j)).real
-        total = 0.0 + 0.0j
-        for k in range(min(i, j) + 1):
-            scale = float(math.comb(i, k) * math.comb(j, k)) * r2[k]
-            total += scale * (ap[i - k] * np.conj(ap[j - k]))
-        return total
-    if isinstance(m, WeightedCircle):
-        a, r = m.center, m.radius
-        ap = _powers(a, max(i, j))
-        rp = _powers(r, i + j).real
-        coeffs = dict(m.fourier)
-        total = 0.0 + 0.0j
-        for k in range(i + 1):
-            bik = float(math.comb(i, k))
-            for l in range(j + 1):
-                w = coeffs.get(l - k)
-                if w is None:
-                    continue
-                scale = bik * float(math.comb(j, l)) * rp[k + l]
-                total += scale * (ap[i - k] * np.conj(ap[j - l])) * w
-        return total
+def _times_adjoint(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u @ v^*, summed over k in index order.  The terms a larger section
+    adds to entry (i, j) are exact zeros, so its leading block is bitwise
+    the smaller section (a BLAS product's summation order varies with size)."""
+    out = np.zeros((u.shape[0], v.shape[0]), dtype=complex)
+    for k in range(u.shape[1]):
+        out += np.outer(u[:, k], v[:, k].conj())
+    return out
+
+
+def _product(m: Measure, n: int) -> np.ndarray:
+    # the section as a matrix product, Hermitian up to roundoff
+    if isinstance(m, (CircleLebesgue, WeightedCircle)):
+        p = _circle_expansion(m.center, m.radius, n)
+        if isinstance(m, CircleLebesgue):
+            return _times_adjoint(p, p)
+        w = dict(m.fourier)
+        band = np.array([w.get(d, 0.0 + 0.0j) for d in range(1 - n, n)], dtype=complex)
+        k = np.arange(n)
+        t = band[k[None, :] - k[:, None] + n - 1]  # T = T^*: w(-d) == conj(w(d)) exactly
+        return _times_adjoint(_times_adjoint(p, t), p)
     if isinstance(m, Atomic):
-        total = 0.0 + 0.0j
-        for z, w in m.atoms:
-            zp = _powers(z, max(i, j))
-            total += w * (zp[i] * np.conj(zp[j]))
-        return total
+        v = vandermonde([z for z, _ in m.atoms], n)
+        return _times_adjoint(v * np.array([w for _, w in m.atoms]), v)
     if isinstance(m, MeasureSum):
-        total = 0.0 + 0.0j
-        for s, comp in m.terms:
-            total += s * _moment_upper(comp, i, j)
-        return total
+        return sum(s * _product(comp, n) for s, comp in m.terms)
     raise TypeError(f"not a measure: {m!r}")
 
 
+def moment_section(m: Measure, n: int) -> np.ndarray:
+    """Leading n x n section [c[i, j]] of the moment matrix (see the
+    module docstring); exactly Hermitian."""
+    if n < 1:
+        raise ValueError("section size must be at least 1")
+    return numkernel.mirror_upper(_product(m, n))
+
+
 def moment(m: Measure, i: int, j: int) -> complex:
-    """Closed-form moment c[i, j]; Hermitian symmetry is exact."""
+    """Moment c[i, j], read off the smallest section holding it."""
     if i < 0 or j < 0:
         raise ValueError("moment orders must be nonnegative")
-    if i > j:
-        return np.conj(_moment_upper(m, j, i))
-    return _moment_upper(m, i, j)
+    return complex(moment_section(m, max(i, j) + 1)[i, j])
 
 
 def moment_quadrature(m: Measure, i: int, j: int, grid_points: int = WEIGHT_GRID_POINTS) -> complex:
@@ -268,7 +324,7 @@ def moment_quadrature(m: Measure, i: int, j: int, grid_points: int = WEIGHT_GRID
             vals = vals * weight_values(m.fourier, theta)
         return complex(vals.mean())
     if isinstance(m, Atomic):
-        return complex(_moment_upper(m, i, j) if i <= j else np.conj(_moment_upper(m, j, i)))
+        return complex(sum(w * z**i * z.conjugate() ** j for z, w in m.atoms))
     if isinstance(m, MeasureSum):
         return complex(
             sum(s * moment_quadrature(comp, i, j, grid_points) for s, comp in m.terms)
@@ -332,12 +388,6 @@ def _require_keys(obj: dict, required: tuple[str, ...]):
         raise MeasureFormatError(f"measure object has unknown keys {extra}")
 
 
-def _as_complex(pair) -> complex:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise MeasureFormatError(f"expected [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
-
-
 def from_json(obj) -> Measure:
     """Parse a measure description.
 
@@ -354,30 +404,20 @@ def from_json(obj) -> Measure:
     kind = obj.get("kind")
     if kind == "circle":
         _require_keys(obj, ("kind", "center", "radius"))
-        return CircleLebesgue(_as_complex(obj["center"]), float(obj["radius"]))
+        return CircleLebesgue(parse_pair(obj["center"], "circle center"), obj["radius"])
     if kind == "weighted_circle":
         _require_keys(obj, ("kind", "center", "radius", "fourier"))
-        fourier = {}
-        for item in obj["fourier"]:
-            if not isinstance(item, (list, tuple)) or len(item) != 3:
-                raise MeasureFormatError(f"expected [k, re, im] triple, got {item!r}")
-            k = int(item[0])
-            fourier[k] = fourier.get(k, 0.0 + 0.0j) + complex(float(item[1]), float(item[2]))
-        return WeightedCircle(_as_complex(obj["center"]), float(obj["radius"]), tuple(fourier.items()))
+        return WeightedCircle(
+            parse_pair(obj["center"], "circle center"), obj["radius"], parse_fourier(obj["fourier"])
+        )
     if kind == "atomic":
         _require_keys(obj, ("kind", "atoms"))
-        atoms = []
-        for item in obj["atoms"]:
-            if not isinstance(item, (list, tuple)) or len(item) != 3:
-                raise MeasureFormatError(f"expected [re, im, mass] triple, got {item!r}")
-            atoms.append((complex(float(item[0]), float(item[1])), float(item[2])))
-        return Atomic(tuple(atoms))
+        return Atomic(
+            tuple((parse_pair(item[:2], "atom"), item[2]) for item in _rows(obj["atoms"], 3, "[re, im, mass]"))
+        )
     if kind == "sum":
         _require_keys(obj, ("kind", "terms"))
-        terms = []
-        for item in obj["terms"]:
-            if not isinstance(item, (list, tuple)) or len(item) != 2:
-                raise MeasureFormatError(f"expected [scale, measure] pair, got {item!r}")
-            terms.append((float(item[0]), from_json(item[1])))
-        return MeasureSum(tuple(terms))
+        return MeasureSum(
+            tuple((s, from_json(m)) for s, m in _rows(obj["terms"], 2, "[scale, measure]"))
+        )
     raise MeasureFormatError(f"unknown measure kind {kind!r}")

@@ -1,10 +1,12 @@
-"""Infinite Hermitian moment matrices represented by entry rules.
+"""Infinite Hermitian moment matrices represented by section builders.
 
-A matrix is a rule (i, j) -> entry plus a label and a hint about strict
-positive definiteness of its finite sections.  Finite n x n sections are
-materialized on demand; the strict lower triangle is always filled by
-conjugating the upper one, so sections are Hermitian by construction
-even if the supplied rule is only approximately so.
+A matrix is a builder n -> (n x n leading section) plus a label and a
+hint about strict positive definiteness of its finite sections.
+Sections are materialized on demand through ``section``, which keeps
+only the largest section built so far and slices smaller ones from it.
+Every built section is mirrored (strict lower triangle = conjugated
+upper one, real diagonal), so sections are exactly Hermitian even if the
+builder is only approximately so.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import measures
+from . import measures, numkernel
 from .polynomials import as_coeffs
 
 __all__ = [
@@ -38,73 +40,62 @@ TOEPLITZ_TOL = 1e-13
 
 @dataclass(eq=False)
 class MomentMatrix:
-    """Entry rule for an infinite Hermitian matrix.
+    """Section builder for an infinite Hermitian matrix.
 
-    ``hpd_hint`` records whether every finite section is expected to be
-    strictly positive definite (true for matrices of measures with
-    infinite support); consumers use it only to pick test corpora, never
-    to skip numerical gates.
+    ``build(n)`` returns the leading n x n section; the builder of a
+    measure's matrix is ``measures.moment_section``.  ``hpd_hint``
+    records whether every finite section is expected to be strictly
+    positive definite (true for matrices of measures with infinite
+    support); consumers use it only to pick test corpora, never to skip
+    numerical gates.
     """
 
-    entry: Callable[[int, int], complex]
+    build: Callable[[int], np.ndarray]
     label: str = ""
     hpd_hint: bool = False
-    _sections: dict = field(default_factory=dict, init=False, repr=False)
-
-    def section(self, n: int) -> np.ndarray:
-        return section(self, n)
+    _largest: np.ndarray | None = field(default=None, init=False, repr=False)
 
 
 def section(m: MomentMatrix, n: int) -> np.ndarray:
-    """Dense n x n leading section, exactly Hermitian by mirroring."""
+    """Dense n x n leading section, exactly Hermitian by mirroring.
+
+    Only the largest section built so far is kept; a request beyond it
+    builds the new size and replaces it.
+    """
     if n < 1:
         raise ValueError("section size must be at least 1")
-    cached = m._sections.get(n)
-    if cached is None:
-        a = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(i, n):
-                v = complex(m.entry(i, j))
-                a[i, j] = v
-                if i != j:
-                    a[j, i] = np.conj(v)
-        d = a.diagonal()
-        a[np.diag_indices(n)] = d.real
-        m._sections[n] = a
-        cached = a
-    return cached.copy()
+    if m._largest is None or m._largest.shape[0] < n:
+        m._largest = numkernel.mirror_upper(m.build(n))
+    return m._largest[:n, :n].copy()
 
 
 def of_measure(mu: measures.Measure) -> MomentMatrix:
     """Moment matrix of a measure; the label records the measure JSON."""
     return MomentMatrix(
-        entry=lambda i, j: measures.moment(mu, i, j),
+        build=lambda n: measures.moment_section(mu, n),
         label=json.dumps(measures.to_json(mu), separators=(",", ":")),
         hpd_hint=measures.has_infinite_support(mu),
     )
 
 
 def zero_matrix() -> MomentMatrix:
-    return MomentMatrix(entry=lambda i, j: 0.0 + 0.0j, label="zero", hpd_hint=False)
+    return MomentMatrix(build=lambda n: np.zeros((n, n), dtype=complex), label="zero", hpd_hint=False)
 
 
 def toeplitz_rule(coeffs, label: str = "toeplitz") -> MomentMatrix:
-    """Hermitian Toeplitz rule from diagonal values: entry(i, j) = c[j - i].
+    """Hermitian Toeplitz matrix from diagonal values: entry (i, j) = c[j - i].
 
     Missing negative frequencies fall back to the conjugate of the
     positive one, so {0: c0, 1: c1, ...} suffices.
     """
     c = {int(k): complex(v) for k, v in dict(coeffs).items()}
 
-    def entry(i: int, j: int) -> complex:
-        k = j - i
-        if k in c:
-            return c[k]
-        if -k in c:
-            return complex(np.conj(c[-k]))
-        return 0.0 + 0.0j
+    def build(n: int) -> np.ndarray:
+        band = np.array([c.get(d, np.conj(c.get(-d, 0.0 + 0.0j))) for d in range(1 - n, n)])
+        k = np.arange(n)
+        return band[k[None, :] - k[:, None] + n - 1]
 
-    return MomentMatrix(entry=entry, label=label, hpd_hint=False)
+    return MomentMatrix(build=build, label=label, hpd_hint=False)
 
 
 def derivative_conjugate(m1: MomentMatrix) -> MomentMatrix:
@@ -115,18 +106,20 @@ def derivative_conjugate(m1: MomentMatrix) -> MomentMatrix:
     v B v^* == ||p'||^2_{M1}.
     """
 
-    def entry(i: int, j: int) -> complex:
-        if i < 1 or j < 1:
-            return 0.0 + 0.0j
-        return float(i * j) * complex(m1.entry(i - 1, j - 1))
+    def build(n: int) -> np.ndarray:
+        out = np.zeros((n, n), dtype=complex)
+        if n > 1:
+            k = np.arange(1, n, dtype=float)
+            out[1:, 1:] = np.outer(k, k) * section(m1, n - 1)
+        return out
 
-    return MomentMatrix(entry=entry, label=f"dconj({m1.label})", hpd_hint=False)
+    return MomentMatrix(build=build, label=f"dconj({m1.label})", hpd_hint=False)
 
 
 def delete_first(m: MomentMatrix) -> MomentMatrix:
     """Remove row and column 0: entry (i, j) -> M[i+1, j+1]."""
     return MomentMatrix(
-        entry=lambda i, j: m.entry(i + 1, j + 1),
+        build=lambda n: section(m, n + 1)[1:, 1:],
         label=f"delete_first({m.label})",
         hpd_hint=m.hpd_hint,
     )

@@ -1,12 +1,13 @@
 """Dense Hermitian numerics with structured failures.
 
-Thin kernel shared by everything downstream: a pivot-gated Cholesky
-factorization, Hermitian eigendecomposition, the definite generalized
-eigenproblem, and polynomial roots via the companion matrix.  The heavy
-lifting is delegated to LAPACK through numpy/scipy; what this module
-adds is the error contract (NotPositiveDefinite with the failing pivot
-index, ConvergenceFailure with the offending label) and the exact
-reductions used by the callers.
+Thin kernel shared by everything downstream: the exact Hermitian mirror
+of a section, a pivot-gated Cholesky factorization, Hermitian
+eigendecomposition, the definite generalized eigenproblem (for one size
+or for every leading size from one factorization), and polynomial roots
+via the companion matrix.  The heavy lifting is delegated to LAPACK
+through numpy/scipy; what this module adds is the error contract
+(NotPositiveDefinite with the failing pivot index, ConvergenceFailure
+with the offending label) and the exact reductions used by the callers.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ __all__ = [
     "companion_roots",
     "gen_eig_definite",
     "herm_eig",
+    "mirror_upper",
+    "nested_gen_eig",
 ]
 
 #: a Schur pivot at or below this fraction of the original diagonal entry
@@ -68,6 +71,17 @@ def _square(a) -> np.ndarray:
     return m
 
 
+def mirror_upper(a) -> np.ndarray:
+    """Exactly Hermitian copy of a square matrix: the upper triangle is
+    kept, the strict lower triangle becomes its conjugate mirror, and the
+    diagonal its real part."""
+    out = _square(a).copy()
+    lower = np.tril_indices(out.shape[0], -1)
+    out[lower] = np.conj(out.T[lower])
+    out[np.diag_indices(out.shape[0])] = out.diagonal().real
+    return out
+
+
 def cholesky(g, label: str = "") -> np.ndarray:
     """Lower-triangular L with G = L L^* and positive real diagonal.
 
@@ -104,20 +118,51 @@ def herm_eig(m, label: str = "") -> HermEig:
     return HermEig(eigenvalues=vals, eigenvectors=vecs)
 
 
+def _reduce(q: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """L^{-1} Q L^{-*}, symmetrized."""
+    y = scipy.linalg.solve_triangular(lower, q, lower=True)
+    b = scipy.linalg.solve_triangular(lower, y.conj().T, lower=True).conj().T
+    return 0.5 * (b + b.conj().T)
+
+
+def _eigvalsh(b: np.ndarray, label: str) -> np.ndarray:
+    try:
+        return np.linalg.eigvalsh(b)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(label) from exc
+
+
 def gen_eig_definite(q, g, label: str = "") -> np.ndarray:
     """Ascending eigenvalues of the pencil (Q, G) with G Hermitian
     positive definite: reduce to L^{-1} Q L^{-*} via the Cholesky factor
     of G and diagonalize.  Propagates NotPositiveDefinite from G.
     """
     qm = _square(q)
-    lower = cholesky(g, label)
-    y = scipy.linalg.solve_triangular(lower, qm, lower=True)
-    b = scipy.linalg.solve_triangular(lower, y.conj().T, lower=True).conj().T
-    b = 0.5 * (b + b.conj().T)
+    return _eigvalsh(_reduce(qm, cholesky(g, label)), label)
+
+
+def nested_gen_eig(q, g, label: str = "") -> list:
+    """gen_eig_definite(Q[:n, :n], G[:n, :n]) for n = 1..len(G), or the
+    exception it raises, from one factorization: the Cholesky factor of a
+    leading section is the leading block of the factor of G, so the
+    reduced matrix at size n is the leading block of L^{-1} Q L^{-*}.  A
+    pivot failure at index k is shared by every n > k."""
+    qm, gm = _square(q), _square(g)
+    ok, failure = gm.shape[0], None
     try:
-        return np.linalg.eigvalsh(b)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(label) from exc
+        lower = cholesky(gm, label)
+    except NotPositiveDefinite as exc:
+        ok, failure = exc.index, exc
+        lower = cholesky(gm[:ok, :ok], label) if ok else None
+    b = _reduce(qm[:ok, :ok], lower) if ok else None
+
+    def at(n: int):
+        try:
+            return _eigvalsh(b[:n, :n], label)
+        except ConvergenceFailure as exc:
+            return exc
+
+    return [at(n) for n in range(1, ok + 1)] + [failure] * (gm.shape[0] - ok)
 
 
 def companion_roots(v) -> np.ndarray:

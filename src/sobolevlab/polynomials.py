@@ -18,6 +18,7 @@ __all__ = [
     "recenter",
     "random_coeffs",
     "shift_up",
+    "vandermonde",
 ]
 
 
@@ -50,6 +51,15 @@ def shift_up(v) -> np.ndarray:
     if len(c) == 0:
         return c
     return np.concatenate(([0.0 + 0.0j], c))
+
+
+def vandermonde(points, n: int) -> np.ndarray:
+    """V[i, k] = points[k]**i for i < n, by repeated multiplication."""
+    pts = np.atleast_1d(np.asarray(points))
+    v = np.ones((n, pts.size), dtype=pts.dtype)
+    if n > 1:
+        v[1:] = np.cumprod(np.broadcast_to(pts, (n - 1, pts.size)), axis=0)
+    return v
 
 
 def evaluate(v, z):

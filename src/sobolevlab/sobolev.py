@@ -6,10 +6,12 @@ sections, M1 positive semidefinite) induces the inner product
     <p, q> = p M0 q^*  +  p' M1 q'^*
 
 whose Gram matrix in the monomial basis is section(M0, n) plus the
-derivative conjugation of M1.  This module materializes Gram sections,
-orthonormalizes the monomials against them, finds zeros of the
-orthonormal polynomials, and measures the finite-section norm of the
-multiply-by-z operator.
+derivative conjugation of M1; the pencil keeps it as one more
+MomentMatrix.  This module materializes Gram sections, orthonormalizes
+the monomials against them, finds zeros of the orthonormal polynomials,
+and measures the finite-section norm of the multiply-by-z operator.
+Sequences over n = 1..n_max factor the largest Gram section once and
+read every smaller size off its leading blocks.
 """
 
 from __future__ import annotations
@@ -52,13 +54,16 @@ class SobolevPencil:
     m0: MomentMatrix
     m1: MomentMatrix
     label: str = ""
-    _m1d: MomentMatrix = field(init=False, repr=False)
-    _grams: dict = field(default_factory=dict, init=False, repr=False)
+    gram: MomentMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._m1d = momentmatrix.derivative_conjugate(self.m1)
         if not self.label:
             self.label = f"{{m0={self.m0.label}, m1={self.m1.label}}}"
+        m1d = momentmatrix.derivative_conjugate(self.m1)
+        self.gram = MomentMatrix(
+            build=lambda n: momentmatrix.section(self.m0, n) + momentmatrix.section(m1d, n),
+            label=self.label,
+        )
 
 
 def pencil_of_measures(mu0: measures.Measure, mu1: measures.Measure | None, label: str = "") -> SobolevPencil:
@@ -69,11 +74,7 @@ def pencil_of_measures(mu0: measures.Measure, mu1: measures.Measure | None, labe
 
 def gram_section(p: SobolevPencil, n: int) -> np.ndarray:
     """n x n Gram matrix of the monomials 1, z, ..., z^{n-1}."""
-    cached = p._grams.get(n)
-    if cached is None:
-        cached = momentmatrix.section(p.m0, n) + momentmatrix.section(p._m1d, n)
-        p._grams[n] = cached
-    return cached.copy()
+    return momentmatrix.section(p.gram, n)
 
 
 def sobolev_norm(p: SobolevPencil, v) -> float:
@@ -164,31 +165,25 @@ def norm_sequence(
         raise ValueError(f"unknown quantity {quantity!r}")
     if quantity == "gen_eig_vs" and other is None:
         raise ValueError("gen_eig_vs needs the second pencil")
-    ns, values, errors = [], [], []
-    for n in range(1, n_max + 1):
-        ns.append(n)
-        try:
-            if quantity == "mult_op":
-                val = mult_op_norm(p, n)
-            elif quantity == "cond4":
-                lam = numkernel.gen_eig_definite(
-                    momentmatrix.section(p.m1, n), gram_section(p, n), p.label
-                )
-                val = float(lam[-1])
-            else:
-                lam = numkernel.gen_eig_definite(
-                    gram_section(other, n), gram_section(p, n), p.label
-                )
-                val = float(lam[-1])
-            values.append(val)
-            errors.append(None)
-        except (numkernel.NotPositiveDefinite, numkernel.ConvergenceFailure) as exc:
+    if quantity == "mult_op":
+        q = gram_section(p, n_max + 1)[1:, 1:]
+    elif quantity == "cond4":
+        q = momentmatrix.section(p.m1, n_max)
+    else:
+        q = gram_section(other, n_max)
+    values, errors = [], []
+    for lam in numkernel.nested_gen_eig(q, gram_section(p, n_max), p.label):
+        if isinstance(lam, Exception):
             values.append(math.nan)
-            errors.append(str(exc))
+            errors.append(str(lam))
+            continue
+        top = float(lam[-1])
+        values.append(math.sqrt(max(top, 0.0)) if quantity == "mult_op" else top)
+        errors.append(None)
     return NormSequence(
         label=p.label,
         quantity=quantity,
-        n_list=tuple(ns),
+        n_list=tuple(range(1, n_max + 1)),
         values=tuple(values),
         errors=tuple(errors),
     )

@@ -14,6 +14,7 @@ from sobolevlab.cli import (
     run,
     run_builtin,
 )
+from sobolevlab.measures import MeasureFormatError
 
 UNIT_JSON = {"kind": "circle", "center": [0.0, 0.0], "radius": 1.0}
 HALF_JSON = {"kind": "circle", "center": [0.0, 0.0], "radius": 0.5}
@@ -298,3 +299,33 @@ def test_main_fails_verdict_still_exits_0(tmp_path, capsys):
     )
     assert main(["--spec", spec, "--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().out.strip() == "outside: fails"
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        {"kind": "circle", "center": ["a", 0], "radius": 1.0},
+        {"kind": "weighted_circle", "center": [0.0, 0.0], "radius": 1.0, "fourier": 5},
+        {"kind": "circle", "center": [float("nan"), 0.0], "radius": 1.0},
+        {"kind": "atomic", "atoms": [[0.1 * k, 0.0, float("inf") if k == 0 else 1.0] for k in range(12)]},
+    ],
+    ids=["string-center", "scalar-fourier", "nan-center", "inf-mass"],
+)
+def test_main_malformed_numbers_exit_2(tmp_path, capsys, measure):
+    spec = write_spec(
+        tmp_path, {"name": "bad", "command": "moments", "measure": measure, "parameters": {"n": 4}}
+    )
+    assert main(["--spec", spec, "--out", str(tmp_path / "out")]) == 2
+    assert "scenario error" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "bad.json").exists()
+
+
+def test_circles_and_point_share_the_number_check():
+    base = {"name": "p", "command": "prop12", "measure": HALF_JSON, "parameters": {"n_max": 8}}
+    for circle in ([0.0, float("nan"), 1.0, [[0, 1.0, 0.0]]], [0.0, 0.0, 1.0, 7]):
+        with pytest.raises(MeasureFormatError):
+            parse_scenario(dict(base, circles=[circle]))
+    bad_point = gamma_scenario()
+    bad_point["parameters"]["a"] = [float("inf"), 0.0]
+    with pytest.raises(ScenarioFormatError, match="parameter 'a'"):
+        parse_scenario(bad_point)

@@ -447,3 +447,18 @@ def test_report_to_dict_fixed_order_and_witness_pairs():
     assert d["witness"] == [[1.0, 2.0], [-0.0, -0.5]]
     assert d["n_list"] == [2, 3]
     assert bpe_decide(M_UNIT, 0.5, 8).to_dict()["witness"] is None
+
+
+@pytest.mark.parametrize("m", [M_UNIT, M_HALF, mm.of_measure(W04), mm.of_measure(CircleLebesgue(0.2 - 0.1j, 1.2))])
+def test_gamma_sequence_matches_linear_solve(m):
+    n_max = 24
+    for a in (0.0, 0.5 - 0.3j, 0.9j):
+        seq = criteria.gamma_sequence(m, a, n_max)
+        assert len(seq) == n_max
+        for n in range(1, n_max + 1):
+            # a fresh matrix per size, so the section is built at size n
+            g = section(mm.MomentMatrix(build=m.build), n)
+            e = a ** np.arange(n)
+            ref = 1.0 / float(np.real(np.vdot(e, np.linalg.solve(g, e))))
+            assert abs(seq[n - 1] - ref) <= 1e-12 * ref
+        assert gamma_index(m, a, n_max) == seq[-1]

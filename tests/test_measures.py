@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from sobolevlab import measures
+from sobolevlab import measures, sobolev
 from sobolevlab.measures import (
     Atomic,
     CircleLebesgue,
@@ -197,3 +197,71 @@ def test_nested_sum_parses():
     m = from_json(obj)
     # moment(0,0) = total mass = 1 + 2 * 0.5 * 1
     assert moment(m, 0, 0) == 2.0
+
+
+
+def _worst_scaled_error(a, oracle, seed):
+    """Largest |a[i, j] - oracle(i, j)| / max(1, sqrt|oracle(i, i) oracle(j, j)|)
+    over a seeded sample of entries that includes the four corners (the
+    scale the benchmark's section oracle uses)."""
+    n = a.shape[0]
+    rng = np.random.default_rng(seed)
+    picks = {(0, 0), (0, n - 1), (n - 1, 0), (n - 1, n - 1)}
+    while len(picks) < 24:
+        picks.add(tuple(int(x) for x in rng.integers(0, n, size=2)))
+    worst = 0.0
+    for i, j in sorted(picks):
+        scale = max(1.0, abs(oracle(i, i) * oracle(j, j)) ** 0.5)
+        worst = max(worst, abs(a[i, j] - oracle(i, j)) / scale)
+    return worst
+
+
+@pytest.mark.parametrize("m", CORPUS)
+def test_full_size_section_matches_quadrature(m):
+    a = measures.moment_section(m, 64)
+    assert a.shape == (64, 64)
+    assert _worst_scaled_error(a, lambda i, j: moment_quadrature(m, i, j), 64) <= 1e-10
+
+
+def test_full_size_gram_matches_quadrature():
+    mu0, mu1 = CircleLebesgue(0.3 + 0.4j, 0.7), COS_QUARTER
+
+    def oracle(i, j):
+        v = moment_quadrature(mu0, i, j)
+        if i >= 1 and j >= 1:
+            v += i * j * moment_quadrature(mu1, i - 1, j - 1)
+        return v
+
+    g = sobolev.gram_section(sobolev.pencil_of_measures(mu0, mu1), 64)
+    assert _worst_scaled_error(g, oracle, 65) <= 1e-10
+
+@pytest.mark.parametrize("m", CORPUS)
+def test_moment_reads_off_the_section(m):
+    a = measures.moment_section(m, 9)
+    npt.assert_array_equal(a, a.conj().T)
+    assert np.all(a.diagonal().imag == 0.0)
+    for i, j in [(0, 0), (2, 7), (7, 2), (8, 8)]:
+        assert moment(m, i, j) == a[i, j]
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"kind": "circle", "center": ["a", 0], "radius": 1.0},
+        {"kind": "circle", "center": [float("nan"), 0.0], "radius": 1.0},
+        {"kind": "circle", "center": [0.0, 0.0], "radius": float("inf")},
+        {"kind": "circle", "center": [0.0, True], "radius": 1.0},
+        {"kind": "circle", "center": [0.0, 0.0], "radius": "1.0"},
+        {"kind": "weighted_circle", "center": [0.0, 0.0], "radius": 1.0, "fourier": 5},
+        {"kind": "weighted_circle", "center": [0.0, 0.0], "radius": 1.0, "fourier": [[0.5, 1.0, 0.0]]},
+        {"kind": "weighted_circle", "center": [0.0, 0.0], "radius": 1.0,
+         "fourier": [[0, float("nan"), 0.0]]},
+        {"kind": "atomic", "atoms": [[0.0, 0.0, float("inf")]]},
+        {"kind": "atomic", "atoms": 3},
+        {"kind": "sum", "terms": [[float("-inf"), {"kind": "atomic", "atoms": [[0.0, 0.0, 1.0]]}]]},
+        {"kind": "sum", "terms": "x"},
+    ],
+)
+def test_json_rejects_malformed_numbers(obj):
+    with pytest.raises(MeasureFormatError):
+        from_json(obj)

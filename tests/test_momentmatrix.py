@@ -64,8 +64,8 @@ def test_toeplitz_rule_sections_and_negative_fallback():
     )
     npt.assert_array_equal(a, expected)
     # explicit negative frequency wins over the conjugate fallback
-    t2 = mm.toeplitz_rule({1: 1.0j, -1: -1.0j})
-    assert t2.entry(0, 1) == 1.0j and t2.entry(1, 0) == -1.0j
+    t2 = mm.section(mm.toeplitz_rule({1: 1.0j, -1: -1.0j}), 2)
+    assert t2[0, 1] == 1.0j and t2[1, 0] == -1.0j
 
 
 def test_derivative_conjugate_identity_measure():
@@ -149,7 +149,18 @@ def test_section_csv_format():
 
 
 def test_moment_matrix_entries_match_measure_moments():
-    m = mm.of_measure(SHIFTED)
+    a = mm.section(mm.of_measure(SHIFTED), 5)
     for i in range(5):
         for j in range(5):
-            assert m.entry(i, j) == moment(SHIFTED, i, j)
+            assert a[i, j] == moment(SHIFTED, i, j)
+
+
+@pytest.mark.parametrize("mu", [UNIT, SHIFTED, W04, Atomic(((2.0, 1.0), (0.5j, 0.5)))])
+def test_grow_only_cache_does_not_change_sections(mu):
+    direct = mm.section(mm.of_measure(mu), 40)
+    m = mm.of_measure(mu)
+    mm.section(m, 12)
+    big = mm.section(m, 64)
+    assert m._largest.shape == (64, 64)  # one array: the largest section built
+    npt.assert_array_equal(mm.section(m, 40), direct)
+    npt.assert_array_equal(big[:40, :40], direct)

@@ -7,9 +7,15 @@ import numpy.testing as npt
 import pytest
 
 from sobolevlab import momentmatrix as mm
-from sobolevlab.measures import Atomic, CircleLebesgue, MeasureSum, WeightedCircle
+from sobolevlab.measures import (
+    Atomic,
+    CircleLebesgue,
+    MeasureSum,
+    WeightedCircle,
+    moment_section,
+)
 from sobolevlab.momentmatrix import norm_sq, section
-from sobolevlab.numkernel import NotPositiveDefinite
+from sobolevlab.numkernel import NotPositiveDefinite, gen_eig_definite
 from sobolevlab.polynomials import differentiate, evaluate, random_coeffs
 from sobolevlab.sobolev import (
     NormSequence,
@@ -240,3 +246,55 @@ def test_plateau_uses_requested_tolerance():
     ns = (4, 8)
     assert plateau(ns, [1.0, 1.04], rel_tol=0.05)
     assert not plateau(ns, [1.0, 1.04], rel_tol=0.01)
+
+
+# ---------------------------------------------------------------------------
+# nested sequences against separately built sections
+# ---------------------------------------------------------------------------
+
+def _fresh_gram(mu0, mu1, n):
+    # a new pencil per call, so nothing is sliced from a larger section
+    return gram_section(pencil_of_measures(mu0, mu1), n)
+
+
+NESTED_PENCILS = [
+    (UNIT, CircleLebesgue(0.5, 2.0)),
+    (W04, HALF),
+    (CircleLebesgue(0.3 + 0.4j, 0.7), UNIT),
+    (UNIT, Atomic(((0.3 + 0.0j, 1.0), (-0.2 + 0.4j, 1.0)))),
+]
+
+
+@pytest.mark.parametrize("mu0, mu1", NESTED_PENCILS)
+@pytest.mark.parametrize("quantity", ["mult_op", "cond4", "gen_eig_vs"])
+def test_norm_sequence_matches_per_size_reference(mu0, mu1, quantity):
+    n_max = 20
+    seq = norm_sequence(pencil_of_measures(mu0, mu1), n_max, quantity, other=P_UNIT_UNIT)
+    assert seq.ok()
+    for n in range(1, n_max + 1):
+        if quantity == "mult_op":
+            q = _fresh_gram(mu0, mu1, n + 1)[1:, 1:]
+        elif quantity == "cond4":
+            q = moment_section(mu1, n)
+        else:
+            q = _fresh_gram(UNIT, UNIT, n)
+        top = float(gen_eig_definite(q, _fresh_gram(mu0, mu1, n))[-1])
+        ref = math.sqrt(top) if quantity == "mult_op" else top
+        assert abs(seq.values[n - 1] - ref) <= 1e-12 * abs(ref)
+
+
+def test_norm_sequence_shares_the_breakdown_pivot():
+    # example 6 at n_max 64: the Gram section fails the pivot gate at index 56
+    mu1 = CircleLebesgue(0.5, 2.0)
+    p = pencil_of_measures(UNIT, mu1)
+    seq = norm_sequence(p, 64, "mult_op")
+    assert all(e is None for e in seq.errors[:56])
+    assert all(not math.isnan(v) for v in seq.values[:56])
+    message = f"pivot 56 of {p.label} is not positive"
+    assert list(seq.errors[56:]) == [message] * 8
+    assert all(math.isnan(v) for v in seq.values[56:])
+    for n in (57, 64):  # the per-size factorization fails at the same pivot
+        with pytest.raises(NotPositiveDefinite) as info:
+            gen_eig_definite(_fresh_gram(UNIT, mu1, n + 1)[1:, 1:], _fresh_gram(UNIT, mu1, n), p.label)
+        assert str(info.value) == message
+
