@@ -43,23 +43,6 @@ class ScenarioFormatError(ValueError):
 # Scenario model
 # ---------------------------------------------------------------------------
 
-_COMMANDS = {
-    "moments": (("measure",), {"n": True, "grid_points": False}),
-    "gram": (("pencil",), {"n": True}),
-    "opoly": (("pencil",), {"n": True}),
-    "zeros": (("pencil",), {"degree": True}),
-    "multop": (("pencil",), {"n_max": True}),
-    "gamma": (("measure",), {"a": True, "n_max": True}),
-    "bpe": (("measure",), {"a": True, "n_max": True}),
-    "wirtinger": (("measure",), {"constant": True, "n": True}),
-    "dominance": (("pencil",), {"constant": True, "n": True}),
-    "cond4": (("pencil",), {"n_max": True}),
-    "compare": (("pencil", "pencil_b"), {"n_max": True}),
-    "eigenlimits": (("weight",), {"n_list": True}),
-    "prop12": (("measure", "circles"), {"n_max": True}),
-}
-
-
 @dataclass
 class Scenario:
     name: str
@@ -107,30 +90,232 @@ _INPUT_PARSERS = {
 }
 
 
-def _int_in(params, key, lo, hi) -> int:
-    v = params[key]
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ScenarioFormatError(f"parameter {key!r} must be an integer")
-    if not lo <= v <= hi:
-        raise ScenarioFormatError(f"parameter {key!r} must lie in [{lo}, {hi}]")
-    return v
+def _size(lo: int, hi: int):
+    """Parser of an integer parameter in [lo, hi]."""
+
+    def parse(v, key: str) -> int:
+        if type(v) is not int:  # bool is a subclass of int
+            raise ScenarioFormatError(f"parameter {key!r} must be an integer")
+        if not lo <= v <= hi:
+            raise ScenarioFormatError(f"parameter {key!r} must lie in [{lo}, {hi}]")
+        return v
+
+    return parse
+
+
+def _n_list(ns, key: str) -> list:
+    if (
+        not isinstance(ns, (list, tuple))
+        or not ns
+        or not all(type(n) is int and 1 <= n <= MAX_SECTION for n in ns)
+        or any(b <= a for a, b in zip(ns, ns[1:]))
+    ):
+        raise ScenarioFormatError(f"{key} must be a strictly increasing list of sizes <= {MAX_SECTION}")
+    return list(ns)
+
+
+def _point(v, key: str) -> complex:
+    return measures.parse_pair(v, f"parameter {key!r}", ScenarioFormatError)
+
+
+def _positive(v, key: str) -> float:
+    c = measures.parse_real(v, f"parameter {key!r}", ScenarioFormatError)
+    if not c > 0:
+        raise ScenarioFormatError(f"parameter {key!r} must be a positive number")
+    return c
+
+
+# ---------------------------------------------------------------------------
+# Command runners: runner(scenario, path prefix, **parameters) -> report body or CriterionReport
+# ---------------------------------------------------------------------------
+
+ZERO_BOUND_SLACK = 1e-6
+
+#: CSV columns of the criteria that tabulate a sequence, after the n column
+_REPORT_COLUMNS = {
+    "sobolev_domination": (("value",), lambda rep: (rep.values,)),
+    "comparability": (("lower", "upper"), lambda rep: (rep.details["lower_values"], rep.values)),
+    "eigen_limits": (("lambda_min", "lambda_max"), lambda rep: (rep.values, rep.details["beta_values"])),
+}
+
+
+def _write_report_csv(rep: criteria.CriterionReport, path: str) -> None:
+    header, columns = _REPORT_COLUMNS[rep.criterion]
+    reporting.write_csv(path, ("n", *header), list(zip(rep.n_list, *columns(rep))))
+
+
+def _write_matrix(path: str, a: np.ndarray) -> None:
+    reporting.write_csv(path, [f"col_{j}" for j in range(a.shape[1])], a)
+
+
+def _section_check(mu: measures.Measure, n: int, path: str):
+    """(matrix, n x n section, largest |section - quadrature| entry); the
+    section is written to ``path``."""
+    m = momentmatrix.of_measure(mu)
+    a = momentmatrix.section(m, n)
+    dev = max(abs(a[i, j] - measures.moment_quadrature(mu, i, j)) for i in range(n) for j in range(n))
+    _write_matrix(path, a)
+    return m, a, dev
+
+
+def _zeros_and_bound(pen: sobolev.SobolevPencil, deg: int):
+    """(zeros of the degree-``deg`` orthonormal polynomial, their largest
+    modulus, the mult_op norm at deg + 1 that bounds it)."""
+    zeros = sobolev.sobolev_zeros(pen, deg)
+    return zeros, float(np.max(np.abs(zeros))), sobolev.mult_op_norm(pen, deg + 1)
+
+
+def _mult_op(pen: sobolev.SobolevPencil, n_max: int, path: str | None = None) -> dict:
+    """Report fields of the mult_op sequence; with ``path``, the sequence
+    is also written there as CSV."""
+    seq = sobolev.norm_sequence(pen, n_max, "mult_op")
+    errors = ["" if e is None else e for e in seq.errors]
+    if path is not None:
+        reporting.write_csv(path, ("n", "value", "error"), list(zip(seq.n_list, seq.values, errors)))
+    return {
+        "pencil_label": seq.label,
+        "quantity": seq.quantity,
+        "n_list": list(seq.n_list),
+        "values": list(seq.values),
+        "errors": errors,
+        "plateau": bool(seq.ok() and sobolev.plateau(seq.n_list, seq.values)),
+    }
+
+
+def _pencil(sc: Scenario) -> sobolev.SobolevPencil:
+    return sobolev.pencil_of_measures(*sc.pencil)
+
+
+def _matrix(sc: Scenario) -> momentmatrix.MomentMatrix:
+    return momentmatrix.of_measure(sc.measure)
+
+
+def _run_moments(sc, prefix, n) -> dict:
+    m, _, dev = _section_check(sc.measure, n, f"{prefix}_section.csv")
+    return {
+        "label": m.label,
+        "n": n,
+        "grid_points": measures.WEIGHT_GRID_POINTS,
+        "max_quadrature_deviation": dev,
+        "toeplitz": bool(n >= 2 and momentmatrix.is_toeplitz(m, n)),
+        "verdict": "holds" if dev <= 1e-10 else "inconclusive",
+    }
+
+
+def _run_gram(sc, prefix, n) -> dict:
+    pen = _pencil(sc)
+    g = sobolev.gram_section(pen, n)
+    _write_matrix(f"{prefix}_gram.csv", g)
+    return {
+        "pencil_label": pen.label,
+        "n": n,
+        "diagonal": [float(x) for x in g.diagonal().real],
+        "verdict": "holds",
+    }
+
+
+def _run_opoly(sc, prefix, n) -> dict:
+    pen = _pencil(sc)
+    ops = sobolev.orthonormal_polys(pen, n)
+    g = sobolev.gram_section(pen, n)
+    resid = 0.0
+    for j, cj in enumerate(ops.coeffs):
+        for k, ck in enumerate(ops.coeffs):
+            ip = momentmatrix.inner_product(g, cj, ck)
+            resid = max(resid, abs(ip - (1.0 if j == k else 0.0)))
+    rows = [[k, *c, *[0j] * (n - len(c))] for k, c in enumerate(ops.coeffs)]
+    reporting.write_csv(f"{prefix}_opoly.csv", ["degree"] + [f"c{j}" for j in range(n)], rows)
+    return {
+        "pencil_label": pen.label,
+        "n": n,
+        "orthonormality_residual": resid,
+        "verdict": "holds" if resid <= 1e-9 else "inconclusive",
+    }
+
+
+def _run_zeros(sc, prefix, degree) -> dict:
+    pen = _pencil(sc)
+    zeros, max_mod, bound = _zeros_and_bound(pen, degree)
+    reporting.write_csv(f"{prefix}_zeros.csv", ("re", "im", "modulus"), [(z.real, z.imag, abs(z)) for z in zeros])
+    return {
+        "pencil_label": pen.label,
+        "degree": degree,
+        "zeros": [[z.real, z.imag] for z in zeros],
+        "max_zero_modulus": max_mod,
+        "mult_op_norm": float(bound),
+        "verdict": "holds" if max_mod <= bound + ZERO_BOUND_SLACK else "fails",
+    }
+
+
+def _run_multop(sc, prefix, n_max) -> dict:
+    body = _mult_op(_pencil(sc), n_max, f"{prefix}_multop.csv")
+    return dict(body, verdict="holds" if body["plateau"] else "inconclusive")
+
+
+def _run_gamma(sc, prefix, n_max, a) -> dict:
+    m = _matrix(sc)
+    ns = list(range(2, n_max + 1))
+    vals = criteria.gamma_sequence(m, a, n_max)[1:]
+    kernel = criteria.gamma_via_kernel(m, a, n_max)
+    agreement = abs(vals[-1] - kernel) / max(abs(kernel), 1e-300)
+    reporting.write_csv(f"{prefix}_gamma.csv", ("n", "gamma"), list(zip(ns, vals)))
+    return {
+        "label": m.label,
+        "point": [a.real, a.imag],
+        "n_list": ns,
+        "values": vals,
+        "kernel_value": kernel,
+        "two_method_relative_gap": agreement,
+        "verdict": "holds" if agreement <= 1e-9 else "inconclusive",
+    }
+
+
+def _run_dominance(sc, prefix, n, constant) -> criteria.CriterionReport:
+    mu0, mu1 = sc.pencil
+    if mu1 is None:
+        raise ScenarioFormatError("dominance needs two measures")
+    return criteria.dominance_check(momentmatrix.of_measure(mu0), momentmatrix.of_measure(mu1), constant, n)
+
+
+# name -> (inputs, {parameter: parser}, runner); parameters are checked in order
+_COMMANDS = {
+    "moments": (("measure",), {"n": _size(1, MAX_SECTION)}, _run_moments),
+    "gram": (("pencil",), {"n": _size(1, MAX_SECTION)}, _run_gram),
+    "opoly": (("pencil",), {"n": _size(1, MAX_SECTION)}, _run_opoly),
+    "zeros": (("pencil",), {"degree": _size(1, MAX_SECTION - 1)}, _run_zeros),
+    "multop": (("pencil",), {"n_max": _size(2, MAX_SECTION)}, _run_multop),
+    "gamma": (("measure",), {"n_max": _size(2, MAX_SECTION), "a": _point}, _run_gamma),
+    "bpe": (("measure",), {"n_max": _size(4, MAX_SECTION), "a": _point},
+            lambda sc, prefix, n_max, a: criteria.bpe_decide(_matrix(sc), a, n_max)),
+    "wirtinger": (("measure",), {"n": _size(2, MAX_SECTION), "constant": _positive},
+                  lambda sc, prefix, n, constant: criteria.wirtinger_psd_check(_matrix(sc), constant, n)),
+    "dominance": (("pencil",), {"n": _size(1, MAX_SECTION), "constant": _positive}, _run_dominance),
+    "cond4": (("pencil",), {"n_max": _size(2, MAX_SECTION)},
+              lambda sc, prefix, n_max: criteria.sobolev_domination_bound(_pencil(sc), n_max)),
+    "compare": (("pencil", "pencil_b"), {"n_max": _size(2, MAX_SECTION)},
+                lambda sc, prefix, n_max: criteria.comparability_bounds(
+                    _pencil(sc), sobolev.pencil_of_measures(*sc.pencil_b), n_max)),
+    "eigenlimits": (("weight",), {"n_list": _n_list},
+                    lambda sc, prefix, n_list: criteria.eigen_limit_report(sc.weight, n_list)),
+    "prop12": (("measure", "circles"), {"n_max": _size(2, MAX_SECTION)},
+               lambda sc, prefix, n_max: criteria.bpe_weighted_circles_report(sc.measure, sc.circles, n_max)),
+}
 
 
 def parse_scenario(obj) -> Scenario:
     """Validate a scenario object; unknown keys are rejected."""
     if not isinstance(obj, dict):
         raise ScenarioFormatError("scenario must be a JSON object")
-    allowed_top = {"name", "command", "measure", "pencil", "pencil_b", "weight", "circles", "parameters"}
-    extra = [k for k in obj if k not in allowed_top]
+    extra = [k for k in obj if k not in ("name", "command", *_INPUT_PARSERS, "parameters")]
     if extra:
         raise ScenarioFormatError(f"scenario has unknown keys {extra}")
     name = obj.get("name")
     if not isinstance(name, str) or not _NAME_RE.match(name):
         raise ScenarioFormatError("scenario needs a 'name' of letters, digits, ., _, -")
     command = obj.get("command")
-    if command not in _COMMANDS:
+    if not isinstance(command, str) or command not in _COMMANDS:
         raise ScenarioFormatError(f"unknown command {command!r}")
-    needs, param_spec = _COMMANDS[command]
+    needs, parsers, _ = _COMMANDS[command]
     for key in needs:
         if key not in obj:
             raise ScenarioFormatError(f"command {command!r} requires {key!r}")
@@ -141,205 +326,28 @@ def parse_scenario(obj) -> Scenario:
     if not isinstance(params, dict):
         raise ScenarioFormatError("parameters must be an object")
     for key in params:
-        if key not in param_spec:
+        if key not in parsers:
             raise ScenarioFormatError(f"command {command!r} does not take parameter {key!r}")
-    for key, required in param_spec.items():
-        if required and key not in params:
+    for key in parsers:
+        if key not in params:
             raise ScenarioFormatError(f"command {command!r} requires parameter {key!r}")
 
-    sc = Scenario(name=name, command=command, parameters=dict(params))
+    sc = Scenario(name=name, command=command)
     for key in needs:
         setattr(sc, key, _INPUT_PARSERS[key](obj[key]))
-
-    # numeric bounds
-    if "n" in param_spec:
-        lo = 2 if command == "wirtinger" else 1
-        sc.parameters["n"] = _int_in(params, "n", lo, MAX_SECTION)
-    if "n_max" in param_spec:
-        lo = 4 if command == "bpe" else 2
-        sc.parameters["n_max"] = _int_in(params, "n_max", lo, MAX_SECTION)
-    if "degree" in param_spec:
-        sc.parameters["degree"] = _int_in(params, "degree", 1, MAX_SECTION - 1)
-    if "grid_points" in params:
-        sc.parameters["grid_points"] = _int_in(params, "grid_points", measures.MIN_CIRCLE_GRID, 1 << 20)
-    if "n_list" in param_spec:
-        ns = params["n_list"]
-        if (
-            not isinstance(ns, (list, tuple))
-            or not ns
-            or not all(isinstance(n, int) and 1 <= n <= MAX_SECTION for n in ns)
-            or any(b <= a for a, b in zip(ns, ns[1:]))
-        ):
-            raise ScenarioFormatError("n_list must be a strictly increasing list of sizes <= 64")
-        sc.parameters["n_list"] = [int(n) for n in ns]
-    if "a" in param_spec:
-        sc.parameters["a"] = measures.parse_pair(params["a"], "parameter 'a'", ScenarioFormatError)
-    if "constant" in param_spec:
-        c = params["constant"]
-        if not isinstance(c, (int, float)) or isinstance(c, bool) or not c > 0:
-            raise ScenarioFormatError("parameter 'constant' must be a positive number")
-        sc.parameters["constant"] = float(c)
+    sc.parameters = {key: parse(params[key], key) for key, parse in parsers.items()}
     return sc
 
 
-# ---------------------------------------------------------------------------
-# Command runners
-# ---------------------------------------------------------------------------
-
-def _mult_op(pen: sobolev.SobolevPencil, n_max: int, out_dir=None, name="") -> dict:
-    """Report fields of the mult_op sequence; with ``out_dir``, the
-    sequence is also written to <name>_multop.csv."""
-    seq = sobolev.norm_sequence(pen, n_max, "mult_op")
-    if out_dir is not None:
-        rows = [(n, v, "" if e is None else e) for n, v, e in zip(seq.n_list, seq.values, seq.errors)]
-        reporting.write_csv(os.path.join(out_dir, f"{name}_multop.csv"), ("n", "value", "error"), rows)
-    return {
-        "pencil_label": seq.label,
-        "quantity": seq.quantity,
-        "n_list": list(seq.n_list),
-        "values": list(seq.values),
-        "errors": ["" if e is None else e for e in seq.errors],
-        "plateau": bool(seq.ok() and sobolev.plateau(seq.n_list, seq.values)),
-    }
-
-
-def _quadrature_deviation(mu: measures.Measure, a: np.ndarray, grid: int) -> float:
-    """Largest |a[i, j] - moment_quadrature(mu, i, j)| over the section."""
-    n = a.shape[0]
-    return max(abs(a[i, j] - measures.moment_quadrature(mu, i, j, grid)) for i in range(n) for j in range(n))
-
-
-def _write_matrix(path: str, a: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(momentmatrix.section_csv(a))
-
-
-def run(sc: Scenario, out_dir: str, seed: int = DEFAULT_SEED) -> dict:
+def run(sc: Scenario, out_dir: str) -> dict:
     """Execute a parsed scenario, write its files, return the report."""
-    cmd = sc.command
-    p = sc.parameters
-    pen = None if sc.pencil is None else sobolev.pencil_of_measures(*sc.pencil)
-
-    def side_file(tag: str) -> str:
-        return os.path.join(out_dir, f"{sc.name}_{tag}.csv")
-
-    rep = None
-    if cmd == "moments":
-        m = momentmatrix.of_measure(sc.measure)
-        n = p["n"]
-        grid = p.get("grid_points", measures.WEIGHT_GRID_POINTS)
-        a = momentmatrix.section(m, n)
-        dev = _quadrature_deviation(sc.measure, a, grid)
-        _write_matrix(side_file("section"), a)
-        body = {
-            "label": m.label,
-            "n": n,
-            "grid_points": grid,
-            "max_quadrature_deviation": dev,
-            "toeplitz": bool(n >= 2 and momentmatrix.is_toeplitz(m, n)),
-            "verdict": "holds" if dev <= 1e-10 else "inconclusive",
-        }
-    elif cmd == "gram":
-        n = p["n"]
-        g = sobolev.gram_section(pen, n)
-        _write_matrix(side_file("gram"), g)
-        body = {
-            "pencil_label": pen.label,
-            "n": n,
-            "diagonal": [float(x) for x in g.diagonal().real],
-            "verdict": "holds",
-        }
-    elif cmd == "opoly":
-        n = p["n"]
-        ops = sobolev.orthonormal_polys(pen, n)
-        g = sobolev.gram_section(pen, n)
-        resid = 0.0
-        for j, cj in enumerate(ops.coeffs):
-            for k, ck in enumerate(ops.coeffs):
-                ip = momentmatrix.inner_product(g, cj, ck)
-                resid = max(resid, abs(ip - (1.0 if j == k else 0.0)))
-        rows = []
-        for k, c in enumerate(ops.coeffs):
-            padded = list(c) + [0j] * (n - len(c))
-            rows.append([k] + [f"{z.real:.12e}{z.imag:+.12e}i" for z in padded])
-        reporting.write_csv(side_file("opoly"), ["degree"] + [f"c{j}" for j in range(n)], rows)
-        body = {
-            "pencil_label": pen.label,
-            "n": n,
-            "orthonormality_residual": resid,
-            "verdict": "holds" if resid <= 1e-9 else "inconclusive",
-        }
-    elif cmd == "zeros":
-        deg = p["degree"]
-        zeros = sobolev.sobolev_zeros(pen, deg)
-        bound = sobolev.mult_op_norm(pen, deg + 1)
-        max_mod = float(np.max(np.abs(zeros)))
-        reporting.write_csv(side_file("zeros"), ("re", "im", "modulus"), [(z.real, z.imag, abs(z)) for z in zeros])
-        body = {
-            "pencil_label": pen.label,
-            "degree": deg,
-            "zeros": [[z.real, z.imag] for z in zeros],
-            "max_zero_modulus": max_mod,
-            "mult_op_norm": float(bound),
-            "verdict": "holds" if max_mod <= bound + 1e-6 else "fails",
-        }
-    elif cmd == "multop":
-        body = _mult_op(pen, p["n_max"], out_dir, sc.name)
-        body["verdict"] = "holds" if body["plateau"] else "inconclusive"
-    elif cmd == "gamma":
-        m = momentmatrix.of_measure(sc.measure)
-        a = p["a"]
-        n_max = p["n_max"]
-        ns = list(range(2, n_max + 1))
-        vals = criteria.gamma_sequence(m, a, n_max)[1:]
-        kernel = criteria.gamma_via_kernel(m, a, n_max)
-        agreement = abs(vals[-1] - kernel) / max(abs(kernel), 1e-300)
-        reporting.write_csv(side_file("gamma"), ("n", "gamma"), list(zip(ns, vals)))
-        body = {
-            "label": m.label,
-            "point": [a.real, a.imag],
-            "n_list": ns,
-            "values": vals,
-            "kernel_value": kernel,
-            "two_method_relative_gap": agreement,
-            "verdict": "holds" if agreement <= 1e-9 else "inconclusive",
-        }
-    elif cmd == "bpe":
-        rep = criteria.bpe_decide(momentmatrix.of_measure(sc.measure), p["a"], p["n_max"])
-    elif cmd == "wirtinger":
-        rep = criteria.wirtinger_psd_check(momentmatrix.of_measure(sc.measure), p["constant"], p["n"])
-    elif cmd == "dominance":
-        mu0, mu1 = sc.pencil
-        if mu1 is None:
-            raise ScenarioFormatError("dominance needs two measures")
-        rep = criteria.dominance_check(
-            momentmatrix.of_measure(mu0), momentmatrix.of_measure(mu1), p["constant"], p["n"]
-        )
-    elif cmd == "cond4":
-        rep = criteria.sobolev_domination_bound(pen, p["n_max"])
-        reporting.write_csv(side_file("cond4"), ("n", "value"), list(zip(rep.n_list, rep.values)))
-    elif cmd == "compare":
-        rep = criteria.comparability_bounds(pen, sobolev.pencil_of_measures(*sc.pencil_b), p["n_max"])
-        reporting.write_csv(
-            side_file("compare"),
-            ("n", "lower", "upper"),
-            list(zip(rep.n_list, rep.details["lower_values"], rep.values)),
-        )
-    elif cmd == "eigenlimits":
-        rep = criteria.eigen_limit_report(sc.weight, p["n_list"])
-        reporting.write_csv(
-            side_file("eigenlimits"),
-            ("n", "lambda_min", "lambda_max"),
-            list(zip(rep.n_list, rep.values, rep.details["beta_values"])),
-        )
-    elif cmd == "prop12":
-        rep = criteria.bpe_weighted_circles_report(sc.measure, sc.circles, p["n_max"])
-    else:  # pragma: no cover - parse_scenario guards this
-        raise ScenarioFormatError(f"unknown command {cmd!r}")
-    if rep is not None:
-        body = {"report": rep.to_dict(), "verdict": rep.verdict}
-
-    report = {"scenario": sc.name, "command": cmd, **body}
+    prefix = os.path.join(out_dir, sc.name)
+    body = _COMMANDS[sc.command][2](sc, prefix, **sc.parameters)
+    if isinstance(body, criteria.CriterionReport):
+        if body.criterion in _REPORT_COLUMNS:
+            _write_report_csv(body, f"{prefix}_{sc.command}.csv")
+        body = {"report": body.to_dict(), "verdict": body.verdict}
+    report = {"scenario": sc.name, "command": sc.command, **body}
     reporting.write_json(os.path.join(out_dir, f"{sc.name}.json"), report)
     return report
 
@@ -353,17 +361,13 @@ HALF = measures.CircleLebesgue(0.0, 0.5)
 W_COS08 = ((0, 1.0 + 0j), (1, 0.4 + 0j), (-1, 0.4 + 0j))  # w = 1 + 0.8 cos
 HALF_PLUS_UNIT = measures.MeasureSum(((1.0, HALF), (1.0, UNIT)))
 
-ZERO_BOUND_SLACK = 1e-6
-
 
 def _zero_bound_scan(pen: sobolev.SobolevPencil, degrees) -> dict:
     """Max zero modulus per degree against the operator-norm bound."""
     rows = []
     worst_excess = -math.inf
     for deg in degrees:
-        zeros = sobolev.sobolev_zeros(pen, deg)
-        bound = sobolev.mult_op_norm(pen, deg + 1)
-        max_mod = float(np.max(np.abs(zeros)))
+        _, max_mod, bound = _zeros_and_bound(pen, deg)
         worst_excess = max(worst_excess, max_mod - bound)
         rows.append((deg, max_mod, bound))
     return {
@@ -376,19 +380,16 @@ def _zero_bound_scan(pen: sobolev.SobolevPencil, degrees) -> dict:
 
 
 def _builtin_identity_moments(out_dir, n_max, rng) -> dict:
-    m = momentmatrix.of_measure(UNIT)
     n = 32
-    a = momentmatrix.section(m, n)
+    m, a, quad_dev = _section_check(UNIT, n, os.path.join(out_dir, "identity-moments_section.csv"))
     identity_dev = float(np.max(np.abs(a - np.eye(n))))
-    quad_dev = _quadrature_deviation(UNIT, a, 4096)
-    _write_matrix(os.path.join(out_dir, "identity-moments_section.csv"), a)
     verdict = "holds" if identity_dev == 0.0 and quad_dev <= 1e-10 else "fails"
     return {
         "label": m.label,
         "n": n,
         "max_identity_deviation": identity_dev,
         "max_quadrature_deviation": quad_dev,
-        "quadrature_grid": 4096,
+        "quadrature_grid": measures.WEIGHT_GRID_POINTS,
         "verdict": verdict,
     }
 
@@ -555,7 +556,7 @@ def _builtin_example4(out_dir, n_max, rng) -> dict:
     )
     pen = sobolev.pencil_of_measures(HALF, UNIT, label="{m0=circle(0;1/2), m1=circle(0;1)}")
     bound = criteria.sobolev_domination_bound(pen, n_max)
-    mult = _mult_op(pen, n_max, out_dir, "example4-mr-m")
+    mult = _mult_op(pen, n_max, os.path.join(out_dir, "example4-mr-m_multop.csv"))
     ok = (
         dom.verdict == "fails"
         and witness_top is not None
@@ -576,7 +577,7 @@ def _builtin_example5(out_dir, n_max, rng) -> dict:
     atoms = measures.Atomic(((0.3 + 0.0j, 1.0), (-0.2 + 0.4j, 1.0)))
     pen = sobolev.pencil_of_measures(UNIT, atoms)
     bound = criteria.sobolev_domination_bound(pen, n_max)
-    mult = _mult_op(pen, n_max, out_dir, "example5-discrete")
+    mult = _mult_op(pen, n_max, os.path.join(out_dir, "example5-discrete_multop.csv"))
     zeros = _zero_bound_scan(pen, range(1, 13))
     ok = bound.verdict == "holds" and mult["plateau"] and zeros["bounded"]
     return {
@@ -589,7 +590,7 @@ def _builtin_example5(out_dir, n_max, rng) -> dict:
 
 def _builtin_example6(out_dir, n_max, rng) -> dict:
     pen = sobolev.pencil_of_measures(UNIT, measures.CircleLebesgue(0.5, 2.0))
-    mult = _mult_op(pen, n_max, out_dir, "example6-circles")
+    mult = _mult_op(pen, n_max, os.path.join(out_dir, "example6-circles_multop.csv"))
     zeros = _zero_bound_scan(pen, range(1, 21))
     reporting.write_csv(
         os.path.join(out_dir, "example6-circles_zeros.csv"),
@@ -610,11 +611,7 @@ def _builtin_example7(out_dir, n_max, rng) -> dict:
     pen_p = sobolev.pencil_of_measures(HALF, UNIT, label="{m0=circle(0;1/2), m1=circle(0;1)}")
     pen_q = sobolev.pencil_of_measures(HALF_PLUS_UNIT, UNIT, label="{m0=circle(0;1/2)+circle(0;1), m1=circle(0;1)}")
     comp = criteria.comparability_bounds(pen_p, pen_q, n_max)
-    reporting.write_csv(
-        os.path.join(out_dir, "example7-comparability_compare.csv"),
-        ("n", "lower", "upper"),
-        list(zip(comp.n_list, comp.details["lower_values"], comp.values)),
-    )
+    _write_report_csv(comp, os.path.join(out_dir, "example7-comparability_compare.csv"))
     contrast = criteria.dominance_check(
         momentmatrix.of_measure(HALF), momentmatrix.of_measure(HALF_PLUS_UNIT), float(4**14), 16
     )
@@ -684,11 +681,7 @@ def _builtin_bpe_disk_map(out_dir, n_max, rng) -> dict:
 def _builtin_eigenlimits(out_dir, n_max, rng) -> dict:
     ns = [4, 8, 16, 32]
     rep = criteria.eigen_limit_report(W_COS08, ns)
-    reporting.write_csv(
-        os.path.join(out_dir, "eigenlimits-weighted_limits.csv"),
-        ("n", "lambda_min", "lambda_max"),
-        list(zip(rep.n_list, rep.values, rep.details["beta_values"])),
-    )
+    _write_report_csv(rep, os.path.join(out_dir, "eigenlimits-weighted_limits.csv"))
     return {
         "report": rep.to_dict(),
         "verdict": rep.verdict,
@@ -764,18 +757,22 @@ def main(argv=None) -> int:
             payload = json.load(fh)
         scenario = parse_scenario(payload)
         os.makedirs(args.out, exist_ok=True)
-        report = run(scenario, args.out, seed=args.seed)
+        report = run(scenario, args.out)
         print(f"{scenario.name}: {report['verdict']}")
         return 0
-    except (ScenarioFormatError, measures.MeasureFormatError, json.JSONDecodeError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (
+        ScenarioFormatError,
+        measures.MeasureFormatError,
+        json.JSONDecodeError,
+        UnicodeDecodeError,
+        FileNotFoundError,
+    ) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     except (
         numkernel.NotPositiveDefinite,
         numkernel.ConvergenceFailure,
+        numkernel.Overflow,
         criteria.CenterNotBoundedEvaluation,
     ) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

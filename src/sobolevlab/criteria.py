@@ -126,7 +126,7 @@ def gamma_sequence(m: MomentMatrix, a: complex, n_max: int) -> list[float]:
     the factor of the n section is the leading block of L.
     """
     lower = numkernel.cholesky(momentmatrix.section(m, n_max), m.label)
-    y = scipy.linalg.solve_triangular(lower, vandermonde(complex(a), n_max)[:, 0], lower=True)
+    y = scipy.linalg.solve_triangular(lower, _evaluation_vector(m, a, n_max), lower=True)
     return [1.0 / float(s) for s in np.cumsum(np.abs(y) ** 2)]
 
 
@@ -153,10 +153,16 @@ def gamma_via_kernel(m: MomentMatrix, a: complex, n: int) -> float:
     return 1.0 / total
 
 
+def _evaluation_vector(m: MomentMatrix, a: complex, n: int) -> np.ndarray:
+    """e = (1, a, ..., a^{n-1}); numkernel.Overflow when a power overflows."""
+    label = f"evaluation vector at {complex(a)} for {m.label}"
+    return numkernel.require_finite(vandermonde(complex(a), n)[:, 0], label)
+
+
 def _gamma_minimizer(m: MomentMatrix, a: complex, n: int) -> np.ndarray:
     """Coefficient row attaining gamma: p(a) = 1 with minimal norm^2."""
     g = momentmatrix.section(m, n)
-    e = vandermonde(complex(a), n)[:, 0]
+    e = _evaluation_vector(m, a, n)
     x = np.linalg.solve(g, e)
     s = float(np.real(np.vdot(e, x)))
     return np.conj(x) / s
@@ -223,9 +229,10 @@ def _psd_verdict(w: np.ndarray, label: str):
     witness is the canonicalized coefficient row hitting lambda_min.
     The holds-tolerance scales with the eigensolver's backward error
     (n * eps * spectral norm), so graded sections with huge entries do
-    not mask violations that sit well above the roundoff floor.
+    not mask violations that sit well above the roundoff floor.  A matrix
+    whose entries overflowed raises numkernel.Overflow.
     """
-    eig = numkernel.herm_eig(w, label)
+    eig = numkernel.herm_eig(numkernel.require_finite(w, label), label)
     lam_min = float(eig.eigenvalues[0])
     scale = float(np.abs(eig.eigenvalues).max()) if eig.eigenvalues.size else 0.0
     tol = PSD_FLOOR_FACTOR * w.shape[0] * np.finfo(float).eps * scale

@@ -51,6 +51,9 @@ __all__ = [
 
 #: fixed grid used for weight-positivity validation
 WEIGHT_GRID_POINTS = 4096
+#: largest |frequency| of a weight: at least 4 grid points per period, so
+#: the positivity check cannot alias
+MAX_WEIGHT_FREQUENCY = WEIGHT_GRID_POINTS // 4
 #: tolerance for the Hermitian pairing w(-k) == conj(w(k)) of weight input
 WEIGHT_PAIR_TOL = 1e-12
 #: a trigonometric weight may dip this far below zero on the check grid
@@ -194,13 +197,16 @@ Measure = Union[CircleLebesgue, WeightedCircle, Atomic, MeasureSum]
 def _canonical_weight(fourier) -> tuple[tuple[int, complex], ...]:
     """Validate and canonicalize trig-weight coefficients.
 
-    Requires Hermitian input pairs (w(-k) == conj(w(k)) within
-    WEIGHT_PAIR_TOL), positive mean, and nonnegativity of the weight on a
-    WEIGHT_GRID_POINTS grid.  Returns coefficients for all frequencies
-    -d..d with the pairing enforced exactly.
+    Requires |k| <= MAX_WEIGHT_FREQUENCY, Hermitian input pairs
+    (w(-k) == conj(w(k)) within WEIGHT_PAIR_TOL), positive mean, and
+    nonnegativity of the weight on a WEIGHT_GRID_POINTS grid.  Returns
+    coefficients for all frequencies -d..d with the pairing enforced
+    exactly.
     """
     raw: dict[int, complex] = {}
     for k, c in dict(fourier).items():
+        if abs(int(k)) > MAX_WEIGHT_FREQUENCY:
+            raise MeasureFormatError(f"weight frequency {k} exceeds {MAX_WEIGHT_FREQUENCY} in modulus")
         raw[int(k)] = raw.get(int(k), 0.0 + 0.0j) + _finite_complex(c, "weight coefficient")
     if not raw:
         raise MeasureFormatError("weight needs at least the mean coefficient")

@@ -1,12 +1,12 @@
 """Infinite Hermitian moment matrices represented by section builders.
 
-A matrix is a builder n -> (n x n leading section) plus a label and a
-hint about strict positive definiteness of its finite sections.
+A matrix is a builder n -> (n x n leading section) plus a label.
 Sections are materialized on demand through ``section``, which keeps
 only the largest section built so far and slices smaller ones from it.
 Every built section is mirrored (strict lower triangle = conjugated
 upper one, real diagonal), so sections are exactly Hermitian even if the
-builder is only approximately so.
+builder is only approximately so, and checked for finiteness, so values
+that overflowed never reach a factorization.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "norm_sq",
     "of_measure",
     "section",
-    "section_csv",
     "toeplitz_rule",
     "zero_matrix",
 ]
@@ -43,16 +42,11 @@ class MomentMatrix:
     """Section builder for an infinite Hermitian matrix.
 
     ``build(n)`` returns the leading n x n section; the builder of a
-    measure's matrix is ``measures.moment_section``.  ``hpd_hint``
-    records whether every finite section is expected to be strictly
-    positive definite (true for matrices of measures with infinite
-    support); consumers use it only to pick test corpora, never to skip
-    numerical gates.
+    measure's matrix is ``measures.moment_section``.
     """
 
     build: Callable[[int], np.ndarray]
     label: str = ""
-    hpd_hint: bool = False
     _largest: np.ndarray | None = field(default=None, init=False, repr=False)
 
 
@@ -60,12 +54,13 @@ def section(m: MomentMatrix, n: int) -> np.ndarray:
     """Dense n x n leading section, exactly Hermitian by mirroring.
 
     Only the largest section built so far is kept; a request beyond it
-    builds the new size and replaces it.
+    builds the new size and replaces it.  A section with non-finite
+    entries raises numkernel.Overflow.
     """
     if n < 1:
         raise ValueError("section size must be at least 1")
     if m._largest is None or m._largest.shape[0] < n:
-        m._largest = numkernel.mirror_upper(m.build(n))
+        m._largest = numkernel.require_finite(numkernel.mirror_upper(m.build(n)), m.label)
     return m._largest[:n, :n].copy()
 
 
@@ -74,12 +69,11 @@ def of_measure(mu: measures.Measure) -> MomentMatrix:
     return MomentMatrix(
         build=lambda n: measures.moment_section(mu, n),
         label=json.dumps(measures.to_json(mu), separators=(",", ":")),
-        hpd_hint=measures.has_infinite_support(mu),
     )
 
 
 def zero_matrix() -> MomentMatrix:
-    return MomentMatrix(build=lambda n: np.zeros((n, n), dtype=complex), label="zero", hpd_hint=False)
+    return MomentMatrix(build=lambda n: np.zeros((n, n), dtype=complex), label="zero")
 
 
 def toeplitz_rule(coeffs, label: str = "toeplitz") -> MomentMatrix:
@@ -95,7 +89,7 @@ def toeplitz_rule(coeffs, label: str = "toeplitz") -> MomentMatrix:
         k = np.arange(n)
         return band[k[None, :] - k[:, None] + n - 1]
 
-    return MomentMatrix(build=build, label=label, hpd_hint=False)
+    return MomentMatrix(build=build, label=label)
 
 
 def derivative_conjugate(m1: MomentMatrix) -> MomentMatrix:
@@ -113,16 +107,12 @@ def derivative_conjugate(m1: MomentMatrix) -> MomentMatrix:
             out[1:, 1:] = np.outer(k, k) * section(m1, n - 1)
         return out
 
-    return MomentMatrix(build=build, label=f"dconj({m1.label})", hpd_hint=False)
+    return MomentMatrix(build=build, label=f"dconj({m1.label})")
 
 
 def delete_first(m: MomentMatrix) -> MomentMatrix:
     """Remove row and column 0: entry (i, j) -> M[i+1, j+1]."""
-    return MomentMatrix(
-        build=lambda n: section(m, n + 1)[1:, 1:],
-        label=f"delete_first({m.label})",
-        hpd_hint=m.hpd_hint,
-    )
+    return MomentMatrix(build=lambda n: section(m, n + 1)[1:, 1:], label=f"delete_first({m.label})")
 
 
 def is_toeplitz(m: MomentMatrix, n: int) -> bool:
@@ -150,16 +140,3 @@ def inner_product(a: np.ndarray, v, w) -> complex:
 def norm_sq(a: np.ndarray, v) -> float:
     """Quadratic form v A v^*; real for Hermitian sections."""
     return inner_product(a, v, v).real
-
-
-def section_csv(a: np.ndarray) -> str:
-    """Row-major CSV dump with 're+imi' cells and a column-index header."""
-    n, mcols = a.shape
-    lines = [",".join(f"col_{j}" for j in range(mcols))]
-    for i in range(n):
-        lines.append(",".join(_complex_cell(a[i, j]) for j in range(mcols)))
-    return "\n".join(lines) + "\n"
-
-
-def _complex_cell(z: complex) -> str:
-    return "%.12e%+.12ei" % (z.real, z.imag)

@@ -7,7 +7,8 @@ or for every leading size from one factorization), and polynomial roots
 via the companion matrix.  The heavy lifting is delegated to LAPACK
 through numpy/scipy; what this module adds is the error contract
 (NotPositiveDefinite with the failing pivot index, ConvergenceFailure
-with the offending label) and the exact reductions used by the callers.
+with the offending label, Overflow for values beyond the double range)
+and the exact reductions used by the callers.
 """
 
 from __future__ import annotations
@@ -23,12 +24,14 @@ __all__ = [
     "ConvergenceFailure",
     "HermEig",
     "NotPositiveDefinite",
+    "Overflow",
     "cholesky",
     "companion_roots",
     "gen_eig_definite",
     "herm_eig",
     "mirror_upper",
     "nested_gen_eig",
+    "require_finite",
 ]
 
 #: a Schur pivot at or below this fraction of the original diagonal entry
@@ -54,6 +57,21 @@ class ConvergenceFailure(Exception):
     def __init__(self, label: str = ""):
         self.label = label
         super().__init__(f"eigensolver failed to converge on {label or 'input'}")
+
+
+class Overflow(Exception):
+    """A section or vector has non-finite entries: its inputs are finite,
+    but the values built from them overflowed the double range."""
+
+    def __init__(self, label: str, n: int):
+        super().__init__(f"values of {label or 'input'} at size {n} overflowed the double range")
+
+
+def require_finite(a: np.ndarray, label: str = "") -> np.ndarray:
+    """``a`` itself, or Overflow when any entry is NaN or infinite."""
+    if not np.all(np.isfinite(a)):
+        raise Overflow(label, a.shape[0])
+    return a
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Deterministic JSON and CSV rendering for reports.
 
 Identical inputs must produce byte-identical files, so floats are always
-formatted as %.12e, dict key order is preserved exactly as built, and
-nothing environment-dependent (timestamps, paths, hostnames) is ever
-embedded.  NaN and infinities have no JSON spelling and are rendered as
-null.
+formatted as %.12e (complex CSV cells as %.12e%+.12ei), dict key order
+is preserved exactly as built, and nothing environment-dependent
+(timestamps, paths, hostnames) is ever embedded.  NaN and infinities
+have no JSON spelling and are rendered as null.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 __all__ = ["float_repr", "render_json", "write_csv", "write_json"]
 
 FLOAT_FORMAT = "%.12e"
+COMPLEX_FORMAT = "%.12e%+.12ei"
 
 
 def float_repr(x: float) -> str:
@@ -68,6 +69,8 @@ def write_json(path: str, obj) -> None:
 
 
 def _cell(v) -> str:
+    if isinstance(v, complex):  # numpy's complex128 included
+        return COMPLEX_FORMAT % (v.real, v.imag)
     if isinstance(v, (float, np.floating)):
         x = float(v)
         return "nan" if math.isnan(x) else FLOAT_FORMAT % x

@@ -44,7 +44,7 @@ __all__ = [
 #: sequence is called settled
 PLATEAU_RTOL = 0.01
 #: quantities norm_sequence knows how to tabulate
-SEQUENCE_QUANTITIES = ("mult_op", "cond4", "gen_eig_vs")
+SEQUENCE_QUANTITIES = ("mult_op", "cond4")
 
 
 @dataclass(eq=False)
@@ -146,31 +146,20 @@ class NormSequence:
         return all(e is None for e in self.errors)
 
 
-def norm_sequence(
-    p: SobolevPencil,
-    n_max: int,
-    quantity: str,
-    other: SobolevPencil | None = None,
-) -> NormSequence:
+def norm_sequence(p: SobolevPencil, n_max: int, quantity: str) -> NormSequence:
     """Tabulate a finite-section scalar for n = 1..n_max.
 
     quantity 'mult_op': multiplication-operator norm.
     quantity 'cond4':   top eigenvalue of (section(M1, n), G_n), the best
                         constant in ||q||^2_{M1} <= C ||q||^2 at size n.
-    quantity 'gen_eig_vs': top eigenvalue of (G^other_n, G_n); requires
-                        ``other``.
     Failures (singular sections) are recorded per n instead of raising.
     """
     if quantity not in SEQUENCE_QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
-    if quantity == "gen_eig_vs" and other is None:
-        raise ValueError("gen_eig_vs needs the second pencil")
     if quantity == "mult_op":
         q = gram_section(p, n_max + 1)[1:, 1:]
-    elif quantity == "cond4":
-        q = momentmatrix.section(p.m1, n_max)
     else:
-        q = gram_section(other, n_max)
+        q = momentmatrix.section(p.m1, n_max)
     values, errors = [], []
     for lam in numkernel.nested_gen_eig(q, gram_section(p, n_max), p.label):
         if isinstance(lam, Exception):

@@ -1,9 +1,16 @@
 """Scenario parsing, command dispatch, exit codes, determinism."""
 
+import contextlib
+import copy
+import io
 import json
+import os
 import re
+import tempfile
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from sobolevlab.cli import (
     Scenario,
@@ -329,3 +336,147 @@ def test_circles_and_point_share_the_number_check():
     bad_point["parameters"]["a"] = [float("inf"), 0.0]
     with pytest.raises(ScenarioFormatError, match="parameter 'a'"):
         parse_scenario(bad_point)
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract for any input
+# ---------------------------------------------------------------------------
+
+ATOMIC_JSON = {"kind": "atomic", "atoms": [[0.5, 0.0, 1.0], [-0.5, 0.5, 2.0], [0.0, -0.7, 1.0], [0.2, 0.2, 1.0]]}
+WEIGHTED_JSON = {"kind": "weighted_circle", "center": [0.1, 0.0], "radius": 1.0,
+                 "fourier": [[0, 1.0, 0.0], [1, 0.3, 0.1], [-1, 0.3, -0.1]]}
+SUM_JSON = {"kind": "sum", "terms": [[1.0, HALF_JSON], [0.5, ATOMIC_JSON]]}
+BASE_SCENARIOS = {
+    "moments": {"name": "m", "command": "moments", "measure": WEIGHTED_JSON, "parameters": {"n": 4}},
+    "atomic": {"name": "at", "command": "moments", "measure": ATOMIC_JSON, "parameters": {"n": 4}},
+    "gram": {"name": "g", "command": "gram", "pencil": {"m0": UNIT_JSON, "m1": HALF_JSON}, "parameters": {"n": 4}},
+    "opoly": {"name": "o", "command": "opoly", "pencil": {"m0": WEIGHTED_JSON, "m1": UNIT_JSON},
+              "parameters": {"n": 4}},
+    "multop": {"name": "mo", "command": "multop", "pencil": {"m0": UNIT_JSON, "m1": ATOMIC_JSON},
+               "parameters": {"n_max": 5}},
+    "cond4": {"name": "c4", "command": "cond4", "pencil": {"m0": UNIT_JSON, "m1": HALF_JSON},
+              "parameters": {"n_max": 5}},
+    "zeros": {"name": "z", "command": "zeros", "pencil": {"m0": SUM_JSON, "m1": None}, "parameters": {"degree": 3}},
+    "gamma": {"name": "ga", "command": "gamma", "measure": UNIT_JSON, "parameters": {"a": [0.5, 0.25], "n_max": 6}},
+    "bpe": {"name": "b", "command": "bpe", "measure": UNIT_JSON, "parameters": {"a": [0.5, 0.0], "n_max": 6}},
+    "wirtinger": {"name": "w", "command": "wirtinger", "measure": UNIT_JSON,
+                  "parameters": {"constant": 1.0, "n": 4}},
+    "dominance": {"name": "d", "command": "dominance", "pencil": {"m0": UNIT_JSON, "m1": HALF_JSON},
+                  "parameters": {"constant": 2.0, "n": 4}},
+    "compare": {"name": "c", "command": "compare", "pencil": {"m0": HALF_JSON, "m1": UNIT_JSON},
+                "pencil_b": {"m0": UNIT_JSON, "m1": None}, "parameters": {"n_max": 5}},
+    "eigenlimits": {"name": "e", "command": "eigenlimits", "weight": [[0, 1.0, 0.0], [1, 0.4, 0.0], [-1, 0.4, 0.0]],
+                    "parameters": {"n_list": [2, 4]}},
+    "prop12": {"name": "p", "command": "prop12", "measure": UNIT_JSON,
+               "circles": [[0.1, 0.0, 0.3, [[0, 1.0, 0.0]]]], "parameters": {"n_max": 6}},
+}
+# (base scenario, path of keys and indices to the replaced field)
+FIELDS = [
+    ("gamma", ("name",)), ("gamma", ("command",)), ("gamma", ("measure",)), ("gamma", ("parameters",)),
+    ("gamma", ("parameters", "a")), ("gamma", ("parameters", "a", 0)), ("gamma", ("parameters", "n_max")),
+    ("bpe", ("parameters", "a")), ("bpe", ("parameters", "a", 1)),
+    ("moments", ("measure", "center")), ("moments", ("measure", "center", 0)), ("moments", ("measure", "radius")),
+    ("moments", ("measure", "fourier")), ("moments", ("measure", "fourier", 1)),
+    ("moments", ("measure", "fourier", 1, 0)), ("moments", ("measure", "fourier", 1, 1)),
+    ("moments", ("parameters", "n")),
+    ("atomic", ("measure", "atoms")), ("atomic", ("measure", "atoms", 0)), ("atomic", ("measure", "atoms", 0, 0)),
+    ("atomic", ("measure", "atoms", 1, 2)),
+    ("gram", ("pencil",)), ("gram", ("pencil", "m1")), ("gram", ("pencil", "m0", "radius")),
+    ("zeros", ("pencil", "m0", "terms", 0, 0)), ("zeros", ("pencil", "m0", "terms", 1)),
+    ("zeros", ("parameters", "degree")), ("opoly", ("pencil", "m0", "fourier", 2)), ("opoly", ("parameters", "n")),
+    ("multop", ("pencil", "m1", "atoms")), ("multop", ("parameters", "n_max")), ("cond4", ("pencil", "m1", "center")),
+    ("wirtinger", ("parameters", "constant")), ("wirtinger", ("parameters", "n")),
+    ("dominance", ("parameters", "constant")), ("dominance", ("pencil", "m1")),
+    ("compare", ("pencil_b",)), ("compare", ("pencil_b", "m0")), ("compare", ("parameters", "n_max")),
+    ("eigenlimits", ("weight",)), ("eigenlimits", ("weight", 1, 0)), ("eigenlimits", ("parameters", "n_list")),
+    ("eigenlimits", ("parameters", "n_list", 0)),
+    ("prop12", ("circles",)), ("prop12", ("circles", 0)), ("prop12", ("circles", 0, 0)),
+    ("prop12", ("circles", 0, 2)), ("prop12", ("circles", 0, 3)),
+]
+HUGE = [10**400, -(10**400), 2**63, 1e308, -1e308, 1e200, 5e-324]
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from(HUGE)
+    | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _replaced(field, value):
+    base, path = field
+    obj = copy.deepcopy(BASE_SCENARIOS[base])
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return obj
+
+
+def _main_on_text(text: str):
+    with tempfile.TemporaryDirectory() as d:
+        spec = os.path.join(d, "scenario.json")
+        with open(spec, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["--spec", spec, "--out", os.path.join(d, "out")])
+        return code, err.getvalue()
+
+
+@pytest.mark.parametrize("base", sorted(BASE_SCENARIOS))
+def test_base_scenarios_succeed(base):
+    assert _main_on_text(json.dumps(BASE_SCENARIOS[base])) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "field, value, code, message",
+    [
+        (("gram", ("command",)), ["gram"], 2, "unknown command"),
+        (("wirtinger", ("parameters", "constant")), 10**400, 2, "parameter 'constant'"),
+        (("gram", ("pencil", "m0", "radius")), 1e308, 3, "at size 4 overflowed"),
+        (("moments", ("measure", "center")), [1e200, 0], 3, "at size 4 overflowed"),
+        (("atomic", ("measure", "atoms", 0, 0)), 1e308, 3, "at size 4 overflowed"),
+        (("bpe", ("parameters", "a")), [1e200, 0], 3, "evaluation vector at (1e+200+0j)"),
+        (("wirtinger", ("parameters", "constant")), 1e308, 3, "at size 4 overflowed"),
+        (("moments", ("measure", "fourier")), [[0, 1.0, 0.0], [4096, 0.6, 0.0], [-4096, 0.6, 0.0]], 2,
+         "frequency 4096"),
+        (("moments", ("parameters", "grid_points")), 4096, 2, "does not take parameter 'grid_points'"),
+    ],
+    ids=["list-command", "huge-int-constant", "huge-radius", "huge-center", "huge-atom", "huge-point",
+         "huge-constant", "aliased-weight", "grid-points"],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
+def test_main_escape_inputs_exit_2_or_3(field, value, code, message):
+    got, err = _main_on_text(json.dumps(_replaced(field, value)))
+    assert got == code
+    assert message in err
+    if code == 3:
+        assert "overflowed the double range" in err
+
+
+def test_main_non_utf8_file_exits_2(tmp_path, capsys):
+    spec = tmp_path / "latin1.json"
+    spec.write_bytes(json.dumps(gamma_scenario(name="caf\u00e9")).encode("utf-8").replace(b"\\u00e9", b"\xe9"))
+    assert main(["--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
+    assert "scenario error" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@seed(20261017)
+@given(field=st.sampled_from(FIELDS), value=JSON_VALUES)
+@example(field=("gram", ("command",)), value=["gram"])
+@example(field=("wirtinger", ("parameters", "constant")), value=10**400)
+@example(field=("gram", ("pencil", "m0", "radius")), value=1e308)
+@example(field=("moments", ("measure", "center")), value=[1e200, 0])
+@example(field=("atomic", ("measure", "atoms", 0, 0)), value=1e308)
+@example(field=("bpe", ("parameters", "a")), value=[1e200, 0])
+@example(field=("wirtinger", ("parameters", "constant")), value=1e308)
+@example(field=("moments", ("measure", "fourier", 1, 0)), value=4096)
+def test_any_json_value_in_any_field_exits_0_2_or_3(field, value):
+    code, _ = _main_on_text(json.dumps(_replaced(field, value)))
+    assert code in (0, 2, 3)

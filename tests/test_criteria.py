@@ -28,7 +28,7 @@ from sobolevlab.measures import Atomic, CircleLebesgue, MeasureSum, WeightedCirc
 from sobolevlab.momentmatrix import norm_sq, section
 from sobolevlab.numkernel import gen_eig_definite
 from sobolevlab.polynomials import differentiate, evaluate
-from sobolevlab.sobolev import norm_sequence, pencil_of_measures
+from sobolevlab.sobolev import gram_section, norm_sequence, pencil_of_measures
 
 UNIT = CircleLebesgue(0.0, 1.0)
 HALF = CircleLebesgue(0.0, 0.5)
@@ -349,6 +349,37 @@ def test_comparability_frozen_two_sided_constants():
     assert rep.details["lower_constant"] == pytest.approx(expected_lower, rel=1e-12)
     assert all(v >= 1.0 for v in rep.details["lower_values"])
     assert len(rep.details["lower_values"]) == len(rep.n_list)
+
+
+def test_comparability_unit_pencils_frozen():
+    # ratio of diag(1 + k^2) to the identity: top value 1 + (n-1)^2, bottom 1
+    rep = comparability_bounds(pencil_of_measures(UNIT, None), pencil_of_measures(UNIT, UNIT), 4)
+    npt.assert_allclose(rep.values, [2.0, 5.0, 10.0], rtol=1e-12)
+    npt.assert_allclose(rep.details["lower_values"], [1.0, 1.0, 1.0], rtol=1e-12)
+
+
+def _fresh_gram(mu0, mu1, n):
+    # a new pencil per call, so nothing is sliced from a larger section
+    return gram_section(pencil_of_measures(mu0, mu1), n)
+
+
+@pytest.mark.parametrize(
+    "mu0, mu1",
+    [
+        (UNIT, CircleLebesgue(0.5, 2.0)),
+        (W04, HALF),
+        (CircleLebesgue(0.3 + 0.4j, 0.7), UNIT),
+        (UNIT, Atomic(((0.3 + 0.0j, 1.0), (-0.2 + 0.4j, 1.0)))),
+    ],
+)
+def test_comparability_bounds_matches_per_size_reference(mu0, mu1):
+    # the nested two-pencil path against one factorization per size
+    rep = comparability_bounds(pencil_of_measures(mu0, mu1), pencil_of_measures(UNIT, UNIT), 20)
+    assert rep.n_list == list(range(2, 21))
+    for n, low, top in zip(rep.n_list, rep.details["lower_values"], rep.values):
+        lam = gen_eig_definite(_fresh_gram(UNIT, UNIT, n), _fresh_gram(mu0, mu1, n))
+        assert abs(top - lam[-1]) <= 1e-12 * abs(lam[-1])
+        assert abs(low - lam[0]) <= 1e-12 * abs(lam[-1])
 
 
 def test_comparability_requires_window():

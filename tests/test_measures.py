@@ -168,6 +168,21 @@ def test_weight_validation():
     assert w.coefficient(-1) == np.conj(w.coefficient(1))
 
 
+def test_weight_frequency_cap_prevents_grid_aliasing():
+    # 1 + 1.2 cos(4096 theta) is -0.2 at theta = pi/4096, between the points
+    # of the 4096-point positivity grid, where it reads 2.2 everywhere
+    aliased = ((0, 1.0), (4096, 0.6), (-4096, 0.6))
+    with pytest.raises(MeasureFormatError, match="frequency 4096"):
+        WeightedCircle(0.0, 1.0, aliased)
+    with pytest.raises(MeasureFormatError, match="frequency"):
+        from_json({"kind": "weighted_circle", "center": [0.0, 0.0], "radius": 1.0,
+                   "fourier": [[k, c, 0.0] for k, c in aliased]})
+    assert measures.MAX_WEIGHT_FREQUENCY == 1024
+    WeightedCircle(0.0, 1.0, ((0, 1.0), (1024, 0.5), (-1024, 0.5)))
+    with pytest.raises(MeasureFormatError, match="frequency"):
+        WeightedCircle(0.0, 1.0, ((0, 1.0), (1025, 0.5), (-1025, 0.5)))
+
+
 @pytest.mark.parametrize("m", CORPUS)
 def test_json_round_trip(m):
     assert from_json(to_json(m)) == m

@@ -60,3 +60,13 @@ def test_write_csv_cells(tmp_path):
     write_csv(str(path), ("n", "value", "note"), [(1, 0.5, "ok"), (2, math.nan, "")])
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines == ["n,value,note", "1,5.000000000000e-01,ok", "2,nan,"]
+
+
+def test_section_csv_format(tmp_path):
+    path = tmp_path / "s.csv"
+    write_csv(str(path), ("col_0", "col_1"), np.array([[1.0, 2.0 - 3.0j]], dtype=complex))
+    txt = path.read_text(encoding="utf-8")
+    lines = txt.splitlines()
+    assert lines[0] == "col_0,col_1"
+    assert lines[1] == "1.000000000000e+00+0.000000000000e+00i,2.000000000000e+00-3.000000000000e+00i"
+    assert txt.endswith("\n")

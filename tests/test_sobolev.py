@@ -202,15 +202,6 @@ def test_norm_sequence_cond4_identity_pencil():
     assert abs(seq.values[-1] - 1.0) <= 1e-12
 
 
-def test_norm_sequence_gen_eig_vs_requires_other():
-    with pytest.raises(ValueError):
-        norm_sequence(P_UNIT_ONLY, 4, "gen_eig_vs")
-    seq = norm_sequence(P_UNIT_ONLY, 4, "gen_eig_vs", other=P_UNIT_UNIT)
-    assert seq.ok()
-    # ratio of diag(1+k^2) to identity: top value 1 + (n-1)^2
-    npt.assert_allclose(seq.values, [1.0, 2.0, 5.0, 10.0], rtol=1e-12)
-
-
 def test_norm_sequence_unknown_quantity():
     with pytest.raises(ValueError):
         norm_sequence(P_UNIT_ONLY, 4, "frobenius")
@@ -266,18 +257,16 @@ NESTED_PENCILS = [
 
 
 @pytest.mark.parametrize("mu0, mu1", NESTED_PENCILS)
-@pytest.mark.parametrize("quantity", ["mult_op", "cond4", "gen_eig_vs"])
+@pytest.mark.parametrize("quantity", ["mult_op", "cond4"])
 def test_norm_sequence_matches_per_size_reference(mu0, mu1, quantity):
     n_max = 20
-    seq = norm_sequence(pencil_of_measures(mu0, mu1), n_max, quantity, other=P_UNIT_UNIT)
+    seq = norm_sequence(pencil_of_measures(mu0, mu1), n_max, quantity)
     assert seq.ok()
     for n in range(1, n_max + 1):
         if quantity == "mult_op":
             q = _fresh_gram(mu0, mu1, n + 1)[1:, 1:]
-        elif quantity == "cond4":
-            q = moment_section(mu1, n)
         else:
-            q = _fresh_gram(UNIT, UNIT, n)
+            q = moment_section(mu1, n)
         top = float(gen_eig_definite(q, _fresh_gram(mu0, mu1, n))[-1])
         ref = math.sqrt(top) if quantity == "mult_op" else top
         assert abs(seq.values[n - 1] - ref) <= 1e-12 * abs(ref)
