@@ -14,7 +14,6 @@ from .criteria import (
     bpe_weighted_circles_report,
     comparability_bounds,
     dominance_check,
-    eigen_limit_estimate,
     eigen_limit_report,
     gamma_index,
     gamma_sequence,

@@ -76,8 +76,7 @@ def _parse_circles(items) -> tuple:
                 f"expected [re, im, radius, fourier] circle entry, got {item!r}"
             )
         center = measures.parse_pair(item[:2], "circle center")
-        radius = measures.parse_real(item[2], "circle radius")
-        out.append((center, radius, measures.parse_fourier(item[3])))
+        out.append(measures.WeightedCircle(center, item[2], measures.parse_fourier(item[3])))
     return tuple(out)
 
 
@@ -153,7 +152,7 @@ def _section_check(mu: measures.Measure, n: int, path: str):
     section is written to ``path``."""
     m = momentmatrix.of_measure(mu)
     a = momentmatrix.section(m, n)
-    dev = max(abs(a[i, j] - measures.moment_quadrature(mu, i, j)) for i in range(n) for j in range(n))
+    dev = float(np.abs(a - measures.moment_quadrature(mu, range(n), range(n))).max())
     _write_matrix(path, a)
     return m, a, dev
 

@@ -32,7 +32,6 @@ __all__ = [
     "bpe_weighted_circles_report",
     "comparability_bounds",
     "dominance_check",
-    "eigen_limit_estimate",
     "eigen_limit_report",
     "gamma_index",
     "gamma_sequence",
@@ -156,7 +155,9 @@ def gamma_via_kernel(m: MomentMatrix, a: complex, n: int) -> float:
 def _evaluation_vector(m: MomentMatrix, a: complex, n: int) -> np.ndarray:
     """e = (1, a, ..., a^{n-1}); numkernel.Overflow when a power overflows."""
     label = f"evaluation vector at {complex(a)} for {m.label}"
-    return numkernel.require_finite(vandermonde(complex(a), n)[:, 0], label)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by require_finite
+        e = vandermonde(complex(a), n)[:, 0]
+    return numkernel.require_finite(e, label)
 
 
 def _gamma_minimizer(m: MomentMatrix, a: complex, n: int) -> np.ndarray:
@@ -261,7 +262,8 @@ def wirtinger_psd_check(m: MomentMatrix, c: float, n: int) -> CriterionReport:
     full = momentmatrix.section(m, n)
     deleted = momentmatrix.section(momentmatrix.delete_first(m), n)
     scale = np.arange(1, n + 1, dtype=float)
-    w = c * (scale[:, None] * full * scale[None, :]) - deleted
+    with np.errstate(over="ignore", invalid="ignore"):  # _psd_verdict rejects non-finite entries
+        w = c * (scale[:, None] * full * scale[None, :]) - deleted
     verdict, lam_min, tol, witness = _psd_verdict(w, m.label)
     lifted = None
     if witness is not None:
@@ -415,28 +417,21 @@ def comparability_bounds(
 # Weighted circles: eigenvalue limits and the assembled boundedness report
 # ---------------------------------------------------------------------------
 
-def weight_grid_extremes(fourier, points: int = measures.WEIGHT_GRID_POINTS):
-    """(min, max) of the trig weight on a uniform grid of ``points`` angles."""
-    wc = measures.WeightedCircle(0.0, 1.0, tuple(dict(fourier).items()))
-    theta = 2.0 * np.pi * np.arange(points) / points
+def weight_grid_extremes(fourier):
+    """(min, max) of the trig weight on the WEIGHT_GRID_POINTS-angle grid."""
+    wc = measures.WeightedCircle(0.0, 1.0, fourier)
+    theta = 2.0 * np.pi * np.arange(measures.WEIGHT_GRID_POINTS) / measures.WEIGHT_GRID_POINTS
     vals = measures.weight_values(wc.fourier, theta)
     return float(vals.min()), float(vals.max())
-
-
-def eigen_limit_estimate(fourier, n_max: int):
-    """(smallest, largest) eigenvalue of the n_max section of the unit
-    weighted-circle moment matrix.  These bracket the weight's range and
-    squeeze toward its essential extrema as n grows.
-    """
-    m = momentmatrix.of_measure(measures.WeightedCircle(0.0, 1.0, tuple(dict(fourier).items())))
-    eig = numkernel.herm_eig(momentmatrix.section(m, n_max), m.label)
-    return float(eig.eigenvalues[0]), float(eig.eigenvalues[-1])
 
 
 def eigen_limit_report(fourier, n_list) -> CriterionReport:
     """Sandwich check for extreme Toeplitz eigenvalues along ``n_list``.
 
-    Holds when, at every listed n, the extreme eigenvalues stay inside
+    At each listed n, the smallest and largest eigenvalues of the n
+    section of the unit weighted-circle moment matrix bracket the
+    weight's range and squeeze toward its essential extrema as n grows.
+    Holds when, at every listed n, they stay inside
     [grid_min - slack, grid_max + slack] and their distances to the grid
     extrema shrink monotonically.
     """
@@ -444,11 +439,12 @@ def eigen_limit_report(fourier, n_list) -> CriterionReport:
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_list must be strictly increasing and nonempty")
     gmin, gmax = weight_grid_extremes(fourier)
+    m = momentmatrix.of_measure(measures.WeightedCircle(0.0, 1.0, fourier))
     lams, betas = [], []
     for n in ns:
-        lam, beta = eigen_limit_estimate(fourier, n)
-        lams.append(lam)
-        betas.append(beta)
+        eig = numkernel.herm_eig(momentmatrix.section(m, n), m.label)
+        lams.append(float(eig.eigenvalues[0]))
+        betas.append(float(eig.eigenvalues[-1]))
     inside = all(
         lam >= gmin - EIGEN_SANDWICH_SLACK and beta <= gmax + EIGEN_SANDWICH_SLACK
         for lam, beta in zip(lams, betas)
@@ -458,10 +454,9 @@ def eigen_limit_report(fourier, n_list) -> CriterionReport:
     shrinking = all(
         b <= a + EIGEN_SANDWICH_SLACK for a, b in zip(gaps_low, gaps_low[1:])
     ) and all(b <= a + EIGEN_SANDWICH_SLACK for a, b in zip(gaps_high, gaps_high[1:]))
-    wc = measures.WeightedCircle(0.0, 1.0, tuple(dict(fourier).items()))
     return CriterionReport(
         criterion="eigen_limits",
-        labels={"weight": momentmatrix.of_measure(wc).label},
+        labels={"weight": m.label},
         n_list=ns,
         values=lams,
         verdict=VERDICT_HOLDS if inside and shrinking else VERDICT_INCONCLUSIVE,
@@ -480,7 +475,8 @@ def eigen_limit_report(fourier, n_list) -> CriterionReport:
 def bpe_weighted_circles_report(
     mu0: measures.Measure, circles, n_max: int
 ) -> CriterionReport:
-    """Boundedness report for the pencil {M(mu0), M(sum of weighted circles)}.
+    """Boundedness report for the pencil {M(mu0), M(sum of ``circles``)},
+    ``circles`` being WeightedCircle measures.
 
     Every circle center must be a bounded evaluation point of mu0 (the
     geometric hypothesis); otherwise CenterNotBoundedEvaluation is raised
@@ -490,18 +486,13 @@ def bpe_weighted_circles_report(
     """
     m0 = momentmatrix.of_measure(mu0)
     centers, gammas = [], []
-    for center, radius, fourier in circles:
-        rep = bpe_decide(m0, center, n_max)
+    for circle in circles:
+        rep = bpe_decide(m0, circle.center, n_max)
         if rep.verdict != VERDICT_HOLDS:
-            raise CenterNotBoundedEvaluation(complex(center))
-        centers.append(complex(center))
+            raise CenterNotBoundedEvaluation(circle.center)
+        centers.append(circle.center)
         gammas.append(float(rep.details["gamma_end"]))
-    mu1 = measures.MeasureSum(
-        tuple(
-            (1.0, measures.WeightedCircle(center, radius, tuple(dict(fourier).items())))
-            for center, radius, fourier in circles
-        )
-    )
+    mu1 = measures.MeasureSum(tuple((1.0, circle) for circle in circles))
     pen = sobolev.pencil_of_measures(mu0, mu1)
     dom = sobolev_domination_bound(pen, n_max)
     mseq = sobolev.norm_sequence(pen, n_max, "mult_op")

@@ -1,16 +1,17 @@
 """Measures on the plane and their moment sections.
 
-Four kinds are supported: normalized Lebesgue measure on a circle,
-trigonometric-polynomial-weighted circle measure, finitely atomic
-measures, and positive linear combinations of the above.  The central
-operation is the leading n x n section of the moment matrix
+Three kinds are supported: trigonometric-polynomial-weighted circle
+measures (normalized Lebesgue measure on a circle is the one with unit
+weight, built by ``CircleLebesgue``), finitely atomic measures, and
+positive linear combinations of the above.  The central operation is the
+leading n x n section of the moment matrix
 
     c[i, j] = integral of  z**i * conj(z)**j  d(mu),
 
 built as a matrix product: P T P^* for circles (row i of P expands
 (center + radius e^{i theta})**i, T is the Toeplitz matrix of the weight's
-Fourier coefficients or the identity), V diag(mass) V^* for atoms (V the
-Vandermonde matrix), and the scaled sum for sums.  Sections are exactly
+Fourier coefficients), V diag(mass) V^* for atoms (V the Vandermonde
+matrix), and the scaled sum for sums.  Sections are exactly
 Hermitian (the lower triangle mirrors the upper one) and cross-checkable
 against trapezoid quadrature on a uniform angular grid.  Numbers entering
 a measure pass one validation layer (``parse_real``, ``parse_pair``,
@@ -58,8 +59,10 @@ MAX_WEIGHT_FREQUENCY = WEIGHT_GRID_POINTS // 4
 WEIGHT_PAIR_TOL = 1e-12
 #: a trigonometric weight may dip this far below zero on the check grid
 WEIGHT_POSITIVITY_TOL = 1e-12
-#: circle-type quadrature refuses coarser grids than this
+#: circle quadrature refuses coarser grids than this
 MIN_CIRCLE_GRID = 256
+#: Fourier coefficients of the weight w = 1 (normalized arc length)
+UNIT_WEIGHT = ((0, 1.0 + 0.0j),)
 
 
 class MeasureFormatError(ValueError):
@@ -114,20 +117,6 @@ def parse_fourier(items) -> tuple[tuple[int, complex], ...]:
 
 
 @dataclass(frozen=True)
-class CircleLebesgue:
-    """Normalized arc-length measure on the circle |z - center| = radius."""
-
-    center: complex
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", _finite_complex(self.center, "circle center"))
-        object.__setattr__(self, "radius", parse_real(self.radius, "circle radius"))
-        if not self.radius > 0:
-            raise MeasureFormatError("circle radius must be positive")
-
-
-@dataclass(frozen=True)
 class WeightedCircle:
     """Circle measure w(theta) dtheta/(2 pi) with a trig-polynomial weight.
 
@@ -149,11 +138,11 @@ class WeightedCircle:
             raise MeasureFormatError("circle radius must be positive")
         object.__setattr__(self, "fourier", _canonical_weight(self.fourier))
 
-    def coefficient(self, k: int) -> complex:
-        for kk, c in self.fourier:
-            if kk == k:
-                return c
-        return 0.0 + 0.0j
+
+def CircleLebesgue(center, radius) -> WeightedCircle:
+    """Normalized arc-length measure on the circle |z - center| = radius:
+    the weighted circle with w = 1."""
+    return WeightedCircle(center, radius, UNIT_WEIGHT)
 
 
 @dataclass(frozen=True)
@@ -186,12 +175,12 @@ class MeasureSum:
         if any(s <= 0 for s, _ in terms):
             raise MeasureFormatError("sum scales must be positive")
         for _, m in terms:
-            if not isinstance(m, (CircleLebesgue, WeightedCircle, Atomic, MeasureSum)):
+            if not isinstance(m, (WeightedCircle, Atomic, MeasureSum)):
                 raise MeasureFormatError("sum terms must be measures")
         object.__setattr__(self, "terms", terms)
 
 
-Measure = Union[CircleLebesgue, WeightedCircle, Atomic, MeasureSum]
+Measure = Union[WeightedCircle, Atomic, MeasureSum]
 
 
 def _canonical_weight(fourier) -> tuple[tuple[int, complex], ...]:
@@ -275,10 +264,8 @@ def _times_adjoint(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _product(m: Measure, n: int) -> np.ndarray:
     # the section as a matrix product, Hermitian up to roundoff
-    if isinstance(m, (CircleLebesgue, WeightedCircle)):
+    if isinstance(m, WeightedCircle):
         p = _circle_expansion(m.center, m.radius, n)
-        if isinstance(m, CircleLebesgue):
-            return _times_adjoint(p, p)
         w = dict(m.fourier)
         band = np.array([w.get(d, 0.0 + 0.0j) for d in range(1 - n, n)], dtype=complex)
         k = np.arange(n)
@@ -307,17 +294,25 @@ def moment(m: Measure, i: int, j: int) -> complex:
     return complex(moment_section(m, max(i, j) + 1)[i, j])
 
 
-def moment_quadrature(m: Measure, i: int, j: int, grid_points: int = WEIGHT_GRID_POINTS) -> complex:
+def moment_quadrature(m: Measure, i, j, grid_points: int = WEIGHT_GRID_POINTS):
     """Independent moment evaluation: trapezoid rule on a uniform angular
-    grid for circle kinds (exact summation for Atomic).
+    grid for circles (exact summation for Atomic).  ``i`` and ``j`` are
+    orders (the result is a complex number) or ranges of orders (the
+    result is the block [c[i, j]] as an array, from one grid evaluation).
 
     The integrand is a trigonometric polynomial, so the periodic trapezoid
     rule is exact up to roundoff once the grid resolves degree i + j + the
     weight degree; grids coarser than MIN_CIRCLE_GRID are rejected.
     """
-    if i < 0 or j < 0:
+    rows, cols = ([int(k) for k in np.atleast_1d(x)] for x in (i, j))
+    if min(rows + cols, default=0) < 0:
         raise ValueError("moment orders must be nonnegative")
-    if isinstance(m, (CircleLebesgue, WeightedCircle)):
+    block = _quadrature(m, rows, cols, grid_points)
+    return complex(block[0, 0]) if np.ndim(i) == np.ndim(j) == 0 else block
+
+
+def _quadrature(m: Measure, rows: list, cols: list, grid_points: int) -> np.ndarray:
+    if isinstance(m, WeightedCircle):
         if grid_points < MIN_CIRCLE_GRID:
             raise ValueError(
                 f"grid_points={grid_points} too coarse for circle quadrature "
@@ -325,22 +320,24 @@ def moment_quadrature(m: Measure, i: int, j: int, grid_points: int = WEIGHT_GRID
             )
         theta = 2.0 * np.pi * np.arange(grid_points) / grid_points
         z = m.center + m.radius * np.exp(1j * theta)
-        vals = z**i * np.conj(z) ** j
-        if isinstance(m, WeightedCircle):
-            vals = vals * weight_values(m.fourier, theta)
-        return complex(vals.mean())
+        w = weight_values(m.fourier, theta)
+        # one power per order: numpy squares separately, so a broadcast
+        # z ** arange(n) differs in the last bit at order 2
+        zbar = np.array([np.conj(z) ** k for k in cols])
+        return np.array([(z**k * zbar * w).mean(axis=1) for k in rows])
     if isinstance(m, Atomic):
-        return complex(sum(w * z**i * z.conjugate() ** j for z, w in m.atoms))
-    if isinstance(m, MeasureSum):
-        return complex(
-            sum(s * moment_quadrature(comp, i, j, grid_points) for s, comp in m.terms)
+        return np.array(
+            [[sum(w * z**a * z.conjugate() ** b for z, w in m.atoms) for b in cols] for a in rows],
+            dtype=complex,
         )
+    if isinstance(m, MeasureSum):
+        return sum(s * _quadrature(comp, rows, cols, grid_points) for s, comp in m.terms)
     raise TypeError(f"not a measure: {m!r}")
 
 
 def support_hull_radius(m: Measure) -> float:
     """Radius of the smallest origin-centered disk containing the support."""
-    if isinstance(m, (CircleLebesgue, WeightedCircle)):
+    if isinstance(m, WeightedCircle):
         return abs(m.center) + m.radius
     if isinstance(m, Atomic):
         return max(abs(z) for z, _ in m.atoms)
@@ -350,7 +347,7 @@ def support_hull_radius(m: Measure) -> float:
 
 
 def has_infinite_support(m: Measure) -> bool:
-    if isinstance(m, (CircleLebesgue, WeightedCircle)):
+    if isinstance(m, WeightedCircle):
         return True
     if isinstance(m, Atomic):
         return False
@@ -365,19 +362,11 @@ def has_infinite_support(m: Measure) -> bool:
 
 def to_json(m: Measure) -> dict:
     """Plain-dict description; see from_json for the schema."""
-    if isinstance(m, CircleLebesgue):
-        return {
-            "kind": "circle",
-            "center": [m.center.real, m.center.imag],
-            "radius": m.radius,
-        }
     if isinstance(m, WeightedCircle):
-        return {
-            "kind": "weighted_circle",
-            "center": [m.center.real, m.center.imag],
-            "radius": m.radius,
-            "fourier": [[k, c.real, c.imag] for k, c in m.fourier],
-        }
+        circle = {"center": [m.center.real, m.center.imag], "radius": m.radius}
+        if m.fourier == UNIT_WEIGHT:
+            return {"kind": "circle", **circle}
+        return {"kind": "weighted_circle", **circle, "fourier": [[k, c.real, c.imag] for k, c in m.fourier]}
     if isinstance(m, Atomic):
         return {"kind": "atomic", "atoms": [[z.real, z.imag, w] for z, w in m.atoms]}
     if isinstance(m, MeasureSum):

@@ -60,7 +60,9 @@ def section(m: MomentMatrix, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("section size must be at least 1")
     if m._largest is None or m._largest.shape[0] < n:
-        m._largest = numkernel.require_finite(numkernel.mirror_upper(m.build(n)), m.label)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported by require_finite
+            built = numkernel.mirror_upper(m.build(n))
+        m._largest = numkernel.require_finite(built, m.label)
     return m._largest[:n, :n].copy()
 
 

@@ -121,7 +121,7 @@ def test_parse_scenario_circles():
          "circles": [[0.0, 0.0, 1.0, [[0, 1.0, 0.0]]]],
          "parameters": {"n_max": 8}}
     )
-    assert sc.circles[0][0] == 0.0 + 0.0j and sc.circles[0][1] == 1.0
+    assert sc.circles[0].center == 0.0 + 0.0j and sc.circles[0].radius == 1.0
     with pytest.raises(ScenarioFormatError):
         parse_scenario(
             {"name": "p", "command": "prop12", "measure": HALF_JSON,
@@ -298,6 +298,18 @@ def test_main_numeric_errors_exit_3(tmp_path, capsys):
     assert main(["--spec", spec2, "--out", str(tmp_path / "out2")]) == 3
 
 
+def test_prop12_circle_is_validated_at_parse_time(tmp_path, capsys):
+    # the center fails the bounded-evaluation test (exit 3 if it were
+    # reached), but the negative radius is a malformed input
+    spec = write_spec(
+        tmp_path,
+        {"name": "neg", "command": "prop12", "measure": UNIT_JSON,
+         "circles": [[1.2, 0.0, -0.5, [[0, 1.0, 0.0]]]], "parameters": {"n_max": 16}},
+    )
+    assert main(["--spec", spec, "--out", str(tmp_path / "out")]) == 2
+    assert "circle radius must be positive" in capsys.readouterr().err
+
+
 def test_main_fails_verdict_still_exits_0(tmp_path, capsys):
     spec = write_spec(
         tmp_path,
@@ -445,15 +457,17 @@ def test_base_scenarios_succeed(base):
         (("moments", ("measure", "fourier")), [[0, 1.0, 0.0], [4096, 0.6, 0.0], [-4096, 0.6, 0.0]], 2,
          "frequency 4096"),
         (("moments", ("parameters", "grid_points")), 4096, 2, "does not take parameter 'grid_points'"),
+        (("gamma", ("parameters",)), {"a": [1e10, 0.0], "n_max": 64}, 3, "evaluation vector at (10000000000+0j)"),
     ],
     ids=["list-command", "huge-int-constant", "huge-radius", "huge-center", "huge-atom", "huge-point",
-         "huge-constant", "aliased-weight", "grid-points"],
+         "huge-constant", "aliased-weight", "grid-points", "huge-power"],
 )
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the error line is all that stderr shows
 def test_main_escape_inputs_exit_2_or_3(field, value, code, message):
     got, err = _main_on_text(json.dumps(_replaced(field, value)))
     assert got == code
     assert message in err
+    assert err.count("\n") == 1
     if code == 3:
         assert "overflowed the double range" in err
 

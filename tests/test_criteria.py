@@ -15,7 +15,6 @@ from sobolevlab.criteria import (
     bpe_weighted_circles_report,
     comparability_bounds,
     dominance_check,
-    eigen_limit_estimate,
     eigen_limit_report,
     gamma_index,
     gamma_via_kernel,
@@ -399,12 +398,14 @@ def test_weight_grid_extremes():
     assert (gmin, gmax) == (1.0, 1.0)
 
 
-def test_eigen_limit_estimate_lebesgue_weight():
-    assert eigen_limit_estimate(((0, 1.0),), 16) == (1.0, 1.0)
+def test_eigen_limit_report_lebesgue_weight():
+    rep = eigen_limit_report(((0, 1.0),), [16])
+    assert (rep.values[0], rep.details["beta_values"][0]) == (1.0, 1.0)
 
 
-def test_eigen_limit_estimate_brackets_weight_range():
-    lam, beta = eigen_limit_estimate(((0, 2.0), (1, 0.5), (-1, 0.5)), 32)
+def test_eigen_limit_report_brackets_weight_range():
+    rep = eigen_limit_report(((0, 2.0), (1, 0.5), (-1, 0.5)), [32])
+    lam, beta = rep.values[0], rep.details["beta_values"][0]
     assert 1.0 - 1e-10 <= lam <= beta <= 3.0 + 1e-10
     assert lam == pytest.approx(1.0045280774269154, rel=1e-9)
     assert beta == pytest.approx(2.9954719225730844, rel=1e-9)
@@ -434,7 +435,7 @@ def test_eigen_limit_report_validation():
 
 
 def test_weighted_circles_report_holds():
-    rep = bpe_weighted_circles_report(HALF, [(0.0, 1.0, ((0, 1.0),))], 32)
+    rep = bpe_weighted_circles_report(HALF, [WeightedCircle(0.0, 1.0, ((0, 1.0),))], 32)
     assert rep.verdict == "holds"
     assert rep.constant == pytest.approx(math.sqrt(3.25), rel=1e-12)
     assert rep.details["center_gammas"] == [1.0]
@@ -445,7 +446,7 @@ def test_weighted_circles_report_holds():
 
 def test_weighted_circles_report_rejects_bad_center():
     with pytest.raises(CenterNotBoundedEvaluation) as info:
-        bpe_weighted_circles_report(UNIT, [(1.2 + 0.0j, 0.5, ((0, 1.0),))], 16)
+        bpe_weighted_circles_report(UNIT, [WeightedCircle(1.2 + 0.0j, 0.5, ((0, 1.0),))], 16)
     assert info.value.center == 1.2 + 0.0j
 
 

@@ -116,6 +116,36 @@ def test_sections_are_positive_semidefinite(m):
         assert vals[0] > 0.0
 
 
+def _entry_quadrature(m, i, j):
+    """The trapezoid rule one entry at a time: reference for the block form."""
+    if isinstance(m, WeightedCircle):
+        theta = 2.0 * np.pi * np.arange(4096) / 4096
+        z = m.center + m.radius * np.exp(1j * theta)
+        return complex((z**i * np.conj(z) ** j * measures.weight_values(m.fourier, theta)).mean())
+    if isinstance(m, Atomic):
+        return complex(sum(w * z**i * z.conjugate() ** j for z, w in m.atoms))
+    return complex(sum(s * _entry_quadrature(comp, i, j) for s, comp in m.terms))
+
+
+@pytest.mark.parametrize("m", [SHIFTED, COS08_OFFCENTER, ATOMS, MIXED])
+def test_block_quadrature_is_bitwise_the_entry_one(m):
+    n = 16
+    block = moment_quadrature(m, range(n), range(n))
+    assert block.shape == (n, n)
+    npt.assert_array_equal(block, [[_entry_quadrature(m, i, j) for j in range(n)] for i in range(n)])
+    assert moment_quadrature(m, 2, 3) == block[2, 3]
+    assert isinstance(moment_quadrature(m, 2, 3), complex)
+
+
+def test_arc_length_is_the_unit_weight_circle():
+    c = CircleLebesgue(0.5 - 0.25j, 2.0)
+    assert c == WeightedCircle(0.5 - 0.25j, 2.0, [(0, 1)])
+    assert to_json(c)["kind"] == "circle"
+    # an explicit unit weight is the same measure, so it gets the same label
+    obj = {"kind": "weighted_circle", "center": [0.5, -0.25], "radius": 2.0, "fourier": [[0, 1, 0]]}
+    assert to_json(from_json(obj)) == {"kind": "circle", "center": [0.5, -0.25], "radius": 2.0}
+
+
 def test_quadrature_grid_floor_for_circles():
     with pytest.raises(ValueError, match="too coarse"):
         moment_quadrature(UNIT, 0, 0, 255)
@@ -165,7 +195,7 @@ def test_weight_validation():
         WeightedCircle(0.0, 1.0, ((0, -1.0),))
     # touching zero is fine: 1 + cos(theta) vanishes at pi
     w = WeightedCircle(0.0, 1.0, ((0, 1.0), (1, 0.5), (-1, 0.5)))
-    assert w.coefficient(-1) == np.conj(w.coefficient(1))
+    assert dict(w.fourier)[-1] == np.conj(dict(w.fourier)[1])
 
 
 def test_weight_frequency_cap_prevents_grid_aliasing():
