@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import measures, momentmatrix, numkernel, sobolev
 from .momentmatrix import MomentMatrix
@@ -125,7 +124,7 @@ def gamma_sequence(m: MomentMatrix, a: complex, n_max: int) -> list[float]:
     the factor of the n section is the leading block of L.
     """
     lower = numkernel.cholesky(momentmatrix.section(m, n_max), m.label)
-    y = scipy.linalg.solve_triangular(lower, _evaluation_vector(m, a, n_max), lower=True)
+    y = numkernel.solve_lower(lower, _evaluation_vector(m, a, n_max))
     return [1.0 / float(s) for s in np.cumsum(np.abs(y) ** 2)]
 
 
@@ -264,7 +263,7 @@ def wirtinger_psd_check(m: MomentMatrix, c: float, n: int) -> CriterionReport:
     scale = np.arange(1, n + 1, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # _psd_verdict rejects non-finite entries
         w = c * (scale[:, None] * full * scale[None, :]) - deleted
-    verdict, lam_min, tol, witness = _psd_verdict(w, m.label)
+    verdict, lam_min, tol, witness = _psd_verdict(w, f"{c} * N M N - M^(1,1) for M = {m.label}")
     lifted = None
     if witness is not None:
         lifted = np.concatenate(([0.0 + 0.0j], witness))

@@ -20,6 +20,7 @@ a measure pass one validation layer (``parse_real``, ``parse_pair``,
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -188,7 +189,8 @@ def _canonical_weight(fourier) -> tuple[tuple[int, complex], ...]:
 
     Requires |k| <= MAX_WEIGHT_FREQUENCY, Hermitian input pairs
     (w(-k) == conj(w(k)) within WEIGHT_PAIR_TOL), positive mean, and
-    nonnegativity of the weight on a WEIGHT_GRID_POINTS grid.  Returns
+    nonnegativity of the weight on a WEIGHT_GRID_POINTS grid (a constant
+    weight is positive once its mean is, and skips the grid).  Returns
     coefficients for all frequencies -d..d with the pairing enforced
     exactly.
     """
@@ -219,12 +221,13 @@ def _canonical_weight(fourier) -> tuple[tuple[int, complex], ...]:
         else:
             canon[k] = val
             canon[-k] = np.conj(val)
-    theta = 2.0 * np.pi * np.arange(WEIGHT_GRID_POINTS) / WEIGHT_GRID_POINTS
-    wmin = weight_values(tuple(sorted(canon.items())), theta).min()
-    if wmin < -WEIGHT_POSITIVITY_TOL * max(1.0, canon[0].real):
-        raise MeasureFormatError(
-            "weight is negative on the circle (grid minimum %.3e)" % wmin
-        )
+    if len(canon) > 1:  # a constant with a positive mean is positive everywhere
+        theta = 2.0 * np.pi * np.arange(WEIGHT_GRID_POINTS) / WEIGHT_GRID_POINTS
+        wmin = weight_values(tuple(sorted(canon.items())), theta).min()
+        if wmin < -WEIGHT_POSITIVITY_TOL * max(1.0, canon[0].real):
+            raise MeasureFormatError(
+                "weight is negative on the circle (grid minimum %.3e)" % wmin
+            )
     return tuple(sorted(canon.items()))
 
 
@@ -240,13 +243,23 @@ def weight_values(fourier, theta) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=256)
+def _binomials(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower-triangle indices (i, k) of size n and the floats C(i, k),
+    as read-only arrays shared by every circle section of that size."""
+    i, k = np.tril_indices(n)
+    binom = np.array([float(math.comb(ii, kk)) for ii, kk in zip(i, k)])
+    for a in (i, k, binom):
+        a.flags.writeable = False
+    return i, k, binom
+
+
 def _circle_expansion(center: complex, radius: float, n: int) -> np.ndarray:
     """P[i, k] = C(i, k) center**(i-k) radius**k: row i expands
     (center + radius e^{i theta})**i in powers of e^{i theta}."""
     a_pow = vandermonde(complex(center), n)[:, 0]
     r_pow = vandermonde(float(radius), n)[:, 0]
-    i, k = np.tril_indices(n)
-    binom = np.array([float(math.comb(ii, kk)) for ii, kk in zip(i, k)])
+    i, k, binom = _binomials(n)
     p = np.zeros((n, n), dtype=complex)
     p[i, k] = binom * a_pow[i - k] * r_pow[k]
     return p

@@ -2,13 +2,13 @@
 
 Thin kernel shared by everything downstream: the exact Hermitian mirror
 of a section, a pivot-gated Cholesky factorization, Hermitian
-eigendecomposition, the definite generalized eigenproblem (for one size
-or for every leading size from one factorization), and polynomial roots
-via the companion matrix.  The heavy lifting is delegated to LAPACK
-through numpy/scipy; what this module adds is the error contract
-(NotPositiveDefinite with the failing pivot index, ConvergenceFailure
-with the offending label, Overflow for values beyond the double range)
-and the exact reductions used by the callers.
+eigendecomposition, lower-triangular solves by forward substitution, the
+definite generalized eigenproblem (for one size or for every leading size
+from one factorization), and polynomial roots via the companion matrix.
+Eigensolves are delegated to LAPACK through numpy; what this module adds
+is the error contract (NotPositiveDefinite with the failing pivot index,
+ConvergenceFailure with the offending label, Overflow for values beyond
+the double range) and the exact reductions used by the callers.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .polynomials import as_coeffs
 
@@ -32,6 +31,7 @@ __all__ = [
     "mirror_upper",
     "nested_gen_eig",
     "require_finite",
+    "solve_lower",
 ]
 
 #: a Schur pivot at or below this fraction of the original diagonal entry
@@ -136,10 +136,27 @@ def herm_eig(m, label: str = "") -> HermEig:
     return HermEig(eigenvalues=vals, eigenvectors=vecs)
 
 
+def solve_lower(lower, b) -> np.ndarray:
+    """x with L x = b for a lower-triangular L, where b is a vector or a
+    matrix of right-hand side columns: forward substitution over rows,
+    x[k] = (b[k] - L[k, :k] x[:k]) / L[k, k].  Only the lower triangle of
+    L is read.  Overflow when either input has a non-finite entry."""
+    lower, b = np.asarray(lower), np.asarray(b)
+    n = lower.shape[0] if lower.ndim == 2 else -1
+    if lower.shape != (n, n) or b.ndim not in (1, 2) or b.shape[0] != n:
+        raise ValueError("expected a square factor and a matching right-hand side")
+    require_finite(lower, "triangular factor")
+    require_finite(b, "right-hand side")
+    x = np.zeros(b.shape, dtype=np.result_type(lower, b, float))
+    for k in range(n):
+        x[k] = (b[k] - lower[k, :k] @ x[:k]) / lower[k, k]
+    return x
+
+
 def _reduce(q: np.ndarray, lower: np.ndarray) -> np.ndarray:
     """L^{-1} Q L^{-*}, symmetrized."""
-    y = scipy.linalg.solve_triangular(lower, q, lower=True)
-    b = scipy.linalg.solve_triangular(lower, y.conj().T, lower=True).conj().T
+    y = solve_lower(lower, q)
+    b = solve_lower(lower, y.conj().T).conj().T
     return 0.5 * (b + b.conj().T)
 
 

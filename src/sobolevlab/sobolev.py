@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import measures, momentmatrix, numkernel
 from .momentmatrix import MomentMatrix
@@ -97,12 +96,16 @@ class SobolevOPs:
 def orthonormal_polys(p: SobolevPencil, n: int) -> SobolevOPs:
     """First n orthonormal polynomials (degrees 0..n-1).
 
-    Rows of the inverse Cholesky factor of the Gram section: degree-k
-    coefficients with a positive real leading coefficient 1/L[k, k].
+    Rows of the inverse Cholesky factor W = L^{-1} of the Gram section:
+    degree-k coefficients with a positive real leading coefficient
+    1/L[k, k].  W solves W L = I row by row (L^T W^T = I, flipped into
+    lower-triangular form), so each polynomial's coefficients come from
+    their own back substitution, which is backward stable for that
+    polynomial; the columns of L W = I each mix every degree.
     """
     g = gram_section(p, n)
     lower = numkernel.cholesky(g, p.label)
-    inv = scipy.linalg.solve_triangular(lower, np.eye(n, dtype=complex), lower=True)
+    inv = numkernel.solve_lower(lower[::-1, ::-1].T, np.eye(n, dtype=complex))[::-1, ::-1].T
     coeffs = tuple(inv[k, : k + 1].copy() for k in range(n))
     return SobolevOPs(coeffs=coeffs, n=n)
 

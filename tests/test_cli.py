@@ -6,12 +6,15 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+import sobolevlab
 from sobolevlab.cli import (
     Scenario,
     ScenarioFormatError,
@@ -453,7 +456,8 @@ def test_base_scenarios_succeed(base):
         (("moments", ("measure", "center")), [1e200, 0], 3, "at size 4 overflowed"),
         (("atomic", ("measure", "atoms", 0, 0)), 1e308, 3, "at size 4 overflowed"),
         (("bpe", ("parameters", "a")), [1e200, 0], 3, "evaluation vector at (1e+200+0j)"),
-        (("wirtinger", ("parameters", "constant")), 1e308, 3, "at size 4 overflowed"),
+        (("wirtinger", ("parameters", "constant")), 1e308, 3,
+         'values of 1e+308 * N M N - M^(1,1) for M = {"kind":"circle","center":[0.0,0.0],"radius":1.0} at size 4 overflowed'),
         (("moments", ("measure", "fourier")), [[0, 1.0, 0.0], [4096, 0.6, 0.0], [-4096, 0.6, 0.0]], 2,
          "frequency 4096"),
         (("moments", ("parameters", "grid_points")), 4096, 2, "does not take parameter 'grid_points'"),
@@ -494,3 +498,10 @@ def test_main_non_utf8_file_exits_2(tmp_path, capsys):
 def test_any_json_value_in_any_field_exits_0_2_or_3(field, value):
     code, _ = _main_on_text(json.dumps(_replaced(field, value)))
     assert code in (0, 2, 3)
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sobolevlab.__file__)))
+    code = "import sys, sobolevlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

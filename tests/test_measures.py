@@ -1,5 +1,7 @@
 """Measure moments: closed forms vs quadrature, schema validation."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -196,6 +198,31 @@ def test_weight_validation():
     # touching zero is fine: 1 + cos(theta) vanishes at pi
     w = WeightedCircle(0.0, 1.0, ((0, 1.0), (1, 0.5), (-1, 0.5)))
     assert dict(w.fourier)[-1] == np.conj(dict(w.fourier)[1])
+
+
+def test_constant_weight_skips_the_positivity_grid(monkeypatch):
+    def no_grid(*_):
+        raise AssertionError("a constant weight needs no positivity grid")
+
+    monkeypatch.setattr(measures, "weight_values", no_grid)
+    assert CircleLebesgue(0.0, 1.0).fourier == measures.UNIT_WEIGHT
+    assert WeightedCircle(0.0, 1.0, ((0, 2.5 + 1e-14j),)).fourier == ((0, 2.5 + 0j),)
+    with pytest.raises(MeasureFormatError, match="mean"):
+        WeightedCircle(0.0, 1.0, ((0, -1.0),))
+    with pytest.raises(AssertionError, match="no positivity grid"):
+        WeightedCircle(0.0, 1.0, ((0, 1.0), (1, 0.0), (-1, 0.0)))
+
+
+def test_circle_expansion_binomials_are_exact_and_shared():
+    for n in (1, 5, 33):
+        p = measures._circle_expansion(0.5 - 0.25j, 2.0, n)
+        ref = np.zeros((n, n), dtype=complex)
+        for i in range(n):
+            for k in range(i + 1):
+                ref[i, k] = float(math.comb(i, k)) * (0.5 - 0.25j) ** (i - k) * 2.0**k
+        npt.assert_allclose(p, ref, rtol=1e-14, atol=0)
+        assert measures._binomials(n) is measures._binomials(n)
+        assert not any(a.flags.writeable for a in measures._binomials(n))
 
 
 def test_weight_frequency_cap_prevents_grid_aliasing():

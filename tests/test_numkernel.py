@@ -6,10 +6,12 @@ import pytest
 
 from sobolevlab.numkernel import (
     NotPositiveDefinite,
+    Overflow,
     cholesky,
     companion_roots,
     gen_eig_definite,
     herm_eig,
+    solve_lower,
 )
 from sobolevlab.polynomials import evaluate
 
@@ -61,6 +63,33 @@ def test_cholesky_accepts_graded_diagonals():
 def test_cholesky_rejects_nonsquare():
     with pytest.raises(ValueError):
         cholesky(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("n", [1, 8, 65])
+def test_solve_lower_matches_the_scipy_reference(n):
+    import scipy.linalg  # the triangular solver the package used before, kept as the reference
+
+    rng = np.random.default_rng(n)
+    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    lower = cholesky(b @ b.conj().T + n * np.eye(n))  # condition number below 10
+    for rhs in (rng.standard_normal(n) + 1j * rng.standard_normal(n), rng.standard_normal((n, 3)) + 0j):
+        got = solve_lower(lower, rhs)
+        ref = scipy.linalg.solve_triangular(lower, rhs, lower=True)
+        assert got.shape == ref.shape
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solve_lower_rejects_non_finite_inputs(bad):
+    lower, rhs = np.eye(3, dtype=complex), np.ones((3, 2), dtype=complex)
+    lower[2, 1] = bad
+    with pytest.raises(Overflow, match="triangular factor"):
+        solve_lower(lower, rhs)
+    rhs[1, 0] = bad
+    with pytest.raises(Overflow, match="right-hand side"):
+        solve_lower(np.eye(3), rhs)
+    with pytest.raises(ValueError):
+        solve_lower(np.eye(3), np.ones(2))
 
 
 def test_herm_eig_ascending_and_reconstructs():

@@ -134,6 +134,39 @@ def test_sobolev_zeros_diagonal_pencils_vanish_at_origin():
         sobolev_zeros(P_UNIT_UNIT, 0)
 
 
+def test_example6_zeros_match_a_60_digit_oracle():
+    """Largest zero modulus of the example-6 pencil {circle(0, 1),
+    circle(0.5, 2)} against mpmath at 60 digits: the exact Gram matrix,
+    its Cholesky factor and inverse, and a companion eigensolve."""
+    import mpmath
+
+    p = pencil_of_measures(UNIT, CircleLebesgue(0.5, 2.0))
+    n = 21
+    with mpmath.workdps(60):
+        a, r = mpmath.mpf(0.5), mpmath.mpf(2)
+
+        def m1(i, j):  # moments of the circle |z - a| = r
+            return mpmath.fsum(
+                mpmath.binomial(i, k) * mpmath.binomial(j, k) * a ** (i + j - 2 * k) * r ** (2 * k)
+                for k in range(min(i, j) + 1)
+            )
+
+        g = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                g[i, j] = int(i == j) + (i * j * m1(i - 1, j - 1) if i and j else 0)
+        inv = mpmath.inverse(mpmath.cholesky(g))
+        for deg in range(10, n):
+            comp = mpmath.matrix(deg, deg)
+            for k in range(deg):
+                if k:
+                    comp[k, k - 1] = 1
+                comp[k, deg - 1] = -inv[deg, k] / inv[deg, deg]
+            exact = float(max(abs(z) for z in mpmath.eig(comp, left=False, right=False)))
+            got = float(np.abs(sobolev_zeros(p, deg)).max())
+            assert abs(got - exact) <= 1e-9 * exact, deg
+
+
 def test_mult_op_norm_frozen_values():
     # shift is an isometry of the Hardy-space norm
     for n in (1, 2, 8, 32):
