@@ -33,13 +33,13 @@ from .measures import (
     moment,
     moment_quadrature,
     moment_section,
-    support_hull_radius,
     to_json,
 )
 from .momentmatrix import (
     MomentMatrix,
     delete_first,
     derivative_conjugate,
+    factor,
     is_toeplitz,
     of_measure,
     section,
@@ -65,7 +65,6 @@ from .sobolev import (
     orthonormal_polys,
     pencil_of_measures,
     plateau,
-    sobolev_norm,
     sobolev_zeros,
 )
 

@@ -147,21 +147,14 @@ def _write_matrix(path: str, a: np.ndarray) -> None:
     reporting.write_csv(path, [f"col_{j}" for j in range(a.shape[1])], a)
 
 
-def _section_check(mu: measures.Measure, n: int, path: str):
-    """(matrix, n x n section, largest |section - quadrature| entry); the
-    section is written to ``path``."""
+def _section_check(mu: measures.Measure, n: int, path: str, grid_points: int):
+    """(matrix, n x n section, largest |section - quadrature| entry on a
+    ``grid_points`` grid); the section is written to ``path``."""
     m = momentmatrix.of_measure(mu)
     a = momentmatrix.section(m, n)
-    dev = float(np.abs(a - measures.moment_quadrature(mu, range(n), range(n))).max())
+    dev = float(np.abs(a - measures.moment_quadrature(mu, range(n), range(n), grid_points)).max())
     _write_matrix(path, a)
     return m, a, dev
-
-
-def _zeros_and_bound(pen: sobolev.SobolevPencil, deg: int):
-    """(zeros of the degree-``deg`` orthonormal polynomial, their largest
-    modulus, the mult_op norm at deg + 1 that bounds it)."""
-    zeros = sobolev.sobolev_zeros(pen, deg)
-    return zeros, float(np.max(np.abs(zeros))), sobolev.mult_op_norm(pen, deg + 1)
 
 
 def _mult_op(pen: sobolev.SobolevPencil, n_max: int, path: str | None = None) -> dict:
@@ -190,7 +183,7 @@ def _matrix(sc: Scenario) -> momentmatrix.MomentMatrix:
 
 
 def _run_moments(sc, prefix, n) -> dict:
-    m, _, dev = _section_check(sc.measure, n, f"{prefix}_section.csv")
+    m, _, dev = _section_check(sc.measure, n, f"{prefix}_section.csv", measures.WEIGHT_GRID_POINTS)
     return {
         "label": m.label,
         "n": n,
@@ -234,7 +227,8 @@ def _run_opoly(sc, prefix, n) -> dict:
 
 def _run_zeros(sc, prefix, degree) -> dict:
     pen = _pencil(sc)
-    zeros, max_mod, bound = _zeros_and_bound(pen, degree)
+    zeros = sobolev.sobolev_zeros(pen, degree)
+    max_mod, bound = float(np.max(np.abs(zeros))), sobolev.mult_op_norm(pen, degree + 1)
     reporting.write_csv(f"{prefix}_zeros.csv", ("re", "im", "modulus"), [(z.real, z.imag, abs(z)) for z in zeros])
     return {
         "pencil_label": pen.label,
@@ -362,17 +356,20 @@ HALF_PLUS_UNIT = measures.MeasureSum(((1.0, HALF), (1.0, UNIT)))
 
 
 def _zero_bound_scan(pen: sobolev.SobolevPencil, degrees) -> dict:
-    """Max zero modulus per degree against the operator-norm bound."""
-    rows = []
-    worst_excess = -math.inf
-    for deg in degrees:
-        _, max_mod, bound = _zeros_and_bound(pen, deg)
-        worst_excess = max(worst_excess, max_mod - bound)
-        rows.append((deg, max_mod, bound))
+    """Max zero modulus per degree 1..d against the operator-norm bound,
+    all read off the pencil's one Gram factor at size d + 1."""
+    top = max(degrees) + 1
+    ops = sobolev.orthonormal_polys(pen, top)
+    seq = sobolev.norm_sequence(pen, top, "mult_op")
+    if not seq.ok():  # the factor passed, so an eigensolver failed
+        raise numkernel.ConvergenceFailure(pen.label)
+    mods = [float(np.max(np.abs(numkernel.companion_roots(ops.coeffs[d])))) for d in degrees]
+    bounds = [seq.values[d] for d in degrees]
+    worst_excess = max(m - b for m, b in zip(mods, bounds))
     return {
-        "degrees": [int(d) for d, _, _ in rows],
-        "max_zero_modulus": [m for _, m, _ in rows],
-        "mult_op_bound": [b for _, _, b in rows],
+        "degrees": [int(d) for d in degrees],
+        "max_zero_modulus": mods,
+        "mult_op_bound": bounds,
         "worst_excess": worst_excess,
         "bounded": bool(worst_excess <= ZERO_BOUND_SLACK),
     }
@@ -380,7 +377,8 @@ def _zero_bound_scan(pen: sobolev.SobolevPencil, degrees) -> dict:
 
 def _builtin_identity_moments(out_dir, n_max, rng) -> dict:
     n = 32
-    m, a, quad_dev = _section_check(UNIT, n, os.path.join(out_dir, "identity-moments_section.csv"))
+    path = os.path.join(out_dir, "identity-moments_section.csv")
+    m, a, quad_dev = _section_check(UNIT, n, path, measures.MIN_CIRCLE_GRID)  # exact at n = 32
     identity_dev = float(np.max(np.abs(a - np.eye(n))))
     verdict = "holds" if identity_dev == 0.0 and quad_dev <= 1e-10 else "fails"
     return {
@@ -388,7 +386,7 @@ def _builtin_identity_moments(out_dir, n_max, rng) -> dict:
         "n": n,
         "max_identity_deviation": identity_dev,
         "max_quadrature_deviation": quad_dev,
-        "quadrature_grid": measures.WEIGHT_GRID_POINTS,
+        "quadrature_grid": measures.MIN_CIRCLE_GRID,
         "verdict": verdict,
     }
 

@@ -118,12 +118,14 @@ def _canonical_vector(u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def gamma_sequence(m: MomentMatrix, a: complex, n_max: int) -> list[float]:
-    """The index of gamma_index for every n = 1..n_max, from one
-    factorization: with L the Cholesky factor of the n_max section and
+    """The index of gamma_index for every n = 1..n_max, from the matrix's
+    one factor at n_max (momentmatrix.factor): with L that factor and
     y = L^{-1} e, e^H G_n^{-1} e = |y_0|^2 + ... + |y_{n-1}|^2, because
     the factor of the n section is the leading block of L.
     """
-    lower = numkernel.cholesky(momentmatrix.section(m, n_max), m.label)
+    lower, failure = momentmatrix.factor(m, n_max)
+    if failure is not None:
+        raise failure
     y = numkernel.solve_lower(lower, _evaluation_vector(m, a, n_max))
     return [1.0 / float(s) for s in np.cumsum(np.abs(y) ** 2)]
 
@@ -389,7 +391,7 @@ def comparability_bounds(
     ns = list(range(2, n_max + 1))
     lows, highs = [], []
     for lam in numkernel.nested_gen_eig(
-        sobolev.gram_section(q, n_max), sobolev.gram_section(p, n_max), p.label
+        sobolev.gram_section(q, n_max), *momentmatrix.factor(p.gram, n_max), p.label
     )[1:]:
         if isinstance(lam, Exception):
             raise lam

@@ -39,14 +39,12 @@ __all__ = [
     "MeasureSum",
     "WeightedCircle",
     "from_json",
-    "has_infinite_support",
     "moment",
     "moment_quadrature",
     "moment_section",
     "parse_fourier",
     "parse_pair",
     "parse_real",
-    "support_hull_radius",
     "to_json",
     "weight_values",
 ]
@@ -345,27 +343,6 @@ def _quadrature(m: Measure, rows: list, cols: list, grid_points: int) -> np.ndar
         )
     if isinstance(m, MeasureSum):
         return sum(s * _quadrature(comp, rows, cols, grid_points) for s, comp in m.terms)
-    raise TypeError(f"not a measure: {m!r}")
-
-
-def support_hull_radius(m: Measure) -> float:
-    """Radius of the smallest origin-centered disk containing the support."""
-    if isinstance(m, WeightedCircle):
-        return abs(m.center) + m.radius
-    if isinstance(m, Atomic):
-        return max(abs(z) for z, _ in m.atoms)
-    if isinstance(m, MeasureSum):
-        return max(support_hull_radius(comp) for _, comp in m.terms)
-    raise TypeError(f"not a measure: {m!r}")
-
-
-def has_infinite_support(m: Measure) -> bool:
-    if isinstance(m, WeightedCircle):
-        return True
-    if isinstance(m, Atomic):
-        return False
-    if isinstance(m, MeasureSum):
-        return any(has_infinite_support(comp) for _, comp in m.terms)
     raise TypeError(f"not a measure: {m!r}")
 
 

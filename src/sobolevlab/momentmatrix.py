@@ -6,7 +6,8 @@ only the largest section built so far and slices smaller ones from it.
 Every built section is mirrored (strict lower triangle = conjugated
 upper one, real diagonal), so sections are exactly Hermitian even if the
 builder is only approximately so, and checked for finiteness, so values
-that overflowed never reach a factorization.
+that overflowed never reach a factorization, which ``factor`` alone
+performs, keeping the factor of the last size asked for.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "MomentMatrix",
     "delete_first",
     "derivative_conjugate",
+    "factor",
     "inner_product",
     "is_toeplitz",
     "norm_sq",
@@ -48,6 +50,7 @@ class MomentMatrix:
     build: Callable[[int], np.ndarray]
     label: str = ""
     _largest: np.ndarray | None = field(default=None, init=False, repr=False)
+    _factor: tuple | None = field(default=None, init=False, repr=False)
 
 
 def section(m: MomentMatrix, n: int) -> np.ndarray:
@@ -64,6 +67,22 @@ def section(m: MomentMatrix, n: int) -> np.ndarray:
             built = numkernel.mirror_upper(m.build(n))
         m._largest = numkernel.require_finite(built, m.label)
     return m._largest[:n, :n].copy()
+
+
+def factor(m: MomentMatrix, n: int) -> tuple:
+    """(L, None) with L = numkernel.cholesky(section(m, n), m.label), or,
+    when pivot k < n fails, (the factor of the leading k x k block, the
+    NotPositiveDefinite(k)).  L is read-only and kept on the matrix for
+    the last n asked; another n is factored afresh, because a block of a
+    factor is not bitwise the factor of the block."""
+    if m._factor is None or m._factor[0] != n:
+        try:
+            lower, failure = numkernel.cholesky(section(m, n), m.label), None
+        except numkernel.NotPositiveDefinite as exc:
+            lower, failure = exc.lower, exc
+        lower.flags.writeable = False
+        m._factor = (n, lower, failure)
+    return m._factor[1:]
 
 
 def of_measure(mu: measures.Measure) -> MomentMatrix:

@@ -3,12 +3,14 @@
 Thin kernel shared by everything downstream: the exact Hermitian mirror
 of a section, a pivot-gated Cholesky factorization, Hermitian
 eigendecomposition, lower-triangular solves by forward substitution, the
-definite generalized eigenproblem (for one size or for every leading size
-from one factorization), and polynomial roots via the companion matrix.
-Eigensolves are delegated to LAPACK through numpy; what this module adds
-is the error contract (NotPositiveDefinite with the failing pivot index,
-ConvergenceFailure with the offending label, Overflow for values beyond
-the double range) and the exact reductions used by the callers.
+definite generalized eigenproblem (for one size, or for every leading
+size, read off a given factor), and polynomial roots via the companion
+matrix.  Eigensolves are delegated to LAPACK through numpy; what this
+module adds is the error contract (NotPositiveDefinite with the failing
+pivot index and the factor before it, ConvergenceFailure with the
+offending label, Overflow for values beyond the double range) and the
+exact reductions used by the callers.  Moment-matrix sections are
+factored once per matrix and size by ``momentmatrix.factor``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "cholesky",
     "companion_roots",
     "gen_eig_definite",
+    "gen_eig_factored",
     "herm_eig",
     "mirror_upper",
     "nested_gen_eig",
@@ -42,11 +45,13 @@ ROOT_RESIDUAL_TOL = 1e-8
 
 
 class NotPositiveDefinite(Exception):
-    """Cholesky pivot failure; ``index`` is the first bad pivot."""
+    """Cholesky pivot failure; ``index`` is the first bad pivot, and
+    ``lower`` (set by ``cholesky``) the factor of the block before it."""
 
-    def __init__(self, index: int, label: str = ""):
+    def __init__(self, index: int, label: str = "", lower: np.ndarray | None = None):
         self.index = index
         self.label = label
+        self.lower = lower
         where = f" of {label}" if label else ""
         super().__init__(f"pivot {index}{where} is not positive")
 
@@ -105,7 +110,8 @@ def cholesky(g, label: str = "") -> np.ndarray:
 
     Raises NotPositiveDefinite(k) as soon as the k-th Schur pivot drops
     to PIVOT_RTOL times the k-th original diagonal entry (or below),
-    which covers indefinite, singular, and numerically singular input.
+    which covers indefinite, singular, and numerically singular input;
+    the exception carries the k x k factor computed so far as ``lower``.
     The relative test is per column so that graded but well-posed Gram
     sections (diagonals spanning many orders of magnitude) pass.
     """
@@ -116,7 +122,7 @@ def cholesky(g, label: str = "") -> np.ndarray:
     for k in range(n):
         pivot = a[k, k].real - np.real(lower[k, :k] @ np.conj(lower[k, :k]))
         if pivot <= PIVOT_RTOL * max(diag[k], 0.0):
-            raise NotPositiveDefinite(k, label)
+            raise NotPositiveDefinite(k, label, lower[:k, :k].copy())
         lkk = np.sqrt(pivot)
         lower[k, k] = lkk
         if k + 1 < n:
@@ -169,26 +175,28 @@ def _eigvalsh(b: np.ndarray, label: str) -> np.ndarray:
 
 def gen_eig_definite(q, g, label: str = "") -> np.ndarray:
     """Ascending eigenvalues of the pencil (Q, G) with G Hermitian
-    positive definite: reduce to L^{-1} Q L^{-*} via the Cholesky factor
-    of G and diagonalize.  Propagates NotPositiveDefinite from G.
+    positive definite: gen_eig_factored with the Cholesky factor of G.
+    Propagates NotPositiveDefinite from G.
     """
     qm = _square(q)
-    return _eigvalsh(_reduce(qm, cholesky(g, label)), label)
+    return gen_eig_factored(qm, cholesky(g, label), label)
 
 
-def nested_gen_eig(q, g, label: str = "") -> list:
-    """gen_eig_definite(Q[:n, :n], G[:n, :n]) for n = 1..len(G), or the
-    exception it raises, from one factorization: the Cholesky factor of a
-    leading section is the leading block of the factor of G, so the
-    reduced matrix at size n is the leading block of L^{-1} Q L^{-*}.  A
-    pivot failure at index k is shared by every n > k."""
-    qm, gm = _square(q), _square(g)
-    ok, failure = gm.shape[0], None
-    try:
-        lower = cholesky(gm, label)
-    except NotPositiveDefinite as exc:
-        ok, failure = exc.index, exc
-        lower = cholesky(gm[:ok, :ok], label) if ok else None
+def gen_eig_factored(q, lower, label: str = "") -> np.ndarray:
+    """Ascending eigenvalues of the pencil (Q, L L^*) from the Cholesky
+    factor L: reduce to L^{-1} Q L^{-*} and diagonalize."""
+    return _eigvalsh(_reduce(_square(q), lower), label)
+
+
+def nested_gen_eig(q, lower, failure: NotPositiveDefinite | None, label: str = "") -> list:
+    """gen_eig_definite(Q[:n, :n], G[:n, :n]) for n = 1..len(Q), or the
+    exception it raises, read off a given factorization of G: ``lower``
+    and ``failure`` as ``momentmatrix.factor`` returns them (the factor
+    of G and None, or the factor of the block before the failing pivot k
+    and the failure).  The reduced matrix at size n is the leading block
+    of L^{-1} Q L^{-*}; every n > k gets ``failure``."""
+    qm = _square(q)
+    ok = lower.shape[0]
     b = _reduce(qm[:ok, :ok], lower) if ok else None
 
     def at(n: int):
@@ -197,7 +205,7 @@ def nested_gen_eig(q, g, label: str = "") -> list:
         except ConvergenceFailure as exc:
             return exc
 
-    return [at(n) for n in range(1, ok + 1)] + [failure] * (gm.shape[0] - ok)
+    return [at(n) for n in range(1, ok + 1)] + [failure] * (qm.shape[0] - ok)
 
 
 def companion_roots(v) -> np.ndarray:

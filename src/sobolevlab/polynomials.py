@@ -17,7 +17,6 @@ __all__ = [
     "evaluate",
     "recenter",
     "random_coeffs",
-    "shift_up",
     "vandermonde",
 ]
 
@@ -43,14 +42,6 @@ def differentiate(v) -> np.ndarray:
     if len(c) <= 1:
         return np.zeros(0, dtype=complex)
     return c[1:] * np.arange(1, len(c))
-
-
-def shift_up(v) -> np.ndarray:
-    """Coefficients of z * p(z)."""
-    c = as_coeffs(v)
-    if len(c) == 0:
-        return c
-    return np.concatenate(([0.0 + 0.0j], c))
 
 
 def vandermonde(points, n: int) -> np.ndarray:

@@ -10,8 +10,9 @@ derivative conjugation of M1; the pencil keeps it as one more
 MomentMatrix.  This module materializes Gram sections, orthonormalizes
 the monomials against them, finds zeros of the orthonormal polynomials,
 and measures the finite-section norm of the multiply-by-z operator.
-Sequences over n = 1..n_max factor the largest Gram section once and
-read every smaller size off its leading blocks.
+Everything reads the pencil's one Gram factor (``momentmatrix.factor``):
+sequences over n = 1..n_max read every smaller size off the leading
+blocks of the n_max factor.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 
 from . import measures, momentmatrix, numkernel
 from .momentmatrix import MomentMatrix
-from .polynomials import as_coeffs
 
 __all__ = [
     "NormSequence",
@@ -35,7 +35,6 @@ __all__ = [
     "orthonormal_polys",
     "pencil_of_measures",
     "plateau",
-    "sobolev_norm",
     "sobolev_zeros",
 ]
 
@@ -76,15 +75,6 @@ def gram_section(p: SobolevPencil, n: int) -> np.ndarray:
     return momentmatrix.section(p.gram, n)
 
 
-def sobolev_norm(p: SobolevPencil, v) -> float:
-    """Norm sqrt(v G v^*) of the polynomial with coefficients v."""
-    c = as_coeffs(v)
-    if len(c) == 0:
-        return 0.0
-    g = gram_section(p, len(c))
-    return math.sqrt(max(momentmatrix.norm_sq(g, c), 0.0))
-
-
 @dataclass(frozen=True)
 class SobolevOPs:
     """Orthonormal polynomials by degree: coeffs[k] has length k + 1."""
@@ -103,8 +93,9 @@ def orthonormal_polys(p: SobolevPencil, n: int) -> SobolevOPs:
     their own back substitution, which is backward stable for that
     polynomial; the columns of L W = I each mix every degree.
     """
-    g = gram_section(p, n)
-    lower = numkernel.cholesky(g, p.label)
+    lower, failure = momentmatrix.factor(p.gram, n)
+    if failure is not None:
+        raise failure
     inv = numkernel.solve_lower(lower[::-1, ::-1].T, np.eye(n, dtype=complex))[::-1, ::-1].T
     coeffs = tuple(inv[k, : k + 1].copy() for k in range(n))
     return SobolevOPs(coeffs=coeffs, n=n)
@@ -128,10 +119,11 @@ def mult_op_norm(p: SobolevPencil, n: int) -> float:
     """
     if n < 1:
         raise ValueError("operator norm needs n >= 1")
-    g_big = gram_section(p, n + 1)
-    q = g_big[1:, 1:]
-    g = gram_section(p, n)
-    lam = numkernel.gen_eig_definite(q, g, p.label)
+    q = gram_section(p, n + 1)[1:, 1:]
+    lower, failure = momentmatrix.factor(p.gram, n)
+    if failure is not None:
+        raise failure
+    lam = numkernel.gen_eig_factored(q, lower, p.label)
     return math.sqrt(max(float(lam[-1]), 0.0))
 
 
@@ -164,7 +156,7 @@ def norm_sequence(p: SobolevPencil, n_max: int, quantity: str) -> NormSequence:
     else:
         q = momentmatrix.section(p.m1, n_max)
     values, errors = [], []
-    for lam in numkernel.nested_gen_eig(q, gram_section(p, n_max), p.label):
+    for lam in numkernel.nested_gen_eig(q, *momentmatrix.factor(p.gram, n_max), p.label):
         if isinstance(lam, Exception):
             values.append(math.nan)
             errors.append(str(lam))

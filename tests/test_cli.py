@@ -10,11 +10,13 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import sobolevlab
+from sobolevlab import cli
 from sobolevlab.cli import (
     Scenario,
     ScenarioFormatError,
@@ -25,6 +27,7 @@ from sobolevlab.cli import (
     run_builtin,
 )
 from sobolevlab.measures import MeasureFormatError
+from sobolevlab.numkernel import ConvergenceFailure
 
 UNIT_JSON = {"kind": "circle", "center": [0.0, 0.0], "radius": 1.0}
 HALF_JSON = {"kind": "circle", "center": [0.0, 0.0], "radius": 0.5}
@@ -173,6 +176,23 @@ def test_run_zeros_reports_bound(tmp_path):
     assert report["verdict"] == "holds"
     assert report["max_zero_modulus"] <= report["mult_op_norm"] + 1e-6
     assert len(report["zeros"]) == 5
+
+
+def test_zero_bound_failure_is_a_numeric_error(tmp_path, monkeypatch):
+    # a failed eigensolve of the bound raises instead of reporting NaN
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    sc = parse_scenario(
+        {"name": "z", "command": "zeros",
+         "pencil": {"m0": UNIT_JSON, "m1": UNIT_JSON}, "parameters": {"degree": 5}}
+    )
+    message = r"eigensolver failed to converge on \{m0="
+    with pytest.raises(ConvergenceFailure, match=message):
+        run(sc, str(tmp_path))
+    with pytest.raises(ConvergenceFailure, match=message):
+        cli._zero_bound_scan(cli._pencil(sc), range(1, 6))
 
 
 def test_run_compare_identical_pencils(tmp_path):

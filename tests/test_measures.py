@@ -18,7 +18,6 @@ from sobolevlab.measures import (
     from_json,
     moment,
     moment_quadrature,
-    support_hull_radius,
     to_json,
 )
 
@@ -31,6 +30,10 @@ ATOMS = Atomic(((2.0 + 0.0j, 1.0), (-0.5 + 0.5j, 0.25)))
 MIXED = MeasureSum(((1.0, HALF), (2.0, ATOMS)))
 
 CORPUS = [UNIT, HALF, SHIFTED, COS_QUARTER, COS08_OFFCENTER, ATOMS, MIXED]
+#: per CORPUS entry, whether its 16 x 16 section is strictly positive
+#: definite in floating point: the infinite supports inside the closed
+#: unit disk, where lambda_min stays visible above eps * ||A||
+STRICTLY_POSITIVE = [True, True, False, True, False, False, False]
 
 
 def test_unit_circle_moments_are_kronecker_delta():
@@ -106,15 +109,15 @@ def test_sum_linearity_machine_precision():
             assert abs(lhs - rhs) <= 1e-14 * (1.0 + abs(rhs))
 
 
-@pytest.mark.parametrize("m", CORPUS)
-def test_sections_are_positive_semidefinite(m):
+@pytest.mark.parametrize(
+    "m, strict", zip(CORPUS, STRICTLY_POSITIVE), ids=[f"m{i}" for i in range(len(CORPUS))]
+)
+def test_sections_are_positive_semidefinite(m, strict):
     n = 16
     a = np.array([[moment(m, i, j) for j in range(n)] for i in range(n)])
     vals = np.linalg.eigvalsh(a)
     assert vals[0] >= -1e-12 * max(vals[-1], 1.0)
-    # strict positivity where the section is well scaled (hull inside the
-    # closed unit disk keeps lambda_min visible above eps * ||A||)
-    if measures.has_infinite_support(m) and support_hull_radius(m) <= 1.0:
+    if strict:
         assert vals[0] > 0.0
 
 
@@ -155,13 +158,6 @@ def test_quadrature_grid_floor_for_circles():
         moment_quadrature(MeasureSum(((1.0, UNIT),)), 0, 0, 128)
     # atomic summation is exact; no grid involved
     assert moment_quadrature(ATOMS, 1, 1, 1) == moment(ATOMS, 1, 1)
-
-
-def test_support_hull_radius():
-    assert support_hull_radius(UNIT) == 1.0
-    assert support_hull_radius(SHIFTED) == np.sqrt(2.0) + 2.0
-    assert support_hull_radius(ATOMS) == 2.0
-    assert support_hull_radius(MIXED) == 2.0
 
 
 def test_weight_values_real_and_match_fourier():

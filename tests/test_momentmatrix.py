@@ -4,9 +4,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from sobolevlab import cli, criteria, numkernel
 from sobolevlab import momentmatrix as mm
 from sobolevlab.measures import Atomic, CircleLebesgue, WeightedCircle, moment
-from sobolevlab.numkernel import Overflow
+from sobolevlab.numkernel import NotPositiveDefinite, Overflow
+from sobolevlab.sobolev import pencil_of_measures
 from sobolevlab.polynomials import differentiate, random_coeffs
 
 UNIT = CircleLebesgue(0.0, 1.0)
@@ -163,3 +165,82 @@ def test_grow_only_cache_does_not_change_sections(mu):
     assert m._largest.shape == (64, 64)  # one array: the largest section built
     npt.assert_array_equal(mm.section(m, 40), direct)
     npt.assert_array_equal(big[:40, :40], direct)
+
+
+# ---------------------------------------------------------------------------
+# One Cholesky factor per matrix and size
+# ---------------------------------------------------------------------------
+
+EXAMPLE5_ATOMS = Atomic(((0.3 + 0.0j, 1.0), (-0.2 + 0.4j, 1.0)))
+#: fresh matrices: the example-6 and example-5 pencil Grams (example 6 fails
+#: the pivot gate at 56 of 64) and the moment matrix of circle(0.3+0.4i, 0.7)
+FACTOR_MATRICES = {
+    "example6": lambda: pencil_of_measures(UNIT, CircleLebesgue(0.5, 2.0)).gram,
+    "example5": lambda: pencil_of_measures(UNIT, EXAMPLE5_ATOMS).gram,
+    "circle": lambda: mm.of_measure(CircleLebesgue(0.3 + 0.4j, 0.7)),
+}
+
+
+def _reference_factor(fresh, n):
+    """(factor or failing prefix, failure message or None) of a matrix
+    that has built nothing but its own n x n section."""
+    try:
+        return numkernel.cholesky(mm.section(fresh, n), fresh.label), None
+    except NotPositiveDefinite as exc:
+        return exc.lower, str(exc)
+
+
+@pytest.mark.parametrize("name", FACTOR_MATRICES)
+@pytest.mark.parametrize("order", [(64, 8, 33), (8, 64)])
+def test_factor_is_the_factor_of_its_own_section(name, order):
+    # a block of a larger factor is not bitwise the factor of the block,
+    # so the result must not depend on which sizes were asked for before
+    m = FACTOR_MATRICES[name]()
+    for n in order:
+        lower, failure = mm.factor(m, n)
+        ref, message = _reference_factor(FACTOR_MATRICES[name](), n)
+        npt.assert_array_equal(lower, ref)
+        assert (None if failure is None else str(failure)) == message
+        assert not lower.flags.writeable
+
+
+def test_failing_factor_returns_the_prefix_before_the_pivot():
+    m = mm.of_measure(Atomic(((0.5, 1.0), (-0.2 + 0.4j, 2.0), (0.6j, 0.5))))  # rank 3
+    lower, failure = mm.factor(m, 8)
+    assert isinstance(failure, NotPositiveDefinite)
+    k = failure.index
+    assert k == 3
+    assert str(failure) == f"pivot 3 of {m.label} is not positive"
+    assert lower.shape == (k, k)
+    assert failure.lower is lower
+    assert np.max(np.abs(lower @ lower.conj().T - mm.section(m, k))) <= 1e-13
+    with pytest.raises(NotPositiveDefinite, match="pivot 3 of"):
+        criteria.gamma_sequence(m, 0.1, 8)
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    calls = []
+    plain = numkernel.cholesky
+
+    def counted(g, label=""):
+        calls.append(len(g))
+        return plain(g, label)
+
+    monkeypatch.setattr(numkernel, "cholesky", counted)
+    return calls
+
+
+def test_bpe_decisions_on_one_matrix_factor_once(cholesky_calls):
+    m = mm.of_measure(UNIT)
+    points = [r * np.exp(2j * np.pi * k / 7) for r in (0.0, 0.3, 0.6, 0.9, 1.1, 1.2, 1.3) for k in range(7)]
+    verdicts = [criteria.bpe_decide(m, a, 64).verdict for a in points]
+    assert len(verdicts) == 49
+    assert verdicts.count("holds") == 28 and verdicts.count("fails") == 21
+    assert cholesky_calls == [64]
+
+
+def test_zero_bound_scan_factors_once(cholesky_calls):
+    scan = cli._zero_bound_scan(pencil_of_measures(UNIT, CircleLebesgue(0.5, 2.0)), range(1, 21))
+    assert scan["degrees"] == list(range(1, 21))
+    assert cholesky_calls == [21]

@@ -14,7 +14,6 @@ from sobolevlab.polynomials import (
     evaluate,
     random_coeffs,
     recenter,
-    shift_up,
 )
 
 
@@ -40,13 +39,6 @@ def test_differentiate_monomials():
     npt.assert_array_equal(differentiate([7.0]), np.zeros(0))
     npt.assert_array_equal(differentiate([]), np.zeros(0))
     npt.assert_array_equal(differentiate([1, 2, 3]), np.array([2.0, 6.0]))
-
-
-def test_shift_up_multiplies_by_z():
-    npt.assert_array_equal(shift_up([1, 2]), np.array([0, 1, 2], dtype=complex))
-    assert len(shift_up([])) == 0
-    z = np.array([0.3 + 0.1j, -1.2j, 2.0])
-    npt.assert_allclose(evaluate(shift_up([1, 2, 3]), z), z * evaluate([1, 2, 3], z))
 
 
 def test_evaluate_against_direct_powers():
