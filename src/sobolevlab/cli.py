@@ -15,6 +15,7 @@ geometric hypotheses).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -147,14 +148,16 @@ def _write_matrix(path: str, a: np.ndarray) -> None:
     reporting.write_csv(path, [f"col_{j}" for j in range(a.shape[1])], a)
 
 
-def _section_check(mu: measures.Measure, n: int, path: str, grid_points: int):
-    """(matrix, n x n section, largest |section - quadrature| entry on a
-    ``grid_points`` grid); the section is written to ``path``."""
+def _section_check(mu: measures.Measure, n: int, path: str):
+    """(matrix, n x n section, largest |section - quadrature| entry, grid
+    size) on the smallest grid where the quadrature is exact
+    (``measures.exact_grid``); the section is written to ``path``."""
     m = momentmatrix.of_measure(mu)
     a = momentmatrix.section(m, n)
-    dev = float(np.abs(a - measures.moment_quadrature(mu, range(n), range(n), grid_points)).max())
+    grid = measures.exact_grid(mu, n)
+    dev = float(np.abs(a - measures.moment_quadrature(mu, range(n), range(n), grid)).max())
     _write_matrix(path, a)
-    return m, a, dev
+    return m, a, dev, grid
 
 
 def _mult_op(pen: sobolev.SobolevPencil, n_max: int, path: str | None = None) -> dict:
@@ -183,11 +186,11 @@ def _matrix(sc: Scenario) -> momentmatrix.MomentMatrix:
 
 
 def _run_moments(sc, prefix, n) -> dict:
-    m, _, dev = _section_check(sc.measure, n, f"{prefix}_section.csv", measures.WEIGHT_GRID_POINTS)
+    m, _, dev, grid = _section_check(sc.measure, n, f"{prefix}_section.csv")
     return {
         "label": m.label,
         "n": n,
-        "grid_points": measures.WEIGHT_GRID_POINTS,
+        "grid_points": grid,
         "max_quadrature_deviation": dev,
         "toeplitz": bool(n >= 2 and momentmatrix.is_toeplitz(m, n)),
         "verdict": "holds" if dev <= 1e-10 else "inconclusive",
@@ -227,8 +230,9 @@ def _run_opoly(sc, prefix, n) -> dict:
 
 def _run_zeros(sc, prefix, degree) -> dict:
     pen = _pencil(sc)
+    bound = sobolev.mult_op_norm(pen, degree + 1)  # larger section first; the zeros read a block
     zeros = sobolev.sobolev_zeros(pen, degree)
-    max_mod, bound = float(np.max(np.abs(zeros))), sobolev.mult_op_norm(pen, degree + 1)
+    max_mod = float(np.max(np.abs(zeros)))
     reporting.write_csv(f"{prefix}_zeros.csv", ("re", "im", "modulus"), [(z.real, z.imag, abs(z)) for z in zeros])
     return {
         "pencil_label": pen.label,
@@ -378,7 +382,7 @@ def _zero_bound_scan(pen: sobolev.SobolevPencil, degrees) -> dict:
 def _builtin_identity_moments(out_dir, n_max, rng) -> dict:
     n = 32
     path = os.path.join(out_dir, "identity-moments_section.csv")
-    m, a, quad_dev = _section_check(UNIT, n, path, measures.MIN_CIRCLE_GRID)  # exact at n = 32
+    m, a, quad_dev, grid = _section_check(UNIT, n, path)
     identity_dev = float(np.max(np.abs(a - np.eye(n))))
     verdict = "holds" if identity_dev == 0.0 and quad_dev <= 1e-10 else "fails"
     return {
@@ -386,7 +390,7 @@ def _builtin_identity_moments(out_dir, n_max, rng) -> dict:
         "n": n,
         "max_identity_deviation": identity_dev,
         "max_quadrature_deviation": quad_dev,
-        "quadrature_grid": measures.MIN_CIRCLE_GRID,
+        "quadrature_grid": grid,
         "verdict": verdict,
     }
 
@@ -588,13 +592,13 @@ def _builtin_example5(out_dir, n_max, rng) -> dict:
 def _builtin_example6(out_dir, n_max, rng) -> dict:
     pen = sobolev.pencil_of_measures(UNIT, measures.CircleLebesgue(0.5, 2.0))
     mult = _mult_op(pen, n_max, os.path.join(out_dir, "example6-circles_multop.csv"))
+    bound = criteria.sobolev_domination_bound(pen, n_max)  # before the scan replaces the n_max factor
     zeros = _zero_bound_scan(pen, range(1, 21))
     reporting.write_csv(
         os.path.join(out_dir, "example6-circles_zeros.csv"),
         ("degree", "max_zero_modulus", "mult_op_bound"),
         list(zip(zeros["degrees"], zeros["max_zero_modulus"], zeros["mult_op_bound"])),
     )
-    bound = criteria.sobolev_domination_bound(pen, n_max)
     ok = mult["plateau"] and zeros["bounded"] and bound.verdict == "holds"
     return {
         "mult_op": mult,
@@ -720,7 +724,10 @@ def run_builtin(name: str, out_dir: str, n_max: int = DEFAULT_NMAX, seed: int = 
 # Entry point
 # ---------------------------------------------------------------------------
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    ``main`` call in the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sobolevlab",
         description="Finite-section experiments with Sobolev moment-matrix pencils.",
@@ -732,7 +739,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="reports", help="output directory (default: reports)")
     parser.add_argument("--nmax", type=int, default=DEFAULT_NMAX, help="builtin section cap (default: 32)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for randomized experiments (default: 0)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.list_builtins:
         for name in list_builtins():

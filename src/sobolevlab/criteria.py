@@ -260,8 +260,8 @@ def wirtinger_psd_check(m: MomentMatrix, c: float, n: int) -> CriterionReport:
         raise ValueError("wirtinger check supports 2 <= n <= 64")
     if not c > 0:
         raise ValueError("constant must be positive")
+    deleted = momentmatrix.section(momentmatrix.delete_first(m), n)  # builds M_{n+1}; M_n is a block
     full = momentmatrix.section(m, n)
-    deleted = momentmatrix.section(momentmatrix.delete_first(m), n)
     scale = np.arange(1, n + 1, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # _psd_verdict rejects non-finite entries
         w = c * (scale[:, None] * full * scale[None, :]) - deleted
@@ -421,8 +421,7 @@ def comparability_bounds(
 def weight_grid_extremes(fourier):
     """(min, max) of the trig weight on the WEIGHT_GRID_POINTS-angle grid."""
     wc = measures.WeightedCircle(0.0, 1.0, fourier)
-    theta = 2.0 * np.pi * np.arange(measures.WEIGHT_GRID_POINTS) / measures.WEIGHT_GRID_POINTS
-    vals = measures.weight_values(wc.fourier, theta)
+    vals = measures.weight_values(wc.fourier, measures.WEIGHT_GRID_POINTS)
     return float(vals.min()), float(vals.max())
 
 
@@ -441,6 +440,7 @@ def eigen_limit_report(fourier, n_list) -> CriterionReport:
         raise ValueError("n_list must be strictly increasing and nonempty")
     gmin, gmax = weight_grid_extremes(fourier)
     m = momentmatrix.of_measure(measures.WeightedCircle(0.0, 1.0, fourier))
+    momentmatrix.section(m, ns[-1])  # build once; every listed n is a leading block
     lams, betas = [], []
     for n in ns:
         eig = numkernel.herm_eig(momentmatrix.section(m, n), m.label)

@@ -13,9 +13,13 @@ built as a matrix product: P T P^* for circles (row i of P expands
 Fourier coefficients), V diag(mass) V^* for atoms (V the Vandermonde
 matrix), and the scaled sum for sums.  Sections are exactly
 Hermitian (the lower triangle mirrors the upper one) and cross-checkable
-against trapezoid quadrature on a uniform angular grid.  Numbers entering
-a measure pass one validation layer (``parse_real``, ``parse_pair``,
-``parse_fourier``), shared with the scenario parser.
+against trapezoid quadrature on a uniform angular grid; ``exact_grid``
+picks the smallest grid on which that rule is exact for a section.  The
+grid rows exp(i k theta) are tabulated once per grid size and frequency,
+read-only, and shared by weight validation, ``weight_values`` and the
+quadrature.  Numbers entering a measure pass one validation layer
+(``parse_real``, ``parse_pair``, ``parse_fourier``), shared with the
+scenario parser.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ __all__ = [
     "MeasureFormatError",
     "MeasureSum",
     "WeightedCircle",
+    "exact_grid",
     "from_json",
     "moment",
     "moment_quadrature",
@@ -220,8 +225,7 @@ def _canonical_weight(fourier) -> tuple[tuple[int, complex], ...]:
             canon[k] = val
             canon[-k] = np.conj(val)
     if len(canon) > 1:  # a constant with a positive mean is positive everywhere
-        theta = 2.0 * np.pi * np.arange(WEIGHT_GRID_POINTS) / WEIGHT_GRID_POINTS
-        wmin = weight_values(tuple(sorted(canon.items())), theta).min()
+        wmin = weight_values(tuple(sorted(canon.items())), WEIGHT_GRID_POINTS).min()
         if wmin < -WEIGHT_POSITIVITY_TOL * max(1.0, canon[0].real):
             raise MeasureFormatError(
                 "weight is negative on the circle (grid minimum %.3e)" % wmin
@@ -229,16 +233,48 @@ def _canonical_weight(fourier) -> tuple[tuple[int, complex], ...]:
     return tuple(sorted(canon.items()))
 
 
-def weight_values(fourier, theta) -> np.ndarray:
-    """Evaluate a canonical trig weight on angles; exactly real by pairing."""
-    theta = np.asarray(theta, dtype=float)
-    out = np.zeros_like(theta)
+@functools.lru_cache(maxsize=64)
+def _phases(points: int, k: int) -> np.ndarray:
+    """The row exp(i k theta) on the grid theta_j = 2 pi j / points, as a
+    read-only array shared by every weight evaluation and circle
+    quadrature on that grid."""
+    row = np.exp(1j * k * (2.0 * np.pi * np.arange(points) / points))
+    row.flags.writeable = False
+    return row
+
+
+def weight_values(fourier, points: int) -> np.ndarray:
+    """Evaluate a canonical trig weight on the uniform grid of ``points``
+    angles 2 pi j / points; exactly real by pairing."""
+    out = np.zeros(points)
     for k, c in dict(fourier).items():
         if k == 0:
             out += complex(c).real
         elif k > 0:
-            out += 2.0 * (complex(c) * np.exp(1j * k * theta)).real
+            out += 2.0 * (complex(c) * _phases(points, k)).real
     return out
+
+
+def exact_grid(m: Measure, n: int) -> int:
+    """Smallest power of two N >= MIN_CIRCLE_GRID with N >= n + d, d the
+    largest weight frequency |k| in ``m`` (0 for atoms).  The entries of
+    the n x n block integrate trigonometric polynomials of degree at most
+    n - 1 + d, so the trapezoid rule on N points is exact for all of them
+    exactly when N > n - 1 + d."""
+    grid = MIN_CIRCLE_GRID
+    while grid < n + _weight_degree(m):
+        grid *= 2
+    return grid
+
+
+def _weight_degree(m: Measure) -> int:
+    if isinstance(m, WeightedCircle):
+        return max(abs(k) for k, _ in m.fourier)
+    if isinstance(m, Atomic):
+        return 0
+    if isinstance(m, MeasureSum):
+        return max(_weight_degree(comp) for _, comp in m.terms)
+    raise TypeError(f"not a measure: {m!r}")
 
 
 @functools.lru_cache(maxsize=256)
@@ -329,9 +365,8 @@ def _quadrature(m: Measure, rows: list, cols: list, grid_points: int) -> np.ndar
                 f"grid_points={grid_points} too coarse for circle quadrature "
                 f"(minimum {MIN_CIRCLE_GRID})"
             )
-        theta = 2.0 * np.pi * np.arange(grid_points) / grid_points
-        z = m.center + m.radius * np.exp(1j * theta)
-        w = weight_values(m.fourier, theta)
+        z = m.center + m.radius * _phases(grid_points, 1)
+        w = weight_values(m.fourier, grid_points)
         # one power per order: numpy squares separately, so a broadcast
         # z ** arange(n) differs in the last bit at order 2
         zbar = np.array([np.conj(z) ** k for k in cols])

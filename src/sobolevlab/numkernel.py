@@ -15,6 +15,7 @@ factored once per matrix and size by ``momentmatrix.factor``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,14 +95,24 @@ def _square(a) -> np.ndarray:
     return m
 
 
+@functools.lru_cache(maxsize=128)
+def _mirror_indices(n: int) -> tuple:
+    """Strict-lower-triangle and diagonal index arrays of size n, read-only
+    and shared by every mirrored section of that size."""
+    lower, diag = np.tril_indices(n, -1), np.diag_indices(n)
+    for a in (*lower, *diag):
+        a.flags.writeable = False
+    return lower, diag
+
+
 def mirror_upper(a) -> np.ndarray:
     """Exactly Hermitian copy of a square matrix: the upper triangle is
     kept, the strict lower triangle becomes its conjugate mirror, and the
     diagonal its real part."""
     out = _square(a).copy()
-    lower = np.tril_indices(out.shape[0], -1)
+    lower, diag = _mirror_indices(out.shape[0])
     out[lower] = np.conj(out.T[lower])
-    out[np.diag_indices(out.shape[0])] = out.diagonal().real
+    out[diag] = out.diagonal().real
     return out
 
 

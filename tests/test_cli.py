@@ -16,7 +16,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import sobolevlab
-from sobolevlab import cli
+from sobolevlab import cli, measures, numkernel
 from sobolevlab.cli import (
     Scenario,
     ScenarioFormatError,
@@ -163,6 +163,7 @@ def test_run_moments_weighted_circle(tmp_path):
     assert report["verdict"] == "holds"
     assert report["toeplitz"] is True
     assert report["max_quadrature_deviation"] <= 1e-10
+    assert report["grid_points"] == 256  # n + weight degree = 7: the smallest grid is exact
     header = (tmp_path / "mom_section.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header == ",".join(f"col_{j}" for j in range(6))
 
@@ -525,3 +526,65 @@ def test_cli_import_loads_no_scipy():
     code = "import sys, sobolevlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+# ---------------------------------------------------------------------------
+# per-scenario work: each section and factor built once, no state between calls
+# ---------------------------------------------------------------------------
+
+ZEROS_WITH_M1 = dict(BASE_SCENARIOS["zeros"], pencil={"m0": UNIT_JSON, "m1": HALF_JSON})
+
+
+@pytest.mark.parametrize(
+    "scenario, builds",
+    [
+        (BASE_SCENARIOS["zeros"], 1),
+        (ZEROS_WITH_M1, 2),
+        (BASE_SCENARIOS["wirtinger"], 1),
+        (BASE_SCENARIOS["eigenlimits"], 1),
+    ],
+    ids=["zeros", "zeros-with-m1", "wirtinger", "eigenlimits"],
+)
+def test_each_measure_section_is_built_once(tmp_path, monkeypatch, scenario, builds):
+    sizes = []
+    moment_section = measures.moment_section
+    monkeypatch.setattr(measures, "moment_section", lambda m, n: sizes.append(n) or moment_section(m, n))
+    run(parse_scenario(scenario), str(tmp_path))
+    assert len(sizes) == builds
+
+
+def test_example6_factors_each_size_once(tmp_path, monkeypatch):
+    sizes = []
+    cholesky = numkernel.cholesky
+    monkeypatch.setattr(numkernel, "cholesky", lambda g, label="": sizes.append(len(g)) or cholesky(g, label))
+    report = run_builtin("example6-circles", str(tmp_path), n_max=32)
+    assert sizes == [32, 21]
+    assert list(report)[2:] == ["mult_op", "zero_bound_scan", "domination", "verdict"]
+
+
+def _files(d):
+    return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+
+def test_main_calls_in_one_process_match_a_fresh_process(tmp_path):
+    weight = [[0, 1.0, 0.0], [200, 0.2, 0.1], [-200, 0.2, -0.1]]
+    spec_a = write_spec(tmp_path, BASE_SCENARIOS["moments"], "a.json")
+    spec_b = write_spec(
+        tmp_path,
+        {"name": "mb", "command": "moments", "parameters": {"n": 60},
+         "measure": {"kind": "weighted_circle", "center": [0.0, 0.1], "radius": 0.9, "fourier": weight}},
+        "b.json",
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sobolevlab.__file__)))
+    subprocess.run([sys.executable, "-m", "sobolevlab.cli", "--spec", spec_a, "--out", str(tmp_path / "fresh")],
+                   env=env, capture_output=True, check=True)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["--spec", spec_a, "--out", str(tmp_path / "first")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["--spec", spec_a, "--builtin", "all"])
+        assert exc.value.code == 2
+        assert main(["--spec", spec_b, "--out", str(tmp_path / "b")]) == 0
+        assert main(["--spec", spec_a, "--out", str(tmp_path / "again")]) == 0
+    assert json.loads((tmp_path / "b" / "mb.json").read_text())["grid_points"] == 512
+    fresh = _files(tmp_path / "fresh")
+    assert fresh and _files(tmp_path / "first") == fresh == _files(tmp_path / "again")

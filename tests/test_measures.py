@@ -18,6 +18,7 @@ from sobolevlab.measures import (
     from_json,
     moment,
     moment_quadrature,
+    moment_section,
     to_json,
 )
 
@@ -126,7 +127,7 @@ def _entry_quadrature(m, i, j):
     if isinstance(m, WeightedCircle):
         theta = 2.0 * np.pi * np.arange(4096) / 4096
         z = m.center + m.radius * np.exp(1j * theta)
-        return complex((z**i * np.conj(z) ** j * measures.weight_values(m.fourier, theta)).mean())
+        return complex((z**i * np.conj(z) ** j * measures.weight_values(m.fourier, 4096)).mean())
     if isinstance(m, Atomic):
         return complex(sum(w * z**i * z.conjugate() ** j for z, w in m.atoms))
     return complex(sum(s * _entry_quadrature(comp, i, j) for s, comp in m.terms))
@@ -162,8 +163,50 @@ def test_quadrature_grid_floor_for_circles():
 
 def test_weight_values_real_and_match_fourier():
     theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    vals = measures.weight_values(COS_QUARTER.fourier, theta)
+    vals = measures.weight_values(COS_QUARTER.fourier, 64)
     npt.assert_allclose(vals, 1.0 + 0.5 * np.cos(theta), atol=1e-14)
+
+
+@pytest.mark.parametrize("points", [256, 4096])
+def test_weight_values_are_bitwise_the_explicit_sum_on_shared_rows(points):
+    fourier = WeightedCircle(0.0, 1.0, ((0, 1.0), (1, 0.2 + 0.1j), (-1, 0.2 - 0.1j), (3, 0.05j), (-3, -0.05j))).fourier
+    theta = 2.0 * np.pi * np.arange(points) / points
+    ref = np.zeros(points)
+    for k, c in fourier:
+        if k == 0:
+            ref += c.real
+        elif k > 0:
+            ref += 2.0 * (c * np.exp(1j * k * theta)).real
+    npt.assert_array_equal(measures.weight_values(fourier, points), ref)
+    row = measures._phases(points, 3)
+    assert row is measures._phases(points, 3)
+    npt.assert_array_equal(row, np.exp(1j * 3 * theta))
+    with pytest.raises(ValueError, match="read-only"):
+        row[0] = 0.0
+
+
+def _weighted(k: int) -> WeightedCircle:
+    return WeightedCircle(0.05 + 0.05j, 0.95, ((0, 1.0), (k, 0.3), (-k, 0.3)))
+
+
+def test_exact_grid_is_the_smallest_exact_power_of_two():
+    assert measures.exact_grid(ATOMS, 64) == 256
+    assert measures.exact_grid(UNIT, 64) == 256
+    assert measures.exact_grid(_weighted(2), 10) == 256
+    assert measures.exact_grid(_weighted(192), 64) == 256  # n + d = 256
+    assert measures.exact_grid(_weighted(193), 64) == 512
+    assert measures.exact_grid(MeasureSum(((1.0, ATOMS), (2.0, _weighted(1000)))), 64) == 2048
+
+
+def test_exact_grid_is_tight_at_the_largest_frequency():
+    # |k| = 1000 at n = 64: the integrands reach frequency 1063, so 2048
+    # points are exact and 1024 alias
+    mu, n = _weighted(1000), 64
+    a = moment_section(mu, n)
+    grid = measures.exact_grid(mu, n)
+    assert grid == 2048
+    assert np.abs(a - moment_quadrature(mu, range(n), range(n), grid)).max() <= 1e-10
+    assert np.abs(a - moment_quadrature(mu, range(n), range(n), grid // 2)).max() > 1e-2
 
 
 def test_constructor_validation():

@@ -11,9 +11,28 @@ from sobolevlab.numkernel import (
     companion_roots,
     gen_eig_definite,
     herm_eig,
+    mirror_upper,
     solve_lower,
 )
+from sobolevlab import numkernel
 from sobolevlab.polynomials import evaluate
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 65])
+def test_mirror_upper_is_the_conjugate_mirror_on_shared_indices(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    before = a.copy()
+    out = mirror_upper(a)
+    npt.assert_array_equal(a, before)
+    for i in range(n):
+        assert out[i, i] == a[i, i].real
+        for j in range(i + 1, n):
+            assert out[i, j] == a[i, j] and out[j, i] == np.conj(a[i, j])
+    lower, diag = numkernel._mirror_indices(n)
+    assert numkernel._mirror_indices(n)[0] is lower
+    with pytest.raises(ValueError, match="read-only"):
+        lower[0][...] = 0
 
 
 def test_cholesky_frozen_2x2():
