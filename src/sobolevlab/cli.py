@@ -7,7 +7,8 @@ zero scatters, and matrix dumps) with fixed float formatting, so the
 same invocation always produces byte-identical files.
 
 Exit codes: 0 when every verdict was computed (verdicts of "fails" are
-results, not errors), 2 for malformed scenarios or measures, 3 for
+results, not errors), 2 for malformed scenarios or measures, options out
+of range, or a --spec or --out path that cannot be used, 3 for
 numeric failures (singular sections, convergence breakdowns, rejected
 geometric hypotheses).
 """
@@ -51,7 +52,7 @@ class Scenario:
     measure: measures.Measure | None = None
     pencil: tuple | None = None
     pencil_b: tuple | None = None
-    weight: tuple | None = None
+    weight: measures.WeightedCircle | None = None
     circles: tuple | None = None
     parameters: dict = field(default_factory=dict)
 
@@ -81,11 +82,16 @@ def _parse_circles(items) -> tuple:
     return tuple(out)
 
 
+def _parse_weight(items) -> measures.WeightedCircle:
+    """The unit circle carrying the weight: validated and canonicalized here."""
+    return measures.WeightedCircle(0.0, 1.0, measures.parse_fourier(items))
+
+
 _INPUT_PARSERS = {
     "measure": measures.from_json,
     "pencil": _parse_pencil,
     "pencil_b": _parse_pencil,
-    "weight": measures.parse_fourier,
+    "weight": _parse_weight,
     "circles": _parse_circles,
 }
 
@@ -214,11 +220,11 @@ def _run_opoly(sc, prefix, n) -> dict:
     ops = sobolev.orthonormal_polys(pen, n)
     g = sobolev.gram_section(pen, n)
     resid = 0.0
-    for j, cj in enumerate(ops.coeffs):
-        for k, ck in enumerate(ops.coeffs):
+    for j, cj in enumerate(ops):
+        for k, ck in enumerate(ops):
             ip = momentmatrix.inner_product(g, cj, ck)
             resid = max(resid, abs(ip - (1.0 if j == k else 0.0)))
-    rows = [[k, *c, *[0j] * (n - len(c))] for k, c in enumerate(ops.coeffs)]
+    rows = [[k, *c, *[0j] * (n - len(c))] for k, c in enumerate(ops)]
     reporting.write_csv(f"{prefix}_opoly.csv", ["degree"] + [f"c{j}" for j in range(n)], rows)
     return {
         "pencil_label": pen.label,
@@ -293,7 +299,7 @@ _COMMANDS = {
                 lambda sc, prefix, n_max: criteria.comparability_bounds(
                     _pencil(sc), sobolev.pencil_of_measures(*sc.pencil_b), n_max)),
     "eigenlimits": (("weight",), {"n_list": _n_list},
-                    lambda sc, prefix, n_list: criteria.eigen_limit_report(sc.weight, n_list)),
+                    lambda sc, prefix, n_list: criteria.eigen_limit_report(sc.weight.fourier, n_list)),
     "prop12": (("measure", "circles"), {"n_max": _size(2, MAX_SECTION)},
                lambda sc, prefix, n_max: criteria.bpe_weighted_circles_report(sc.measure, sc.circles, n_max)),
 }
@@ -367,7 +373,7 @@ def _zero_bound_scan(pen: sobolev.SobolevPencil, degrees) -> dict:
     seq = sobolev.norm_sequence(pen, top, "mult_op")
     if not seq.ok():  # the factor passed, so an eigensolver failed
         raise numkernel.ConvergenceFailure(pen.label)
-    mods = [float(np.max(np.abs(numkernel.companion_roots(ops.coeffs[d])))) for d in degrees]
+    mods = [float(np.max(np.abs(numkernel.companion_roots(ops[d])))) for d in degrees]
     bounds = [seq.values[d] for d in degrees]
     worst_excess = max(m - b for m, b in zip(mods, bounds))
     return {
@@ -556,8 +562,8 @@ def _builtin_example4(out_dir, n_max, rng) -> dict:
         None if dom.witness is None else int(np.argmax(np.abs(dom.witness)))
     )
     pen = sobolev.pencil_of_measures(HALF, UNIT, label="{m0=circle(0;1/2), m1=circle(0;1)}")
+    mult = _mult_op(pen, n_max, os.path.join(out_dir, "example4-mr-m_multop.csv"))  # size n_max + 1 first
     bound = criteria.sobolev_domination_bound(pen, n_max)
-    mult = _mult_op(pen, n_max, os.path.join(out_dir, "example4-mr-m_multop.csv"))
     ok = (
         dom.verdict == "fails"
         and witness_top is not None
@@ -577,8 +583,8 @@ def _builtin_example4(out_dir, n_max, rng) -> dict:
 def _builtin_example5(out_dir, n_max, rng) -> dict:
     atoms = measures.Atomic(((0.3 + 0.0j, 1.0), (-0.2 + 0.4j, 1.0)))
     pen = sobolev.pencil_of_measures(UNIT, atoms)
+    mult = _mult_op(pen, n_max, os.path.join(out_dir, "example5-discrete_multop.csv"))  # size n_max + 1 first
     bound = criteria.sobolev_domination_bound(pen, n_max)
-    mult = _mult_op(pen, n_max, os.path.join(out_dir, "example5-discrete_multop.csv"))
     zeros = _zero_bound_scan(pen, range(1, 13))
     ok = bound.verdict == "holds" and mult["plateau"] and zeros["bounded"]
     return {
@@ -738,7 +744,7 @@ def _parser() -> argparse.ArgumentParser:
     group.add_argument("--list-builtins", action="store_true", help="print builtin names and exit")
     parser.add_argument("--out", default="reports", help="output directory (default: reports)")
     parser.add_argument("--nmax", type=int, default=DEFAULT_NMAX, help="builtin section cap (default: 32)")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for randomized experiments (default: 0)")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="nonnegative seed for randomized experiments (default: 0)")
     return parser
 
 
@@ -752,6 +758,9 @@ def main(argv=None) -> int:
 
     if not 2 <= args.nmax <= MAX_SECTION:
         print(f"--nmax must lie in [2, {MAX_SECTION}]", file=sys.stderr)
+        return 2
+    if args.seed < 0:
+        print("--seed must be a nonnegative integer", file=sys.stderr)
         return 2
 
     try:
@@ -774,6 +783,9 @@ def main(argv=None) -> int:
         json.JSONDecodeError,
         UnicodeDecodeError,
         FileNotFoundError,
+        IsADirectoryError,  # --spec names a directory
+        FileExistsError,  # --out names a file
+        NotADirectoryError,  # --out lies below a file
     ) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2

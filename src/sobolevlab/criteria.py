@@ -146,9 +146,8 @@ def gamma_via_kernel(m: MomentMatrix, a: complex, n: int) -> float:
     Independent code path used to cross-check gamma_index.
     """
     p = sobolev.SobolevPencil(m, momentmatrix.zero_matrix(), label=m.label)
-    ops = sobolev.orthonormal_polys(p, n)
     total = 0.0
-    for coeffs in ops.coeffs:
+    for coeffs in sobolev.orthonormal_polys(p, n):
         total += abs(complex(evaluate(coeffs, a))) ** 2
     return 1.0 / total
 
@@ -234,13 +233,13 @@ def _psd_verdict(w: np.ndarray, label: str):
     not mask violations that sit well above the roundoff floor.  A matrix
     whose entries overflowed raises numkernel.Overflow.
     """
-    eig = numkernel.herm_eig(numkernel.require_finite(w, label), label)
-    lam_min = float(eig.eigenvalues[0])
-    scale = float(np.abs(eig.eigenvalues).max()) if eig.eigenvalues.size else 0.0
+    lams, vecs = numkernel.herm_eig(numkernel.require_finite(w, label), label)
+    lam_min = float(lams[0])
+    scale = float(np.abs(lams).max()) if lams.size else 0.0
     tol = PSD_FLOOR_FACTOR * w.shape[0] * np.finfo(float).eps * scale
     if lam_min >= -tol:
         return VERDICT_HOLDS, lam_min, tol, None
-    witness = _canonical_vector(np.conj(eig.eigenvectors[:, 0]))
+    witness = _canonical_vector(np.conj(vecs[:, 0]))
     if -lam_min > max(WITNESS_MARGIN, tol):
         return VERDICT_FAILS, lam_min, tol, witness
     return VERDICT_INCONCLUSIVE, lam_min, tol, None
@@ -260,8 +259,8 @@ def wirtinger_psd_check(m: MomentMatrix, c: float, n: int) -> CriterionReport:
         raise ValueError("wirtinger check supports 2 <= n <= 64")
     if not c > 0:
         raise ValueError("constant must be positive")
-    deleted = momentmatrix.section(momentmatrix.delete_first(m), n)  # builds M_{n+1}; M_n is a block
-    full = momentmatrix.section(m, n)
+    big = momentmatrix.section(m, n + 1)
+    deleted, full = big[1:, 1:], big[:n, :n]  # M^(1,1) and M_n, two blocks of M_{n+1}
     scale = np.arange(1, n + 1, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # _psd_verdict rejects non-finite entries
         w = c * (scale[:, None] * full * scale[None, :]) - deleted
@@ -443,9 +442,9 @@ def eigen_limit_report(fourier, n_list) -> CriterionReport:
     momentmatrix.section(m, ns[-1])  # build once; every listed n is a leading block
     lams, betas = [], []
     for n in ns:
-        eig = numkernel.herm_eig(momentmatrix.section(m, n), m.label)
-        lams.append(float(eig.eigenvalues[0]))
-        betas.append(float(eig.eigenvalues[-1]))
+        eigenvalues, _ = numkernel.herm_eig(momentmatrix.section(m, n), m.label)
+        lams.append(float(eigenvalues[0]))
+        betas.append(float(eigenvalues[-1]))
     inside = all(
         lam >= gmin - EIGEN_SANDWICH_SLACK and beta <= gmax + EIGEN_SANDWICH_SLACK
         for lam, beta in zip(lams, betas)
@@ -494,9 +493,9 @@ def bpe_weighted_circles_report(
         centers.append(circle.center)
         gammas.append(float(rep.details["gamma_end"]))
     mu1 = measures.MeasureSum(tuple((1.0, circle) for circle in circles))
-    pen = sobolev.pencil_of_measures(mu0, mu1)
+    pen = sobolev.SobolevPencil(m0, momentmatrix.of_measure(mu1))  # M(mu0) built once
+    mseq = sobolev.norm_sequence(pen, n_max, "mult_op")  # size n_max + 1 first; then blocks
     dom = sobolev_domination_bound(pen, n_max)
-    mseq = sobolev.norm_sequence(pen, n_max, "mult_op")
     mult_settled = mseq.ok() and sobolev.plateau(mseq.n_list, mseq.values)
     verdict = (
         VERDICT_HOLDS

@@ -23,7 +23,6 @@ from .polynomials import as_coeffs
 
 __all__ = [
     "MomentMatrix",
-    "delete_first",
     "derivative_conjugate",
     "factor",
     "inner_product",
@@ -129,11 +128,6 @@ def derivative_conjugate(m1: MomentMatrix) -> MomentMatrix:
         return out
 
     return MomentMatrix(build=build, label=f"dconj({m1.label})")
-
-
-def delete_first(m: MomentMatrix) -> MomentMatrix:
-    """Remove row and column 0: entry (i, j) -> M[i+1, j+1]."""
-    return MomentMatrix(build=lambda n: section(m, n + 1)[1:, 1:], label=f"delete_first({m.label})")
 
 
 def is_toeplitz(m: MomentMatrix, n: int) -> bool:

@@ -16,7 +16,6 @@ factored once per matrix and size by ``momentmatrix.factor``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .polynomials import as_coeffs
 
 __all__ = [
     "ConvergenceFailure",
-    "HermEig",
     "NotPositiveDefinite",
     "Overflow",
     "cholesky",
@@ -78,14 +76,6 @@ def require_finite(a: np.ndarray, label: str = "") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise Overflow(label, a.shape[0])
     return a
-
-
-@dataclass(frozen=True)
-class HermEig:
-    """Ascending eigenvalues and matching eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def _square(a) -> np.ndarray:
@@ -143,14 +133,12 @@ def cholesky(g, label: str = "") -> np.ndarray:
     return lower
 
 
-def herm_eig(m, label: str = "") -> HermEig:
-    """Full eigendecomposition of a Hermitian matrix, ascending order."""
-    a = _square(m)
+def herm_eig(m, label: str = "") -> tuple:
+    """numpy's (ascending eigenvalues, eigenvector columns) of a Hermitian matrix."""
     try:
-        vals, vecs = np.linalg.eigh(a)
+        return np.linalg.eigh(_square(m))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(label) from exc
-    return HermEig(eigenvalues=vals, eigenvectors=vecs)
 
 
 def solve_lower(lower, b) -> np.ndarray:

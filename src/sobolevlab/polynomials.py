@@ -1,7 +1,7 @@
 """Polynomial coefficient vectors in the monomial basis.
 
 A polynomial is a 1-D complex array ``v`` where ``v[k]`` multiplies
-``z**k``.  The zero polynomial is the empty array and has degree -1.
+``z**k``.  The zero polynomial is the empty array.
 All helpers trim exact trailing zeros, so the trailing entry of a
 nonzero coefficient vector is always nonzero.
 """
@@ -12,7 +12,6 @@ import numpy as np
 
 __all__ = [
     "as_coeffs",
-    "degree",
     "differentiate",
     "evaluate",
     "recenter",
@@ -30,10 +29,6 @@ def as_coeffs(v) -> np.ndarray:
     if nz.size == 0:
         return np.zeros(0, dtype=complex)
     return c[: nz[-1] + 1].copy()
-
-
-def degree(v) -> int:
-    return len(as_coeffs(v)) - 1
 
 
 def differentiate(v) -> np.ndarray:

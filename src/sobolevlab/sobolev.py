@@ -27,7 +27,6 @@ from .momentmatrix import MomentMatrix
 
 __all__ = [
     "NormSequence",
-    "SobolevOPs",
     "SobolevPencil",
     "gram_section",
     "mult_op_norm",
@@ -75,16 +74,8 @@ def gram_section(p: SobolevPencil, n: int) -> np.ndarray:
     return momentmatrix.section(p.gram, n)
 
 
-@dataclass(frozen=True)
-class SobolevOPs:
-    """Orthonormal polynomials by degree: coeffs[k] has length k + 1."""
-
-    coeffs: tuple[np.ndarray, ...]
-    n: int
-
-
-def orthonormal_polys(p: SobolevPencil, n: int) -> SobolevOPs:
-    """First n orthonormal polynomials (degrees 0..n-1).
+def orthonormal_polys(p: SobolevPencil, n: int) -> tuple:
+    """First n orthonormal polynomials; entry k holds the degree-k coefficients.
 
     Rows of the inverse Cholesky factor W = L^{-1} of the Gram section:
     degree-k coefficients with a positive real leading coefficient
@@ -97,16 +88,14 @@ def orthonormal_polys(p: SobolevPencil, n: int) -> SobolevOPs:
     if failure is not None:
         raise failure
     inv = numkernel.solve_lower(lower[::-1, ::-1].T, np.eye(n, dtype=complex))[::-1, ::-1].T
-    coeffs = tuple(inv[k, : k + 1].copy() for k in range(n))
-    return SobolevOPs(coeffs=coeffs, n=n)
+    return tuple(inv[k, : k + 1].copy() for k in range(n))
 
 
 def sobolev_zeros(p: SobolevPencil, deg: int) -> np.ndarray:
     """Zeros of the degree-``deg`` orthonormal polynomial."""
     if deg < 1:
         raise ValueError("zeros need degree at least 1")
-    ops = orthonormal_polys(p, deg + 1)
-    return numkernel.companion_roots(ops.coeffs[deg])
+    return numkernel.companion_roots(orthonormal_polys(p, deg + 1)[deg])
 
 
 def mult_op_norm(p: SobolevPencil, n: int) -> float:

@@ -303,6 +303,23 @@ def test_main_scenario_errors_exit_2(tmp_path, capsys):
     assert main(["--builtin", "all", "--nmax", "100", "--out", str(tmp_path)]) == 2
 
 
+def test_main_unusable_seed_and_paths_exit_2(tmp_path, capsys):
+    spec = write_spec(tmp_path, gamma_scenario())
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    for argv in (
+        ["--builtin", "identity-moments", "--seed", "-1", "--out", str(tmp_path / "out")],
+        ["--spec", spec, "--seed", "-1", "--out", str(tmp_path / "out")],
+        ["--spec", str(tmp_path), "--out", str(tmp_path / "out")],  # a directory
+        ["--spec", spec, "--out", str(taken)],  # an existing file
+        ["--builtin", "identity-moments", "--out", str(taken)],
+        ["--spec", spec, "--out", str(taken / "below")],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+
+
 def test_main_numeric_errors_exit_3(tmp_path, capsys):
     spec = write_spec(
         tmp_path,
@@ -361,6 +378,16 @@ def test_main_malformed_numbers_exit_2(tmp_path, capsys, measure):
     assert main(["--spec", spec, "--out", str(tmp_path / "out")]) == 2
     assert "scenario error" in capsys.readouterr().err
     assert not (tmp_path / "out" / "bad.json").exists()
+
+
+def test_eigenlimits_weight_is_validated_at_parse_time():
+    base = dict(BASE_SCENARIOS["eigenlimits"])
+    with pytest.raises(MeasureFormatError, match="not Hermitian"):
+        parse_scenario(dict(base, weight=[[0, 1.0, 0.0], [1, 0.4, 0.0], [-1, 0.3, 0.0]]))
+    with pytest.raises(MeasureFormatError, match="negative on the circle"):
+        parse_scenario(dict(base, weight=[[0, 1.0, 0.0], [1, 0.8, 0.0], [-1, 0.8, 0.0]]))
+    sc = parse_scenario(base)
+    assert sc.weight == measures.WeightedCircle(0.0, 1.0, ((0, 1.0), (1, 0.4), (-1, 0.4)))
 
 
 def test_circles_and_point_share_the_number_check():
@@ -542,8 +569,9 @@ ZEROS_WITH_M1 = dict(BASE_SCENARIOS["zeros"], pencil={"m0": UNIT_JSON, "m1": HAL
         (ZEROS_WITH_M1, 2),
         (BASE_SCENARIOS["wirtinger"], 1),
         (BASE_SCENARIOS["eigenlimits"], 1),
+        (BASE_SCENARIOS["prop12"], 3),  # mu0 at n_max and n_max + 1, the circles at n_max
     ],
-    ids=["zeros", "zeros-with-m1", "wirtinger", "eigenlimits"],
+    ids=["zeros", "zeros-with-m1", "wirtinger", "eigenlimits", "prop12"],
 )
 def test_each_measure_section_is_built_once(tmp_path, monkeypatch, scenario, builds):
     sizes = []
@@ -551,6 +579,21 @@ def test_each_measure_section_is_built_once(tmp_path, monkeypatch, scenario, bui
     monkeypatch.setattr(measures, "moment_section", lambda m, n: sizes.append(n) or moment_section(m, n))
     run(parse_scenario(scenario), str(tmp_path))
     assert len(sizes) == builds
+
+
+@pytest.mark.parametrize(
+    "name, measure, built",
+    [("example4-mr-m", cli.HALF, [16, 33]), ("example5-discrete", cli.UNIT, [33])],
+    ids=["example4", "example5"],
+)
+def test_builtin_pencil_m0_is_built_once(tmp_path, monkeypatch, name, measure, built):
+    # the mult_op sequence asks for size n_max + 1 first; the domination
+    # bound reads its n_max block (example 4's 16 is the dominance check)
+    sizes = []
+    moment_section = measures.moment_section
+    monkeypatch.setattr(measures, "moment_section", lambda m, n: sizes.append((m, n)) or moment_section(m, n))
+    run_builtin(name, str(tmp_path), n_max=32)
+    assert [n for m, n in sizes if m == measure] == built
 
 
 def test_example6_factors_each_size_once(tmp_path, monkeypatch):

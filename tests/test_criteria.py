@@ -186,7 +186,7 @@ def test_wirtinger_shifted_circle_needs_larger_constant():
     # (M', N M N); straddling it flips the verdict
     n = 8
     full = section(m, n)
-    deleted = section(mm.delete_first(m), n)
+    deleted = section(m, n + 1)[1:, 1:]
     scale = np.arange(1, n + 1, dtype=float)
     c_star = float(
         gen_eig_definite(deleted, scale[:, None] * full * scale[None, :])[-1]

@@ -87,12 +87,6 @@ def test_derivative_conjugate_computes_derivative_norm(mu):
         assert abs(lhs - rhs) <= 1e-11 * (1.0 + abs(rhs))
 
 
-def test_delete_first_shifts_indices():
-    d = mm.delete_first(mm.of_measure(HALF))
-    npt.assert_array_equal(mm.section(d, 3), np.diag([0.25, 0.0625, 0.25**3]).astype(complex))
-    assert mm.section(mm.delete_first(mm.of_measure(UNIT)), 5)[0, 0] == 1.0
-
-
 def test_is_toeplitz():
     assert mm.is_toeplitz(mm.of_measure(UNIT), 8)
     assert mm.is_toeplitz(mm.of_measure(W04), 8)

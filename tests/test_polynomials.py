@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 
 from sobolevlab.polynomials import (
     as_coeffs,
-    degree,
     differentiate,
     evaluate,
     random_coeffs,
@@ -24,13 +23,6 @@ def test_as_coeffs_trims_trailing_zeros_only():
     assert len(c) == 3  # tiny is not zero
     with pytest.raises(ValueError):
         as_coeffs([[1.0, 2.0]])
-
-
-def test_degree_conventions():
-    assert degree([]) == -1
-    assert degree([0.0]) == -1
-    assert degree([5.0]) == 0
-    assert degree([0.0, 0.0, 3.0]) == 2
 
 
 def test_differentiate_monomials():

@@ -87,13 +87,13 @@ def test_pencil_labels():
 
 def test_orthonormal_polys_frozen_diagonal_case():
     ops = orthonormal_polys(P_UNIT_UNIT, 3)
-    assert ops.n == 3 and len(ops.coeffs) == 3
-    npt.assert_allclose(ops.coeffs[0], [1.0], rtol=1e-15)
-    npt.assert_allclose(ops.coeffs[1], [0.0, 1.0 / math.sqrt(2.0)], rtol=1e-15)
-    npt.assert_allclose(ops.coeffs[2], [0.0, 0.0, 1.0 / math.sqrt(5.0)], rtol=1e-15)
+    assert len(ops) == 3
+    npt.assert_allclose(ops[0], [1.0], rtol=1e-15)
+    npt.assert_allclose(ops[1], [0.0, 1.0 / math.sqrt(2.0)], rtol=1e-15)
+    npt.assert_allclose(ops[2], [0.0, 0.0, 1.0 / math.sqrt(5.0)], rtol=1e-15)
     # zero derivative part on the unit circle: monomials are orthonormal already
     ops0 = orthonormal_polys(P_UNIT_ONLY, 4)
-    for k, c in enumerate(ops0.coeffs):
+    for k, c in enumerate(ops0):
         npt.assert_array_equal(c, np.eye(4, dtype=complex)[k, : k + 1])
 
 
@@ -103,7 +103,7 @@ def test_orthonormal_polys_are_orthonormal(p):
     g = gram_section(p, n)
     ops = orthonormal_polys(p, n)
     padded = np.zeros((n, n), dtype=complex)
-    for k, c in enumerate(ops.coeffs):
+    for k, c in enumerate(ops):
         assert len(c) == k + 1
         assert c[-1].real > 0 and c[-1].imag == 0
         padded[k, : k + 1] = c
