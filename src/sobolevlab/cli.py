@@ -217,7 +217,7 @@ def _run_gram(sc, prefix, n) -> dict:
 
 def _run_opoly(sc, prefix, n) -> dict:
     pen = _pencil(sc)
-    ops = sobolev.orthonormal_polys(pen, n)
+    ops = sobolev.orthonormal_polys(pen.gram, n)
     g = sobolev.gram_section(pen, n)
     resid = 0.0
     for j, cj in enumerate(ops):
@@ -369,7 +369,7 @@ def _zero_bound_scan(pen: sobolev.SobolevPencil, degrees) -> dict:
     """Max zero modulus per degree 1..d against the operator-norm bound,
     all read off the pencil's one Gram factor at size d + 1."""
     top = max(degrees) + 1
-    ops = sobolev.orthonormal_polys(pen, top)
+    ops = sobolev.orthonormal_polys(pen.gram, top)
     seq = sobolev.norm_sequence(pen, top, "mult_op")
     if not seq.ok():  # the factor passed, so an eigensolver failed
         raise numkernel.ConvergenceFailure(pen.label)

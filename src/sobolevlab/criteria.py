@@ -143,11 +143,12 @@ def gamma_index(m: MomentMatrix, a: complex, n: int) -> float:
 def gamma_via_kernel(m: MomentMatrix, a: complex, n: int) -> float:
     """Same quantity through the reproducing kernel: 1 / sum |P_k(a)|^2
     over the orthonormal polynomials of M, each evaluated by Horner.
-    Independent code path used to cross-check gamma_index.
+    It reads the matrix's one factor at n, as gamma_sequence does; the
+    cross-check of gamma_index is Horner on the orthonormal basis against
+    a triangular solve of the evaluation vector.
     """
-    p = sobolev.SobolevPencil(m, momentmatrix.zero_matrix(), label=m.label)
     total = 0.0
-    for coeffs in sobolev.orthonormal_polys(p, n):
+    for coeffs in sobolev.orthonormal_polys(m, n):
         total += abs(complex(evaluate(coeffs, a))) ** 2
     return 1.0 / total
 
@@ -223,26 +224,34 @@ def bpe_decide(m: MomentMatrix, a: complex, n_max: int) -> CriterionReport:
 # Wirtinger-type inequalities and dominance
 # ---------------------------------------------------------------------------
 
-def _psd_verdict(w: np.ndarray, label: str):
-    """Three-valued PSD decision for a criterion matrix.
+def _psd_report(criterion: str, labels: dict, w: np.ndarray, label: str, c: float) -> CriterionReport:
+    """Three-valued PSD decision for the criterion matrix ``w``, as the
+    report of ``criterion`` with constant ``c``.
 
-    Returns (verdict, lambda_min, tolerance, witness_or_None); the
-    witness is the canonicalized coefficient row hitting lambda_min.
-    The holds-tolerance scales with the eigensolver's backward error
-    (n * eps * spectral norm), so graded sections with huge entries do
-    not mask violations that sit well above the roundoff floor.  A matrix
-    whose entries overflowed raises numkernel.Overflow.
+    The value is lambda_min; on "fails" the witness is the canonicalized
+    coefficient row hitting it.  The holds-tolerance scales with the
+    eigensolver's backward error (n * eps * spectral norm), so graded
+    sections with huge entries do not mask violations that sit well above
+    the roundoff floor.  A matrix whose entries overflowed raises
+    numkernel.Overflow.
     """
     lams, vecs = numkernel.herm_eig(numkernel.require_finite(w, label), label)
     lam_min = float(lams[0])
     scale = float(np.abs(lams).max()) if lams.size else 0.0
     tol = PSD_FLOOR_FACTOR * w.shape[0] * np.finfo(float).eps * scale
-    if lam_min >= -tol:
-        return VERDICT_HOLDS, lam_min, tol, None
-    witness = _canonical_vector(np.conj(vecs[:, 0]))
-    if -lam_min > max(WITNESS_MARGIN, tol):
-        return VERDICT_FAILS, lam_min, tol, witness
-    return VERDICT_INCONCLUSIVE, lam_min, tol, None
+    fails = -lam_min > max(WITNESS_MARGIN, tol)
+    verdict = VERDICT_HOLDS if lam_min >= -tol else VERDICT_FAILS if fails else VERDICT_INCONCLUSIVE
+    return CriterionReport(
+        criterion=criterion,
+        labels=labels,
+        n_list=[w.shape[0]],
+        values=[lam_min],
+        verdict=verdict,
+        witness=_canonical_vector(np.conj(vecs[:, 0])) if verdict == VERDICT_FAILS else None,
+        constant=float(c),
+        parameters={"psd_floor_factor": PSD_FLOOR_FACTOR, "witness_margin": WITNESS_MARGIN},
+        details={"tolerance": tol},
+    )
 
 
 def wirtinger_psd_check(m: MomentMatrix, c: float, n: int) -> CriterionReport:
@@ -262,23 +271,13 @@ def wirtinger_psd_check(m: MomentMatrix, c: float, n: int) -> CriterionReport:
     big = momentmatrix.section(m, n + 1)
     deleted, full = big[1:, 1:], big[:n, :n]  # M^(1,1) and M_n, two blocks of M_{n+1}
     scale = np.arange(1, n + 1, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # _psd_verdict rejects non-finite entries
+    with np.errstate(over="ignore", invalid="ignore"):  # _psd_report rejects non-finite entries
         w = c * (scale[:, None] * full * scale[None, :]) - deleted
-    verdict, lam_min, tol, witness = _psd_verdict(w, f"{c} * N M N - M^(1,1) for M = {m.label}")
-    lifted = None
-    if witness is not None:
-        lifted = np.concatenate(([0.0 + 0.0j], witness))
-    return CriterionReport(
-        criterion="wirtinger_psd",
-        labels={"matrix": m.label},
-        n_list=[n],
-        values=[lam_min],
-        verdict=verdict,
-        witness=lifted,
-        constant=float(c),
-        parameters={"psd_floor_factor": PSD_FLOOR_FACTOR, "witness_margin": WITNESS_MARGIN},
-        details={"tolerance": tol},
-    )
+    label = f"{c} * N M N - M^(1,1) for M = {m.label}"
+    rep = _psd_report("wirtinger_psd", {"matrix": m.label}, w, label, c)
+    if rep.witness is not None:
+        rep.witness = np.concatenate(([0.0 + 0.0j], rep.witness))
+    return rep
 
 
 def toeplitz_rigidity(t: MomentMatrix, n: int) -> CriterionReport:
@@ -295,24 +294,10 @@ def toeplitz_rigidity(t: MomentMatrix, n: int) -> CriterionReport:
     diag0 = float(row0[0].real)
     offdiag = max(abs(complex(z)) for z in row0[1:])
     offdiag_zero = offdiag <= RIGIDITY_OFFDIAG_RTOL * max(abs(diag0), 1e-300)
-    return CriterionReport(
-        criterion="toeplitz_rigidity",
-        labels={"matrix": t.label},
-        n_list=[n],
-        values=rep.values,
-        verdict=rep.verdict,
-        witness=rep.witness,
-        constant=1.0,
-        parameters=dict(
-            rep.parameters, offdiag_rtol=RIGIDITY_OFFDIAG_RTOL
-        ),
-        details=dict(
-            rep.details,
-            diagonal_value=diag0,
-            offdiag_max=offdiag,
-            is_identity_multiple=bool(offdiag_zero),
-        ),
-    )
+    rep.criterion = "toeplitz_rigidity"
+    rep.parameters["offdiag_rtol"] = RIGIDITY_OFFDIAG_RTOL
+    rep.details.update(diagonal_value=diag0, offdiag_max=offdiag, is_identity_multiple=bool(offdiag_zero))
+    return rep
 
 
 def dominance_check(m0: MomentMatrix, m1: MomentMatrix, c: float, n: int) -> CriterionReport:
@@ -326,19 +311,8 @@ def dominance_check(m0: MomentMatrix, m1: MomentMatrix, c: float, n: int) -> Cri
     if n < 1:
         raise ValueError("need n >= 1")
     w = c * momentmatrix.section(m0, n) - momentmatrix.section(m1, n)
-    label = f"{c} * {m0.label} - {m1.label}"
-    verdict, lam_min, tol, witness = _psd_verdict(w, label)
-    return CriterionReport(
-        criterion="dominance",
-        labels={"m0": m0.label, "m1": m1.label},
-        n_list=[n],
-        values=[lam_min],
-        verdict=verdict,
-        witness=witness,
-        constant=float(c),
-        parameters={"psd_floor_factor": PSD_FLOOR_FACTOR, "witness_margin": WITNESS_MARGIN},
-        details={"tolerance": tol},
-    )
+    labels = {"m0": m0.label, "m1": m1.label}
+    return _psd_report("dominance", labels, w, f"{c} * {m0.label} - {m1.label}", c)
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +391,9 @@ def comparability_bounds(
 # Weighted circles: eigenvalue limits and the assembled boundedness report
 # ---------------------------------------------------------------------------
 
-def weight_grid_extremes(fourier):
-    """(min, max) of the trig weight on the WEIGHT_GRID_POINTS-angle grid."""
-    wc = measures.WeightedCircle(0.0, 1.0, fourier)
+def weight_grid_extremes(wc: measures.WeightedCircle):
+    """(min, max) of the circle's trig weight on the
+    WEIGHT_GRID_POINTS-angle grid."""
     vals = measures.weight_values(wc.fourier, measures.WEIGHT_GRID_POINTS)
     return float(vals.min()), float(vals.max())
 
@@ -437,8 +411,9 @@ def eigen_limit_report(fourier, n_list) -> CriterionReport:
     ns = [int(n) for n in n_list]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_list must be strictly increasing and nonempty")
-    gmin, gmax = weight_grid_extremes(fourier)
-    m = momentmatrix.of_measure(measures.WeightedCircle(0.0, 1.0, fourier))
+    wc = measures.WeightedCircle(0.0, 1.0, fourier)  # validated and canonicalized once
+    gmin, gmax = weight_grid_extremes(wc)
+    m = momentmatrix.of_measure(wc)
     momentmatrix.section(m, ns[-1])  # build once; every listed n is a leading block
     lams, betas = [], []
     for n in ns:
@@ -484,16 +459,15 @@ def bpe_weighted_circles_report(
     norm and the M1-domination constant; verdict "holds" when both have
     settled.
     """
-    m0 = momentmatrix.of_measure(mu0)
+    mu1 = measures.MeasureSum(tuple((1.0, circle) for circle in circles))
+    pen = sobolev.pencil_of_measures(mu0, mu1)  # the centers are tested on its M(mu0)
     centers, gammas = [], []
     for circle in circles:
-        rep = bpe_decide(m0, circle.center, n_max)
+        rep = bpe_decide(pen.m0, circle.center, n_max)
         if rep.verdict != VERDICT_HOLDS:
             raise CenterNotBoundedEvaluation(circle.center)
         centers.append(circle.center)
         gammas.append(float(rep.details["gamma_end"]))
-    mu1 = measures.MeasureSum(tuple((1.0, circle) for circle in circles))
-    pen = sobolev.SobolevPencil(m0, momentmatrix.of_measure(mu1))  # M(mu0) built once
     mseq = sobolev.norm_sequence(pen, n_max, "mult_op")  # size n_max + 1 first; then blocks
     dom = sobolev_domination_bound(pen, n_max)
     mult_settled = mseq.ok() and sobolev.plateau(mseq.n_list, mseq.values)

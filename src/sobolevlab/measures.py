@@ -108,27 +108,26 @@ def _rows(items, width: int, shape: str) -> list:
 
 
 def parse_fourier(items) -> tuple[tuple[int, complex], ...]:
-    """Weight coefficients from ``[[k, re, im], ...]``; coefficients of a
-    repeated frequency add up."""
-    fourier: dict[int, complex] = {}
+    """Weight (frequency, coefficient) pairs from ``[[k, re, im], ...]``,
+    in input order; WeightedCircle adds up those of a repeated frequency."""
+    pairs = []
     for item in _rows(items, 3, "[k, re, im]"):
         k = parse_real(item[0], "weight frequency")
         if k != int(k):
             raise MeasureFormatError(f"weight frequency must be an integer, got {item[0]!r}")
-        k = int(k)
-        fourier[k] = fourier.get(k, 0.0 + 0.0j) + parse_pair(item[1:], "weight coefficient")
-    return tuple(fourier.items())
+        pairs.append((int(k), parse_pair(item[1:], "weight coefficient")))
+    return tuple(pairs)
 
 
 @dataclass(frozen=True)
 class WeightedCircle:
     """Circle measure w(theta) dtheta/(2 pi) with a trig-polynomial weight.
 
-    ``fourier`` maps the integer frequency k to the coefficient of
-    exp(i k theta).  The weight must be real valued (coefficients come in
-    Hermitian pairs) and nonnegative on the circle; both are validated at
-    construction, and the stored coefficients are canonicalized so the
-    Hermitian pairing holds exactly.
+    ``fourier`` pairs the integer frequency k with the coefficient of
+    exp(i k theta); those of a repeated k add up.  The weight must be
+    real valued (coefficients come in Hermitian pairs) and nonnegative on
+    the circle; both are validated at construction, and the stored
+    coefficients are canonicalized so the Hermitian pairing holds exactly.
     """
 
     center: complex
@@ -190,18 +189,21 @@ Measure = Union[WeightedCircle, Atomic, MeasureSum]
 def _canonical_weight(fourier) -> tuple[tuple[int, complex], ...]:
     """Validate and canonicalize trig-weight coefficients.
 
-    Requires |k| <= MAX_WEIGHT_FREQUENCY, Hermitian input pairs
-    (w(-k) == conj(w(k)) within WEIGHT_PAIR_TOL), positive mean, and
-    nonnegativity of the weight on a WEIGHT_GRID_POINTS grid (a constant
-    weight is positive once its mean is, and skips the grid).  Returns
-    coefficients for all frequencies -d..d with the pairing enforced
-    exactly.
+    ``fourier`` is a sequence of (k, coefficient) pairs; the coefficients
+    of a repeated frequency add up.  Requires |k| <= MAX_WEIGHT_FREQUENCY,
+    finite sums, Hermitian input pairs (w(-k) == conj(w(k)) within
+    WEIGHT_PAIR_TOL), positive mean, and nonnegativity of the weight on a
+    WEIGHT_GRID_POINTS grid (a constant weight is positive once its mean
+    is, and skips the grid).  Returns coefficients for all frequencies
+    -d..d with the pairing enforced exactly.
     """
     raw: dict[int, complex] = {}
-    for k, c in dict(fourier).items():
-        if abs(int(k)) > MAX_WEIGHT_FREQUENCY:
+    for k, c in fourier:
+        raw[int(k)] = raw.get(int(k), 0.0 + 0.0j) + complex(c)
+    for k, c in raw.items():
+        if abs(k) > MAX_WEIGHT_FREQUENCY:
             raise MeasureFormatError(f"weight frequency {k} exceeds {MAX_WEIGHT_FREQUENCY} in modulus")
-        raw[int(k)] = raw.get(int(k), 0.0 + 0.0j) + _finite_complex(c, "weight coefficient")
+        raw[k] = _finite_complex(c, "weight coefficient")
     if not raw:
         raise MeasureFormatError("weight needs at least the mean coefficient")
     scale = max(abs(c) for c in raw.values())

@@ -19,11 +19,9 @@ from typing import Callable
 import numpy as np
 
 from . import measures, numkernel
-from .polynomials import as_coeffs
 
 __all__ = [
     "MomentMatrix",
-    "derivative_conjugate",
     "factor",
     "inner_product",
     "is_toeplitz",
@@ -112,24 +110,6 @@ def toeplitz_rule(coeffs, label: str = "toeplitz") -> MomentMatrix:
     return MomentMatrix(build=build, label=label)
 
 
-def derivative_conjugate(m1: MomentMatrix) -> MomentMatrix:
-    """Matrix of the form A * M1 * A^* for the formal-derivative map A.
-
-    Row and column 0 vanish and entry (i, j) equals i * j * M1[i-1, j-1],
-    so quadratic forms against it compute the M1-norm of the derivative:
-    v B v^* == ||p'||^2_{M1}.
-    """
-
-    def build(n: int) -> np.ndarray:
-        out = np.zeros((n, n), dtype=complex)
-        if n > 1:
-            k = np.arange(1, n, dtype=float)
-            out[1:, 1:] = np.outer(k, k) * section(m1, n - 1)
-        return out
-
-    return MomentMatrix(build=build, label=f"dconj({m1.label})")
-
-
 def is_toeplitz(m: MomentMatrix, n: int) -> bool:
     """True when the n x n section is constant along diagonals."""
     if n < 2:
@@ -139,16 +119,14 @@ def is_toeplitz(m: MomentMatrix, n: int) -> bool:
 
 
 def inner_product(a: np.ndarray, v, w) -> complex:
-    """<p, q> against a Hermitian section: v A w^* in the row convention."""
-    vc = as_coeffs(v)
-    wc = as_coeffs(w)
-    n = a.shape[0]
-    if len(vc) > n or len(wc) > n:
-        raise ValueError("coefficient vector longer than section")
-    vp = np.zeros(n, dtype=complex)
-    wp = np.zeros(n, dtype=complex)
-    vp[: len(vc)] = vc
-    wp[: len(wc)] = wc
+    """<p, q> against a Hermitian section: v A w^* in the row convention,
+    the coefficient vectors padded with zeros to the section's size."""
+    vp, wp = np.zeros((2, a.shape[0]), dtype=complex)
+    for padded, x in ((vp, v), (wp, w)):
+        x = np.atleast_1d(x)
+        if len(x) > len(padded):
+            raise ValueError("coefficient vector longer than section")
+        padded[: len(x)] = x
     return complex(vp @ a @ np.conj(wp))
 
 

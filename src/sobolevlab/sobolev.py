@@ -5,11 +5,12 @@ sections, M1 positive semidefinite) induces the inner product
 
     <p, q> = p M0 q^*  +  p' M1 q'^*
 
-whose Gram matrix in the monomial basis is section(M0, n) plus the
-derivative conjugation of M1; the pencil keeps it as one more
-MomentMatrix.  This module materializes Gram sections, orthonormalizes
-the monomials against them, finds zeros of the orthonormal polynomials,
-and measures the finite-section norm of the multiply-by-z operator.
+whose Gram matrix in the monomial basis is section(M0, n) + D, with
+D[i, j] = i j M1[i-1, j-1] read off section(M1, n - 1) and zero in row
+and column 0; the pencil keeps it as one more MomentMatrix.  This module
+materializes Gram sections, orthonormalizes the monomials of any moment
+matrix (a pencil's through its Gram), finds zeros of the orthonormal
+polynomials, and measures the finite-section norm of multiply-by-z.
 Everything reads the pencil's one Gram factor (``momentmatrix.factor``):
 sequences over n = 1..n_max read every smaller size off the leading
 blocks of the n_max factor.
@@ -56,11 +57,17 @@ class SobolevPencil:
     def __post_init__(self):
         if not self.label:
             self.label = f"{{m0={self.m0.label}, m1={self.m1.label}}}"
-        m1d = momentmatrix.derivative_conjugate(self.m1)
-        self.gram = MomentMatrix(
-            build=lambda n: momentmatrix.section(self.m0, n) + momentmatrix.section(m1d, n),
-            label=self.label,
-        )
+        self.gram = MomentMatrix(build=self._gram, label=self.label)
+
+    def _gram(self, n: int) -> np.ndarray:
+        """section(M0, n) + D: row and column 0 of D vanish and
+        D[i, j] = i j M1[i-1, j-1], so v D v^* == ||p'||^2_{M1}."""
+        g0 = momentmatrix.section(self.m0, n)
+        d = np.zeros((n, n), dtype=complex)
+        if n > 1:
+            k = np.arange(1, n, dtype=float)
+            d[1:, 1:] = np.outer(k, k) * momentmatrix.section(self.m1, n - 1)
+        return g0 + d
 
 
 def pencil_of_measures(mu0: measures.Measure, mu1: measures.Measure | None, label: str = "") -> SobolevPencil:
@@ -74,17 +81,18 @@ def gram_section(p: SobolevPencil, n: int) -> np.ndarray:
     return momentmatrix.section(p.gram, n)
 
 
-def orthonormal_polys(p: SobolevPencil, n: int) -> tuple:
-    """First n orthonormal polynomials; entry k holds the degree-k coefficients.
+def orthonormal_polys(m: MomentMatrix, n: int) -> tuple:
+    """First n orthonormal polynomials of the matrix ``m`` (a pencil's
+    are those of ``pencil.gram``); entry k holds the degree-k coefficients.
 
-    Rows of the inverse Cholesky factor W = L^{-1} of the Gram section:
+    Rows of the inverse Cholesky factor W = L^{-1} of the section:
     degree-k coefficients with a positive real leading coefficient
     1/L[k, k].  W solves W L = I row by row (L^T W^T = I, flipped into
     lower-triangular form), so each polynomial's coefficients come from
     their own back substitution, which is backward stable for that
     polynomial; the columns of L W = I each mix every degree.
     """
-    lower, failure = momentmatrix.factor(p.gram, n)
+    lower, failure = momentmatrix.factor(m, n)
     if failure is not None:
         raise failure
     inv = numkernel.solve_lower(lower[::-1, ::-1].T, np.eye(n, dtype=complex))[::-1, ::-1].T
@@ -95,7 +103,7 @@ def sobolev_zeros(p: SobolevPencil, deg: int) -> np.ndarray:
     """Zeros of the degree-``deg`` orthonormal polynomial."""
     if deg < 1:
         raise ValueError("zeros need degree at least 1")
-    return numkernel.companion_roots(orthonormal_polys(p, deg + 1)[deg])
+    return numkernel.companion_roots(orthonormal_polys(p.gram, deg + 1)[deg])
 
 
 def mult_op_norm(p: SobolevPencil, n: int) -> float:

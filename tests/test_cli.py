@@ -510,9 +510,13 @@ def test_base_scenarios_succeed(base):
          "frequency 4096"),
         (("moments", ("parameters", "grid_points")), 4096, 2, "does not take parameter 'grid_points'"),
         (("gamma", ("parameters",)), {"a": [1e10, 0.0], "n_max": 64}, 3, "evaluation vector at (10000000000+0j)"),
+        # section(M1, 3) peaks at 1e308, the derivative term of the Gram at 9e308
+        (("gram", ("pencil", "m1", "radius")), 1e77, 3,
+         'values of {m0={"kind":"circle","center":[0.0,0.0],"radius":1.0}, '
+         'm1={"kind":"circle","center":[0.0,0.0],"radius":1e+77}} at size 4 overflowed'),
     ],
     ids=["list-command", "huge-int-constant", "huge-radius", "huge-center", "huge-atom", "huge-point",
-         "huge-constant", "aliased-weight", "grid-points", "huge-power"],
+         "huge-constant", "aliased-weight", "grid-points", "huge-power", "huge-derivative-term"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the error line is all that stderr shows
 def test_main_escape_inputs_exit_2_or_3(field, value, code, message):
@@ -594,6 +598,24 @@ def test_builtin_pencil_m0_is_built_once(tmp_path, monkeypatch, name, measure, b
     monkeypatch.setattr(measures, "moment_section", lambda m, n: sizes.append((m, n)) or moment_section(m, n))
     run_builtin(name, str(tmp_path), n_max=32)
     assert [n for m, n in sizes if m == measure] == built
+
+
+def test_gamma_factors_its_matrix_once(tmp_path, monkeypatch):
+    # gamma_sequence and the reproducing-kernel cross-check read one factor
+    sizes = []
+    cholesky = numkernel.cholesky
+    monkeypatch.setattr(numkernel, "cholesky", lambda g, label="": sizes.append(len(g)) or cholesky(g, label))
+    run(parse_scenario(BASE_SCENARIOS["gamma"]), str(tmp_path))
+    assert sizes == [6]
+
+
+def test_eigenlimits_canonicalizes_its_weight_twice(tmp_path, monkeypatch):
+    # once when the scenario is parsed, once in the report
+    calls = []
+    canonical = measures._canonical_weight
+    monkeypatch.setattr(measures, "_canonical_weight", lambda f: calls.append(f) or canonical(f))
+    run(parse_scenario(BASE_SCENARIOS["eigenlimits"]), str(tmp_path))
+    assert len(calls) == 2
 
 
 def test_example6_factors_each_size_once(tmp_path, monkeypatch):

@@ -391,10 +391,10 @@ def test_comparability_requires_window():
 # ---------------------------------------------------------------------------
 
 def test_weight_grid_extremes():
-    gmin, gmax = weight_grid_extremes(((0, 1.0), (1, 0.5), (-1, 0.5)))
+    gmin, gmax = weight_grid_extremes(WeightedCircle(0.0, 1.0, ((0, 1.0), (1, 0.5), (-1, 0.5))))
     assert gmin == 0.0  # 1 + cos(pi), grid contains pi
     assert gmax == 2.0
-    gmin, gmax = weight_grid_extremes(((0, 1.0),))
+    gmin, gmax = weight_grid_extremes(WeightedCircle(0.0, 1.0, ((0, 1.0),)))
     assert (gmin, gmax) == (1.0, 1.0)
 
 

@@ -239,6 +239,22 @@ def test_weight_validation():
     assert dict(w.fourier)[-1] == np.conj(dict(w.fourier)[1])
 
 
+def test_repeated_frequencies_add_up_in_the_constructor_as_in_json():
+    def as_json(pairs):
+        return {"kind": "weighted_circle", "center": [0.0, 0.0], "radius": 1.0,
+                "fourier": [[k, c, 0.0] for k, c in pairs]}
+
+    hermitian = ((0, 1.0), (1, 0.2), (1, 0.2), (-1, 0.4))  # w(1) = w(-1) = 0.4
+    assert measures.parse_fourier(as_json(hermitian)["fourier"]) == tuple((k, complex(c)) for k, c in hermitian)
+    expected = ((-1, 0.4 + 0j), (0, 1.0 + 0j), (1, 0.4 + 0j))
+    assert WeightedCircle(0.0, 1.0, hermitian).fourier == from_json(as_json(hermitian)).fourier == expected
+    lopsided = ((0, 1.0), (1, 0.4), (1, 0.1), (-1, 0.1))  # w(1) = 0.5, w(-1) = 0.1
+    with pytest.raises(MeasureFormatError, match="not Hermitian"):
+        WeightedCircle(0.0, 1.0, lopsided)
+    with pytest.raises(MeasureFormatError, match="not Hermitian"):
+        from_json(as_json(lopsided))
+
+
 def test_constant_weight_skips_the_positivity_grid(monkeypatch):
     def no_grid(*_):
         raise AssertionError("a constant weight needs no positivity grid")

@@ -8,7 +8,7 @@ from sobolevlab import cli, criteria, numkernel
 from sobolevlab import momentmatrix as mm
 from sobolevlab.measures import Atomic, CircleLebesgue, WeightedCircle, moment
 from sobolevlab.numkernel import NotPositiveDefinite, Overflow
-from sobolevlab.sobolev import pencil_of_measures
+from sobolevlab.sobolev import SobolevPencil, gram_section, pencil_of_measures
 from sobolevlab.polynomials import differentiate, random_coeffs
 
 UNIT = CircleLebesgue(0.0, 1.0)
@@ -69,15 +69,15 @@ def test_toeplitz_rule_sections_and_negative_fallback():
 
 
 def test_derivative_conjugate_identity_measure():
-    b = mm.derivative_conjugate(mm.of_measure(UNIT))
-    npt.assert_array_equal(mm.section(b, 4), np.diag([0.0, 1.0, 4.0, 9.0]).astype(complex))
-    assert b.label.startswith("dconj(")
+    # with M0 = 0 the pencil's Gram is the derivative term D alone
+    b = gram_section(SobolevPencil(mm.zero_matrix(), mm.of_measure(UNIT)), 4)
+    npt.assert_array_equal(b, np.diag([0.0, 1.0, 4.0, 9.0]).astype(complex))
 
 
 @pytest.mark.parametrize("mu", [UNIT, HALF, SHIFTED, W04])
 def test_derivative_conjugate_computes_derivative_norm(mu):
     m1 = mm.of_measure(mu)
-    b = mm.section(mm.derivative_conjugate(m1), 9)
+    b = gram_section(SobolevPencil(mm.zero_matrix(), m1), 9)
     a1 = mm.section(m1, 9)
     rng = np.random.default_rng(7)
     for _ in range(50):

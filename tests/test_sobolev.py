@@ -86,13 +86,13 @@ def test_pencil_labels():
 
 
 def test_orthonormal_polys_frozen_diagonal_case():
-    ops = orthonormal_polys(P_UNIT_UNIT, 3)
+    ops = orthonormal_polys(P_UNIT_UNIT.gram, 3)
     assert len(ops) == 3
     npt.assert_allclose(ops[0], [1.0], rtol=1e-15)
     npt.assert_allclose(ops[1], [0.0, 1.0 / math.sqrt(2.0)], rtol=1e-15)
     npt.assert_allclose(ops[2], [0.0, 0.0, 1.0 / math.sqrt(5.0)], rtol=1e-15)
     # zero derivative part on the unit circle: monomials are orthonormal already
-    ops0 = orthonormal_polys(P_UNIT_ONLY, 4)
+    ops0 = orthonormal_polys(P_UNIT_ONLY.gram, 4)
     for k, c in enumerate(ops0):
         npt.assert_array_equal(c, np.eye(4, dtype=complex)[k, : k + 1])
 
@@ -101,7 +101,7 @@ def test_orthonormal_polys_frozen_diagonal_case():
 def test_orthonormal_polys_are_orthonormal(p):
     n = 10
     g = gram_section(p, n)
-    ops = orthonormal_polys(p, n)
+    ops = orthonormal_polys(p.gram, n)
     padded = np.zeros((n, n), dtype=complex)
     for k, c in enumerate(ops):
         assert len(c) == k + 1
@@ -114,7 +114,7 @@ def test_orthonormal_polys_are_orthonormal(p):
 def test_orthonormal_polys_propagates_singular_section():
     p = pencil_of_measures(Atomic(((3.0, 1.0),)), None)
     with pytest.raises(NotPositiveDefinite) as info:
-        orthonormal_polys(p, 2)
+        orthonormal_polys(p.gram, 2)
     assert info.value.index == 1
 
 
