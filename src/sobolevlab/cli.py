@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import criteria, measures, momentmatrix, numkernel, reporting, sobolev
-from .polynomials import differentiate, evaluate, random_coeffs, recenter
+from .polynomials import differentiate, evaluate, random_coeffs
 
 __all__ = ["Scenario", "ScenarioFormatError", "list_builtins", "main", "parse_scenario", "run"]
 
@@ -401,18 +401,38 @@ def _builtin_identity_moments(out_dir, n_max, rng) -> dict:
     }
 
 
+def _random_rows(rng, count: int, max_degree: int) -> np.ndarray:
+    """``count`` random polynomials as the rows of a zero-padded
+    count x (max_degree + 1) matrix.  Each is drawn in turn as
+    deg = rng.integers(1, max_degree + 1), then random_coeffs(rng, deg),
+    so the rows are bitwise those of a per-sample draw loop."""
+    rows = np.zeros((count, max_degree + 1), dtype=complex)
+    for row in rows:
+        deg = int(rng.integers(1, max_degree + 1))
+        row[: deg + 1] = random_coeffs(rng, deg)
+    return rows
+
+
+def _derivative_rows(rows: np.ndarray) -> np.ndarray:
+    """Coefficient rows of the derivatives: column k is (k + 1) rows[:, k + 1]."""
+    return rows[:, 1:] * np.arange(1, rows.shape[1])
+
+
+def _forms(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The quadratic forms v A v^* of every row v, momentmatrix.norm_sq
+    for a whole batch (A Hermitian and as wide as the rows)."""
+    return np.sum((rows @ a) * rows.conj(), axis=1).real
+
+
 def _builtin_lemma3_unitcircle(out_dir, n_max, rng) -> dict:
     m = momentmatrix.of_measure(UNIT)
     big = momentmatrix.section(m, 21)
-    worst = -math.inf
-    for _ in range(500):
-        deg = int(rng.integers(1, 21))
-        v = random_coeffs(rng, deg)
-        centered = v.copy()
-        centered[0] = 0.0
-        lhs = momentmatrix.norm_sq(big, centered)
-        rhs = momentmatrix.norm_sq(big[:deg, :deg], differentiate(v))
-        worst = max(worst, lhs - rhs)
+    v = _random_rows(rng, 500, 20)
+    centered = v.copy()
+    centered[:, 0] = 0.0
+    lhs = _forms(big, centered)
+    rhs = _forms(big[:20, :20], _derivative_rows(v))
+    worst = float(np.max(lhs - rhs))
     return {
         "label": m.label,
         "samples": 500,
@@ -432,26 +452,20 @@ def _builtin_lemma3_shifted(out_dir, n_max, rng) -> dict:
         a = rad * complex(math.cos(ang), math.sin(ang))
         r = 2.0 * rng.uniform(0.05, 1.0)
         pairs.append((a, r))
+    samples = _random_rows(rng, 20 * 25, 20).reshape(20, 25, 21)
     theta = 2.0 * np.pi * np.arange(4096) / 4096
-    for a, r in pairs:
-        mar = momentmatrix.of_measure(measures.CircleLebesgue(a, r))
-        sec = momentmatrix.section(mar, 20)
-        for sample in range(25):
-            deg = int(rng.integers(1, 21))
-            v = random_coeffs(rng, deg)
-            b = recenter(v, a)
-            r2k = r ** (2 * np.arange(len(b)))
-            lhs = float(np.sum(np.abs(b[1:]) ** 2 * r2k[1:]))
-            rhs = momentmatrix.norm_sq(sec[:deg, :deg], differentiate(v))
-            scale = max(lhs, r * r * rhs, 1e-300)
-            worst_rel_excess = max(worst_rel_excess, (lhs - r * r * rhs) / scale)
-            if sample == 0:
-                z = a + r * np.exp(1j * theta)
-                q = np.abs(evaluate(v, z) - complex(evaluate(v, a))) ** 2
-                quad = float(q.mean())
-                worst_identity_dev = max(
-                    worst_identity_dev, abs(lhs - quad) / (1.0 + abs(quad))
-                )
+    for (a, r), v in zip(pairs, samples):
+        sec = momentmatrix.section(momentmatrix.of_measure(measures.CircleLebesgue(a, r)), 20)
+        # column k of v P is b_k r^k, b the Taylor coefficients about a
+        taylor = v @ measures.circle_expansion(a, r, 21)
+        lhs = np.sum(np.abs(taylor[:, 1:]) ** 2, axis=1)
+        rhs = r * r * _forms(sec, _derivative_rows(v))
+        scale = np.maximum(np.maximum(lhs, rhs), 1e-300)
+        worst_rel_excess = max(worst_rel_excess, float(np.max((lhs - rhs) / scale)))
+        z = a + r * np.exp(1j * theta)
+        q = np.abs(evaluate(v[0], z) - complex(evaluate(v[0], a))) ** 2
+        quad = float(q.mean())
+        worst_identity_dev = max(worst_identity_dev, abs(float(lhs[0]) - quad) / (1.0 + abs(quad)))
     ok = worst_rel_excess <= 1e-9 and worst_identity_dev <= 1e-10
     return {
         "pairs": [[a.real, a.imag, r] for a, r in pairs],
@@ -483,17 +497,13 @@ def _builtin_prop6_equivalence(out_dir, n_max, rng) -> dict:
         big = momentmatrix.section(m, n + 1)
         small = momentmatrix.section(m, n)
         if rep.verdict == "holds":
-            for _ in range(500):
-                deg = int(rng.integers(1, n + 1))
-                v = random_coeffs(rng, deg)
-                v = np.concatenate(([0j], v[1:])) if len(v) > 1 else np.array([0j, 1.0 + 0j])
-                v[0] = 0.0
-                lhs = momentmatrix.norm_sq(big, v)
-                rhs = c * momentmatrix.norm_sq(small, differentiate(v))
-                excess = lhs - rhs
-                detail = max(detail, excess)
-                if excess > 1e-10 * max(lhs, rhs, 1.0):
-                    consistency = False
+            v = _random_rows(rng, 500, n)
+            v[:, 0] = 0.0
+            lhs = _forms(big, v)
+            rhs = c * _forms(small, _derivative_rows(v))
+            excess = lhs - rhs
+            detail = max(detail, float(np.max(excess)))
+            consistency = not np.any(excess > 1e-10 * np.maximum(np.maximum(lhs, rhs), 1.0))
         elif rep.witness is not None:
             lhs = momentmatrix.norm_sq(big, rep.witness)
             rhs = c * momentmatrix.norm_sq(small, differentiate(rep.witness))

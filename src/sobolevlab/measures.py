@@ -42,6 +42,7 @@ __all__ = [
     "MeasureFormatError",
     "MeasureSum",
     "WeightedCircle",
+    "circle_expansion",
     "exact_grid",
     "from_json",
     "moment",
@@ -290,9 +291,11 @@ def _binomials(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i, k, binom
 
 
-def _circle_expansion(center: complex, radius: float, n: int) -> np.ndarray:
+def circle_expansion(center: complex, radius: float, n: int) -> np.ndarray:
     """P[i, k] = C(i, k) center**(i-k) radius**k: row i expands
-    (center + radius e^{i theta})**i in powers of e^{i theta}."""
+    (center + radius e^{i theta})**i in powers of e^{i theta}, so a row of
+    coefficients v (degree < n) times P holds the coefficients of
+    p(center + radius w) in powers of w."""
     a_pow = vandermonde(complex(center), n)[:, 0]
     r_pow = vandermonde(float(radius), n)[:, 0]
     i, k, binom = _binomials(n)
@@ -306,15 +309,16 @@ def _times_adjoint(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     adds to entry (i, j) are exact zeros, so its leading block is bitwise
     the smaller section (a BLAS product's summation order varies with size)."""
     out = np.zeros((u.shape[0], v.shape[0]), dtype=complex)
+    cols, rows = u.T[:, :, None], v.T.conj()[:, None, :]
     for k in range(u.shape[1]):
-        out += np.outer(u[:, k], v[:, k].conj())
+        out += cols[k] * rows[k]  # np.outer's product, without its per-call overhead
     return out
 
 
 def _product(m: Measure, n: int) -> np.ndarray:
     # the section as a matrix product, Hermitian up to roundoff
     if isinstance(m, WeightedCircle):
-        p = _circle_expansion(m.center, m.radius, n)
+        p = circle_expansion(m.center, m.radius, n)
         w = dict(m.fourier)
         band = np.array([w.get(d, 0.0 + 0.0j) for d in range(1 - n, n)], dtype=complex)
         k = np.arange(n)

@@ -49,11 +49,18 @@ def vandermonde(points, n: int) -> np.ndarray:
 
 
 def evaluate(v, z):
-    """Evaluate p at z (scalar or array) by Horner's scheme."""
+    """Evaluate p at z (scalar or array) by Horner's scheme, in the
+    operation order of numpy.polynomial.polynomial.polyval, so the values
+    are bitwise polyval's without importing numpy.polynomial."""
     c = as_coeffs(v)
+    if isinstance(z, (tuple, list)):
+        z = np.asarray(z)
     if len(c) == 0:
         return np.zeros_like(np.asarray(z, dtype=complex))
-    return np.polynomial.polynomial.polyval(z, c)
+    y = c[-1] + z * 0
+    for k in range(len(c) - 2, -1, -1):
+        y = c[k] + y * z
+    return y
 
 
 def recenter(v, a: complex) -> np.ndarray:

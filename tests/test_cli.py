@@ -16,7 +16,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import sobolevlab
-from sobolevlab import cli, measures, numkernel
+from sobolevlab import cli, measures, momentmatrix, numkernel
 from sobolevlab.cli import (
     Scenario,
     ScenarioFormatError,
@@ -28,6 +28,7 @@ from sobolevlab.cli import (
 )
 from sobolevlab.measures import MeasureFormatError
 from sobolevlab.numkernel import ConvergenceFailure
+from sobolevlab.polynomials import differentiate, random_coeffs, recenter
 
 UNIT_JSON = {"kind": "circle", "center": [0.0, 0.0], "radius": 1.0}
 HALF_JSON = {"kind": "circle", "center": [0.0, 0.0], "radius": 0.5}
@@ -268,6 +269,47 @@ def test_run_builtin_seeded_determinism(tmp_path):
     r2 = run_builtin("lemma3-unitcircle", str(d2), seed=0)
     assert r1 == r2
     assert (d1 / "lemma3-unitcircle.json").read_bytes() == (d2 / "lemma3-unitcircle.json").read_bytes()
+
+
+def test_random_rows_are_bitwise_the_per_sample_draws():
+    rows = cli._random_rows(np.random.default_rng([3, 1]), 300, 12)
+    rng = np.random.default_rng([3, 1])
+    ref = np.zeros((300, 13), dtype=complex)
+    for row in ref:
+        deg = int(rng.integers(1, 13))
+        row[: deg + 1] = random_coeffs(rng, deg)
+    assert rows.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("measure", [cli.UNIT, measures.CircleLebesgue(0.3 - 0.6j, 1.7), cli.HALF_PLUS_UNIT],
+                         ids=["unit", "shifted", "sum"])
+def test_batched_forms_match_norm_sq(measure):
+    a = momentmatrix.section(momentmatrix.of_measure(measure), 21)
+    rows = cli._random_rows(np.random.default_rng(4), 200, 20)
+    forms = cli._forms(a, rows)
+    derivatives = cli._forms(a[:20, :20], cli._derivative_rows(rows))
+    for v, form, derivative in zip(rows, forms, derivatives):
+        assert abs(form - momentmatrix.norm_sq(a, v)) <= 1e-13 * momentmatrix.norm_sq(a, v)
+        ref = momentmatrix.norm_sq(a[:20, :20], differentiate(v))
+        assert abs(derivative - ref) <= 1e-13 * ref
+
+
+def test_shifted_circle_taylor_rows_match_recenter():
+    rng = np.random.default_rng(6)
+    rows = cli._random_rows(rng, 100, 20)
+    for a, r in [(0.0, 1.0), (0.5 - 0.3j, 0.2), (-0.7 + 0.1j, 1.9)]:
+        taylor = rows @ measures.circle_expansion(a, r, 21)
+        for v, t in zip(rows, taylor):
+            b = recenter(v, a)
+            ref = b * r ** np.arange(len(b))
+            assert np.max(np.abs(t[: len(b)] - ref)) <= 1e-14 * np.max(np.abs(ref))
+            assert not np.any(t[len(b):])
+
+
+@pytest.mark.parametrize("name", ["lemma3-unitcircle", "lemma3-shifted", "prop6-equivalence"])
+def test_sampled_builtins_hold_at_seeds_0_to_9(tmp_path, name):
+    for s in range(10):
+        assert run_builtin(name, str(tmp_path), n_max=8, seed=s)["verdict"] == "holds"
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +599,21 @@ def test_cli_import_loads_no_scipy():
     code = "import sys, sobolevlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def test_runs_load_no_numpy_polynomial(tmp_path):
+    spec = write_spec(tmp_path, BASE_SCENARIOS["gamma"])
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sobolevlab.__file__)))
+    code = (
+        "import contextlib, io, sys; from sobolevlab import cli\n"
+        "for argv in (['--builtin', 'all', '--nmax', '8'], ['--spec', sys.argv[1]]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv + ['--out', sys.argv[2]]) == 0\n"
+        "    print('numpy.polynomial' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, spec, str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\nFalse\n"
 
 
 # ---------------------------------------------------------------------------

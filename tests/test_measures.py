@@ -270,7 +270,7 @@ def test_constant_weight_skips_the_positivity_grid(monkeypatch):
 
 def test_circle_expansion_binomials_are_exact_and_shared():
     for n in (1, 5, 33):
-        p = measures._circle_expansion(0.5 - 0.25j, 2.0, n)
+        p = measures.circle_expansion(0.5 - 0.25j, 2.0, n)
         ref = np.zeros((n, n), dtype=complex)
         for i in range(n):
             for k in range(i + 1):
@@ -278,6 +278,21 @@ def test_circle_expansion_binomials_are_exact_and_shared():
         npt.assert_allclose(p, ref, rtol=1e-14, atol=0)
         assert measures._binomials(n) is measures._binomials(n)
         assert not any(a.flags.writeable for a in measures._binomials(n))
+
+
+def test_times_adjoint_is_bitwise_the_outer_product_loop():
+    rng = np.random.default_rng(11)
+    for case in range(600):
+        n, m, k = (int(x) for x in rng.integers(1, 66, size=3))
+        u, v = (rng.standard_normal((rows, k)) + 1j * rng.standard_normal((rows, k)) for rows in (n, m))
+        if case % 3 == 0:  # exact and signed zeros in both factors
+            for a in (u, v):
+                a.real[rng.uniform(size=a.shape) < 0.3] = 0.0
+                a.imag[rng.uniform(size=a.shape) < 0.3] = -0.0
+        ref = np.zeros((n, m), dtype=complex)
+        for j in range(k):
+            ref += np.outer(u[:, j], v[:, j].conj())
+        assert measures._times_adjoint(u, v).tobytes() == ref.tobytes()
 
 
 def test_weight_frequency_cap_prevents_grid_aliasing():

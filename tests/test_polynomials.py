@@ -41,6 +41,23 @@ def test_evaluate_against_direct_powers():
     assert evaluate([], 3.0) == 0.0
 
 
+def test_evaluate_is_bitwise_polyval():
+    rng = np.random.default_rng(5)
+    for case in range(3000):
+        deg = int(rng.integers(0, 25))
+        v = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+        z = [
+            complex(rng.standard_normal(), rng.standard_normal()),
+            float(rng.standard_normal()),
+            2.0 * (rng.standard_normal(7) + 1j * rng.standard_normal(7)),
+            [complex(x) for x in rng.standard_normal(3)],
+        ][case % 4]
+        got, ref = evaluate(v, z), np.polynomial.polynomial.polyval(z, as_coeffs(v))
+        assert type(got) is type(ref)
+        assert np.asarray(got).dtype == np.asarray(ref).dtype
+        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+
 def test_recenter_frozen_example():
     # p(z) = z^2 about a=1: (z-1)^2 + 2(z-1) + 1
     npt.assert_allclose(recenter([0, 0, 1], 1.0), np.array([1.0, 2.0, 1.0]))
