@@ -218,12 +218,8 @@ def _run_gram(sc, prefix, n) -> dict:
 def _run_opoly(sc, prefix, n) -> dict:
     pen = _pencil(sc)
     ops = sobolev.orthonormal_polys(pen.gram, n)
-    g = sobolev.gram_section(pen, n)
-    resid = 0.0
-    for j, cj in enumerate(ops):
-        for k, ck in enumerate(ops):
-            ip = momentmatrix.inner_product(g, cj, ck)
-            resid = max(resid, abs(ip - (1.0 if j == k else 0.0)))
+    _, w, _ = momentmatrix.factor(pen.gram, n)  # the rows of w are ops
+    resid = float(np.max(np.abs(w @ sobolev.gram_section(pen, n) @ w.conj().T - np.eye(n))))
     rows = [[k, *c, *[0j] * (n - len(c))] for k, c in enumerate(ops)]
     reporting.write_csv(f"{prefix}_opoly.csv", ["degree"] + [f"c{j}" for j in range(n)], rows)
     return {

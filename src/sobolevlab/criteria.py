@@ -123,7 +123,7 @@ def gamma_sequence(m: MomentMatrix, a: complex, n_max: int) -> list[float]:
     y = L^{-1} e, e^H G_n^{-1} e = |y_0|^2 + ... + |y_{n-1}|^2, because
     the factor of the n section is the leading block of L.
     """
-    lower, failure = momentmatrix.factor(m, n_max)
+    lower, _, failure = momentmatrix.factor(m, n_max)
     if failure is not None:
         raise failure
     y = numkernel.solve_lower(lower, _evaluation_vector(m, a, n_max))
@@ -162,12 +162,14 @@ def _evaluation_vector(m: MomentMatrix, a: complex, n: int) -> np.ndarray:
 
 
 def _gamma_minimizer(m: MomentMatrix, a: complex, n: int) -> np.ndarray:
-    """Coefficient row attaining gamma: p(a) = 1 with minimal norm^2."""
-    g = momentmatrix.section(m, n)
-    e = _evaluation_vector(m, a, n)
-    x = np.linalg.solve(g, e)
-    s = float(np.real(np.vdot(e, x)))
-    return np.conj(x) / s
+    """Coefficient row attaining gamma: p(a) = 1 with minimal norm^2,
+    conj(x) / s with x = G^{-1} e = W^* (W e) and s = e^H x = ||W e||^2,
+    read off the matrix's inverse factor W = L^{-1}."""
+    _, inverse, failure = momentmatrix.factor(m, n)
+    if failure is not None:
+        raise failure
+    y = inverse @ _evaluation_vector(m, a, n)
+    return np.conj(inverse.conj().T @ y) / float(np.vdot(y, y).real)
 
 
 def bpe_decide(m: MomentMatrix, a: complex, n_max: int) -> CriterionReport:
@@ -364,7 +366,7 @@ def comparability_bounds(
     ns = list(range(2, n_max + 1))
     lows, highs = [], []
     for lam in numkernel.nested_gen_eig(
-        sobolev.gram_section(q, n_max), *momentmatrix.factor(p.gram, n_max), p.label
+        sobolev.gram_section(q, n_max), *momentmatrix.factor(p.gram, n_max)[1:], p.label
     )[1:]:
         if isinstance(lam, Exception):
             raise lam
@@ -417,7 +419,7 @@ def eigen_limit_report(fourier, n_list) -> CriterionReport:
     momentmatrix.section(m, ns[-1])  # build once; every listed n is a leading block
     lams, betas = [], []
     for n in ns:
-        eigenvalues, _ = numkernel.herm_eig(momentmatrix.section(m, n), m.label)
+        eigenvalues = numkernel.eigvalsh(momentmatrix.section(m, n), m.label)
         lams.append(float(eigenvalues[0]))
         betas.append(float(eigenvalues[-1]))
     inside = all(

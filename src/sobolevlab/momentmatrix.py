@@ -7,7 +7,9 @@ Every built section is mirrored (strict lower triangle = conjugated
 upper one, real diagonal), so sections are exactly Hermitian even if the
 builder is only approximately so, and checked for finiteness, so values
 that overflowed never reach a factorization, which ``factor`` alone
-performs, keeping the factor of the last size asked for.
+performs, keeping the factor L and its inverse W = L^{-1} of the last
+size asked for: every reduction, orthonormal basis and minimizer reads
+W with matrix products.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from . import measures, numkernel
 __all__ = [
     "MomentMatrix",
     "factor",
-    "inner_product",
     "is_toeplitz",
     "norm_sq",
     "of_measure",
@@ -67,18 +68,20 @@ def section(m: MomentMatrix, n: int) -> np.ndarray:
 
 
 def factor(m: MomentMatrix, n: int) -> tuple:
-    """(L, None) with L = numkernel.cholesky(section(m, n), m.label), or,
-    when pivot k < n fails, (the factor of the leading k x k block, the
-    NotPositiveDefinite(k)).  L is read-only and kept on the matrix for
-    the last n asked; another n is factored afresh, because a block of a
-    factor is not bitwise the factor of the block."""
+    """(L, W, None) with L = numkernel.cholesky(section(m, n), m.label)
+    and W = numkernel.inverse_lower(L), or, when pivot k < n fails, (the
+    factor of the leading k x k block, its inverse, the
+    NotPositiveDefinite(k)).  L and W are read-only and kept on the
+    matrix for the last n asked; another n is factored afresh, because a
+    block of a factor is not bitwise the factor of the block."""
     if m._factor is None or m._factor[0] != n:
         try:
             lower, failure = numkernel.cholesky(section(m, n), m.label), None
         except numkernel.NotPositiveDefinite as exc:
             lower, failure = exc.lower, exc
-        lower.flags.writeable = False
-        m._factor = (n, lower, failure)
+        inverse = numkernel.inverse_lower(lower)
+        lower.flags.writeable = inverse.flags.writeable = False
+        m._factor = (n, lower, inverse, failure)
     return m._factor[1:]
 
 
@@ -118,18 +121,13 @@ def is_toeplitz(m: MomentMatrix, n: int) -> bool:
     return bool(np.all(np.abs(a[:-1, :-1] - a[1:, 1:]) <= TOEPLITZ_TOL))
 
 
-def inner_product(a: np.ndarray, v, w) -> complex:
-    """<p, q> against a Hermitian section: v A w^* in the row convention,
-    the coefficient vectors padded with zeros to the section's size."""
-    vp, wp = np.zeros((2, a.shape[0]), dtype=complex)
-    for padded, x in ((vp, v), (wp, w)):
-        x = np.atleast_1d(x)
-        if len(x) > len(padded):
-            raise ValueError("coefficient vector longer than section")
-        padded[: len(x)] = x
-    return complex(vp @ a @ np.conj(wp))
-
-
 def norm_sq(a: np.ndarray, v) -> float:
-    """Quadratic form v A v^*; real for Hermitian sections."""
-    return inner_product(a, v, v).real
+    """Quadratic form v A v^* in the row convention, the coefficient
+    vector padded with zeros to the section's size; real for Hermitian
+    sections."""
+    v = np.atleast_1d(v)
+    if len(v) > a.shape[0]:
+        raise ValueError("coefficient vector longer than section")
+    vp = np.zeros(a.shape[0], dtype=complex)
+    vp[: len(v)] = v
+    return complex(vp @ a @ np.conj(vp)).real

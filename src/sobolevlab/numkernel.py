@@ -1,16 +1,17 @@
 """Dense Hermitian numerics with structured failures.
 
 Thin kernel shared by everything downstream: the exact Hermitian mirror
-of a section, a pivot-gated Cholesky factorization, Hermitian
-eigendecomposition, lower-triangular solves by forward substitution, the
-definite generalized eigenproblem (for one size, or for every leading
-size, read off a given factor), and polynomial roots via the companion
-matrix.  Eigensolves are delegated to LAPACK through numpy; what this
-module adds is the error contract (NotPositiveDefinite with the failing
-pivot index and the factor before it, ConvergenceFailure with the
-offending label, Overflow for values beyond the double range) and the
-exact reductions used by the callers.  Moment-matrix sections are
-factored once per matrix and size by ``momentmatrix.factor``.
+of a section, a pivot-gated Cholesky factorization and the inverse of its
+factor, Hermitian eigensolves (with or without vectors), lower-triangular
+solves by forward substitution, the definite generalized eigenproblem
+read off an inverse factor (for one size, or for every leading size), and
+polynomial roots via the companion matrix.  Eigensolves are delegated to
+LAPACK through numpy; what this module adds is the error contract
+(NotPositiveDefinite with the failing pivot index and the factor before
+it, ConvergenceFailure with the offending label, Overflow for values
+beyond the double range) and the exact reductions used by the callers.
+Moment-matrix sections are factored and inverted once per matrix and size
+by ``momentmatrix.factor``.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ __all__ = [
     "Overflow",
     "cholesky",
     "companion_roots",
-    "gen_eig_definite",
+    "eigvalsh",
     "gen_eig_factored",
     "herm_eig",
+    "inverse_lower",
     "mirror_upper",
     "nested_gen_eig",
     "require_finite",
@@ -39,8 +41,6 @@ __all__ = [
 #: a Schur pivot at or below this fraction of the original diagonal entry
 #: marks the section as numerically singular
 PIVOT_RTOL = 1e-14
-#: companion-root residual budget: |p(root)| <= this * max|coeff| * (1+|root|)^deg
-ROOT_RESIDUAL_TOL = 1e-8
 
 
 class NotPositiveDefinite(Exception):
@@ -158,49 +158,53 @@ def solve_lower(lower, b) -> np.ndarray:
     return x
 
 
-def _reduce(q: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """L^{-1} Q L^{-*}, symmetrized."""
-    y = solve_lower(lower, q)
-    b = solve_lower(lower, y.conj().T).conj().T
+def inverse_lower(lower) -> np.ndarray:
+    """W = L^{-1} of a lower-triangular factor L: row k of W holds the
+    degree-k coefficients of the k-th orthonormal polynomial, with the
+    positive real leading coefficient 1/L[k, k].
+
+    W solves W L = I row by row (L^T W^T = I, flipped into
+    lower-triangular form), so each row comes from its own back
+    substitution, which is backward stable for that row; the columns of
+    L W = I each mix every degree.
+    """
+    return solve_lower(lower[::-1, ::-1].T, np.eye(lower.shape[0], dtype=complex))[::-1, ::-1].T
+
+
+def _reduce(q: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """W Q W^*, symmetrized."""
+    b = inverse @ q @ inverse.conj().T
     return 0.5 * (b + b.conj().T)
 
 
-def _eigvalsh(b: np.ndarray, label: str) -> np.ndarray:
+def eigvalsh(b, label: str = "") -> np.ndarray:
+    """numpy's ascending eigenvalues of a Hermitian matrix, without
+    eigenvectors; ConvergenceFailure when LAPACK does not converge."""
     try:
         return np.linalg.eigvalsh(b)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(label) from exc
 
 
-def gen_eig_definite(q, g, label: str = "") -> np.ndarray:
-    """Ascending eigenvalues of the pencil (Q, G) with G Hermitian
-    positive definite: gen_eig_factored with the Cholesky factor of G.
-    Propagates NotPositiveDefinite from G.
-    """
+def gen_eig_factored(q, inverse, label: str = "") -> np.ndarray:
+    """Ascending eigenvalues of the pencil (Q, L L^*) from the inverse
+    factor W = L^{-1}: reduce to W Q W^* and diagonalize."""
+    return eigvalsh(_reduce(_square(q), inverse), label)
+
+
+def nested_gen_eig(q, inverse, failure: NotPositiveDefinite | None, label: str = "") -> list:
+    """The eigenvalues of the pencil (Q[:n, :n], G[:n, :n]) for
+    n = 1..len(Q), read off G's inverse factor W and ``failure`` as
+    ``momentmatrix.factor`` returns them: the reduced matrix at size n is
+    the leading block of W Q W^*, as W is lower triangular, up to the
+    size k of W; every n > k gets ``failure``."""
     qm = _square(q)
-    return gen_eig_factored(qm, cholesky(g, label), label)
-
-
-def gen_eig_factored(q, lower, label: str = "") -> np.ndarray:
-    """Ascending eigenvalues of the pencil (Q, L L^*) from the Cholesky
-    factor L: reduce to L^{-1} Q L^{-*} and diagonalize."""
-    return _eigvalsh(_reduce(_square(q), lower), label)
-
-
-def nested_gen_eig(q, lower, failure: NotPositiveDefinite | None, label: str = "") -> list:
-    """gen_eig_definite(Q[:n, :n], G[:n, :n]) for n = 1..len(Q), or the
-    exception it raises, read off a given factorization of G: ``lower``
-    and ``failure`` as ``momentmatrix.factor`` returns them (the factor
-    of G and None, or the factor of the block before the failing pivot k
-    and the failure).  The reduced matrix at size n is the leading block
-    of L^{-1} Q L^{-*}; every n > k gets ``failure``."""
-    qm = _square(q)
-    ok = lower.shape[0]
-    b = _reduce(qm[:ok, :ok], lower) if ok else None
+    ok = inverse.shape[0]
+    b = _reduce(qm[:ok, :ok], inverse) if ok else None
 
     def at(n: int):
         try:
-            return _eigvalsh(b[:n, :n], label)
+            return eigvalsh(b[:n, :n], label)
         except ConvergenceFailure as exc:
             return exc
 

@@ -11,9 +11,10 @@ and column 0; the pencil keeps it as one more MomentMatrix.  This module
 materializes Gram sections, orthonormalizes the monomials of any moment
 matrix (a pencil's through its Gram), finds zeros of the orthonormal
 polynomials, and measures the finite-section norm of multiply-by-z.
-Everything reads the pencil's one Gram factor (``momentmatrix.factor``):
-sequences over n = 1..n_max read every smaller size off the leading
-blocks of the n_max factor.
+Everything reads the inverse W = L^{-1} of the pencil's one Gram factor
+(``momentmatrix.factor``): the orthonormal polynomials are the rows of
+W, and sequences over n = 1..n_max read every smaller size off the
+leading blocks of the n_max inverse.
 """
 
 from __future__ import annotations
@@ -85,18 +86,13 @@ def orthonormal_polys(m: MomentMatrix, n: int) -> tuple:
     """First n orthonormal polynomials of the matrix ``m`` (a pencil's
     are those of ``pencil.gram``); entry k holds the degree-k coefficients.
 
-    Rows of the inverse Cholesky factor W = L^{-1} of the section:
-    degree-k coefficients with a positive real leading coefficient
-    1/L[k, k].  W solves W L = I row by row (L^T W^T = I, flipped into
-    lower-triangular form), so each polynomial's coefficients come from
-    their own back substitution, which is backward stable for that
-    polynomial; the columns of L W = I each mix every degree.
+    The rows of the inverse factor W = L^{-1} of the section
+    (``momentmatrix.factor``; see numkernel.inverse_lower).
     """
-    lower, failure = momentmatrix.factor(m, n)
+    _, inverse, failure = momentmatrix.factor(m, n)
     if failure is not None:
         raise failure
-    inv = numkernel.solve_lower(lower[::-1, ::-1].T, np.eye(n, dtype=complex))[::-1, ::-1].T
-    return tuple(inv[k, : k + 1].copy() for k in range(n))
+    return tuple(inverse[k, : k + 1].copy() for k in range(n))
 
 
 def sobolev_zeros(p: SobolevPencil, deg: int) -> np.ndarray:
@@ -117,10 +113,10 @@ def mult_op_norm(p: SobolevPencil, n: int) -> float:
     if n < 1:
         raise ValueError("operator norm needs n >= 1")
     q = gram_section(p, n + 1)[1:, 1:]
-    lower, failure = momentmatrix.factor(p.gram, n)
+    _, inverse, failure = momentmatrix.factor(p.gram, n)
     if failure is not None:
         raise failure
-    lam = numkernel.gen_eig_factored(q, lower, p.label)
+    lam = numkernel.gen_eig_factored(q, inverse, p.label)
     return math.sqrt(max(float(lam[-1]), 0.0))
 
 
@@ -153,7 +149,7 @@ def norm_sequence(p: SobolevPencil, n_max: int, quantity: str) -> NormSequence:
     else:
         q = momentmatrix.section(p.m1, n_max)
     values, errors = [], []
-    for lam in numkernel.nested_gen_eig(q, *momentmatrix.factor(p.gram, n_max), p.label):
+    for lam in numkernel.nested_gen_eig(q, *momentmatrix.factor(p.gram, n_max)[1:], p.label):
         if isinstance(lam, Exception):
             values.append(math.nan)
             errors.append(str(lam))

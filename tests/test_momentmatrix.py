@@ -96,20 +96,17 @@ def test_is_toeplitz():
         mm.is_toeplitz(mm.of_measure(UNIT), 1)
 
 
-def test_inner_product_row_convention_and_padding():
+def test_norm_sq_row_convention_and_padding():
     a = mm.section(mm.of_measure(W04), 4)
-    v = np.array([1.0, 2.0j])
-    w = np.array([0.5, 0.0, 1.0 - 1.0j])
+    v = np.array([1.0, 0.0, 2.0j])
     manual = 0.0 + 0.0j
-    for i in range(2):
+    for i in range(3):
         for j in range(3):
-            manual += v[i] * a[i, j] * np.conj(w[j])
-    got = mm.inner_product(a, v, w)
+            manual += v[i] * a[i, j] * np.conj(v[j])
+    got = mm.norm_sq(a, v)
     assert abs(got - manual) <= 1e-14 * (1 + abs(manual))
-    # <p, q> = conj(<q, p>)
-    assert abs(mm.inner_product(a, w, v) - np.conj(got)) <= 1e-14
     with pytest.raises(ValueError):
-        mm.inner_product(a, np.ones(5), v)
+        mm.norm_sq(a, np.ones(5))
 
 
 def test_norm_sq_real_and_consistent_with_moments():
@@ -191,21 +188,36 @@ def test_factor_is_the_factor_of_its_own_section(name, order):
     # so the result must not depend on which sizes were asked for before
     m = FACTOR_MATRICES[name]()
     for n in order:
-        lower, failure = mm.factor(m, n)
+        lower, inverse, failure = mm.factor(m, n)
         ref, message = _reference_factor(FACTOR_MATRICES[name](), n)
         npt.assert_array_equal(lower, ref)
+        npt.assert_array_equal(inverse, numkernel.inverse_lower(ref))
         assert (None if failure is None else str(failure)) == message
-        assert not lower.flags.writeable
+        assert not lower.flags.writeable and not inverse.flags.writeable
+
+
+@pytest.mark.parametrize("name", FACTOR_MATRICES)
+@pytest.mark.parametrize("n", [8, 33, 64])
+def test_kept_inverse_solves_w_l_equal_identity_row_by_row(name, n):
+    # each row of W is its own back substitution, so W L = I holds
+    # componentwise to roundoff of |W| |L|, also on the failing prefixes
+    # (example 6 at 64, the circle at 33 and 64), where the residual
+    # itself reaches 1e-8
+    lower, inverse, _ = mm.factor(FACTOR_MATRICES[name](), n)
+    k = lower.shape[0]
+    assert inverse.shape == (k, k)
+    assert np.all(np.abs(inverse @ lower - np.eye(k)) <= 1e-14 * (np.abs(inverse) @ np.abs(lower)))
+    npt.assert_array_equal(np.triu(inverse, 1), 0)
 
 
 def test_failing_factor_returns_the_prefix_before_the_pivot():
     m = mm.of_measure(Atomic(((0.5, 1.0), (-0.2 + 0.4j, 2.0), (0.6j, 0.5))))  # rank 3
-    lower, failure = mm.factor(m, 8)
+    lower, inverse, failure = mm.factor(m, 8)
     assert isinstance(failure, NotPositiveDefinite)
     k = failure.index
     assert k == 3
     assert str(failure) == f"pivot 3 of {m.label} is not positive"
-    assert lower.shape == (k, k)
+    assert lower.shape == inverse.shape == (k, k)
     assert failure.lower is lower
     assert np.max(np.abs(lower @ lower.conj().T - mm.section(m, k))) <= 1e-13
     with pytest.raises(NotPositiveDefinite, match="pivot 3 of"):
@@ -232,6 +244,20 @@ def test_bpe_decisions_on_one_matrix_factor_once(cholesky_calls):
     assert len(verdicts) == 49
     assert verdicts.count("holds") == 28 and verdicts.count("fails") == 21
     assert cholesky_calls == [64]
+
+
+def test_bpe_disk_map_reads_the_kept_factor_without_lu_solves(monkeypatch, tmp_path):
+    # the 24 "fails" witnesses of the disk map read the kept inverse factor
+    calls = []
+    plain = np.linalg.solve
+
+    def counted(a, b):
+        calls.append(np.shape(a))
+        return plain(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    assert cli.main(["--builtin", "bpe-disk-map", "--nmax", "64", "--out", str(tmp_path)]) == 0
+    assert calls == []
 
 
 def test_zero_bound_scan_factors_once(cholesky_calls):

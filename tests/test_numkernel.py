@@ -9,8 +9,9 @@ from sobolevlab.numkernel import (
     Overflow,
     cholesky,
     companion_roots,
-    gen_eig_definite,
+    gen_eig_factored,
     herm_eig,
+    inverse_lower,
     mirror_upper,
     solve_lower,
 )
@@ -121,24 +122,29 @@ def test_herm_eig_ascending_and_reconstructs():
     npt.assert_allclose(rebuilt, a, atol=1e-12)
 
 
-def test_gen_eig_definite_frozen_diagonal():
-    vals = gen_eig_definite(np.diag([1.0, 1.0]), np.diag([1.0, 4.0]))
+def _gen_eig(q, g, label=""):
+    """Eigenvalues of the pencil (Q, G) over a fresh factor of G and its inverse."""
+    return gen_eig_factored(q, inverse_lower(cholesky(g, label)), label)
+
+
+def test_gen_eig_factored_frozen_diagonal():
+    vals = _gen_eig(np.diag([1.0, 1.0]), np.diag([1.0, 4.0]))
     npt.assert_allclose(vals, [0.25, 1.0], rtol=1e-14)
     # pencil (G, G) is all ones
     rng = np.random.default_rng(8)
     b = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     g = b @ b.conj().T + 5 * np.eye(5)
-    npt.assert_allclose(gen_eig_definite(g, g), np.ones(5), rtol=1e-12)
+    npt.assert_allclose(_gen_eig(g, g), np.ones(5), rtol=1e-12)
 
 
-def test_gen_eig_definite_rayleigh_bounds():
+def test_gen_eig_factored_rayleigh_bounds():
     rng = np.random.default_rng(21)
     n = 7
     b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     g = b @ b.conj().T + n * np.eye(n)
     c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q = c @ c.conj().T
-    vals = gen_eig_definite(q, g)
+    vals = _gen_eig(q, g)
     assert np.all(np.diff(vals) >= -1e-12)
     for _ in range(40):
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -146,9 +152,9 @@ def test_gen_eig_definite_rayleigh_bounds():
         assert vals[0] - 1e-10 <= ratio <= vals[-1] + 1e-10
 
 
-def test_gen_eig_definite_propagates_pivot_failure():
+def test_gen_eig_factored_over_a_fresh_factor_propagates_pivot_failure():
     with pytest.raises(NotPositiveDefinite):
-        gen_eig_definite(np.eye(2), np.array([[1.0, 1.0], [1.0, 1.0]]))
+        _gen_eig(np.eye(2), np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 def test_companion_roots_frozen():

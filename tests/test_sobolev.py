@@ -15,7 +15,7 @@ from sobolevlab.measures import (
     moment_section,
 )
 from sobolevlab.momentmatrix import norm_sq, section
-from sobolevlab.numkernel import NotPositiveDefinite, gen_eig_definite
+from sobolevlab.numkernel import NotPositiveDefinite, cholesky, gen_eig_factored, inverse_lower
 from sobolevlab.polynomials import differentiate, evaluate, random_coeffs
 from sobolevlab.sobolev import (
     NormSequence,
@@ -111,6 +111,16 @@ def test_orthonormal_polys_are_orthonormal(p):
     npt.assert_allclose(gram_of_ops, np.eye(n), atol=1e-9)
 
 
+@pytest.mark.parametrize("p", CORPUS)
+def test_orthonormal_polys_are_the_rows_of_the_kept_inverse(p):
+    n = 10
+    ops = orthonormal_polys(p.gram, n)
+    _, inverse, failure = mm.factor(p.gram, n)
+    assert failure is None
+    for k, c in enumerate(ops):
+        npt.assert_array_equal(c, inverse[k, : k + 1])
+
+
 def test_orthonormal_polys_propagates_singular_section():
     p = pencil_of_measures(Atomic(((3.0, 1.0),)), None)
     with pytest.raises(NotPositiveDefinite) as info:
@@ -125,28 +135,36 @@ def test_sobolev_zeros_diagonal_pencils_vanish_at_origin():
         sobolev_zeros(P_UNIT_UNIT, 0)
 
 
+def _example6_exact_gram(n):
+    """The exact n x n Gram matrix of the example-6 pencil {circle(0, 1),
+    circle(0.5, 2)} in mpmath, at the caller's working precision."""
+    import mpmath
+
+    a, r = mpmath.mpf(0.5), mpmath.mpf(2)
+
+    def m1(i, j):  # moments of the circle |z - a| = r
+        return mpmath.fsum(
+            mpmath.binomial(i, k) * mpmath.binomial(j, k) * a ** (i + j - 2 * k) * r ** (2 * k)
+            for k in range(min(i, j) + 1)
+        )
+
+    g = mpmath.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            g[i, j] = int(i == j) + (i * j * m1(i - 1, j - 1) if i and j else 0)
+    return g
+
+
 def test_example6_zeros_match_a_60_digit_oracle():
-    """Largest zero modulus of the example-6 pencil {circle(0, 1),
-    circle(0.5, 2)} against mpmath at 60 digits: the exact Gram matrix,
-    its Cholesky factor and inverse, and a companion eigensolve."""
+    """Largest zero modulus of the example-6 pencil against mpmath at 60
+    digits: the exact Gram matrix, its Cholesky factor and inverse, and a
+    companion eigensolve."""
     import mpmath
 
     p = pencil_of_measures(UNIT, CircleLebesgue(0.5, 2.0))
     n = 21
     with mpmath.workdps(60):
-        a, r = mpmath.mpf(0.5), mpmath.mpf(2)
-
-        def m1(i, j):  # moments of the circle |z - a| = r
-            return mpmath.fsum(
-                mpmath.binomial(i, k) * mpmath.binomial(j, k) * a ** (i + j - 2 * k) * r ** (2 * k)
-                for k in range(min(i, j) + 1)
-            )
-
-        g = mpmath.matrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                g[i, j] = int(i == j) + (i * j * m1(i - 1, j - 1) if i and j else 0)
-        inv = mpmath.inverse(mpmath.cholesky(g))
+        inv = mpmath.inverse(mpmath.cholesky(_example6_exact_gram(n)))
         for deg in range(10, n):
             comp = mpmath.matrix(deg, deg)
             for k in range(deg):
@@ -156,6 +174,29 @@ def test_example6_zeros_match_a_60_digit_oracle():
             exact = float(max(abs(z) for z in mpmath.eig(comp, left=False, right=False)))
             got = float(np.abs(sobolev_zeros(p, deg)).max())
             assert abs(got - exact) <= 1e-9 * exact, deg
+
+
+def test_example6_mult_op_matches_a_60_digit_reduction():
+    """The example-6 mult_op sequence for n <= 16, and the spectrum of
+    W Q W^* read off the kept inverse factor at each n, against the same
+    reduction of the exact Gram matrix in mpmath at 60 digits."""
+    import mpmath
+
+    p = pencil_of_measures(UNIT, CircleLebesgue(0.5, 2.0))
+    n_max = 16
+    seq = norm_sequence(p, n_max, "mult_op")
+    q = gram_section(p, n_max + 1)[1:, 1:]
+    with mpmath.workdps(60):
+        g = _example6_exact_gram(n_max + 1)
+        for n in range(1, n_max + 1):
+            w = mpmath.inverse(mpmath.cholesky(g[0:n, 0:n]))
+            exact = np.sort([float(x) for x in mpmath.eigh(w * g[1 : n + 1, 1 : n + 1] * w.H, eigvals_only=True)])
+            _, inverse, _ = mm.factor(p.gram, n)
+            got = gen_eig_factored(q[:n, :n], inverse, p.label)
+            top = exact[-1]
+            assert abs(seq.values[n - 1] - math.sqrt(top)) <= 1e-13 * math.sqrt(top), n
+            assert abs(got[-1] - top) <= 1e-13 * top, n
+            assert np.max(np.abs(got - exact)) <= 1e-12 * top, n
 
 
 def test_mult_op_norm_frozen_values():
@@ -273,6 +314,11 @@ def _fresh_gram(mu0, mu1, n):
     return gram_section(pencil_of_measures(mu0, mu1), n)
 
 
+def _gen_eig(q, g, label=""):
+    """Eigenvalues of the pencil (Q, G) over a fresh factor of G and its inverse."""
+    return gen_eig_factored(q, inverse_lower(cholesky(g, label)), label)
+
+
 NESTED_PENCILS = [
     (UNIT, CircleLebesgue(0.5, 2.0)),
     (W04, HALF),
@@ -292,7 +338,7 @@ def test_norm_sequence_matches_per_size_reference(mu0, mu1, quantity):
             q = _fresh_gram(mu0, mu1, n + 1)[1:, 1:]
         else:
             q = moment_section(mu1, n)
-        top = float(gen_eig_definite(q, _fresh_gram(mu0, mu1, n))[-1])
+        top = float(_gen_eig(q, _fresh_gram(mu0, mu1, n))[-1])
         ref = math.sqrt(top) if quantity == "mult_op" else top
         assert abs(seq.values[n - 1] - ref) <= 1e-12 * abs(ref)
 
@@ -309,6 +355,6 @@ def test_norm_sequence_shares_the_breakdown_pivot():
     assert all(math.isnan(v) for v in seq.values[56:])
     for n in (57, 64):  # the per-size factorization fails at the same pivot
         with pytest.raises(NotPositiveDefinite) as info:
-            gen_eig_definite(_fresh_gram(UNIT, mu1, n + 1)[1:, 1:], _fresh_gram(UNIT, mu1, n), p.label)
+            _gen_eig(_fresh_gram(UNIT, mu1, n + 1)[1:, 1:], _fresh_gram(UNIT, mu1, n), p.label)
         assert str(info.value) == message
 
