@@ -364,19 +364,15 @@ def comparability_bounds(
     if n_max < 2:
         raise ValueError("need n_max >= 2")
     ns = list(range(2, n_max + 1))
-    lows, highs = [], []
-    for lam in numkernel.nested_gen_eig(
-        sobolev.gram_section(q, n_max), *momentmatrix.factor(p.gram, n_max)[1:], p.label
-    )[1:]:
-        if isinstance(lam, Exception):
-            raise lam
-        lows.append(float(lam[0]))
-        highs.append(float(lam[-1]))
-    settled = (
-        sobolev.plateau(ns, highs)
-        and sobolev.plateau(ns, lows)
-        and lows[-1] > 0.0
-    )
+    gram_q = sobolev.gram_section(q, n_max)
+    _, inverse, failure = momentmatrix.factor(p.gram, n_max)
+    # the bottom of (Q, G) is minus the top of (-Q, G)
+    highs, neg_lows = (numkernel.nested_gen_eig(g, inverse, failure, p.label)[1:] for g in (gram_q, -gram_q))
+    for top in highs + neg_lows:
+        if isinstance(top, Exception):
+            raise top
+    lows = [-top for top in neg_lows]
+    settled = sobolev.plateau(ns, highs) and sobolev.plateau(ns, lows) and lows[-1] > 0.0
     return CriterionReport(
         criterion="comparability",
         labels={"pencil": p.label, "other": q.label},

@@ -4,7 +4,9 @@ Thin kernel shared by everything downstream: the exact Hermitian mirror
 of a section, a pivot-gated Cholesky factorization and the inverse of its
 factor, Hermitian eigensolves (with or without vectors), lower-triangular
 solves by forward substitution, the definite generalized eigenproblem
-read off an inverse factor (for one size, or for every leading size), and
+read off an inverse factor (for one size, or its top eigenvalue at every
+leading size, solved only at the sizes where Cauchy interlacing does not
+pin it, so a pinned size cannot report a ConvergenceFailure), and
 polynomial roots via the companion matrix.  Eigensolves are delegated to
 LAPACK through numpy; what this module adds is the error contract
 (NotPositiveDefinite with the failing pivot index and the factor before
@@ -41,6 +43,7 @@ __all__ = [
 #: a Schur pivot at or below this fraction of the original diagonal entry
 #: marks the section as numerically singular
 PIVOT_RTOL = 1e-14
+_EPS = float(np.finfo(float).eps)
 
 
 class NotPositiveDefinite(Exception):
@@ -193,22 +196,41 @@ def gen_eig_factored(q, inverse, label: str = "") -> np.ndarray:
 
 
 def nested_gen_eig(q, inverse, failure: NotPositiveDefinite | None, label: str = "") -> list:
-    """The eigenvalues of the pencil (Q[:n, :n], G[:n, :n]) for
+    """The top eigenvalue of the pencil (Q[:n, :n], G[:n, :n]) for
     n = 1..len(Q), read off G's inverse factor W and ``failure`` as
-    ``momentmatrix.factor`` returns them: the reduced matrix at size n is
-    the leading block of W Q W^*, as W is lower triangular, up to the
-    size k of W; every n > k gets ``failure``."""
+    ``momentmatrix.factor`` returns them: the reduced matrix B_n at size n
+    is the leading block of W Q W^*, as W is lower triangular, up to the
+    size k of W; every n > k gets ``failure``.
+
+    The top of B_n is nondecreasing in n (Cauchy interlacing), so sizes are
+    solved by bisection on [1, k]: when the tops at the two ends of a range
+    agree to 4 eps relative, every size between gets the upper end's value;
+    otherwise the range is split at its midpoint.  A failed solve is its
+    size's ConvergenceFailure and splits each range it ends; a size filled
+    by interlacing is not solved, so it cannot report one.
+    """
     qm = _square(q)
-    ok = inverse.shape[0]
-    b = _reduce(qm[:ok, :ok], inverse) if ok else None
+    k = inverse.shape[0]
+    b = _reduce(qm[:k, :k], inverse) if k else None
+    tops = [None] * k  # tops[n - 1]: the top at size n, or its ConvergenceFailure
 
-    def at(n: int):
-        try:
-            return eigvalsh(b[:n, :n], label)
-        except ConvergenceFailure as exc:
-            return exc
+    def top(n: int):
+        if tops[n - 1] is None:
+            try:
+                tops[n - 1] = float(eigvalsh(b[:n, :n], label)[-1])
+            except ConvergenceFailure as exc:
+                tops[n - 1] = exc
+        return tops[n - 1]
 
-    return [at(n) for n in range(1, ok + 1)] + [failure] * (qm.shape[0] - ok)
+    ranges = [(1, k)] if k else []  # a stack, lower half on top
+    while ranges:
+        lo, hi = ranges.pop()
+        x, y = top(lo), top(hi)
+        if isinstance(x, float) and isinstance(y, float) and abs(y - x) <= 4 * _EPS * max(abs(x), abs(y)):
+            tops[lo : hi - 1] = [y] * (hi - lo - 1)
+        elif hi - lo > 1:
+            ranges += [((lo + hi) // 2, hi), (lo, (lo + hi) // 2)]
+    return tops + [failure] * (qm.shape[0] - k)
 
 
 def companion_roots(v) -> np.ndarray:

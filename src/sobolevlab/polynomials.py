@@ -14,7 +14,6 @@ __all__ = [
     "as_coeffs",
     "differentiate",
     "evaluate",
-    "recenter",
     "random_coeffs",
     "vandermonde",
 ]
@@ -61,23 +60,6 @@ def evaluate(v, z):
     for k in range(len(c) - 2, -1, -1):
         y = c[k] + y * z
     return y
-
-
-def recenter(v, a: complex) -> np.ndarray:
-    """Taylor coefficients of p about a: p(z) = sum_k b[k] (z - a)**k.
-
-    Classic repeated synthetic division by (z - a); O(d^2) and stable
-    for the desk-scale degrees used here.
-    """
-    c = as_coeffs(v)
-    n = len(c)
-    if n == 0:
-        return c
-    b = c.copy()
-    for i in range(n - 1):
-        for k in range(n - 2, i - 1, -1):
-            b[k] += a * b[k + 1]
-    return b
 
 
 def random_coeffs(rng: np.random.Generator, deg: int) -> np.ndarray:

@@ -149,12 +149,11 @@ def norm_sequence(p: SobolevPencil, n_max: int, quantity: str) -> NormSequence:
     else:
         q = momentmatrix.section(p.m1, n_max)
     values, errors = [], []
-    for lam in numkernel.nested_gen_eig(q, *momentmatrix.factor(p.gram, n_max)[1:], p.label):
-        if isinstance(lam, Exception):
+    for top in numkernel.nested_gen_eig(q, *momentmatrix.factor(p.gram, n_max)[1:], p.label):
+        if isinstance(top, Exception):
             values.append(math.nan)
-            errors.append(str(lam))
+            errors.append(str(top))
             continue
-        top = float(lam[-1])
         values.append(math.sqrt(max(top, 0.0)) if quantity == "mult_op" else top)
         errors.append(None)
     return NormSequence(

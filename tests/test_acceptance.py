@@ -12,7 +12,9 @@ import pytest
 from sobolevlab import criteria, measures, momentmatrix, sobolev
 from sobolevlab.cli import list_builtins, run_builtin
 from sobolevlab.measures import Atomic, CircleLebesgue, MeasureSum, WeightedCircle
-from sobolevlab.polynomials import differentiate, evaluate, random_coeffs, recenter
+from sobolevlab.polynomials import differentiate, evaluate, random_coeffs
+
+from oracles import recenter
 
 UNIT = CircleLebesgue(0.0, 1.0)
 HALF = CircleLebesgue(0.0, 0.5)

@@ -28,7 +28,9 @@ from sobolevlab.cli import (
 )
 from sobolevlab.measures import MeasureFormatError
 from sobolevlab.numkernel import ConvergenceFailure
-from sobolevlab.polynomials import differentiate, random_coeffs, recenter
+from sobolevlab.polynomials import differentiate, random_coeffs
+
+from oracles import recenter
 
 UNIT_JSON = {"kind": "circle", "center": [0.0, 0.0], "radius": 1.0}
 HALF_JSON = {"kind": "circle", "center": [0.0, 0.0], "radius": 0.5}

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from sobolevlab.numkernel import (
+    ConvergenceFailure,
     NotPositiveDefinite,
     Overflow,
     cholesky,
@@ -13,6 +14,7 @@ from sobolevlab.numkernel import (
     herm_eig,
     inverse_lower,
     mirror_upper,
+    nested_gen_eig,
     solve_lower,
 )
 from sobolevlab import numkernel
@@ -155,6 +157,97 @@ def test_gen_eig_factored_rayleigh_bounds():
 def test_gen_eig_factored_over_a_fresh_factor_propagates_pivot_failure():
     with pytest.raises(NotPositiveDefinite):
         _gen_eig(np.eye(2), np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+EPS = np.finfo(float).eps
+
+
+def _nested_hermitian(seed, k, lead):
+    """Exactly Hermitian k x k matrix X X^* with ``lead`` added to its
+    first diagonal entry: a large ``lead`` makes the top eigenvalue of the
+    leading blocks plateau from size 1 on."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    b = mirror_upper(x @ x.conj().T)
+    b[0, 0] += lead
+    return b
+
+
+def _tops(q, failing=()):
+    """nested_gen_eig over the identity factor, and the sizes it solved;
+    sizes in ``failing`` do not converge."""
+    solved, real = [], np.linalg.eigvalsh
+
+    def eigvalsh(a):
+        solved.append(a.shape[0])
+        if a.shape[0] in failing:
+            raise np.linalg.LinAlgError("no convergence")
+        return real(a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigvalsh", eigvalsh)
+        tops = nested_gen_eig(q, np.eye(q.shape[0], dtype=complex), None, "B")
+    return tops, solved
+
+
+@pytest.mark.parametrize("lead", [0.0, 1e3, 1e9, 1e12])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_nested_gen_eig_matches_a_solve_per_size(seed, lead):
+    k = 40
+    q = _nested_hermitian(seed, k, lead)
+    tops, solved = _tops(q)
+    assert len(tops) == k and len(set(solved)) == len(solved)
+    for n, top in enumerate(tops, start=1):
+        ref = np.linalg.eigvalsh(q[:n, :n])[-1]
+        assert abs(top - ref) <= 8 * EPS * abs(ref)
+    if lead >= 1e9:  # the plateau pins whole ranges: few sizes are solved
+        assert len(solved) <= k // 2
+    assert {1, k} <= set(solved)
+
+
+def test_nested_gen_eig_fills_a_flat_sequence_from_its_two_ends():
+    q = np.diag([5.0, 1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 0.5, 3.0]).astype(complex)
+    tops, solved = _tops(q)
+    assert tops == [5.0] * 9
+    assert sorted(solved) == [1, 9]
+    # ends 2 ulps apart pin the size between them to the upper end's value
+    tops, solved = _tops(np.diag([1.0, 1.0 + EPS, 1.0 + 2 * EPS]).astype(complex))
+    assert tops == [1.0, 1.0 + 2 * EPS, 1.0 + 2 * EPS]
+    assert sorted(solved) == [1, 3]
+
+
+def test_nested_gen_eig_keeps_a_failed_size_and_its_neighbours():
+    # a failure at a solved end splits its range: the failed size holds its
+    # ConvergenceFailure and every other size keeps its value
+    q = np.diag([5.0, 1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 0.5, 3.0]).astype(complex)
+    tops, solved = _tops(q, failing=(9,))
+    assert isinstance(tops[8], ConvergenceFailure) and str(tops[8]) == "eigensolver failed to converge on B"
+    assert tops[:8] == [5.0] * 8
+    assert 8 in solved
+    # on a sequence that never settles every size is solved
+    q = _nested_hermitian(3, 12, 0.0)
+    clean, _ = _tops(q)
+    tops, solved = _tops(q, failing=(5,))
+    assert isinstance(tops[4], ConvergenceFailure)
+    assert tops[:4] + tops[5:] == clean[:4] + clean[5:]
+    assert sorted(solved) == list(range(1, 13))
+
+
+def test_nested_gen_eig_does_not_solve_an_interlaced_size():
+    # size 5 lies inside the pinned range [1, 9]: its solve is never asked for
+    q = np.diag([5.0, 1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 0.5, 3.0]).astype(complex)
+    tops, solved = _tops(q, failing=(5,))
+    assert tops == [5.0] * 9 and 5 not in solved
+
+
+def test_nested_gen_eig_gives_failure_beyond_the_factor():
+    failure = NotPositiveDefinite(3, "G")
+    q = _nested_hermitian(4, 5, 0.0)
+    tops = nested_gen_eig(q, np.eye(3, dtype=complex), failure, "G")
+    assert tops[3:] == [failure, failure]
+    for n in (1, 2, 3):
+        assert abs(tops[n - 1] - np.linalg.eigvalsh(q[:n, :n])[-1]) <= 8 * EPS * tops[n - 1]
+    assert nested_gen_eig(q, np.zeros((0, 0), dtype=complex), failure) == [failure] * 5
 
 
 def test_companion_roots_frozen():

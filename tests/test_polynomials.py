@@ -12,8 +12,9 @@ from sobolevlab.polynomials import (
     differentiate,
     evaluate,
     random_coeffs,
-    recenter,
 )
+
+from oracles import recenter
 
 
 def test_as_coeffs_trims_trailing_zeros_only():

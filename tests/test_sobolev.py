@@ -358,3 +358,42 @@ def test_norm_sequence_shares_the_breakdown_pivot():
             _gen_eig(_fresh_gram(UNIT, mu1, n + 1)[1:, 1:], _fresh_gram(UNIT, mu1, n), p.label)
         assert str(info.value) == message
 
+
+def _counting_eigvalsh(monkeypatch, failing=()):
+    """Wrap np.linalg.eigvalsh: the returned list collects the size of
+    every solve, and sizes in ``failing`` do not converge."""
+    sizes, real = [], np.linalg.eigvalsh
+
+    def eigvalsh(a):
+        sizes.append(a.shape[0])
+        if a.shape[0] in failing:
+            raise np.linalg.LinAlgError("no convergence")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    return sizes
+
+
+def test_example6_mult_op_solves_few_sizes(monkeypatch):
+    # interlacing pins most of the 56 good sizes of example 6 at n_max 64
+    sizes = _counting_eigvalsh(monkeypatch)
+    seq = norm_sequence(pencil_of_measures(UNIT, CircleLebesgue(0.5, 2.0)), 64, "mult_op")
+    assert seq.errors.count(None) == 56
+    assert len(sizes) <= 20 and max(sizes) == 56
+
+
+def test_norm_sequence_eigensolve_failure_lands_at_its_size(monkeypatch):
+    p = pencil_of_measures(UNIT, CircleLebesgue(0.5, 2.0))
+    clean = norm_sequence(p, 64, "mult_op")
+    solved = _counting_eigvalsh(monkeypatch)
+    norm_sequence(p, 64, "mult_op")
+    n = sorted(solved)[len(solved) // 2]  # a solved size inside the sequence
+    monkeypatch.undo()
+    _counting_eigvalsh(monkeypatch, failing=(n,))
+    seq = norm_sequence(p, 64, "mult_op")
+    assert seq.errors[n - 1] == f"eigensolver failed to converge on {p.label}"
+    assert math.isnan(seq.values[n - 1])
+    assert seq.errors[:n - 1] + seq.errors[n:56] == (None,) * 55
+    for k in (*range(n - 1), *range(n, 56)):
+        assert abs(seq.values[k] - clean.values[k]) <= 8 * np.finfo(float).eps * clean.values[k]
+    assert seq.errors[56:] == clean.errors[56:]
