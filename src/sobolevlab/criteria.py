@@ -368,7 +368,7 @@ def comparability_bounds(
     _, inverse, failure = momentmatrix.factor(p.gram, n_max)
     # the bottom of (Q, G) is minus the top of (-Q, G)
     highs, neg_lows = (numkernel.nested_gen_eig(g, inverse, failure, p.label)[1:] for g in (gram_q, -gram_q))
-    for top in highs + neg_lows:
+    for top in (t for pair in zip(highs, neg_lows) for t in pair):  # the smallest failing size first
         if isinstance(top, Exception):
             raise top
     lows = [-top for top in neg_lows]

@@ -20,3 +20,19 @@ def recenter(v, a: complex) -> np.ndarray:
         for k in range(n - 2, i - 1, -1):
             b[k] += a * b[k + 1]
     return b
+
+
+def counting_eigvalsh(monkeypatch, fails=lambda a: False):
+    """Wrap np.linalg.eigvalsh: the returned list collects the size of
+    every solve, and a matrix for which ``fails(a)`` holds does not
+    converge."""
+    sizes, real = [], np.linalg.eigvalsh
+
+    def eigvalsh(a):
+        sizes.append(a.shape[0])
+        if fails(a):
+            raise np.linalg.LinAlgError("no convergence")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    return sizes

@@ -25,9 +25,11 @@ from sobolevlab.criteria import (
 )
 from sobolevlab.measures import Atomic, CircleLebesgue, MeasureSum, WeightedCircle
 from sobolevlab.momentmatrix import norm_sq, section
-from sobolevlab.numkernel import cholesky, gen_eig_factored, inverse_lower
+from sobolevlab.numkernel import ConvergenceFailure, cholesky, gen_eig_factored, inverse_lower
 from sobolevlab.polynomials import differentiate, evaluate
 from sobolevlab.sobolev import gram_section, norm_sequence, pencil_of_measures
+
+from oracles import counting_eigvalsh
 
 UNIT = CircleLebesgue(0.0, 1.0)
 HALF = CircleLebesgue(0.0, 0.5)
@@ -384,6 +386,17 @@ def test_comparability_bounds_matches_per_size_reference(mu0, mu1):
         lam = _gen_eig(_fresh_gram(UNIT, UNIT, n), _fresh_gram(mu0, mu1, n))
         assert abs(top - lam[-1]) <= 1e-12 * abs(lam[-1])
         assert abs(low - lam[0]) <= 1e-12 * abs(lam[-1])
+
+
+def test_comparability_raises_its_smallest_failing_size(monkeypatch):
+    # example 6's Gram breaks down at pivot 56 at n_max 64; a lower-sequence
+    # eigensolve (a matrix -B_n, negative diagonal) failing at size 10 comes
+    # first and is the error raised
+    p = pencil_of_measures(UNIT, CircleLebesgue(0.5, 2.0))
+    sizes = counting_eigvalsh(monkeypatch, lambda a: a.shape[0] == 10 and a[0, 0].real < 0)
+    with pytest.raises(ConvergenceFailure):
+        comparability_bounds(p, pencil_of_measures(UNIT, UNIT), 64)
+    assert 10 in sizes
 
 
 def test_comparability_requires_window():

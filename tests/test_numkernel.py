@@ -20,6 +20,8 @@ from sobolevlab.numkernel import (
 from sobolevlab import numkernel
 from sobolevlab.polynomials import evaluate
 
+from oracles import counting_eigvalsh
+
 
 @pytest.mark.parametrize("n", [1, 2, 7, 65])
 def test_mirror_upper_is_the_conjugate_mirror_on_shared_indices(n):
@@ -176,16 +178,8 @@ def _nested_hermitian(seed, k, lead):
 def _tops(q, failing=()):
     """nested_gen_eig over the identity factor, and the sizes it solved;
     sizes in ``failing`` do not converge."""
-    solved, real = [], np.linalg.eigvalsh
-
-    def eigvalsh(a):
-        solved.append(a.shape[0])
-        if a.shape[0] in failing:
-            raise np.linalg.LinAlgError("no convergence")
-        return real(a)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np.linalg, "eigvalsh", eigvalsh)
+        solved = counting_eigvalsh(mp, lambda a: a.shape[0] in failing)
         tops = nested_gen_eig(q, np.eye(q.shape[0], dtype=complex), None, "B")
     return tops, solved
 

@@ -29,6 +29,8 @@ from sobolevlab.sobolev import (
     sobolev_zeros,
 )
 
+from oracles import counting_eigvalsh
+
 UNIT = CircleLebesgue(0.0, 1.0)
 HALF = CircleLebesgue(0.0, 0.5)
 SHIFTED = CircleLebesgue(1.0 + 1.0j, 2.0)
@@ -359,24 +361,9 @@ def test_norm_sequence_shares_the_breakdown_pivot():
         assert str(info.value) == message
 
 
-def _counting_eigvalsh(monkeypatch, failing=()):
-    """Wrap np.linalg.eigvalsh: the returned list collects the size of
-    every solve, and sizes in ``failing`` do not converge."""
-    sizes, real = [], np.linalg.eigvalsh
-
-    def eigvalsh(a):
-        sizes.append(a.shape[0])
-        if a.shape[0] in failing:
-            raise np.linalg.LinAlgError("no convergence")
-        return real(a)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-    return sizes
-
-
 def test_example6_mult_op_solves_few_sizes(monkeypatch):
     # interlacing pins most of the 56 good sizes of example 6 at n_max 64
-    sizes = _counting_eigvalsh(monkeypatch)
+    sizes = counting_eigvalsh(monkeypatch)
     seq = norm_sequence(pencil_of_measures(UNIT, CircleLebesgue(0.5, 2.0)), 64, "mult_op")
     assert seq.errors.count(None) == 56
     assert len(sizes) <= 20 and max(sizes) == 56
@@ -385,11 +372,11 @@ def test_example6_mult_op_solves_few_sizes(monkeypatch):
 def test_norm_sequence_eigensolve_failure_lands_at_its_size(monkeypatch):
     p = pencil_of_measures(UNIT, CircleLebesgue(0.5, 2.0))
     clean = norm_sequence(p, 64, "mult_op")
-    solved = _counting_eigvalsh(monkeypatch)
+    solved = counting_eigvalsh(monkeypatch)
     norm_sequence(p, 64, "mult_op")
     n = sorted(solved)[len(solved) // 2]  # a solved size inside the sequence
     monkeypatch.undo()
-    _counting_eigvalsh(monkeypatch, failing=(n,))
+    counting_eigvalsh(monkeypatch, lambda a: a.shape[0] == n)
     seq = norm_sequence(p, 64, "mult_op")
     assert seq.errors[n - 1] == f"eigensolver failed to converge on {p.label}"
     assert math.isnan(seq.values[n - 1])
