@@ -449,7 +449,7 @@ def _builtin_lemma3_shifted(out_dir, n_max, rng) -> dict:
         r = 2.0 * rng.uniform(0.05, 1.0)
         pairs.append((a, r))
     samples = _random_rows(rng, 20 * 25, 20).reshape(20, 25, 21)
-    theta = 2.0 * np.pi * np.arange(4096) / 4096
+    circle = np.exp(1j * (2.0 * np.pi * np.arange(4096) / 4096))  # e^{i theta}, shared by every pair
     for (a, r), v in zip(pairs, samples):
         sec = momentmatrix.section(momentmatrix.of_measure(measures.CircleLebesgue(a, r)), 20)
         # column k of v P is b_k r^k, b the Taylor coefficients about a
@@ -458,7 +458,7 @@ def _builtin_lemma3_shifted(out_dir, n_max, rng) -> dict:
         rhs = r * r * _forms(sec, _derivative_rows(v))
         scale = np.maximum(np.maximum(lhs, rhs), 1e-300)
         worst_rel_excess = max(worst_rel_excess, float(np.max((lhs - rhs) / scale)))
-        z = a + r * np.exp(1j * theta)
+        z = a + r * circle
         q = np.abs(evaluate(v[0], z) - complex(evaluate(v[0], a))) ** 2
         quad = float(q.mean())
         worst_identity_dev = max(worst_identity_dev, abs(float(lhs[0]) - quad) / (1.0 + abs(quad)))

@@ -11,15 +11,20 @@ leading n x n section of the moment matrix
 built as a matrix product: P T P^* for circles (row i of P expands
 (center + radius e^{i theta})**i, T is the Toeplitz matrix of the weight's
 Fourier coefficients), V diag(mass) V^* for atoms (V the Vandermonde
-matrix), and the scaled sum for sums.  Sections are exactly
-Hermitian (the lower triangle mirrors the upper one) and cross-checkable
-against trapezoid quadrature on a uniform angular grid; ``exact_grid``
-picks the smallest grid on which that rule is exact for a section.  The
-grid rows exp(i k theta) are tabulated once per grid size and frequency,
-read-only, and shared by weight validation, ``weight_values`` and the
-quadrature.  Numbers entering a measure pass one validation layer
-(``parse_real``, ``parse_pair``, ``parse_fourier``), shared with the
-scenario parser.
+matrix), and the scaled sum for sums.  P T P^* is evaluated as a banded
+triangular sweep: P is lower triangular and T has only the 2d + 1
+diagonals of a degree-d weight, so the sweep adds just the terms that can
+be nonzero, in the order the full product would.  The terms it skips are
+exact zeros and every accumulator starts at +0, so each section is bitwise
+the full product's; ``_times_adjoint`` (the full product) serves atoms
+only.  Sections are exactly Hermitian (the lower triangle mirrors the
+upper one) and cross-checkable against trapezoid quadrature on a uniform
+angular grid; ``exact_grid`` picks the smallest grid on which that rule
+is exact for a section.  The grid rows exp(i k theta) are tabulated once
+per grid size and frequency, read-only, and shared by weight validation,
+``weight_values`` and the quadrature.  Numbers entering a measure pass
+one validation layer (``parse_real``, ``parse_pair``, ``parse_fourier``),
+shared with the scenario parser.
 """
 
 from __future__ import annotations
@@ -305,9 +310,10 @@ def circle_expansion(center: complex, radius: float, n: int) -> np.ndarray:
 
 
 def _times_adjoint(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u @ v^*, summed over k in index order.  The terms a larger section
-    adds to entry (i, j) are exact zeros, so its leading block is bitwise
-    the smaller section (a BLAS product's summation order varies with size)."""
+    """u @ v^*, summed over k in index order: the atoms' V diag(mass) V^*.
+    The terms a larger section adds to entry (i, j) are exact zeros, so its
+    leading block is bitwise the smaller section (a BLAS product's
+    summation order varies with size)."""
     out = np.zeros((u.shape[0], v.shape[0]), dtype=complex)
     cols, rows = u.T[:, :, None], v.T.conj()[:, None, :]
     for k in range(u.shape[1]):
@@ -318,12 +324,25 @@ def _times_adjoint(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _product(m: Measure, n: int) -> np.ndarray:
     # the section as a matrix product, Hermitian up to roundoff
     if isinstance(m, WeightedCircle):
+        # P T P^* summed as _times_adjoint(_times_adjoint(P, T), P) would,
+        # over only the terms that can be nonzero: P is lower triangular and
+        # T[j, k] = w(k - j) lives on 2d + 1 diagonals, so X = P T adds them
+        # in ascending order and column k of X vanishes above row k - d.  A
+        # skipped term is an exact zero, and an accumulator that starts at
+        # +0 never becomes -0, so adding it would change no bit.  (Past the
+        # double range a skipped 0 * inf is no NaN, but the diagonal keeps
+        # every inf of P: a section overflows at the same size.)
         p = circle_expansion(m.center, m.radius, n)
-        w = dict(m.fourier)
-        band = np.array([w.get(d, 0.0 + 0.0j) for d in range(1 - n, n)], dtype=complex)
-        k = np.arange(n)
-        t = band[k[None, :] - k[:, None] + n - 1]  # T = T^*: w(-d) == conj(w(d)) exactly
-        return _times_adjoint(_times_adjoint(p, t), p)
+        x = np.zeros((n, n), dtype=complex)
+        for o, c in m.fourier:  # X[:, j] += P[:, j + o] conj(w(o))
+            if abs(o) < n:
+                x[:, max(0, -o) : n - max(0, o)] += p[:, max(0, o) : n + min(0, o)] * np.conj(c)
+        d = _weight_degree(m)
+        s = np.zeros((n, n), dtype=complex)
+        rows = p.conj()
+        for k in range(n):
+            s[max(0, k - d) :, k:] += x[max(0, k - d) :, k, None] * rows[None, k:, k]
+        return s
     if isinstance(m, Atomic):
         v = vandermonde([z for z, _ in m.atoms], n)
         return _times_adjoint(v * np.array([w for _, w in m.atoms]), v)

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from sobolevlab import measures
 from sobolevlab.polynomials import as_coeffs
 
 
@@ -36,3 +37,21 @@ def counting_eigvalsh(monkeypatch, fails=lambda a: False):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     return sizes
+
+
+def circle_product(m, n: int) -> np.ndarray:
+    """P T P^* of a weighted circle as two loops of outer products over the
+    full n x n factors, every term in index order, zeros included: the
+    reference that the banded triangular sweep must equal bit for bit."""
+    p = measures.circle_expansion(m.center, m.radius, n)
+    w = dict(m.fourier)
+    band = np.array([w.get(d, 0.0 + 0.0j) for d in range(1 - n, n)], dtype=complex)
+    k = np.arange(n)
+    t = band[k[None, :] - k[:, None] + n - 1]
+    x = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        x += np.outer(p[:, j], t[:, j].conj())
+    out = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        out += np.outer(x[:, j], p[:, j].conj())
+    return out

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from sobolevlab import measures, sobolev
+from sobolevlab import measures, numkernel, sobolev
 from sobolevlab.measures import (
     Atomic,
     CircleLebesgue,
@@ -21,6 +21,8 @@ from sobolevlab.measures import (
     moment_section,
     to_json,
 )
+
+from oracles import circle_product
 
 UNIT = CircleLebesgue(0.0, 1.0)
 HALF = CircleLebesgue(0.0, 0.5)
@@ -293,6 +295,44 @@ def test_times_adjoint_is_bitwise_the_outer_product_loop():
         for j in range(k):
             ref += np.outer(u[:, j], v[:, j].conj())
         assert measures._times_adjoint(u, v).tobytes() == ref.tobytes()
+
+
+def _random_circles(count: int, seed: int) -> list:
+    """Circles with centers that have signed-zero parts, radii in [0.25, 4]
+    and positive weights of degree 1-3 (some inner frequencies zero)."""
+    rng = np.random.default_rng(seed)
+    circles = []
+    for case in range(count):
+        re, im = rng.uniform(-2.0, 2.0, size=2)
+        center = complex(-0.0 if case % 3 == 0 else re, -0.0 if case % 4 == 1 else im)
+        degree = 1 + case % 3
+        fourier = [(0, 1.0)]
+        for k in range(1, degree + 1):
+            if k == degree or rng.uniform() < 0.7:
+                c = 0.45 / degree * rng.uniform(0.1, 1.0) * np.exp(2j * np.pi * rng.uniform())
+                fourier += [(k, c), (-k, c.conjugate())]
+        circles.append(WeightedCircle(center, rng.uniform(0.25, 4.0), tuple(fourier)))
+    return circles
+
+
+@pytest.mark.parametrize(
+    "m", [m for m in CORPUS if isinstance(m, WeightedCircle)] + _random_circles(12, 13)
+)
+def test_circle_sections_are_bitwise_the_full_outer_product_loops(m):
+    # the banded triangular sweep skips only exact zeros of P T P^*, and it
+    # keeps the nesting of P: a section is the leading block of a larger
+    # one at every size where P is (vandermonde's cumprod squares a complex
+    # center differently at n = 3 alone)
+    largest, p = moment_section(m, 65), measures.circle_expansion(m.center, m.radius, 65)
+    for n in range(1, 66):
+        ref = circle_product(m, n)
+        assert measures._product(m, n).tobytes() == ref.tobytes()
+        got = moment_section(m, n)
+        assert got.tobytes() == numkernel.mirror_upper(ref).tobytes()
+        if measures.circle_expansion(m.center, m.radius, n).tobytes() == p[:n, :n].tobytes():
+            assert got.tobytes() == largest[:n, :n].tobytes()
+        else:
+            assert n == 3
 
 
 def test_weight_frequency_cap_prevents_grid_aliasing():

@@ -6,7 +6,7 @@ import pytest
 
 from sobolevlab import cli, criteria, numkernel
 from sobolevlab import momentmatrix as mm
-from sobolevlab.measures import Atomic, CircleLebesgue, WeightedCircle, moment
+from sobolevlab.measures import Atomic, CircleLebesgue, MeasureSum, WeightedCircle, moment
 from sobolevlab.numkernel import NotPositiveDefinite, Overflow
 from sobolevlab.sobolev import SobolevPencil, gram_section, pencil_of_measures
 from sobolevlab.polynomials import differentiate, random_coeffs
@@ -138,6 +138,27 @@ def test_overflowing_section_is_a_numeric_error():
     with pytest.raises(Overflow, match=r'"radius":1e\+100\} at size 3 overflowed'):
         mm.section(m, 3)
     assert m._largest.shape == (2, 2)  # the overflowed section is not kept
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warning
+@pytest.mark.parametrize(
+    "mu, size",
+    [
+        (CircleLebesgue(0.0, 1e200), 2),  # c[1, 1] = r^2
+        (CircleLebesgue(1e150, 1.0), 3),  # c[2, 2] holds center^4
+        (WeightedCircle(0.0, 1e100, ((0, 1.0), (1, 0.25), (-1, 0.25))), 3),
+        (MeasureSum(((1.0, UNIT), (2.0, CircleLebesgue(0.0, 1e100)))), 3),
+    ],
+    ids=["radius", "center", "weighted", "sum"],
+)
+def test_overflow_is_raised_at_the_first_non_finite_size(mu, size):
+    # skipping the exact-zero terms of P T P^* drops no inf or NaN of P
+    m = mm.of_measure(mu)
+    mm.section(m, size - 1)
+    with pytest.raises(Overflow) as info:
+        mm.section(m, size)
+    assert str(info.value) == f"values of {m.label} at size {size} overflowed the double range"
+    assert m._largest.shape == (size - 1, size - 1)
 
 
 def test_moment_matrix_entries_match_measure_moments():
