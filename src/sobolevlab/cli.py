@@ -6,11 +6,15 @@ are written under --out as JSON (plus CSV side files for sequences,
 zero scatters, and matrix dumps) with fixed float formatting, so the
 same invocation always produces byte-identical files.
 
+Each command's runner takes its parsed inputs and parameters as keyword
+arguments, under the names the scenario file gives them.
+
 Exit codes: 0 when every verdict was computed (verdicts of "fails" are
-results, not errors), 2 for malformed scenarios or measures, options out
-of range, or a --spec or --out path that cannot be used, 3 for
-numeric failures (singular sections, convergence breakdowns, rejected
-geometric hypotheses).
+results, not errors), 2 for malformed scenarios or measures (a --spec
+file nested too deeply to process included), options out of range, or a
+--spec or --out path that cannot be used, 3 for numeric failures
+(singular sections, convergence breakdowns, rejected geometric
+hypotheses).
 """
 
 from __future__ import annotations
@@ -22,12 +26,12 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import criteria, measures, momentmatrix, numkernel, reporting, sobolev
-from .polynomials import differentiate, evaluate, random_coeffs
+from .polynomials import differentiate, evaluate
 
 __all__ = ["Scenario", "ScenarioFormatError", "list_builtins", "main", "parse_scenario", "run"]
 
@@ -47,14 +51,13 @@ class ScenarioFormatError(ValueError):
 
 @dataclass
 class Scenario:
+    """A parsed scenario: its inputs and parameters are keyed by the names
+    under which the command's runner takes them."""
+
     name: str
     command: str
-    measure: measures.Measure | None = None
-    pencil: tuple | None = None
-    pencil_b: tuple | None = None
-    weight: measures.WeightedCircle | None = None
-    circles: tuple | None = None
-    parameters: dict = field(default_factory=dict)
+    inputs: dict
+    parameters: dict
 
 
 def _parse_pencil(obj) -> tuple:
@@ -74,9 +77,7 @@ def _parse_circles(items) -> tuple:
     out = []
     for item in items:
         if not isinstance(item, (list, tuple)) or len(item) != 4:
-            raise ScenarioFormatError(
-                f"expected [re, im, radius, fourier] circle entry, got {item!r}"
-            )
+            raise ScenarioFormatError(f"expected [re, im, radius, fourier] circle entry, got {item!r}")
         center = measures.parse_pair(item[:2], "circle center")
         out.append(measures.WeightedCircle(center, item[2], measures.parse_fourier(item[3])))
     return tuple(out)
@@ -132,7 +133,7 @@ def _positive(v, key: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Command runners: runner(scenario, path prefix, **parameters) -> report body or CriterionReport
+# Command runners: runner(path prefix, **inputs, **parameters) -> report body or CriterionReport
 # ---------------------------------------------------------------------------
 
 ZERO_BOUND_SLACK = 1e-6
@@ -183,16 +184,8 @@ def _mult_op(pen: sobolev.SobolevPencil, n_max: int, path: str | None = None) ->
     }
 
 
-def _pencil(sc: Scenario) -> sobolev.SobolevPencil:
-    return sobolev.pencil_of_measures(*sc.pencil)
-
-
-def _matrix(sc: Scenario) -> momentmatrix.MomentMatrix:
-    return momentmatrix.of_measure(sc.measure)
-
-
-def _run_moments(sc, prefix, n) -> dict:
-    m, _, dev, grid = _section_check(sc.measure, n, f"{prefix}_section.csv")
+def _run_moments(prefix, measure, n) -> dict:
+    m, _, dev, grid = _section_check(measure, n, f"{prefix}_section.csv")
     return {
         "label": m.label,
         "n": n,
@@ -203,8 +196,8 @@ def _run_moments(sc, prefix, n) -> dict:
     }
 
 
-def _run_gram(sc, prefix, n) -> dict:
-    pen = _pencil(sc)
+def _run_gram(prefix, pencil, n) -> dict:
+    pen = sobolev.pencil_of_measures(*pencil)
     g = sobolev.gram_section(pen, n)
     _write_matrix(f"{prefix}_gram.csv", g)
     return {
@@ -215,8 +208,8 @@ def _run_gram(sc, prefix, n) -> dict:
     }
 
 
-def _run_opoly(sc, prefix, n) -> dict:
-    pen = _pencil(sc)
+def _run_opoly(prefix, pencil, n) -> dict:
+    pen = sobolev.pencil_of_measures(*pencil)
     ops = sobolev.orthonormal_polys(pen.gram, n)
     _, w, _ = momentmatrix.factor(pen.gram, n)  # the rows of w are ops
     resid = float(np.max(np.abs(w @ sobolev.gram_section(pen, n) @ w.conj().T - np.eye(n))))
@@ -230,8 +223,8 @@ def _run_opoly(sc, prefix, n) -> dict:
     }
 
 
-def _run_zeros(sc, prefix, degree) -> dict:
-    pen = _pencil(sc)
+def _run_zeros(prefix, pencil, degree) -> dict:
+    pen = sobolev.pencil_of_measures(*pencil)
     bound = sobolev.mult_op_norm(pen, degree + 1)  # larger section first; the zeros read a block
     zeros = sobolev.sobolev_zeros(pen, degree)
     max_mod = float(np.max(np.abs(zeros)))
@@ -246,13 +239,13 @@ def _run_zeros(sc, prefix, degree) -> dict:
     }
 
 
-def _run_multop(sc, prefix, n_max) -> dict:
-    body = _mult_op(_pencil(sc), n_max, f"{prefix}_multop.csv")
+def _run_multop(prefix, pencil, n_max) -> dict:
+    body = _mult_op(sobolev.pencil_of_measures(*pencil), n_max, f"{prefix}_multop.csv")
     return dict(body, verdict="holds" if body["plateau"] else "inconclusive")
 
 
-def _run_gamma(sc, prefix, n_max, a) -> dict:
-    m = _matrix(sc)
+def _run_gamma(prefix, measure, n_max, a) -> dict:
+    m = momentmatrix.of_measure(measure)
     ns = list(range(2, n_max + 1))
     vals = criteria.gamma_sequence(m, a, n_max)[1:]
     kernel = criteria.gamma_via_kernel(m, a, n_max)
@@ -269,8 +262,8 @@ def _run_gamma(sc, prefix, n_max, a) -> dict:
     }
 
 
-def _run_dominance(sc, prefix, n, constant) -> criteria.CriterionReport:
-    mu0, mu1 = sc.pencil
+def _run_dominance(prefix, pencil, n, constant) -> criteria.CriterionReport:
+    mu0, mu1 = pencil
     if mu1 is None:
         raise ScenarioFormatError("dominance needs two measures")
     return criteria.dominance_check(momentmatrix.of_measure(mu0), momentmatrix.of_measure(mu1), constant, n)
@@ -285,19 +278,22 @@ _COMMANDS = {
     "multop": (("pencil",), {"n_max": _size(2, MAX_SECTION)}, _run_multop),
     "gamma": (("measure",), {"n_max": _size(2, MAX_SECTION), "a": _point}, _run_gamma),
     "bpe": (("measure",), {"n_max": _size(4, MAX_SECTION), "a": _point},
-            lambda sc, prefix, n_max, a: criteria.bpe_decide(_matrix(sc), a, n_max)),
+            lambda prefix, measure, n_max, a: criteria.bpe_decide(momentmatrix.of_measure(measure), a, n_max)),
     "wirtinger": (("measure",), {"n": _size(2, MAX_SECTION), "constant": _positive},
-                  lambda sc, prefix, n, constant: criteria.wirtinger_psd_check(_matrix(sc), constant, n)),
+                  lambda prefix, measure, n, constant: criteria.wirtinger_psd_check(
+                      momentmatrix.of_measure(measure), constant, n)),
     "dominance": (("pencil",), {"n": _size(1, MAX_SECTION), "constant": _positive}, _run_dominance),
     "cond4": (("pencil",), {"n_max": _size(2, MAX_SECTION)},
-              lambda sc, prefix, n_max: criteria.sobolev_domination_bound(_pencil(sc), n_max)),
+              lambda prefix, pencil, n_max: criteria.sobolev_domination_bound(
+                  sobolev.pencil_of_measures(*pencil), n_max)),
     "compare": (("pencil", "pencil_b"), {"n_max": _size(2, MAX_SECTION)},
-                lambda sc, prefix, n_max: criteria.comparability_bounds(
-                    _pencil(sc), sobolev.pencil_of_measures(*sc.pencil_b), n_max)),
+                lambda prefix, pencil, pencil_b, n_max: criteria.comparability_bounds(
+                    sobolev.pencil_of_measures(*pencil), sobolev.pencil_of_measures(*pencil_b), n_max)),
     "eigenlimits": (("weight",), {"n_list": _n_list},
-                    lambda sc, prefix, n_list: criteria.eigen_limit_report(sc.weight.fourier, n_list)),
+                    lambda prefix, weight, n_list: criteria.eigen_limit_report(weight.fourier, n_list)),
     "prop12": (("measure", "circles"), {"n_max": _size(2, MAX_SECTION)},
-               lambda sc, prefix, n_max: criteria.bpe_weighted_circles_report(sc.measure, sc.circles, n_max)),
+               lambda prefix, measure, circles, n_max: criteria.bpe_weighted_circles_report(
+                   measure, circles, n_max)),
 }
 
 
@@ -331,17 +327,14 @@ def parse_scenario(obj) -> Scenario:
         if key not in params:
             raise ScenarioFormatError(f"command {command!r} requires parameter {key!r}")
 
-    sc = Scenario(name=name, command=command)
-    for key in needs:
-        setattr(sc, key, _INPUT_PARSERS[key](obj[key]))
-    sc.parameters = {key: parse(params[key], key) for key, parse in parsers.items()}
-    return sc
+    inputs = {key: _INPUT_PARSERS[key](obj[key]) for key in needs}
+    return Scenario(name, command, inputs, {key: parse(params[key], key) for key, parse in parsers.items()})
 
 
 def run(sc: Scenario, out_dir: str) -> dict:
     """Execute a parsed scenario, write its files, return the report."""
     prefix = os.path.join(out_dir, sc.name)
-    body = _COMMANDS[sc.command][2](sc, prefix, **sc.parameters)
+    body = _COMMANDS[sc.command][2](prefix, **sc.inputs, **sc.parameters)
     if isinstance(body, criteria.CriterionReport):
         if body.criterion in _REPORT_COLUMNS:
             _write_report_csv(body, f"{prefix}_{sc.command}.csv")
@@ -398,14 +391,14 @@ def _builtin_identity_moments(out_dir, n_max, rng) -> dict:
 
 
 def _random_rows(rng, count: int, max_degree: int) -> np.ndarray:
-    """``count`` random polynomials as the rows of a zero-padded
-    count x (max_degree + 1) matrix.  Each is drawn in turn as
-    deg = rng.integers(1, max_degree + 1), then random_coeffs(rng, deg),
-    so the rows are bitwise those of a per-sample draw loop."""
-    rows = np.zeros((count, max_degree + 1), dtype=complex)
-    for row in rows:
-        deg = int(rng.integers(1, max_degree + 1))
-        row[: deg + 1] = random_coeffs(rng, deg)
+    """``count`` random polynomials as the rows of a count x
+    (max_degree + 1) matrix, drawn as one batch: degrees uniform in
+    1..max_degree, standard complex normal coefficients up to each
+    degree and exact zeros above it."""
+    degrees = rng.integers(1, max_degree + 1, size=count)
+    shape = (count, max_degree + 1)
+    rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rows[np.arange(max_degree + 1) > degrees[:, None]] = 0.0
     return rows
 
 
@@ -420,14 +413,20 @@ def _forms(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.sum((rows @ a) * rows.conj(), axis=1).real
 
 
+def _sampled_wirtinger(m: momentmatrix.MomentMatrix, c: float, n: int, rng) -> tuple:
+    """Both sides of the Wirtinger inequality ||p||^2 <= c ||p'||^2 in
+    ``m`` for 500 random polynomials of degree <= n with p(0) = 0: the
+    forms over section(m, n + 1) and c times those of the derivatives
+    over section(m, n), as two arrays."""
+    v = _random_rows(rng, 500, n)
+    v[:, 0] = 0.0
+    lhs = _forms(momentmatrix.section(m, n + 1), v)
+    return lhs, c * _forms(momentmatrix.section(m, n), _derivative_rows(v))
+
+
 def _builtin_lemma3_unitcircle(out_dir, n_max, rng) -> dict:
     m = momentmatrix.of_measure(UNIT)
-    big = momentmatrix.section(m, 21)
-    v = _random_rows(rng, 500, 20)
-    centered = v.copy()
-    centered[:, 0] = 0.0
-    lhs = _forms(big, centered)
-    rhs = _forms(big[:20, :20], _derivative_rows(v))
+    lhs, rhs = _sampled_wirtinger(m, 1.0, 20, rng)
     worst = float(np.max(lhs - rhs))
     return {
         "label": m.label,
@@ -490,19 +489,14 @@ def _builtin_prop6_equivalence(out_dir, n_max, rng) -> dict:
         ok = rep.verdict == expected
         consistency = True
         detail = 0.0
-        big = momentmatrix.section(m, n + 1)
-        small = momentmatrix.section(m, n)
         if rep.verdict == "holds":
-            v = _random_rows(rng, 500, n)
-            v[:, 0] = 0.0
-            lhs = _forms(big, v)
-            rhs = c * _forms(small, _derivative_rows(v))
+            lhs, rhs = _sampled_wirtinger(m, c, n, rng)
             excess = lhs - rhs
             detail = max(detail, float(np.max(excess)))
             consistency = not np.any(excess > 1e-10 * np.maximum(np.maximum(lhs, rhs), 1.0))
         elif rep.witness is not None:
-            lhs = momentmatrix.norm_sq(big, rep.witness)
-            rhs = c * momentmatrix.norm_sq(small, differentiate(rep.witness))
+            lhs = momentmatrix.norm_sq(momentmatrix.section(m, n + 1), rep.witness)
+            rhs = c * momentmatrix.norm_sq(momentmatrix.section(m, n), differentiate(rep.witness))
             detail = lhs - rhs
             consistency = detail > 1e-10
         all_ok = all_ok and ok and consistency
@@ -561,12 +555,8 @@ def _builtin_prop7_rigidity(out_dir, n_max, rng) -> dict:
 
 
 def _builtin_example4(out_dir, n_max, rng) -> dict:
-    dom = criteria.dominance_check(
-        momentmatrix.of_measure(HALF), momentmatrix.of_measure(UNIT), 1e6, 16
-    )
-    witness_top = (
-        None if dom.witness is None else int(np.argmax(np.abs(dom.witness)))
-    )
+    dom = criteria.dominance_check(momentmatrix.of_measure(HALF), momentmatrix.of_measure(UNIT), 1e6, 16)
+    witness_top = None if dom.witness is None else int(np.argmax(np.abs(dom.witness)))
     pen = sobolev.pencil_of_measures(HALF, UNIT, label="{m0=circle(0;1/2), m1=circle(0;1)}")
     mult = _mult_op(pen, n_max, os.path.join(out_dir, "example4-mr-m_multop.csv"))  # size n_max + 1 first
     bound = criteria.sobolev_domination_bound(pen, n_max)
@@ -628,9 +618,7 @@ def _builtin_example7(out_dir, n_max, rng) -> dict:
     contrast = criteria.dominance_check(
         momentmatrix.of_measure(HALF), momentmatrix.of_measure(HALF_PLUS_UNIT), float(4**14), 16
     )
-    contrast_top = (
-        None if contrast.witness is None else int(np.argmax(np.abs(contrast.witness)))
-    )
+    contrast_top = None if contrast.witness is None else int(np.argmax(np.abs(contrast.witness)))
     ratio_dev = 0.0
     for k in range(1, 21):
         num = measures.moment(HALF_PLUS_UNIT, k, k).real
@@ -692,8 +680,7 @@ def _builtin_bpe_disk_map(out_dir, n_max, rng) -> dict:
 
 
 def _builtin_eigenlimits(out_dir, n_max, rng) -> dict:
-    ns = [4, 8, 16, 32]
-    rep = criteria.eigen_limit_report(W_COS08, ns)
+    rep = criteria.eigen_limit_report(W_COS08, [4, 8, 16, 32])
     _write_report_csv(rep, os.path.join(out_dir, "eigenlimits-weighted_limits.csv"))
     return {
         "report": rep.to_dict(),
@@ -725,8 +712,7 @@ def run_builtin(name: str, out_dir: str, n_max: int = DEFAULT_NMAX, seed: int = 
     if name not in _BUILTINS:
         raise ScenarioFormatError(f"unknown builtin {name!r}")
     os.makedirs(out_dir, exist_ok=True)
-    index = list_builtins().index(name)
-    rng = np.random.default_rng([seed, index])
+    rng = np.random.default_rng([seed, list_builtins().index(name)])
     report = {"scenario": name, "command": "builtin", **_BUILTINS[name](out_dir, n_max, rng)}
     reporting.write_json(os.path.join(out_dir, f"{name}.json"), report)
     return report
@@ -777,8 +763,7 @@ def main(argv=None) -> int:
                 print(f"{name}: {report['verdict']}")
             return 0
         with open(args.spec, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        scenario = parse_scenario(payload)
+            scenario = parse_scenario(json.load(fh))
         os.makedirs(args.out, exist_ok=True)
         report = run(scenario, args.out)
         print(f"{scenario.name}: {report['verdict']}")
@@ -788,10 +773,8 @@ def main(argv=None) -> int:
         measures.MeasureFormatError,
         json.JSONDecodeError,
         UnicodeDecodeError,
-        FileNotFoundError,
-        IsADirectoryError,  # --spec names a directory
-        FileExistsError,  # --out names a file
-        NotADirectoryError,  # --out lies below a file
+        OSError,  # --spec cannot be read, --out cannot be made or written
+        RecursionError,  # --spec nests deeper than the interpreter's stack
     ) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2

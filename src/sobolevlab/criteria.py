@@ -37,7 +37,6 @@ __all__ = [
     "gamma_via_kernel",
     "sobolev_domination_bound",
     "toeplitz_rigidity",
-    "weight_grid_extremes",
     "wirtinger_psd_check",
 ]
 
@@ -389,13 +388,6 @@ def comparability_bounds(
 # Weighted circles: eigenvalue limits and the assembled boundedness report
 # ---------------------------------------------------------------------------
 
-def weight_grid_extremes(wc: measures.WeightedCircle):
-    """(min, max) of the circle's trig weight on the
-    WEIGHT_GRID_POINTS-angle grid."""
-    vals = measures.weight_values(wc.fourier, measures.WEIGHT_GRID_POINTS)
-    return float(vals.min()), float(vals.max())
-
-
 def eigen_limit_report(fourier, n_list) -> CriterionReport:
     """Sandwich check for extreme Toeplitz eigenvalues along ``n_list``.
 
@@ -410,7 +402,7 @@ def eigen_limit_report(fourier, n_list) -> CriterionReport:
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_list must be strictly increasing and nonempty")
     wc = measures.WeightedCircle(0.0, 1.0, fourier)  # validated and canonicalized once
-    gmin, gmax = weight_grid_extremes(wc)
+    gmin, gmax = measures.weight_grid_extremes(wc.fourier)  # shared with the validation grid
     m = momentmatrix.of_measure(wc)
     momentmatrix.section(m, ns[-1])  # build once; every listed n is a leading block
     lams, betas = [], []

@@ -22,9 +22,11 @@ upper one) and cross-checkable against trapezoid quadrature on a uniform
 angular grid; ``exact_grid`` picks the smallest grid on which that rule
 is exact for a section.  The grid rows exp(i k theta) are tabulated once
 per grid size and frequency, read-only, and shared by weight validation,
-``weight_values`` and the quadrature.  Numbers entering a measure pass
-one validation layer (``parse_real``, ``parse_pair``, ``parse_fourier``),
-shared with the scenario parser.
+``weight_values`` and the quadrature; a canonical weight's extremes on
+the validation grid are evaluated once and shared by every circle that
+carries it.  Numbers entering a measure pass one validation layer
+(``parse_real``, ``parse_pair``, ``parse_fourier``), shared with the
+scenario parser.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ __all__ = [
     "parse_pair",
     "parse_real",
     "to_json",
+    "weight_grid_extremes",
     "weight_values",
 ]
 
@@ -233,7 +236,7 @@ def _canonical_weight(fourier) -> tuple[tuple[int, complex], ...]:
             canon[k] = val
             canon[-k] = np.conj(val)
     if len(canon) > 1:  # a constant with a positive mean is positive everywhere
-        wmin = weight_values(tuple(sorted(canon.items())), WEIGHT_GRID_POINTS).min()
+        wmin, _ = weight_grid_extremes(tuple(sorted(canon.items())))
         if wmin < -WEIGHT_POSITIVITY_TOL * max(1.0, canon[0].real):
             raise MeasureFormatError(
                 "weight is negative on the circle (grid minimum %.3e)" % wmin
@@ -249,6 +252,17 @@ def _phases(points: int, k: int) -> np.ndarray:
     row = np.exp(1j * k * (2.0 * np.pi * np.arange(points) / points))
     row.flags.writeable = False
     return row
+
+
+@functools.lru_cache(maxsize=64)
+def weight_grid_extremes(fourier) -> tuple[float, float]:
+    """(min, max) of a canonical trig weight (``WeightedCircle.fourier``)
+    on the WEIGHT_GRID_POINTS-angle grid, evaluated once per weight.
+    Weights that compare equal but differ in the sign of a zero share an
+    entry safely: each grid sum starts at the positive mean, so a signed
+    zero term never changes it."""
+    vals = weight_values(fourier, WEIGHT_GRID_POINTS)
+    return float(vals.min()), float(vals.max())
 
 
 def weight_values(fourier, points: int) -> np.ndarray:

@@ -165,9 +165,9 @@ def norm_sequence(p: SobolevPencil, n_max: int, quantity: str) -> NormSequence:
     )
 
 
-def plateau(n_list, values, rel_tol: float = PLATEAU_RTOL) -> bool:
+def plateau(n_list, values) -> bool:
     """Settled-sequence test: relative change over the last doubling of n
-    (from n_max // 2 to n_max) is at most ``rel_tol``.
+    (from n_max // 2 to n_max) is at most PLATEAU_RTOL.
 
     NaN entries anywhere in the compared pair fail the test.  A sequence
     that is identically zero over the last doubling counts as settled.
@@ -187,4 +187,4 @@ def plateau(n_list, values, rel_tol: float = PLATEAU_RTOL) -> bool:
     scale = max(abs(v_end), abs(v_half))
     if scale == 0.0:
         return True
-    return abs(v_end - v_half) <= rel_tol * scale
+    return abs(v_end - v_half) <= PLATEAU_RTOL * scale

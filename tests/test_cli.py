@@ -16,7 +16,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import sobolevlab
-from sobolevlab import cli, measures, momentmatrix, numkernel
+from sobolevlab import cli, measures, momentmatrix, numkernel, sobolev
 from sobolevlab.cli import (
     Scenario,
     ScenarioFormatError,
@@ -28,7 +28,7 @@ from sobolevlab.cli import (
 )
 from sobolevlab.measures import MeasureFormatError
 from sobolevlab.numkernel import ConvergenceFailure
-from sobolevlab.polynomials import differentiate, random_coeffs
+from sobolevlab.polynomials import differentiate
 
 from oracles import recenter
 
@@ -117,7 +117,7 @@ def test_parse_scenario_pencil_shape():
     ok = {"name": "g", "command": "gram",
           "pencil": {"m0": UNIT_JSON, "m1": None}, "parameters": {"n": 4}}
     sc = parse_scenario(ok)
-    assert sc.pencil[1] is None
+    assert sc.inputs["pencil"][1] is None
     for bad_pencil in ({"m0": UNIT_JSON}, {"m0": UNIT_JSON, "m1": None, "m2": None}, [UNIT_JSON, None]):
         bad = dict(ok, pencil=bad_pencil)
         with pytest.raises(ScenarioFormatError):
@@ -130,7 +130,8 @@ def test_parse_scenario_circles():
          "circles": [[0.0, 0.0, 1.0, [[0, 1.0, 0.0]]]],
          "parameters": {"n_max": 8}}
     )
-    assert sc.circles[0].center == 0.0 + 0.0j and sc.circles[0].radius == 1.0
+    circle = sc.inputs["circles"][0]
+    assert circle.center == 0.0 + 0.0j and circle.radius == 1.0
     with pytest.raises(ScenarioFormatError):
         parse_scenario(
             {"name": "p", "command": "prop12", "measure": HALF_JSON,
@@ -196,7 +197,7 @@ def test_zero_bound_failure_is_a_numeric_error(tmp_path, monkeypatch):
     with pytest.raises(ConvergenceFailure, match=message):
         run(sc, str(tmp_path))
     with pytest.raises(ConvergenceFailure, match=message):
-        cli._zero_bound_scan(cli._pencil(sc), range(1, 6))
+        cli._zero_bound_scan(sobolev.pencil_of_measures(*sc.inputs["pencil"]), range(1, 6))
 
 
 def test_run_compare_identical_pencils(tmp_path):
@@ -273,14 +274,14 @@ def test_run_builtin_seeded_determinism(tmp_path):
     assert (d1 / "lemma3-unitcircle.json").read_bytes() == (d2 / "lemma3-unitcircle.json").read_bytes()
 
 
-def test_random_rows_are_bitwise_the_per_sample_draws():
+def test_random_rows_are_one_seeded_batch():
     rows = cli._random_rows(np.random.default_rng([3, 1]), 300, 12)
-    rng = np.random.default_rng([3, 1])
-    ref = np.zeros((300, 13), dtype=complex)
-    for row in ref:
-        deg = int(rng.integers(1, 13))
-        row[: deg + 1] = random_coeffs(rng, deg)
-    assert rows.tobytes() == ref.tobytes()
+    assert rows.shape == (300, 13) and rows.dtype == complex
+    degrees = np.random.default_rng([3, 1]).integers(1, 13, size=300)  # the batch's first draw
+    assert set(degrees) == set(range(1, 13))
+    for row, deg in zip(rows, degrees):
+        assert row[deg] != 0 and not np.any(row[deg + 1:])
+    assert cli._random_rows(np.random.default_rng([3, 1]), 300, 12).tobytes() == rows.tobytes()
 
 
 @pytest.mark.parametrize("measure", [cli.UNIT, measures.CircleLebesgue(0.3 - 0.6j, 1.7), cli.HALF_PLUS_UNIT],
@@ -431,7 +432,7 @@ def test_eigenlimits_weight_is_validated_at_parse_time():
     with pytest.raises(MeasureFormatError, match="negative on the circle"):
         parse_scenario(dict(base, weight=[[0, 1.0, 0.0], [1, 0.8, 0.0], [-1, 0.8, 0.0]]))
     sc = parse_scenario(base)
-    assert sc.weight == measures.WeightedCircle(0.0, 1.0, ((0, 1.0), (1, 0.4), (-1, 0.4)))
+    assert sc.inputs["weight"] == measures.WeightedCircle(0.0, 1.0, ((0, 1.0), (1, 0.4), (-1, 0.4)))
 
 
 def test_circles_and_point_share_the_number_check():
@@ -572,6 +573,29 @@ def test_main_escape_inputs_exit_2_or_3(field, value, code, message):
         assert "overflowed the double range" in err
 
 
+def test_main_deeply_nested_file_exits_2(monkeypatch):
+    code, err = _main_on_text("[" * 100_000)
+    assert code == 2
+    assert err.startswith("scenario error: maximum recursion depth exceeded") and err.count("\n") == 1
+
+    # sums nested just below the parser's limit load, then exhaust the stack when the label is encoded
+    def deep_label(mu):
+        raise RecursionError("maximum recursion depth exceeded while encoding a JSON object")
+
+    monkeypatch.setattr(momentmatrix, "of_measure", deep_label)
+    assert _main_on_text(json.dumps(BASE_SCENARIOS["gamma"])) == (
+        2, "scenario error: maximum recursion depth exceeded while encoding a JSON object\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/proc/self/mem is Linux only")
+def test_main_unreadable_spec_exits_2(tmp_path, capsys):
+    # opening succeeds, reading at offset 0 fails with EIO
+    assert main(["--spec", "/proc/self/mem", "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("scenario error: [Errno 5]")
+    assert captured.err.count("\n") == 1
+
+
 def test_main_non_utf8_file_exits_2(tmp_path, capsys):
     spec = tmp_path / "latin1.json"
     spec.write_bytes(json.dumps(gamma_scenario(name="caf\u00e9")).encode("utf-8").replace(b"\\u00e9", b"\xe9"))
@@ -675,6 +699,19 @@ def test_eigenlimits_canonicalizes_its_weight_twice(tmp_path, monkeypatch):
     monkeypatch.setattr(measures, "_canonical_weight", lambda f: calls.append(f) or canonical(f))
     run(parse_scenario(BASE_SCENARIOS["eigenlimits"]), str(tmp_path))
     assert len(calls) == 2
+
+
+def test_eigenlimits_evaluates_its_weight_grid_once(tmp_path, monkeypatch):
+    # parse-time validation, the report's re-validation and its grid
+    # extremes share one evaluation of the canonical weight
+    measures.weight_grid_extremes.cache_clear()
+    grids = []
+    weight_values = measures.weight_values
+    monkeypatch.setattr(measures, "weight_values", lambda f, points: grids.append(points) or weight_values(f, points))
+    spec = write_spec(tmp_path, BASE_SCENARIOS["eigenlimits"])
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--spec", spec, "--out", str(tmp_path / "out")]) == 0
+    assert grids == [measures.WEIGHT_GRID_POINTS]
 
 
 def test_example6_factors_each_size_once(tmp_path, monkeypatch):

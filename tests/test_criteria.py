@@ -20,10 +20,9 @@ from sobolevlab.criteria import (
     gamma_via_kernel,
     sobolev_domination_bound,
     toeplitz_rigidity,
-    weight_grid_extremes,
     wirtinger_psd_check,
 )
-from sobolevlab.measures import Atomic, CircleLebesgue, MeasureSum, WeightedCircle
+from sobolevlab.measures import Atomic, CircleLebesgue, MeasureSum, WeightedCircle, weight_grid_extremes
 from sobolevlab.momentmatrix import norm_sq, section
 from sobolevlab.numkernel import ConvergenceFailure, cholesky, gen_eig_factored, inverse_lower
 from sobolevlab.polynomials import differentiate, evaluate
@@ -409,10 +408,10 @@ def test_comparability_requires_window():
 # ---------------------------------------------------------------------------
 
 def test_weight_grid_extremes():
-    gmin, gmax = weight_grid_extremes(WeightedCircle(0.0, 1.0, ((0, 1.0), (1, 0.5), (-1, 0.5))))
+    gmin, gmax = weight_grid_extremes(WeightedCircle(0.0, 1.0, ((0, 1.0), (1, 0.5), (-1, 0.5))).fourier)
     assert gmin == 0.0  # 1 + cos(pi), grid contains pi
     assert gmax == 2.0
-    gmin, gmax = weight_grid_extremes(WeightedCircle(0.0, 1.0, ((0, 1.0),)))
+    gmin, gmax = weight_grid_extremes(WeightedCircle(0.0, 1.0, ((0, 1.0),)).fourier)
     assert (gmin, gmax) == (1.0, 1.0)
 
 

@@ -302,9 +302,10 @@ def test_plateau_rules():
 
 
 def test_plateau_uses_requested_tolerance():
+    # PLATEAU_RTOL = 0.01 of the larger value: from 1.0 the boundary is 1 + 1/99 = 1.010101...
     ns = (4, 8)
-    assert plateau(ns, [1.0, 1.04], rel_tol=0.05)
-    assert not plateau(ns, [1.0, 1.04], rel_tol=0.01)
+    assert plateau(ns, [1.0, 1.0101])
+    assert not plateau(ns, [1.0, 1.0102])
 
 
 # ---------------------------------------------------------------------------
