@@ -332,7 +332,9 @@ def parse_scenario(obj) -> Scenario:
 
 
 def run(sc: Scenario, out_dir: str) -> dict:
-    """Execute a parsed scenario, write its files, return the report."""
+    """Execute a parsed scenario, write its files into ``out_dir`` (made
+    if missing), return the report."""
+    os.makedirs(out_dir, exist_ok=True)
     prefix = os.path.join(out_dir, sc.name)
     body = _COMMANDS[sc.command][2](prefix, **sc.inputs, **sc.parameters)
     if isinstance(body, criteria.CriterionReport):
@@ -764,7 +766,6 @@ def main(argv=None) -> int:
             return 0
         with open(args.spec, "r", encoding="utf-8") as fh:
             scenario = parse_scenario(json.load(fh))
-        os.makedirs(args.out, exist_ok=True)
         report = run(scenario, args.out)
         print(f"{scenario.name}: {report['verdict']}")
         return 0

@@ -17,7 +17,14 @@ diagonals of a degree-d weight, so the sweep adds just the terms that can
 be nonzero, in the order the full product would.  The terms it skips are
 exact zeros and every accumulator starts at +0, so each section is bitwise
 the full product's; ``_times_adjoint`` (the full product) serves atoms
-only.  Sections are exactly Hermitian (the lower triangle mirrors the
+only.  Every kind nests: the product of size n is bitwise the leading
+block of every larger one (P, the Vandermonde rows and the sweep's
+accumulators nest, and what a larger size adds to a leading entry is
+exact zeros).  So each measure keeps one product, the largest built for
+it, read-only and outside its fields (``==``, ``hash``, ``repr`` and the
+JSON ignore it); sections, single moments, sum terms and every moment
+matrix of the measure slice it, and only a larger size rebuilds it.
+Sections are exactly Hermitian (the lower triangle mirrors the
 upper one) and cross-checkable against trapezoid quadrature on a uniform
 angular grid; ``exact_grid`` picks the smallest grid on which that rule
 is exact for a section.  The grid rows exp(i k theta) are tabulated once
@@ -300,14 +307,28 @@ def _weight_degree(m: Measure) -> int:
 
 
 @functools.lru_cache(maxsize=256)
-def _binomials(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lower-triangle indices (i, k) of size n and the floats C(i, k),
-    as read-only arrays shared by every circle section of that size."""
+def _binomials(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The lower triangle (i, k) of size n as flat indices i * n + k, with
+    i - k, k and the floats C(i, k), as read-only arrays shared by every
+    circle section of that size."""
     i, k = np.tril_indices(n)
     binom = np.array([float(math.comb(ii, kk)) for ii, kk in zip(i, k)])
-    for a in (i, k, binom):
+    out = (i * n + k, i - k, k, binom)
+    for a in out:
         a.flags.writeable = False
-    return i, k, binom
+    return out
+
+
+def _powers(x, n: int) -> np.ndarray:
+    """1, x, ..., x**(n-1): bitwise ``vandermonde(x, n)[:, 0]``, n = 3
+    included, from one 1-D cumprod."""
+    out = np.ones(n, dtype=type(x))
+    if n == 3:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[1:] = np.cumprod(np.full(3, x))[:2]
+    elif n > 1:
+        out[1:] = np.cumprod(np.full(n - 1, x))
+    return out
 
 
 def circle_expansion(center: complex, radius: float, n: int) -> np.ndarray:
@@ -315,11 +336,9 @@ def circle_expansion(center: complex, radius: float, n: int) -> np.ndarray:
     (center + radius e^{i theta})**i in powers of e^{i theta}, so a row of
     coefficients v (degree < n) times P holds the coefficients of
     p(center + radius w) in powers of w."""
-    a_pow = vandermonde(complex(center), n)[:, 0]
-    r_pow = vandermonde(float(radius), n)[:, 0]
-    i, k, binom = _binomials(n)
+    flat, shift, k, binom = _binomials(n)
     p = np.zeros((n, n), dtype=complex)
-    p[i, k] = binom * a_pow[i - k] * r_pow[k]
+    p.reshape(-1)[flat] = binom * _powers(complex(center), n)[shift] * _powers(float(radius), n)[k]
     return p
 
 
@@ -335,8 +354,23 @@ def _times_adjoint(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kept_product(m: Measure, n: int) -> np.ndarray:
+    """``_product(m, n)`` as a read-only leading block of the largest
+    product built for ``m`` so far, which ``m`` keeps (a larger n rebuilds
+    it).  Products nest at every size, so the block is bitwise the
+    product built at size n."""
+    kept = getattr(m, "_largest_product", None)
+    if kept is None or kept.shape[0] < n:
+        kept = _product(m, n)
+        kept.flags.writeable = False
+        object.__setattr__(m, "_largest_product", kept)  # not a field: ==, hash and repr ignore it
+    return kept[:n, :n]
+
+
 def _product(m: Measure, n: int) -> np.ndarray:
-    # the section as a matrix product, Hermitian up to roundoff
+    # the section as a matrix product, Hermitian up to roundoff, and
+    # bitwise the leading block of every larger one; callers read it
+    # through the measure's kept product (_kept_product)
     if isinstance(m, WeightedCircle):
         # P T P^* summed as _times_adjoint(_times_adjoint(P, T), P) would,
         # over only the terms that can be nonzero: P is lower triangular and
@@ -361,20 +395,21 @@ def _product(m: Measure, n: int) -> np.ndarray:
         v = vandermonde([z for z, _ in m.atoms], n)
         return _times_adjoint(v * np.array([w for _, w in m.atoms]), v)
     if isinstance(m, MeasureSum):
-        return sum(s * _product(comp, n) for s, comp in m.terms)
+        return sum(s * _kept_product(comp, n) for s, comp in m.terms)
     raise TypeError(f"not a measure: {m!r}")
 
 
 def moment_section(m: Measure, n: int) -> np.ndarray:
     """Leading n x n section [c[i, j]] of the moment matrix (see the
-    module docstring); exactly Hermitian."""
+    module docstring); exactly Hermitian, and the caller's own array."""
     if n < 1:
         raise ValueError("section size must be at least 1")
-    return numkernel.mirror_upper(_product(m, n))
+    return numkernel.mirror_upper(_kept_product(m, n))
 
 
 def moment(m: Measure, i: int, j: int) -> complex:
-    """Moment c[i, j], read off the smallest section holding it."""
+    """Moment c[i, j], read off the smallest section holding it (a slice
+    of the measure's kept product once a larger one exists)."""
     if i < 0 or j < 0:
         raise ValueError("moment orders must be nonnegative")
     return complex(moment_section(m, max(i, j) + 1)[i, j])

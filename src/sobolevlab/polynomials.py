@@ -39,8 +39,17 @@ def differentiate(v) -> np.ndarray:
 
 
 def vandermonde(points, n: int) -> np.ndarray:
-    """V[i, k] = points[k]**i for i < n, by repeated multiplication."""
+    """V[i, k] = points[k]**i for i < n, by repeated multiplication.
+
+    The rows nest: V for n is bitwise the leading n rows of V for any
+    larger size.  Over two rows alone numpy's cumprod squares a complex
+    point 1 ulp away from the square it gives over longer axes, so n = 3
+    takes the powers up to the cube, with overflow warnings off, and
+    drops the cube."""
     pts = np.atleast_1d(np.asarray(points))
+    if n == 3:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return vandermonde(pts, 4)[:3]
     v = np.ones((n, pts.size), dtype=pts.dtype)
     if n > 1:
         v[1:] = np.cumprod(np.broadcast_to(pts, (n - 1, pts.size)), axis=0)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 
 import numpy as np
 
@@ -62,7 +61,8 @@ def render_json(obj, indent: int = 0) -> str:
 
 
 def write_json(path: str, obj) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    """Write ``render_json(obj)`` and a newline to ``path``; the directory
+    must exist (the command that writes the reports makes it once)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(render_json(obj))
         fh.write("\n")
@@ -80,7 +80,8 @@ def _cell(v) -> str:
 
 
 def write_csv(path: str, header, rows) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    """Write the header line and one line per row to ``path``, whose
+    directory must exist."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_cell(v) for v in row))

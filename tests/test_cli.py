@@ -683,6 +683,41 @@ def test_builtin_pencil_m0_is_built_once(tmp_path, monkeypatch, name, measure, b
     assert [n for m, n in sizes if m == measure] == built
 
 
+def test_builtin_suite_builds_each_measure_product_once_per_size_increase(tmp_path):
+    # a fresh process, where no module-level measure keeps a product yet;
+    # every role of a measure (pencil, sum term, single moment) slices the
+    # product it keeps: 33 builds at nmax 64, against 129 with one per role
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sobolevlab.__file__)))
+    code = (
+        "import contextlib, io, sys; from sobolevlab import cli, measures\n"
+        "builds, product = [], measures._product\n"
+        "measures._product = lambda m, n: builds.append(n) or product(m, n)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['--builtin', 'all', '--nmax', '64', '--out', sys.argv[1]])\n"
+        "print(len(builds))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, check=True)
+    assert int(out.stdout) <= 33
+
+
+def test_example7_moments_are_slices_of_its_sections(tmp_path, monkeypatch):
+    # the 40 diagonal moments come after the size-65 sections of both measures
+    builds, added = [], []
+    product, moment = measures._product, measures.moment
+    monkeypatch.setattr(measures, "_product", lambda m, n: builds.append(n) or product(m, n))
+
+    def counted_moment(m, i, j):
+        before = len(builds)
+        value = moment(m, i, j)
+        added.append(len(builds) - before)
+        return value
+
+    monkeypatch.setattr(measures, "moment", counted_moment)
+    run_builtin("example7-comparability", str(tmp_path), n_max=64)
+    assert added == [0] * 40
+
+
 def test_gamma_factors_its_matrix_once(tmp_path, monkeypatch):
     # gamma_sequence and the reproducing-kernel cross-check read one factor
     sizes = []

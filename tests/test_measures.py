@@ -1,6 +1,7 @@
 """Measure moments: closed forms vs quadrature, schema validation."""
 
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -21,6 +22,7 @@ from sobolevlab.measures import (
     moment_section,
     to_json,
 )
+from sobolevlab.polynomials import vandermonde
 
 from oracles import circle_product
 
@@ -321,19 +323,87 @@ def _random_circles(count: int, seed: int) -> list:
 )
 def test_circle_sections_are_bitwise_the_full_outer_product_loops(m):
     # the banded triangular sweep skips only exact zeros of P T P^*, and it
-    # keeps the nesting of P: a section is the leading block of a larger
-    # one at every size where P is (vandermonde's cumprod squares a complex
-    # center differently at n = 3 alone)
-    largest, p = moment_section(m, 65), measures.circle_expansion(m.center, m.radius, 65)
+    # keeps the nesting of P: a product is the leading block of every
+    # larger one, so the section the measure slices from its kept size-65
+    # product is bitwise the reference built at its own size
+    largest, p = measures._product(m, 65), measures.circle_expansion(m.center, m.radius, 65)
+    moment_section(m, 65)
     for n in range(1, 66):
         ref = circle_product(m, n)
-        assert measures._product(m, n).tobytes() == ref.tobytes()
-        got = moment_section(m, n)
-        assert got.tobytes() == numkernel.mirror_upper(ref).tobytes()
-        if measures.circle_expansion(m.center, m.radius, n).tobytes() == p[:n, :n].tobytes():
-            assert got.tobytes() == largest[:n, :n].tobytes()
-        else:
-            assert n == 3
+        built = measures._product(m, n)
+        assert built.tobytes() == ref.tobytes()
+        assert built.tobytes() == largest[:n, :n].tobytes()
+        assert measures.circle_expansion(m.center, m.radius, n).tobytes() == p[:n, :n].tobytes()
+        assert moment_section(m, n).tobytes() == numkernel.mirror_upper(ref).tobytes()
+
+
+def test_circle_expansion_is_bitwise_the_vandermonde_powers():
+    # one 1-D cumprod per power row, scattered through a flat index, gives
+    # the entries of the nested Vandermonde rows' C(i, k) a^(i-k) r^k
+    rng = np.random.default_rng(21)
+    centers = rng.uniform(-2.0, 2.0, size=100) + 1j * rng.uniform(-2.0, 2.0, size=100)
+    radii = rng.uniform(0.25, 4.0, size=100)
+    for n in range(1, 66):
+        i, k = np.tril_indices(n)
+        binom = np.array([float(math.comb(ii, kk)) for ii, kk in zip(i, k)])
+        for a, r in zip(centers, radii):
+            ref = np.zeros((n, n), dtype=complex)
+            ref[i, k] = binom * vandermonde(complex(a), n)[i - k, 0] * vandermonde(float(r), n)[k, 0]
+            assert measures.circle_expansion(a, r, n).tobytes() == ref.tobytes()
+    with warnings.catch_warnings():  # the cube that n = 3 computes and drops overflows
+        warnings.simplefilter("error")
+        assert measures.circle_expansion(1e120, 1e120, 3)[2].tolist() == [1e240, 2e240, 1e240]
+
+
+def _random_atomics(count: int, seed: int) -> list:
+    """Atomic measures of 1-70 atoms in [-2, 2]^2, some on the axes with
+    signed-zero parts, masses in [0.1, 2]."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for case in range(count):
+        size = int(rng.integers(1, 71))
+        z = rng.uniform(-2.0, 2.0, size=size) + 1j * rng.uniform(-2.0, 2.0, size=size)
+        if case % 2:
+            z.imag[::3] = -0.0
+        out.append(Atomic(tuple(zip(z, rng.uniform(0.1, 2.0, size=size)))))
+    return out
+
+
+@pytest.mark.parametrize("m", [ATOMS, MIXED] + _random_atomics(8, 17))
+def test_atomic_sections_nest_at_every_size(m):
+    # V diag(mass) V^* sums exact zeros beyond a leading block, and the
+    # Vandermonde rows nest (n = 3 included): every product is the leading
+    # block of the size-65 one
+    largest = measures._product(m, 65)
+    for n in range(1, 66):
+        built = measures._product(m, n)
+        assert built.tobytes() == largest[:n, :n].tobytes()
+        assert moment_section(m, n).tobytes() == numkernel.mirror_upper(built).tobytes()
+
+
+def test_each_measure_keeps_one_read_only_product(monkeypatch):
+    builds = []
+    product = measures._product
+    monkeypatch.setattr(measures, "_product", lambda m, n: builds.append((m, n)) or product(m, n))
+    half, atoms = CircleLebesgue(0.0, 0.5), Atomic(((0.5, 1.0), (-0.5j, 2.0)))
+    mixed = MeasureSum(((1.0, half), (2.0, atoms)))
+    fresh = [to_json(m) for m in (half, atoms, mixed)], [repr(m) for m in (half, atoms, mixed)]
+    first = moment_section(mixed, 8)
+    assert builds == [(mixed, 8), (half, 8), (atoms, 8)]
+    # smaller sizes, single moments and the terms on their own are slices
+    section = moment_section(mixed, 5)
+    assert moment(mixed, 2, 4) == section[2, 4] and moment(half, 7, 7) == moment_section(half, 8)[7, 7]
+    assert len(builds) == 3
+    moment_section(atoms, 9)  # a larger size rebuilds the measure's product
+    assert builds[3:] == [(atoms, 9)]
+    assert not measures._kept_product(atoms, 9).flags.writeable
+    # a returned section is the caller's own
+    section[:] = np.nan
+    assert moment_section(mixed, 5).tobytes() == first[:5, :5].tobytes()
+    # the kept product is not a field
+    assert mixed == MeasureSum(((1.0, CircleLebesgue(0.0, 0.5)), (2.0, Atomic(((0.5, 1.0), (-0.5j, 2.0))))))
+    assert hash(half) == hash(CircleLebesgue(0.0, 0.5))
+    assert ([to_json(m) for m in (half, atoms, mixed)], [repr(m) for m in (half, atoms, mixed)]) == fresh
 
 
 def test_weight_frequency_cap_prevents_grid_aliasing():

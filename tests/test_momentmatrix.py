@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from sobolevlab import cli, criteria, numkernel
+from sobolevlab import cli, criteria, measures, numkernel
 from sobolevlab import momentmatrix as mm
 from sobolevlab.measures import Atomic, CircleLebesgue, MeasureSum, WeightedCircle, moment
 from sobolevlab.numkernel import NotPositiveDefinite, Overflow
@@ -42,6 +42,23 @@ def test_section_is_exactly_hermitian_and_cached_copy():
     npt.assert_array_equal(mm.section(m, 8)[:5, :5], mm.section(m, 5))
     with pytest.raises(ValueError):
         mm.section(m, 0)
+
+
+def test_matrices_of_one_measure_slice_its_one_product(monkeypatch):
+    builds = []
+    product = measures._product
+    monkeypatch.setattr(measures, "_product", lambda mu, n: builds.append(n) or product(mu, n))
+    mu = CircleLebesgue(0.3 - 0.1j, 1.5)
+    first, second = mm.of_measure(mu), mm.of_measure(mu)
+    a = mm.section(first, 12)
+    expected = a.copy()
+    a[:] = np.nan  # each returned section is the caller's own
+    b = mm.section(second, 7)
+    assert b.tobytes() == expected[:7, :7].tobytes()
+    b[:] = np.nan
+    assert mm.section(second, 7).tobytes() == expected[:7, :7].tobytes()
+    assert measures.moment_section(mu, 12).tobytes() == expected.tobytes()
+    assert builds == [12]
 
 
 def test_zero_matrix():

@@ -1,5 +1,7 @@
 """Coefficient-vector helpers."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -12,6 +14,7 @@ from sobolevlab.polynomials import (
     differentiate,
     evaluate,
     random_coeffs,
+    vandermonde,
 )
 
 from oracles import recenter
@@ -100,3 +103,22 @@ def test_random_coeffs_exact_degree_and_determinism():
     w1 = random_coeffs(np.random.default_rng(42), 5)
     w2 = random_coeffs(np.random.default_rng(42), 5)
     npt.assert_array_equal(w1, w2)
+
+
+def test_vandermonde_rows_nest_at_every_size():
+    # numpy's cumprod squares a complex point differently over two rows
+    # alone; n = 3 must still be the leading rows of every larger size
+    rng = np.random.default_rng(3)
+    points = rng.uniform(-2.0, 2.0, size=2000) + 1j * rng.uniform(-2.0, 2.0, size=2000)
+    largest = vandermonde(points, 65)
+    for n in range(1, 66):
+        assert vandermonde(points, n).tobytes() == largest[:n].tobytes()
+
+
+def test_vandermonde_warns_of_no_power_it_does_not_return():
+    # p**2 = 1e240 is finite, p**3 overflows: n = 3 computes it and drops it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert vandermonde(1e120 + 0j, 2)[:, 0].tolist() == [1.0, 1e120]
+        assert vandermonde(1e120 + 0j, 3)[:, 0].tolist() == [1.0, 1e120, 1e240]
+        assert vandermonde([1e120, -2.0], 3).tolist() == [[1.0, 1.0], [1e120, -2.0], [1e240, 4.0]]
