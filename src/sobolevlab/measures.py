@@ -319,18 +319,6 @@ def _binomials(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-def _powers(x, n: int) -> np.ndarray:
-    """1, x, ..., x**(n-1): bitwise ``vandermonde(x, n)[:, 0]``, n = 3
-    included, from one 1-D cumprod."""
-    out = np.ones(n, dtype=type(x))
-    if n == 3:
-        with np.errstate(over="ignore", invalid="ignore"):
-            out[1:] = np.cumprod(np.full(3, x))[:2]
-    elif n > 1:
-        out[1:] = np.cumprod(np.full(n - 1, x))
-    return out
-
-
 def circle_expansion(center: complex, radius: float, n: int) -> np.ndarray:
     """P[i, k] = C(i, k) center**(i-k) radius**k: row i expands
     (center + radius e^{i theta})**i in powers of e^{i theta}, so a row of
@@ -338,7 +326,7 @@ def circle_expansion(center: complex, radius: float, n: int) -> np.ndarray:
     p(center + radius w) in powers of w."""
     flat, shift, k, binom = _binomials(n)
     p = np.zeros((n, n), dtype=complex)
-    p.reshape(-1)[flat] = binom * _powers(complex(center), n)[shift] * _powers(float(radius), n)[k]
+    p.reshape(-1)[flat] = binom * vandermonde(complex(center), n)[:, 0][shift] * vandermonde(float(radius), n)[:, 0][k]
     return p
 
 

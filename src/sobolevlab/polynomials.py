@@ -44,12 +44,21 @@ def vandermonde(points, n: int) -> np.ndarray:
     The rows nest: V for n is bitwise the leading n rows of V for any
     larger size.  Over two rows alone numpy's cumprod squares a complex
     point 1 ulp away from the square it gives over longer axes, so n = 3
-    takes the powers up to the cube, with overflow warnings off, and
-    drops the cube."""
+    takes the powers up to the cube and drops it: the cube's overflow is
+    not warned about, the square's is.  A single point takes its powers
+    from one 1-D cumprod, bitwise the column the 2-D one gives."""
     pts = np.atleast_1d(np.asarray(points))
     if n == 3:
         with np.errstate(over="ignore", invalid="ignore"):
-            return vandermonde(pts, 4)[:3]
+            v = vandermonde(pts, 4)[:3]
+        if not np.isfinite(v[2]).all():
+            bad = pts[~np.isfinite(v[2])]
+            bad * bad  # the square's own warnings, under the caller's errstate
+        return v
+    if pts.size == 1:
+        v = np.ones(n, dtype=pts.dtype)
+        v[1:] = np.cumprod(np.full(n - 1, pts[0]))
+        return v[:, None]
     v = np.ones((n, pts.size), dtype=pts.dtype)
     if n > 1:
         v[1:] = np.cumprod(np.broadcast_to(pts, (n - 1, pts.size)), axis=0)

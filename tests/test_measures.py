@@ -1,7 +1,6 @@
 """Measure moments: closed forms vs quadrature, schema validation."""
 
 import math
-import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -22,7 +21,6 @@ from sobolevlab.measures import (
     moment_section,
     to_json,
 )
-from sobolevlab.polynomials import vandermonde
 
 from oracles import circle_product
 
@@ -335,24 +333,6 @@ def test_circle_sections_are_bitwise_the_full_outer_product_loops(m):
         assert built.tobytes() == largest[:n, :n].tobytes()
         assert measures.circle_expansion(m.center, m.radius, n).tobytes() == p[:n, :n].tobytes()
         assert moment_section(m, n).tobytes() == numkernel.mirror_upper(ref).tobytes()
-
-
-def test_circle_expansion_is_bitwise_the_vandermonde_powers():
-    # one 1-D cumprod per power row, scattered through a flat index, gives
-    # the entries of the nested Vandermonde rows' C(i, k) a^(i-k) r^k
-    rng = np.random.default_rng(21)
-    centers = rng.uniform(-2.0, 2.0, size=100) + 1j * rng.uniform(-2.0, 2.0, size=100)
-    radii = rng.uniform(0.25, 4.0, size=100)
-    for n in range(1, 66):
-        i, k = np.tril_indices(n)
-        binom = np.array([float(math.comb(ii, kk)) for ii, kk in zip(i, k)])
-        for a, r in zip(centers, radii):
-            ref = np.zeros((n, n), dtype=complex)
-            ref[i, k] = binom * vandermonde(complex(a), n)[i - k, 0] * vandermonde(float(r), n)[k, 0]
-            assert measures.circle_expansion(a, r, n).tobytes() == ref.tobytes()
-    with warnings.catch_warnings():  # the cube that n = 3 computes and drops overflows
-        warnings.simplefilter("error")
-        assert measures.circle_expansion(1e120, 1e120, 3)[2].tolist() == [1e240, 2e240, 1e240]
 
 
 def _random_atomics(count: int, seed: int) -> list:

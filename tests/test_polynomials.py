@@ -122,3 +122,27 @@ def test_vandermonde_warns_of_no_power_it_does_not_return():
         assert vandermonde(1e120 + 0j, 2)[:, 0].tolist() == [1.0, 1e120]
         assert vandermonde(1e120 + 0j, 3)[:, 0].tolist() == [1.0, 1e120, 1e240]
         assert vandermonde([1e120, -2.0], 3).tolist() == [[1.0, 1.0], [1e120, -2.0], [1e240, 4.0]]
+
+
+@pytest.mark.parametrize("points", [1e200 + 0j, [1e200 + 0j, -2.0 + 0j], 1e200, [1e200, -2.0]])
+def test_vandermonde_warns_of_an_overflowing_square_at_n_3(points):
+    # the square is returned, so its overflow is warned about as at n = 4
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        v = vandermonde(points, 3)
+    assert [str(w.message) for w in caught] == ["overflow encountered in multiply"]
+    assert np.isinf(v[2, 0].real) and v[1, 0] == 1e200
+
+
+def test_vandermonde_of_one_point_is_its_column_of_many():
+    # a single point takes the 1-D cumprod path
+    rng = np.random.default_rng(5)
+    complex_points = rng.uniform(-2.0, 2.0, size=200) + 1j * rng.uniform(-2.0, 2.0, size=200)
+    complex_points.imag[::4] = -0.0
+    for points in (complex_points, rng.uniform(0.25, 4.0, size=100)):
+        for n in range(1, 66):
+            many = vandermonde(points, n)
+            for j, p in enumerate(points):
+                one = vandermonde(p, n)
+                assert one.shape == (n, 1) and one.dtype == points.dtype
+                assert one[:, 0].tobytes() == many[:, j].tobytes()
