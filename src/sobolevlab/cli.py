@@ -211,7 +211,7 @@ def _run_gram(prefix, pencil, n) -> dict:
 def _run_opoly(prefix, pencil, n) -> dict:
     pen = sobolev.pencil_of_measures(*pencil)
     ops = sobolev.orthonormal_polys(pen.gram, n)
-    _, w, _ = momentmatrix.factor(pen.gram, n)  # the rows of w are ops
+    w = momentmatrix.factor(pen.gram, n).inverse  # its rows are ops
     resid = float(np.max(np.abs(w @ sobolev.gram_section(pen, n) @ w.conj().T - np.eye(n))))
     rows = [[k, *c, *[0j] * (n - len(c))] for k, c in enumerate(ops)]
     reporting.write_csv(f"{prefix}_opoly.csv", ["degree"] + [f"c{j}" for j in range(n)], rows)
@@ -657,16 +657,10 @@ def _builtin_bpe_disk_map(out_dir, n_max, rng) -> dict:
         for k in range(8):
             ang = 2.0 * math.pi * k / 8.0
             points.append(radius * complex(math.cos(ang), math.sin(ang)))
-    rows = []
-    consistent = True
-    for a in points:
-        rep = criteria.bpe_decide(m, a, n_max)
-        g_end = rep.details["gamma_end"]
-        rows.append((a.real, a.imag, abs(a), g_end, rep.verdict))
-        if abs(a) <= 0.9 and rep.verdict != "holds":
-            consistent = False
-        if abs(a) >= 1.1 and rep.verdict != "fails":
-            consistent = False
+    rows = [(a.real, a.imag, abs(a), gammas[-1], verdict)
+            for a, (gammas, verdict, _) in zip(points, criteria.bpe_columns(m, points, n_max))]
+    consistent = all(v == "holds" for _, _, r, _, v in rows if r <= 0.9) and all(
+        v == "fails" for _, _, r, _, v in rows if r >= 1.1)
     reporting.write_csv(
         os.path.join(out_dir, "bpe-disk-map_map.csv"),
         ("re", "im", "modulus", "gamma_end", "verdict"),

@@ -27,6 +27,7 @@ from .polynomials import evaluate, vandermonde
 __all__ = [
     "CenterNotBoundedEvaluation",
     "CriterionReport",
+    "bpe_columns",
     "bpe_decide",
     "bpe_weighted_circles_report",
     "comparability_bounds",
@@ -34,6 +35,7 @@ __all__ = [
     "eigen_limit_report",
     "gamma_index",
     "gamma_sequence",
+    "gamma_table",
     "gamma_via_kernel",
     "sobolev_domination_bound",
     "toeplitz_rigidity",
@@ -116,17 +118,36 @@ def _canonical_vector(u: np.ndarray) -> np.ndarray:
 # Point-evaluation index
 # ---------------------------------------------------------------------------
 
+def gamma_table(m: MomentMatrix, points, n_max: int) -> np.ndarray:
+    """gamma_index at points[j] for n = 1..n_max in column j, from one
+    solve Y = L^{-1} E on the matrix's factor L at n_max, E the points'
+    vandermonde: e_j^H G_n^{-1} e_j sums |Y_kj|^2 over k < n, as the
+    factor of the n section is a block of L.  The column of a point whose
+    evaluation vector overflows is NaN, no other: row 0 is 1/|1/L_00|^2."""
+    fac = momentmatrix.factor(m, n_max)
+    if fac.failure is not None:
+        raise fac.failure
+    with np.errstate(over="ignore", invalid="ignore"):  # the NaN columns below
+        e = vandermonde(np.asarray(points, dtype=complex), n_max)
+    finite = np.isfinite(e).all(axis=0)
+    table = np.full(e.shape, math.nan)
+    table[:, finite] = 1.0 / np.cumsum(np.abs(numkernel.solve_lower(fac.lower, e[:, finite])) ** 2, axis=0)
+    return table
+
+
+def _gamma_columns(m: MomentMatrix, points, n_max: int):
+    """The columns of gamma_table as lists, in input order; on reaching a
+    point whose evaluation vector overflowed, numkernel.Overflow naming it."""
+    for a, column in zip(points, gamma_table(m, points, n_max).T.tolist()):
+        if math.isnan(column[0]):
+            raise numkernel.Overflow(f"evaluation vector at {complex(a)} for {m.label}", n_max)
+        yield column
+
+
 def gamma_sequence(m: MomentMatrix, a: complex, n_max: int) -> list[float]:
-    """The index of gamma_index for every n = 1..n_max, from the matrix's
-    one factor at n_max (momentmatrix.factor): with L that factor and
-    y = L^{-1} e, e^H G_n^{-1} e = |y_0|^2 + ... + |y_{n-1}|^2, because
-    the factor of the n section is the leading block of L.
-    """
-    lower, _, failure = momentmatrix.factor(m, n_max)
-    if failure is not None:
-        raise failure
-    y = numkernel.solve_lower(lower, _evaluation_vector(m, a, n_max))
-    return [1.0 / float(s) for s in np.cumsum(np.abs(y) ** 2)]
+    """The index of gamma_index for every n = 1..n_max: the column of a
+    one-point gamma_table."""
+    return next(_gamma_columns(m, [a], n_max))
 
 
 def gamma_index(m: MomentMatrix, a: complex, n: int) -> float:
@@ -152,23 +173,26 @@ def gamma_via_kernel(m: MomentMatrix, a: complex, n: int) -> float:
     return 1.0 / total
 
 
-def _evaluation_vector(m: MomentMatrix, a: complex, n: int) -> np.ndarray:
-    """e = (1, a, ..., a^{n-1}); numkernel.Overflow when a power overflows."""
-    label = f"evaluation vector at {complex(a)} for {m.label}"
-    with np.errstate(over="ignore", invalid="ignore"):  # reported by require_finite
-        e = vandermonde(complex(a), n)[:, 0]
-    return numkernel.require_finite(e, label)
-
-
 def _gamma_minimizer(m: MomentMatrix, a: complex, n: int) -> np.ndarray:
     """Coefficient row attaining gamma: p(a) = 1 with minimal norm^2,
     conj(x) / s with x = G^{-1} e = W^* (W e) and s = e^H x = ||W e||^2,
-    read off the matrix's inverse factor W = L^{-1}."""
-    _, inverse, failure = momentmatrix.factor(m, n)
-    if failure is not None:
-        raise failure
-    y = inverse @ _evaluation_vector(m, a, n)
+    read off the inverse of a factor and an e that gamma_table accepted."""
+    inverse = momentmatrix.factor(m, n).inverse
+    y = inverse @ vandermonde(complex(a), n)[:, 0]
     return np.conj(inverse.conj().T @ y) / float(np.vdot(y, y).real)
+
+
+def bpe_columns(m: MomentMatrix, points, n_max: int):
+    """(gamma column, verdict, decay) of every point in input order, by
+    the rule of bpe_decide."""
+    if n_max < 4:
+        raise ValueError("bpe decision needs n_max >= 4")
+    for gammas in _gamma_columns(m, points, n_max):
+        g_end, g_half = gammas[-1], gammas[n_max // 2 - 1]
+        decay = math.inf if g_end == 0 else g_half / g_end
+        fails = g_end < BPE_GAMMA_FLOOR or decay >= BPE_DECAY_RATIO
+        holds = not fails and decay <= BPE_HOLD_RATIO
+        yield gammas, VERDICT_FAILS if fails else VERDICT_HOLDS if holds else VERDICT_INCONCLUSIVE, decay
 
 
 def bpe_decide(m: MomentMatrix, a: complex, n_max: int) -> CriterionReport:
@@ -184,29 +208,15 @@ def bpe_decide(m: MomentMatrix, a: complex, n_max: int) -> CriterionReport:
     The reported constant is 1 / gamma at n_max; on "fails" the witness
     is the minimizing polynomial at n_max (p(a) = 1, norm^2 = gamma).
     """
-    if n_max < 4:
-        raise ValueError("bpe decision needs n_max >= 4")
-    ns = list(range(2, n_max + 1))
-    gammas = gamma_sequence(m, a, n_max)[1:]
-    g_end = gammas[-1]
-    half = n_max // 2
-    g_half = gammas[ns.index(half)]
-    decay = math.inf if g_end == 0 else g_half / g_end
-    if g_end < BPE_GAMMA_FLOOR or decay >= BPE_DECAY_RATIO:
-        verdict = VERDICT_FAILS
-    elif decay <= BPE_HOLD_RATIO:
-        verdict = VERDICT_HOLDS
-    else:
-        verdict = VERDICT_INCONCLUSIVE
-    witness = _gamma_minimizer(m, a, n_max) if verdict == VERDICT_FAILS else None
+    gammas, verdict, decay = next(bpe_columns(m, [a], n_max))
     return CriterionReport(
         criterion="bpe",
         labels={"matrix": m.label},
-        n_list=ns,
-        values=gammas,
+        n_list=list(range(2, n_max + 1)),
+        values=gammas[1:],
         verdict=verdict,
-        witness=witness,
-        constant=math.inf if g_end == 0 else 1.0 / g_end,
+        witness=_gamma_minimizer(m, a, n_max) if verdict == VERDICT_FAILS else None,
+        constant=math.inf if gammas[-1] == 0 else 1.0 / gammas[-1],
         parameters={
             "gamma_floor": BPE_GAMMA_FLOOR,
             "decay_ratio": BPE_DECAY_RATIO,
@@ -214,8 +224,8 @@ def bpe_decide(m: MomentMatrix, a: complex, n_max: int) -> CriterionReport:
         },
         details={
             "point": [complex(a).real, complex(a).imag],
-            "gamma_end": g_end,
-            "gamma_half": g_half,
+            "gamma_end": gammas[-1],
+            "gamma_half": gammas[n_max // 2 - 1],
             "decay_over_last_doubling": decay,
         },
     )
@@ -364,9 +374,9 @@ def comparability_bounds(
         raise ValueError("need n_max >= 2")
     ns = list(range(2, n_max + 1))
     gram_q = sobolev.gram_section(q, n_max)
-    _, inverse, failure = momentmatrix.factor(p.gram, n_max)
+    fac = momentmatrix.factor(p.gram, n_max)
     # the bottom of (Q, G) is minus the top of (-Q, G)
-    highs, neg_lows = (numkernel.nested_gen_eig(g, inverse, failure, p.label)[1:] for g in (gram_q, -gram_q))
+    highs, neg_lows = (numkernel.nested_gen_eig(g, fac.inverse, fac.failure, p.label)[1:] for g in (gram_q, -gram_q))
     for top in (t for pair in zip(highs, neg_lows) for t in pair):  # the smallest failing size first
         if isinstance(top, Exception):
             raise top
@@ -451,13 +461,12 @@ def bpe_weighted_circles_report(
     """
     mu1 = measures.MeasureSum(tuple((1.0, circle) for circle in circles))
     pen = sobolev.pencil_of_measures(mu0, mu1)  # the centers are tested on its M(mu0)
-    centers, gammas = [], []
-    for circle in circles:
-        rep = bpe_decide(pen.m0, circle.center, n_max)
-        if rep.verdict != VERDICT_HOLDS:
-            raise CenterNotBoundedEvaluation(circle.center)
-        centers.append(circle.center)
-        gammas.append(float(rep.details["gamma_end"]))
+    centers = [circle.center for circle in circles]
+    gammas = []
+    for center, (column, verdict, _) in zip(centers, bpe_columns(pen.m0, centers, n_max)):
+        if verdict != VERDICT_HOLDS:
+            raise CenterNotBoundedEvaluation(center)
+        gammas.append(column[-1])
     mseq = sobolev.norm_sequence(pen, n_max, "mult_op")  # size n_max + 1 first; then blocks
     dom = sobolev_domination_bound(pen, n_max)
     mult_settled = mseq.ok() and sobolev.plateau(mseq.n_list, mseq.values)

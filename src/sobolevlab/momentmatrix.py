@@ -7,13 +7,15 @@ Every built section is mirrored (strict lower triangle = conjugated
 upper one, real diagonal), so sections are exactly Hermitian even if the
 builder is only approximately so, and checked for finiteness, so values
 that overflowed never reach a factorization, which ``factor`` alone
-performs, keeping the factor L and its inverse W = L^{-1} of the last
-size asked for: every reduction, orthonormal basis and minimizer reads
-W with matrix products.
+performs, keeping the factor L of the last size asked for and, once a
+caller reads it, its inverse W = L^{-1}: every reduction, orthonormal
+basis and minimizer reads W with matrix products, point evaluations
+read L alone.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Callable
@@ -23,6 +25,7 @@ import numpy as np
 from . import measures, numkernel
 
 __all__ = [
+    "Factor",
     "MomentMatrix",
     "factor",
     "is_toeplitz",
@@ -51,6 +54,22 @@ class MomentMatrix:
     _factor: tuple | None = field(default=None, init=False, repr=False)
 
 
+@dataclass(eq=False)
+class Factor:
+    """Read-only Cholesky factor ``lower`` of one section, with the
+    NotPositiveDefinite ``failure`` when only a leading block factored;
+    ``inverse`` = numkernel.inverse_lower(lower) is built on first read."""
+
+    lower: np.ndarray
+    failure: numkernel.NotPositiveDefinite | None
+
+    @functools.cached_property
+    def inverse(self) -> np.ndarray:
+        inverse = numkernel.inverse_lower(self.lower)
+        inverse.flags.writeable = False
+        return inverse
+
+
 def section(m: MomentMatrix, n: int) -> np.ndarray:
     """Dense n x n leading section, exactly Hermitian by mirroring.
 
@@ -67,22 +86,20 @@ def section(m: MomentMatrix, n: int) -> np.ndarray:
     return m._largest[:n, :n].copy()
 
 
-def factor(m: MomentMatrix, n: int) -> tuple:
-    """(L, W, None) with L = numkernel.cholesky(section(m, n), m.label)
-    and W = numkernel.inverse_lower(L), or, when pivot k < n fails, (the
-    factor of the leading k x k block, its inverse, the
-    NotPositiveDefinite(k)).  L and W are read-only and kept on the
-    matrix for the last n asked; another n is factored afresh, because a
-    block of a factor is not bitwise the factor of the block."""
+def factor(m: MomentMatrix, n: int) -> Factor:
+    """Factor with L = numkernel.cholesky(section(m, n), m.label), or,
+    when pivot k < n fails, the factor of the leading k x k block and the
+    NotPositiveDefinite(k).  It is kept on the matrix for the last n
+    asked, its inverse too once read; another n is factored afresh,
+    because a block of a factor is not bitwise the factor of the block."""
     if m._factor is None or m._factor[0] != n:
         try:
             lower, failure = numkernel.cholesky(section(m, n), m.label), None
         except numkernel.NotPositiveDefinite as exc:
             lower, failure = exc.lower, exc
-        inverse = numkernel.inverse_lower(lower)
-        lower.flags.writeable = inverse.flags.writeable = False
-        m._factor = (n, lower, inverse, failure)
-    return m._factor[1:]
+        lower.flags.writeable = False
+        m._factor = (n, Factor(lower, failure))
+    return m._factor[1]
 
 
 def of_measure(mu: measures.Measure) -> MomentMatrix:

@@ -12,8 +12,8 @@ LAPACK through numpy; what this module adds is the error contract
 (NotPositiveDefinite with the failing pivot index and the factor before
 it, ConvergenceFailure with the offending label, Overflow for values
 beyond the double range) and the exact reductions used by the callers.
-Moment-matrix sections are factored and inverted once per matrix and size
-by ``momentmatrix.factor``.
+Moment-matrix sections are factored once per matrix and size by
+``momentmatrix.factor``, and a factor is inverted when first read.
 """
 
 from __future__ import annotations

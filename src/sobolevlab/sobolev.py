@@ -89,10 +89,10 @@ def orthonormal_polys(m: MomentMatrix, n: int) -> tuple:
     The rows of the inverse factor W = L^{-1} of the section
     (``momentmatrix.factor``; see numkernel.inverse_lower).
     """
-    _, inverse, failure = momentmatrix.factor(m, n)
-    if failure is not None:
-        raise failure
-    return tuple(inverse[k, : k + 1].copy() for k in range(n))
+    fac = momentmatrix.factor(m, n)
+    if fac.failure is not None:
+        raise fac.failure
+    return tuple(fac.inverse[k, : k + 1].copy() for k in range(n))
 
 
 def sobolev_zeros(p: SobolevPencil, deg: int) -> np.ndarray:
@@ -113,10 +113,10 @@ def mult_op_norm(p: SobolevPencil, n: int) -> float:
     if n < 1:
         raise ValueError("operator norm needs n >= 1")
     q = gram_section(p, n + 1)[1:, 1:]
-    _, inverse, failure = momentmatrix.factor(p.gram, n)
-    if failure is not None:
-        raise failure
-    lam = numkernel.gen_eig_factored(q, inverse, p.label)
+    fac = momentmatrix.factor(p.gram, n)
+    if fac.failure is not None:
+        raise fac.failure
+    lam = numkernel.gen_eig_factored(q, fac.inverse, p.label)
     return math.sqrt(max(float(lam[-1]), 0.0))
 
 
@@ -148,8 +148,8 @@ def norm_sequence(p: SobolevPencil, n_max: int, quantity: str) -> NormSequence:
         q = gram_section(p, n_max + 1)[1:, 1:]
     else:
         q = momentmatrix.section(p.m1, n_max)
-    values, errors = [], []
-    for top in numkernel.nested_gen_eig(q, *momentmatrix.factor(p.gram, n_max)[1:], p.label):
+    values, errors, fac = [], [], momentmatrix.factor(p.gram, n_max)
+    for top in numkernel.nested_gen_eig(q, fac.inverse, fac.failure, p.label):
         if isinstance(top, Exception):
             values.append(math.nan)
             errors.append(str(top))

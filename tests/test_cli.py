@@ -396,6 +396,36 @@ def test_prop12_circle_is_validated_at_parse_time(tmp_path, capsys):
     assert "circle radius must be positive" in capsys.readouterr().err
 
 
+def test_prop12_tests_its_centers_with_one_solve(tmp_path, monkeypatch):
+    # W = L^{-1} of a factor is one more solve, with identity columns
+    shapes = []
+    solve_lower = numkernel.solve_lower
+    monkeypatch.setattr(numkernel, "solve_lower", lambda lower, b: shapes.append(np.shape(b)) or solve_lower(lower, b))
+    circles = [[0.1, 0.0, 0.3, [[0, 1.0, 0.0]]], [0.0, 0.2, 0.3, [[0, 1.0, 0.0]]], [-0.3, 0.0, 0.3, [[0, 1.0, 0.0]]]]
+    report = run(parse_scenario(dict(BASE_SCENARIOS["prop12"], circles=circles, parameters={"n_max": 8})), str(tmp_path))
+    assert report["verdict"] == "holds" and len(report["report"]["details"]["center_gammas"]) == 3
+    assert [s for s in shapes if s != (s[0], s[0])] == [(8, 3)]
+
+
+UNBOUNDED_CENTER = [1.2, 0.0, 0.5, [[0, 1.0, 0.0]]]
+OVERFLOWING_CENTER = [1e200, 0.0, 1.0, [[0, 1.0, 0.0]]]
+
+
+@pytest.mark.parametrize(
+    "circles, message",
+    [
+        ([UNBOUNDED_CENTER, OVERFLOWING_CENTER], "center (1.2+0j) fails the bounded-evaluation test"),
+        ([OVERFLOWING_CENTER, UNBOUNDED_CENTER], "values of evaluation vector at (1e+200+0j) for "
+         '{"kind":"circle","center":[0.0,0.0],"radius":1.0} at size 8 overflowed the double range'),
+    ],
+    ids=["unbounded-first", "overflowing-first"],
+)
+def test_prop12_first_bad_center_decides_the_error(tmp_path, capsys, circles, message):
+    spec = write_spec(tmp_path, dict(BASE_SCENARIOS["prop12"], circles=circles, parameters={"n_max": 8}))
+    assert main(["--spec", spec, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.strip() == f"numeric error: {message}"
+
+
 def test_main_fails_verdict_still_exits_0(tmp_path, capsys):
     spec = write_spec(
         tmp_path,

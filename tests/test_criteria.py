@@ -63,6 +63,36 @@ def test_gamma_unit_circle_closed_form():
             assert abs(got - want) <= 1e-10 * want
 
 
+@pytest.mark.parametrize("c, r, n_max", [(0.0, 1.0, 64), (0.0, 2.0, 64), (0.5, 2.0, 16)])
+def test_gamma_table_matches_the_closed_form_on_circles(c, r, n_max):
+    # arc length on |z - c| = r: gamma_n(a) = 1 / sum_{k<n} |(a - c) / r|^(2k),
+    # at every size up to where the section's factor keeps 1e-12
+    m = mm.of_measure(CircleLebesgue(c, r))
+    points = [c + r * s * np.exp(1j * t) for s in (0.0, 0.5, 0.9, 1.0, 1.1, 1.5) for t in (0.4, 2.5, 4.0)]
+    table = criteria.gamma_table(m, points, n_max)
+    assert table.shape == (n_max, len(points))
+    for a, column in zip(points, table.T):
+        t = abs((a - c) / r) ** 2
+        want = 1.0 / np.array([math.fsum(t**k for k in range(n)) for n in range(1, n_max + 1)])
+        npt.assert_allclose(column, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("measure", [UNIT, CircleLebesgue(0.0, 2.0), CircleLebesgue(0.5, 2.0), W04])
+def test_gamma_table_columns_are_one_point_sequences(measure):
+    # bitwise on the unit circle, whose factor is exactly I; elsewhere a
+    # many-column solve may round its last bits apart from a one-column one
+    n_max = 16
+    m = mm.of_measure(measure)
+    points = [0.0, 0.3 - 0.2j, 0.9j, -1.0, 1.2 + 0.5j]
+    table = criteria.gamma_table(m, points, n_max)
+    for a, column in zip(points, table.T):
+        seq = criteria.gamma_sequence(m, a, n_max)
+        if measure == UNIT:
+            npt.assert_array_equal(column, seq)
+        else:
+            npt.assert_allclose(column, seq, rtol=1e-14, atol=0)
+
+
 def test_gamma_two_routes_agree():
     for m in (M_UNIT, M_HALF, mm.of_measure(W04)):
         for a in (0.0, 0.3, 0.6j, -0.5 + 0.5j, 0.9):

@@ -226,7 +226,8 @@ def test_factor_is_the_factor_of_its_own_section(name, order):
     # so the result must not depend on which sizes were asked for before
     m = FACTOR_MATRICES[name]()
     for n in order:
-        lower, inverse, failure = mm.factor(m, n)
+        fac = mm.factor(m, n)
+        lower, inverse, failure = fac.lower, fac.inverse, fac.failure
         ref, message = _reference_factor(FACTOR_MATRICES[name](), n)
         npt.assert_array_equal(lower, ref)
         npt.assert_array_equal(inverse, numkernel.inverse_lower(ref))
@@ -241,7 +242,8 @@ def test_kept_inverse_solves_w_l_equal_identity_row_by_row(name, n):
     # componentwise to roundoff of |W| |L|, also on the failing prefixes
     # (example 6 at 64, the circle at 33 and 64), where the residual
     # itself reaches 1e-8
-    lower, inverse, _ = mm.factor(FACTOR_MATRICES[name](), n)
+    fac = mm.factor(FACTOR_MATRICES[name](), n)
+    lower, inverse = fac.lower, fac.inverse
     k = lower.shape[0]
     assert inverse.shape == (k, k)
     assert np.all(np.abs(inverse @ lower - np.eye(k)) <= 1e-14 * (np.abs(inverse) @ np.abs(lower)))
@@ -250,7 +252,8 @@ def test_kept_inverse_solves_w_l_equal_identity_row_by_row(name, n):
 
 def test_failing_factor_returns_the_prefix_before_the_pivot():
     m = mm.of_measure(Atomic(((0.5, 1.0), (-0.2 + 0.4j, 2.0), (0.6j, 0.5))))  # rank 3
-    lower, inverse, failure = mm.factor(m, 8)
+    fac = mm.factor(m, 8)
+    lower, inverse, failure = fac.lower, fac.inverse, fac.failure
     assert isinstance(failure, NotPositiveDefinite)
     k = failure.index
     assert k == 3
@@ -285,7 +288,7 @@ def test_bpe_decisions_on_one_matrix_factor_once(cholesky_calls):
 
 
 def test_bpe_disk_map_reads_the_kept_factor_without_lu_solves(monkeypatch, tmp_path):
-    # the 24 "fails" witnesses of the disk map read the kept inverse factor
+    # the disk map's 49 points are one solve on the kept factor
     calls = []
     plain = np.linalg.solve
 
@@ -296,6 +299,35 @@ def test_bpe_disk_map_reads_the_kept_factor_without_lu_solves(monkeypatch, tmp_p
     monkeypatch.setattr(np.linalg, "solve", counted)
     assert cli.main(["--builtin", "bpe-disk-map", "--nmax", "64", "--out", str(tmp_path)]) == 0
     assert calls == []
+
+
+def _counted(monkeypatch, name, arg=0):
+    """The shapes of argument ``arg`` in the calls of numkernel.<name>."""
+    calls = []
+    plain = getattr(numkernel, name)
+    monkeypatch.setattr(numkernel, name, lambda *args: calls.append(np.shape(args[arg])) or plain(*args))
+    return calls
+
+
+def test_bpe_disk_map_solves_once_and_never_inverts(monkeypatch, tmp_path):
+    # the 49 points are the columns of one right-hand side; no W is read
+    solves = _counted(monkeypatch, "solve_lower", arg=1)
+    factors, inverses = _counted(monkeypatch, "cholesky"), _counted(monkeypatch, "inverse_lower")
+    assert cli.main(["--builtin", "bpe-disk-map", "--nmax", "64", "--out", str(tmp_path)]) == 0
+    assert solves == [(64, 49)]
+    assert factors == [(64, 64)]
+    assert inverses == []
+
+
+def test_reading_the_inverse_builds_it_once_per_factor(monkeypatch):
+    inverses = _counted(monkeypatch, "inverse_lower")
+    m = mm.of_measure(HALF)
+    fac = mm.factor(m, 8)
+    assert inverses == []
+    assert fac.inverse is mm.factor(m, 8).inverse
+    assert inverses == [(8, 8)] and not fac.inverse.flags.writeable
+    assert mm.factor(m, 6).inverse.shape == (6, 6)
+    assert inverses == [(8, 8), (6, 6)]
 
 
 def test_zero_bound_scan_factors_once(cholesky_calls):
