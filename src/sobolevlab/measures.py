@@ -20,20 +20,20 @@ the full product's; ``_times_adjoint`` (the full product) serves atoms
 only.  Every kind nests: the product of size n is bitwise the leading
 block of every larger one (P, the Vandermonde rows and the sweep's
 accumulators nest, and what a larger size adds to a leading entry is
-exact zeros).  So each measure keeps one product, the largest built for
-it, read-only and outside its fields (``==``, ``hash``, ``repr`` and the
-JSON ignore it); sections, single moments, sum terms and every moment
-matrix of the measure slice it, and only a larger size rebuilds it.
-Sections are exactly Hermitian (the lower triangle mirrors the
-upper one) and cross-checkable against trapezoid quadrature on a uniform
-angular grid; ``exact_grid`` picks the smallest grid on which that rule
-is exact for a section.  The grid rows exp(i k theta) are tabulated once
-per grid size and frequency, read-only, and shared by weight validation,
-``weight_values`` and the quadrature; a canonical weight's extremes on
-the validation grid are evaluated once and shared by every circle that
-carries it.  Numbers entering a measure pass one validation layer
-(``parse_real``, ``parse_pair``, ``parse_fourier``), shared with the
-scenario parser.
+exact zeros).  So each measure keeps one section, the mirror of the
+largest product built for it (exactly Hermitian: the lower triangle
+mirrors the upper one), read-only and outside its fields (``==``,
+``hash``, ``repr`` and the JSON ignore it); sections, single moments,
+sum terms and every moment matrix of the measure read blocks of it, and
+only a larger size rebuilds it.  Sections are cross-checkable against
+trapezoid quadrature on a uniform angular grid; ``exact_grid`` picks the
+smallest grid on which that rule is exact for a section.  The grid rows
+exp(i k theta) are tabulated once per grid size and frequency,
+read-only, and shared by weight validation, ``weight_values`` and the
+quadrature; a canonical weight's extremes on the validation grid are
+evaluated once and shared by every circle that carries it.  Numbers
+entering a measure pass one validation layer (``parse_real``,
+``parse_pair``, ``parse_fourier``), shared with the scenario parser.
 """
 
 from __future__ import annotations
@@ -342,23 +342,10 @@ def _times_adjoint(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kept_product(m: Measure, n: int) -> np.ndarray:
-    """``_product(m, n)`` as a read-only leading block of the largest
-    product built for ``m`` so far, which ``m`` keeps (a larger n rebuilds
-    it).  Products nest at every size, so the block is bitwise the
-    product built at size n."""
-    kept = getattr(m, "_largest_product", None)
-    if kept is None or kept.shape[0] < n:
-        kept = _product(m, n)
-        kept.flags.writeable = False
-        object.__setattr__(m, "_largest_product", kept)  # not a field: ==, hash and repr ignore it
-    return kept[:n, :n]
-
-
 def _product(m: Measure, n: int) -> np.ndarray:
     # the section as a matrix product, Hermitian up to roundoff, and
-    # bitwise the leading block of every larger one; callers read it
-    # through the measure's kept product (_kept_product)
+    # bitwise the leading block of every larger one; callers read its
+    # mirror through the section the measure keeps (moment_section)
     if isinstance(m, WeightedCircle):
         # P T P^* summed as _times_adjoint(_times_adjoint(P, T), P) would,
         # over only the terms that can be nonzero: P is lower triangular and
@@ -383,21 +370,30 @@ def _product(m: Measure, n: int) -> np.ndarray:
         v = vandermonde([z for z, _ in m.atoms], n)
         return _times_adjoint(v * np.array([w for _, w in m.atoms]), v)
     if isinstance(m, MeasureSum):
-        return sum(s * _kept_product(comp, n) for s, comp in m.terms)
+        # a term's section differs from its product only where this mirror
+        # overwrites, so a finite sum's section is bitwise the mirrored sum
+        # of its terms' products
+        return sum(s * moment_section(comp, n) for s, comp in m.terms)
     raise TypeError(f"not a measure: {m!r}")
 
 
 def moment_section(m: Measure, n: int) -> np.ndarray:
-    """Leading n x n section [c[i, j]] of the moment matrix (see the
-    module docstring); exactly Hermitian, and the caller's own array."""
+    """Leading n x n section [c[i, j]] of the moment matrix: a read-only
+    block of the one section ``m`` keeps (see the module docstring),
+    bitwise the section built at size n."""
     if n < 1:
         raise ValueError("section size must be at least 1")
-    return numkernel.mirror_upper(_kept_product(m, n))
+    kept = getattr(m, "_section", None)
+    if kept is None or kept.shape[0] < n:
+        kept = numkernel.mirror_upper(_product(m, n))
+        kept.flags.writeable = False
+        object.__setattr__(m, "_section", kept)  # not a field: ==, hash and repr ignore it
+    return kept[:n, :n]
 
 
 def moment(m: Measure, i: int, j: int) -> complex:
-    """Moment c[i, j], read off the smallest section holding it (a slice
-    of the measure's kept product once a larger one exists)."""
+    """Moment c[i, j], one entry of the section the measure keeps (built
+    to size max(i, j) + 1 only when no larger one exists yet)."""
     if i < 0 or j < 0:
         raise ValueError("moment orders must be nonnegative")
     return complex(moment_section(m, max(i, j) + 1)[i, j])

@@ -2,8 +2,8 @@
 
 A matrix is a builder n -> (n x n leading section) plus a label.
 Sections are materialized on demand through ``section``, which keeps
-only the largest section built so far and slices smaller ones from it.
-Every built section is mirrored (strict lower triangle = conjugated
+only the largest section built so far, read-only, and returns blocks of
+it.  Every built section is mirrored (strict lower triangle = conjugated
 upper one, real diagonal), so sections are exactly Hermitian even if the
 builder is only approximately so, and checked for finiteness, so values
 that overflowed never reach a factorization, which ``factor`` alone
@@ -73,9 +73,9 @@ class Factor:
 def section(m: MomentMatrix, n: int) -> np.ndarray:
     """Dense n x n leading section, exactly Hermitian by mirroring.
 
-    Only the largest section built so far is kept; a request beyond it
-    builds the new size and replaces it.  A section with non-finite
-    entries raises numkernel.Overflow.
+    A read-only block of the largest section built so far, which the
+    matrix keeps; a request beyond it builds the new size and replaces
+    it.  A section with non-finite entries raises numkernel.Overflow.
     """
     if n < 1:
         raise ValueError("section size must be at least 1")
@@ -83,7 +83,8 @@ def section(m: MomentMatrix, n: int) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):  # reported by require_finite
             built = numkernel.mirror_upper(m.build(n))
         m._largest = numkernel.require_finite(built, m.label)
-    return m._largest[:n, :n].copy()
+        built.flags.writeable = False
+    return m._largest[:n, :n]
 
 
 def factor(m: MomentMatrix, n: int) -> Factor:

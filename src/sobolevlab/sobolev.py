@@ -78,7 +78,7 @@ def pencil_of_measures(mu0: measures.Measure, mu1: measures.Measure | None, labe
 
 
 def gram_section(p: SobolevPencil, n: int) -> np.ndarray:
-    """n x n Gram matrix of the monomials 1, z, ..., z^{n-1}."""
+    """n x n Gram matrix of the monomials 1, z, ..., z^{n-1} (read-only)."""
     return momentmatrix.section(p.gram, n)
 
 
@@ -86,13 +86,13 @@ def orthonormal_polys(m: MomentMatrix, n: int) -> tuple:
     """First n orthonormal polynomials of the matrix ``m`` (a pencil's
     are those of ``pencil.gram``); entry k holds the degree-k coefficients.
 
-    The rows of the inverse factor W = L^{-1} of the section
+    The read-only rows of the inverse factor W = L^{-1} of the section
     (``momentmatrix.factor``; see numkernel.inverse_lower).
     """
     fac = momentmatrix.factor(m, n)
     if fac.failure is not None:
         raise fac.failure
-    return tuple(fac.inverse[k, : k + 1].copy() for k in range(n))
+    return tuple(fac.inverse[k, : k + 1] for k in range(n))
 
 
 def sobolev_zeros(p: SobolevPencil, deg: int) -> np.ndarray:

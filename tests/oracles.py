@@ -1,6 +1,7 @@
 """Reference helpers shared by the tests; the package does not use them."""
 
 import numpy as np
+import pytest
 
 from sobolevlab import measures
 from sobolevlab.polynomials import as_coeffs
@@ -55,3 +56,23 @@ def circle_product(m, n: int) -> np.ndarray:
     for j in range(n):
         out += np.outer(x[:, j], p[:, j].conj())
     return out
+
+
+def summed_product(m, n: int) -> np.ndarray:
+    """The product of a measure with every sum, nested ones included,
+    taken over its terms' raw products (``measures._product`` of each
+    circle and atomic term), never over their mirrored sections: its
+    mirror is the reference a sum's section must equal bit for bit."""
+    if isinstance(m, measures.MeasureSum):
+        return sum(s * summed_product(comp, n) for s, comp in m.terms)
+    return measures._product(m, n)
+
+
+def assert_read_only(block, reread):
+    """``block`` is not writeable, a write to it raises ValueError, and
+    ``reread()`` still returns its bytes."""
+    before = block.tobytes()
+    assert not block.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        block[...] = np.nan
+    assert reread().tobytes() == before

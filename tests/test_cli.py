@@ -682,20 +682,22 @@ ZEROS_WITH_M1 = dict(BASE_SCENARIOS["zeros"], pencil={"m0": UNIT_JSON, "m1": HAL
 @pytest.mark.parametrize(
     "scenario, builds",
     [
-        (BASE_SCENARIOS["zeros"], 1),
+        (BASE_SCENARIOS["zeros"], 3),  # the sum and its two terms
         (ZEROS_WITH_M1, 2),
         (BASE_SCENARIOS["wirtinger"], 1),
         (BASE_SCENARIOS["eigenlimits"], 1),
-        (BASE_SCENARIOS["prop12"], 3),  # mu0 at n_max and n_max + 1, the circles at n_max
+        (BASE_SCENARIOS["prop12"], 4),  # mu0 at n_max and n_max + 1, the sum of circles and its circle at n_max
     ],
     ids=["zeros", "zeros-with-m1", "wirtinger", "eigenlimits", "prop12"],
 )
 def test_each_measure_section_is_built_once(tmp_path, monkeypatch, scenario, builds):
-    sizes = []
-    moment_section = measures.moment_section
-    monkeypatch.setattr(measures, "moment_section", lambda m, n: sizes.append(n) or moment_section(m, n))
+    # a sum reads its terms through moment_section, so count the products
+    built = []
+    product = measures._product
+    monkeypatch.setattr(measures, "_product", lambda m, n: built.append((m, n)) or product(m, n))
     run(parse_scenario(scenario), str(tmp_path))
-    assert len(sizes) == builds
+    assert len(built) == builds
+    assert len(set(built)) == len(built)
 
 
 @pytest.mark.parametrize(
@@ -713,22 +715,34 @@ def test_builtin_pencil_m0_is_built_once(tmp_path, monkeypatch, name, measure, b
     assert [n for m, n in sizes if m == measure] == built
 
 
-def test_builtin_suite_builds_each_measure_product_once_per_size_increase(tmp_path):
-    # a fresh process, where no module-level measure keeps a product yet;
-    # every role of a measure (pencil, sum term, single moment) slices the
-    # product it keeps: 33 builds at nmax 64, against 129 with one per role
+def _fresh_suite_calls(tmp_path, module: str, name: str) -> int:
+    """Calls of ``module.name`` in a fresh process running --builtin all
+    at nmax 64, where no module-level measure keeps a section yet."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sobolevlab.__file__)))
     code = (
-        "import contextlib, io, sys; from sobolevlab import cli, measures\n"
-        "builds, product = [], measures._product\n"
-        "measures._product = lambda m, n: builds.append(n) or product(m, n)\n"
+        f"import contextlib, io, sys; from sobolevlab import cli, {module} as mod\n"
+        f"calls, real = [], mod.{name}\n"
+        f"mod.{name} = lambda *args: calls.append(1) or real(*args)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    cli.main(['--builtin', 'all', '--nmax', '64', '--out', sys.argv[1]])\n"
-        "print(len(builds))\n"
+        "print(len(calls))\n"
     )
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
                          env=env, capture_output=True, text=True, check=True)
-    assert int(out.stdout) <= 33
+    return int(out.stdout)
+
+
+def test_builtin_suite_builds_each_measure_product_once_per_size_increase(tmp_path):
+    # every role of a measure (pencil, sum term, single moment) slices the
+    # section it keeps: 33 builds at nmax 64, against 129 with one per role
+    assert _fresh_suite_calls(tmp_path, "measures", "_product") <= 33
+
+
+def test_builtin_suite_mirrors_each_kept_section_once(tmp_path):
+    # a measure mirrors its product once per build and a moment matrix its
+    # builder's section once per build: 187 mirrors at nmax 64, against
+    # 239 with a fresh mirror on every measure section read
+    assert _fresh_suite_calls(tmp_path, "numkernel", "mirror_upper") <= 187
 
 
 def test_example7_moments_are_slices_of_its_sections(tmp_path, monkeypatch):

@@ -22,7 +22,7 @@ from sobolevlab.measures import (
     to_json,
 )
 
-from oracles import circle_product
+from oracles import assert_read_only, circle_product, summed_product
 
 UNIT = CircleLebesgue(0.0, 1.0)
 HALF = CircleLebesgue(0.0, 0.5)
@@ -376,14 +376,67 @@ def test_each_measure_keeps_one_read_only_product(monkeypatch):
     assert len(builds) == 3
     moment_section(atoms, 9)  # a larger size rebuilds the measure's product
     assert builds[3:] == [(atoms, 9)]
-    assert not measures._kept_product(atoms, 9).flags.writeable
-    # a returned section is the caller's own
-    section[:] = np.nan
+    assert not moment_section(atoms, 9).flags.writeable
+    # a returned section is a read-only block of the kept one
+    assert_read_only(section, lambda: moment_section(mixed, 5))
     assert moment_section(mixed, 5).tobytes() == first[:5, :5].tobytes()
-    # the kept product is not a field
+    # the kept section is not a field
     assert mixed == MeasureSum(((1.0, CircleLebesgue(0.0, 0.5)), (2.0, Atomic(((0.5, 1.0), (-0.5j, 2.0))))))
     assert hash(half) == hash(CircleLebesgue(0.0, 0.5))
     assert ([to_json(m) for m in (half, atoms, mixed)], [repr(m) for m in (half, atoms, mixed)]) == fresh
+
+
+def _random_sums(count: int, seed: int, top: float) -> list:
+    """Sums of 1-3 scaled terms: circles, weighted circles, atoms and
+    nested sums of those, with signed-zero parts in centers and atoms;
+    centers, radii and atoms have moduli from 0.3 to 10**top."""
+    rng = np.random.default_rng(seed)
+
+    def size() -> float:
+        return float(10.0 ** rng.uniform(-0.5, top))
+
+    def point() -> complex:
+        z = size() * np.exp(2j * np.pi * rng.uniform())
+        return complex(-0.0 if rng.uniform() < 0.3 else z.real, -0.0 if rng.uniform() < 0.3 else z.imag)
+
+    def term(nested: bool):
+        kind = int(rng.integers(0, 4 if nested else 3))
+        if kind == 0:
+            return CircleLebesgue(point(), size())
+        if kind == 1:
+            c = 0.45 * rng.uniform(0.1, 1.0) * np.exp(2j * np.pi * rng.uniform())
+            return WeightedCircle(point(), size(), ((0, 1.0), (1, c), (-1, c.conjugate())))
+        if kind == 2:
+            return Atomic(tuple((point(), rng.uniform(0.1, 2.0)) for _ in range(int(rng.integers(1, 8)))))
+        return summed(False)
+
+    def summed(nested: bool):
+        return MeasureSum(tuple((rng.uniform(0.1, 3.0), term(nested)) for _ in range(int(rng.integers(1, 4)))))
+
+    return [summed(True) for _ in range(count)]
+
+
+@pytest.mark.parametrize("m", _random_sums(24, 29, 0.3))
+def test_sum_sections_are_bitwise_the_mirrored_sum_of_term_products(m):
+    # a sum adds its terms' mirrored sections, which differ from their
+    # products only where the sum's own mirror overwrites
+    for n in range(1, 66):
+        ref = numkernel.mirror_upper(summed_product(m, n))
+        assert moment_section(m, n).tobytes() == ref.tobytes()
+
+
+def test_overflowing_sum_sections_are_non_finite_where_the_term_products_sum_is():
+    non_finite = 0
+    for m in _random_sums(300, 31, 160.0):
+        for n in range(1, 10):
+            with np.errstate(all="ignore"):
+                ref = numkernel.mirror_upper(summed_product(m, n))
+                got = moment_section(m, n)
+            finite = bool(np.all(np.isfinite(got)))
+            assert finite == bool(np.all(np.isfinite(ref)))
+            assert not finite or got.tobytes() == ref.tobytes()
+            non_finite += not finite
+    assert non_finite > 1000  # most of the 2,700 sections overflow
 
 
 def test_weight_frequency_cap_prevents_grid_aliasing():

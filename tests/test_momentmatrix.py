@@ -11,6 +11,8 @@ from sobolevlab.numkernel import NotPositiveDefinite, Overflow
 from sobolevlab.sobolev import SobolevPencil, gram_section, pencil_of_measures
 from sobolevlab.polynomials import differentiate, random_coeffs
 
+from oracles import assert_read_only
+
 UNIT = CircleLebesgue(0.0, 1.0)
 HALF = CircleLebesgue(0.0, 0.5)
 SHIFTED = CircleLebesgue(1.0 + 1.0j, 2.0)
@@ -31,12 +33,12 @@ def test_atomic_section_rank_one():
     npt.assert_array_equal(got, np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex))
 
 
-def test_section_is_exactly_hermitian_and_cached_copy():
+def test_section_is_exactly_hermitian_and_cached_read_only():
     m = mm.of_measure(SHIFTED)
     a = mm.section(m, 8)
     npt.assert_array_equal(a, a.conj().T)
     assert np.all(a.diagonal().imag == 0.0)
-    a[0, 0] = 99.0  # mutating the returned array must not poison the cache
+    assert_read_only(a, lambda: mm.section(m, 8))  # a caller cannot poison the cache
     assert mm.section(m, 8)[0, 0] == 1.0
     # leading-submatrix consistency across sizes
     npt.assert_array_equal(mm.section(m, 8)[:5, :5], mm.section(m, 5))
@@ -52,10 +54,10 @@ def test_matrices_of_one_measure_slice_its_one_product(monkeypatch):
     first, second = mm.of_measure(mu), mm.of_measure(mu)
     a = mm.section(first, 12)
     expected = a.copy()
-    a[:] = np.nan  # each returned section is the caller's own
+    assert_read_only(a, lambda: mm.section(first, 12))  # each returned section is a read-only block
     b = mm.section(second, 7)
     assert b.tobytes() == expected[:7, :7].tobytes()
-    b[:] = np.nan
+    assert_read_only(b, lambda: mm.section(second, 7))
     assert mm.section(second, 7).tobytes() == expected[:7, :7].tobytes()
     assert measures.moment_section(mu, 12).tobytes() == expected.tobytes()
     assert builds == [12]

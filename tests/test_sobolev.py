@@ -29,7 +29,7 @@ from sobolevlab.sobolev import (
     sobolev_zeros,
 )
 
-from oracles import counting_eigvalsh
+from oracles import assert_read_only, counting_eigvalsh
 
 UNIT = CircleLebesgue(0.0, 1.0)
 HALF = CircleLebesgue(0.0, 0.5)
@@ -61,9 +61,9 @@ def test_gram_frozen_diagonals():
     npt.assert_array_equal(gram_section(P_HALF_UNIT, 5), expected)
 
 
-def test_gram_returns_defensive_copy():
+def test_gram_returns_read_only_block():
     g = gram_section(P_UNIT_UNIT, 3)
-    g[0, 0] = -7.0
+    assert_read_only(g, lambda: gram_section(P_UNIT_UNIT, 3))
     assert gram_section(P_UNIT_UNIT, 3)[0, 0] == 1.0
 
 
@@ -122,6 +122,8 @@ def test_orthonormal_polys_are_the_rows_of_the_kept_inverse(p):
     assert failure is None
     for k, c in enumerate(ops):
         npt.assert_array_equal(c, inverse[k, : k + 1])
+        # a read-only view of the row, not a copy
+        assert not c.flags.writeable and np.shares_memory(c, inverse)
 
 
 def test_orthonormal_polys_propagates_singular_section():
