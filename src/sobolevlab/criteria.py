@@ -38,6 +38,7 @@ __all__ = [
     "gamma_table",
     "gamma_via_kernel",
     "sobolev_domination_bound",
+    "toeplitz_rigidities",
     "toeplitz_rigidity",
     "wirtinger_psd_check",
 ]
@@ -235,34 +236,55 @@ def bpe_decide(m: MomentMatrix, a: complex, n_max: int) -> CriterionReport:
 # Wirtinger-type inequalities and dominance
 # ---------------------------------------------------------------------------
 
-def _psd_report(criterion: str, labels: dict, w: np.ndarray, label: str, c: float) -> CriterionReport:
-    """Three-valued PSD decision for the criterion matrix ``w``, as the
-    report of ``criterion`` with constant ``c``.
+def _psd_reports(criterion: str, labels: list, ws: np.ndarray, names: list, c: float) -> list:
+    """Three-valued PSD decisions for the stack (k, n, n) of criterion
+    matrices ``ws``, named by ``names``, as the k reports of ``criterion``
+    with constant ``c`` and the k ``labels``, from one stacked eigensolve.
 
     The value is lambda_min; on "fails" the witness is the canonicalized
     coefficient row hitting it.  The holds-tolerance scales with the
     eigensolver's backward error (n * eps * spectral norm), so graded
     sections with huge entries do not mask violations that sit well above
-    the roundoff floor.  A matrix whose entries overflowed raises
-    numkernel.Overflow.
+    the roundoff floor.  A stack with non-finite entries raises
+    numkernel.Overflow naming the first such matrix.
     """
-    lams, vecs = numkernel.herm_eig(numkernel.require_finite(w, label), label)
-    lam_min = float(lams[0])
-    scale = float(np.abs(lams).max()) if lams.size else 0.0
-    tol = PSD_FLOOR_FACTOR * w.shape[0] * np.finfo(float).eps * scale
-    fails = -lam_min > max(WITNESS_MARGIN, tol)
-    verdict = VERDICT_HOLDS if lam_min >= -tol else VERDICT_FAILS if fails else VERDICT_INCONCLUSIVE
-    return CriterionReport(
-        criterion=criterion,
-        labels=labels,
-        n_list=[w.shape[0]],
-        values=[lam_min],
-        verdict=verdict,
-        witness=_canonical_vector(np.conj(vecs[:, 0])) if verdict == VERDICT_FAILS else None,
-        constant=float(c),
-        parameters={"psd_floor_factor": PSD_FLOOR_FACTOR, "witness_margin": WITNESS_MARGIN},
-        details={"tolerance": tol},
-    )
+    lams, vecs = numkernel.herm_eig(numkernel.require_finite(ws, names), "; ".join(names))
+    tols = PSD_FLOOR_FACTOR * ws.shape[-1] * np.finfo(float).eps * np.abs(lams).max(axis=-1, initial=0.0)
+    reports = []
+    for label, lam_min, vec, tol in zip(labels, lams[:, 0].tolist(), vecs, tols):
+        fails = -lam_min > max(WITNESS_MARGIN, tol)
+        verdict = VERDICT_HOLDS if lam_min >= -tol else VERDICT_FAILS if fails else VERDICT_INCONCLUSIVE
+        reports.append(CriterionReport(
+            criterion=criterion,
+            labels=label,
+            n_list=[ws.shape[-1]],
+            values=[lam_min],
+            verdict=verdict,
+            witness=_canonical_vector(np.conj(vec[:, 0])) if verdict == VERDICT_FAILS else None,
+            constant=float(c),
+            parameters={"psd_floor_factor": PSD_FLOOR_FACTOR, "witness_margin": WITNESS_MARGIN},
+            details={"tolerance": tol},
+        ))
+    return reports
+
+
+def _wirtinger_checks(ms: list, c: float, n: int) -> list:
+    """wirtinger_psd_check of every matrix in ``ms``, by one eigensolve."""
+    if not 2 <= n <= 64:
+        raise ValueError("wirtinger check supports 2 <= n <= 64")
+    if not c > 0:
+        raise ValueError("constant must be positive")
+    big = np.stack([momentmatrix.section(m, n + 1) for m in ms])
+    deleted, full = big[:, 1:, 1:], big[:, :n, :n]  # M^(1,1) and M_n, two blocks of M_{n+1}
+    scale = np.arange(1, n + 1, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # _psd_reports rejects non-finite entries
+        w = c * (scale[:, None] * full * scale[None, :]) - deleted
+    names = [f"{c} * N M N - M^(1,1) for M = {m.label}" for m in ms]
+    reports = _psd_reports("wirtinger_psd", [{"matrix": m.label} for m in ms], w, names, c)
+    for rep in reports:
+        if rep.witness is not None:
+            rep.witness = np.concatenate(([0.0 + 0.0j], rep.witness))
+    return reports
 
 
 def wirtinger_psd_check(m: MomentMatrix, c: float, n: int) -> CriterionReport:
@@ -275,40 +297,37 @@ def wirtinger_psd_check(m: MomentMatrix, c: float, n: int) -> CriterionReport:
     On "fails" the witness is the lifted eigenvector (a zero constant
     coefficient is prepended), violating the inequality by |lambda_min|.
     """
-    if not 2 <= n <= 64:
-        raise ValueError("wirtinger check supports 2 <= n <= 64")
-    if not c > 0:
-        raise ValueError("constant must be positive")
-    big = momentmatrix.section(m, n + 1)
-    deleted, full = big[1:, 1:], big[:n, :n]  # M^(1,1) and M_n, two blocks of M_{n+1}
-    scale = np.arange(1, n + 1, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # _psd_report rejects non-finite entries
-        w = c * (scale[:, None] * full * scale[None, :]) - deleted
-    label = f"{c} * N M N - M^(1,1) for M = {m.label}"
-    rep = _psd_report("wirtinger_psd", {"matrix": m.label}, w, label, c)
-    if rep.witness is not None:
-        rep.witness = np.concatenate(([0.0 + 0.0j], rep.witness))
-    return rep
+    return _wirtinger_checks([m], c, n)[0]
+
+
+def toeplitz_rigidities(ts: list, n: int) -> list:
+    """Wirtinger checks with constant 1 on Toeplitz matrices, one report
+    per matrix; each section is built once, at n + 1, and one stacked
+    eigensolve decides them all.
+
+    For Toeplitz sections the inequality with c = 1 holds iff the matrix
+    is a nonnegative multiple of the identity, so each report also carries
+    the direct off-diagonal test the verdict must agree with.
+    """
+    for t in ts:
+        momentmatrix.section(t, n + 1)  # the Toeplitz test and the check read its blocks
+        if not momentmatrix.is_toeplitz(t, n):
+            raise ValueError("matrix section is not Toeplitz")
+    reports = _wirtinger_checks(ts, 1.0, n)
+    for t, rep in zip(ts, reports):
+        row0 = momentmatrix.section(t, n)[0]
+        diag0 = float(row0[0].real)
+        offdiag = max(map(abs, row0[1:].tolist()))
+        offdiag_zero = offdiag <= RIGIDITY_OFFDIAG_RTOL * max(abs(diag0), 1e-300)
+        rep.criterion = "toeplitz_rigidity"
+        rep.parameters["offdiag_rtol"] = RIGIDITY_OFFDIAG_RTOL
+        rep.details.update(diagonal_value=diag0, offdiag_max=offdiag, is_identity_multiple=bool(offdiag_zero))
+    return reports
 
 
 def toeplitz_rigidity(t: MomentMatrix, n: int) -> CriterionReport:
-    """Wirtinger check with constant 1 on a Toeplitz matrix.
-
-    For Toeplitz sections the inequality with c = 1 holds iff the matrix
-    is a nonnegative multiple of the identity, so the report also carries
-    the direct off-diagonal test the verdict must agree with.
-    """
-    if not momentmatrix.is_toeplitz(t, n):
-        raise ValueError("matrix section is not Toeplitz")
-    rep = wirtinger_psd_check(t, 1.0, n)
-    row0 = momentmatrix.section(t, n)[0]
-    diag0 = float(row0[0].real)
-    offdiag = max(abs(complex(z)) for z in row0[1:])
-    offdiag_zero = offdiag <= RIGIDITY_OFFDIAG_RTOL * max(abs(diag0), 1e-300)
-    rep.criterion = "toeplitz_rigidity"
-    rep.parameters["offdiag_rtol"] = RIGIDITY_OFFDIAG_RTOL
-    rep.details.update(diagonal_value=diag0, offdiag_max=offdiag, is_identity_multiple=bool(offdiag_zero))
-    return rep
+    """The report of toeplitz_rigidities for one Toeplitz matrix."""
+    return toeplitz_rigidities([t], n)[0]
 
 
 def dominance_check(m0: MomentMatrix, m1: MomentMatrix, c: float, n: int) -> CriterionReport:
@@ -323,7 +342,7 @@ def dominance_check(m0: MomentMatrix, m1: MomentMatrix, c: float, n: int) -> Cri
         raise ValueError("need n >= 1")
     w = c * momentmatrix.section(m0, n) - momentmatrix.section(m1, n)
     labels = {"m0": m0.label, "m1": m1.label}
-    return _psd_report("dominance", labels, w, f"{c} * {m0.label} - {m1.label}", c)
+    return _psd_reports("dominance", [labels], w[None], [f"{c} * {m0.label} - {m1.label}"], c)[0]
 
 
 # ---------------------------------------------------------------------------

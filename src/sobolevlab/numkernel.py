@@ -14,6 +14,8 @@ it, ConvergenceFailure with the offending label, Overflow for values
 beyond the double range) and the exact reductions used by the callers.
 Moment-matrix sections are factored once per matrix and size by
 ``momentmatrix.factor``, and a factor is inverted when first read.
+The mirror, the finiteness check and ``herm_eig`` also take a stack of
+same-size matrices, shape (k, n, n), each matrix bitwise as alone.
 """
 
 from __future__ import annotations
@@ -74,17 +76,21 @@ class Overflow(Exception):
         super().__init__(f"values of {label or 'input'} at size {n} overflowed the double range")
 
 
-def require_finite(a: np.ndarray, label: str = "") -> np.ndarray:
-    """``a`` itself, or Overflow when any entry is NaN or infinite."""
+def require_finite(a: np.ndarray, label="") -> np.ndarray:
+    """``a`` itself, or Overflow at size ``a.shape[-1]`` when any entry is
+    NaN or infinite; a stack (k, n, n) takes its k labels, and the Overflow
+    names the first matrix with a non-finite entry."""
     if not np.all(np.isfinite(a)):
-        raise Overflow(label, a.shape[0])
+        labels = [label] if isinstance(label, str) else list(label)
+        bad = int(np.argmin(np.isfinite(a).reshape(len(labels), -1).all(axis=1)))
+        raise Overflow(labels[bad], a.shape[-1])
     return a
 
 
-def _square(a) -> np.ndarray:
+def _square(a, stack: bool = False) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
+    if m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-1] != m.shape[-2]:
+        raise ValueError("expected a square matrix" + (" or a stack (k, n, n) of them" if stack else ""))
     return m
 
 
@@ -99,13 +105,13 @@ def _mirror_indices(n: int) -> tuple:
 
 
 def mirror_upper(a) -> np.ndarray:
-    """Exactly Hermitian copy of a square matrix: the upper triangle is
-    kept, the strict lower triangle becomes its conjugate mirror, and the
-    diagonal its real part."""
-    out = _square(a).copy()
-    lower, diag = _mirror_indices(out.shape[0])
-    out[lower] = np.conj(out.T[lower])
-    out[diag] = out.diagonal().real
+    """Exactly Hermitian copy of a square matrix, or of each matrix in a
+    stack (k, n, n): the upper triangle is kept, the strict lower triangle
+    becomes its conjugate mirror, and the diagonal its real part."""
+    out = _square(a, stack=True).copy()
+    (rows, cols), (diag, _) = _mirror_indices(out.shape[-1])
+    out[..., rows, cols] = np.conj(out[..., cols, rows])
+    out.imag[..., diag, diag] = 0.0
     return out
 
 
@@ -137,9 +143,10 @@ def cholesky(g, label: str = "") -> np.ndarray:
 
 
 def herm_eig(m, label: str = "") -> tuple:
-    """numpy's (ascending eigenvalues, eigenvector columns) of a Hermitian matrix."""
+    """numpy's (ascending eigenvalues, eigenvector columns) of a Hermitian
+    matrix, or of each matrix in a stack (k, n, n) by one numpy call."""
     try:
-        return np.linalg.eigh(_square(m))
+        return np.linalg.eigh(_square(m, stack=True))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(label) from exc
 
@@ -154,7 +161,7 @@ def solve_lower(lower, b) -> np.ndarray:
     if lower.shape != (n, n) or b.ndim not in (1, 2) or b.shape[0] != n:
         raise ValueError("expected a square factor and a matching right-hand side")
     require_finite(lower, "triangular factor")
-    require_finite(b, "right-hand side")
+    require_finite(b.T, "right-hand side")  # transposed: the size is n, not the column count
     x = np.zeros(b.shape, dtype=np.result_type(lower, b, float))
     for k in range(n):
         x[k] = (b[k] - lower[k, :k] @ x[:k]) / lower[k, k]

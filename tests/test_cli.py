@@ -309,10 +309,42 @@ def test_shifted_circle_taylor_rows_match_recenter():
             assert not np.any(t[len(b):])
 
 
-@pytest.mark.parametrize("name", ["lemma3-unitcircle", "lemma3-shifted", "prop6-equivalence"])
+@pytest.mark.parametrize("name", ["lemma3-unitcircle", "lemma3-shifted", "prop6-equivalence", "prop7-rigidity"])
 def test_sampled_builtins_hold_at_seeds_0_to_9(tmp_path, name):
     for s in range(10):
         assert run_builtin(name, str(tmp_path), n_max=8, seed=s)["verdict"] == "holds"
+
+
+def test_prop7_labels_its_random_cases_in_draw_order(tmp_path):
+    labels = [case["label"] for case in run_builtin("prop7-rigidity", str(tmp_path))["cases"]]
+    cos08 = momentmatrix.of_measure(measures.WeightedCircle(0.0, 1.0, cli.W_COS08)).label
+    assert labels == ["3*identity", cos08] + [f"random-toeplitz-{i}" for i in range(50)]
+    assert len(set(labels)) == 52
+
+
+def test_prop7_decides_its_52_cases_with_one_eigensolve(tmp_path, monkeypatch):
+    shapes, builds = [], []
+    eigh, rule = np.linalg.eigh, momentmatrix.toeplitz_rule
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+
+    def counted_rule(*args, **kwargs):
+        m = rule(*args, **kwargs)
+        build = m.build
+        m.build = lambda n: builds.append(n) or build(n)
+        return m
+
+    monkeypatch.setattr(momentmatrix, "toeplitz_rule", counted_rule)
+    assert run_builtin("prop7-rigidity", str(tmp_path))["verdict"] == "holds"
+    assert shapes == [(52, 8, 8)]
+    assert builds == [9] * 51  # each Toeplitz section once, at n + 1
+
+
+def test_lemma3_shifted_builds_its_20_sections_with_one_sweep(tmp_path, monkeypatch):
+    built = []
+    product = measures._product
+    monkeypatch.setattr(measures, "_product", lambda ms, n: built.append((len(ms), n)) or product(ms, n))
+    assert run_builtin("lemma3-shifted", str(tmp_path))["verdict"] == "holds"
+    assert built == [(20, 20)]
 
 
 # ---------------------------------------------------------------------------
@@ -734,15 +766,18 @@ def _fresh_suite_calls(tmp_path, module: str, name: str) -> int:
 
 def test_builtin_suite_builds_each_measure_product_once_per_size_increase(tmp_path):
     # every role of a measure (pencil, sum term, single moment) slices the
-    # section it keeps: 33 builds at nmax 64, against 129 with one per role
-    assert _fresh_suite_calls(tmp_path, "measures", "_product") <= 33
+    # section it keeps, and lemma3-shifted's 20 circles are one stack: 13
+    # builds at nmax 64, against 33 with one build per circle and 129 with
+    # one per role
+    assert _fresh_suite_calls(tmp_path, "measures", "_product") <= 13
 
 
 def test_builtin_suite_mirrors_each_kept_section_once(tmp_path):
-    # a measure mirrors its product once per build and a moment matrix its
-    # builder's section once per build: 187 mirrors at nmax 64, against
-    # 239 with a fresh mirror on every measure section read
-    assert _fresh_suite_calls(tmp_path, "numkernel", "mirror_upper") <= 187
+    # a measure mirrors its product once per build (a stack of circles
+    # once) and a moment matrix its builder's section once per build: 95
+    # mirrors at nmax 64, against 187 with lemma3-shifted's circles mirrored
+    # one at a time and prop7's Toeplitz sections built twice
+    assert _fresh_suite_calls(tmp_path, "numkernel", "mirror_upper") <= 95
 
 
 def test_example7_moments_are_slices_of_its_sections(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """Decision procedures: point evaluation, PSD criteria, plateau bounds."""
 
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from sobolevlab.criteria import (
     gamma_index,
     gamma_via_kernel,
     sobolev_domination_bound,
+    toeplitz_rigidities,
     toeplitz_rigidity,
     wirtinger_psd_check,
 )
@@ -279,6 +281,36 @@ def test_rigidity_verdict_equals_offdiagonal_test_on_random_toeplitz():
                 ang = rng.uniform(0.0, 2.0 * math.pi)
                 c[k] = rad * complex(math.cos(ang), math.sin(ang))
         rep = toeplitz_rigidity(mm.toeplitz_rule(c), 8)
+        assert (rep.verdict == "holds") == rep.details["is_identity_multiple"]
+
+
+def _rigidity_cases() -> list:
+    """Fresh matrices: 3 I, the weight 1 + 0.8 cos (which fails) and 30
+    random Hermitian Toeplitz rules, half of them diagonal."""
+    rng = np.random.default_rng(17)
+    cases = [mm.toeplitz_rule({0: 3.0}, label="3I"),
+             mm.of_measure(WeightedCircle(0.0, 1.0, ((0, 1.0), (1, 0.4), (-1, 0.4))))]
+    for trial in range(30):
+        c = {0: complex(rng.uniform(0.5, 2.0))}
+        for k in range(1, 4 if trial % 2 else 1):
+            c[k] = 0.05 * math.sqrt(rng.uniform()) * complex(math.cos(k + trial), math.sin(k + trial))
+        cases.append(mm.toeplitz_rule(c, label=f"case-{trial}"))
+    return cases
+
+
+def test_stacked_rigidities_are_the_reports_of_one_at_a_time_calls():
+    together = toeplitz_rigidities(_rigidity_cases(), 8)
+    assert together[1].verdict == "fails" and together[0].verdict == "holds"
+    for t, rep in zip(_rigidity_cases(), together):
+        alone = toeplitz_rigidity(t, 8)
+        # JSON floats are exact: verdict, lambda_min, tolerance and witness bits
+        assert json.dumps(rep.to_dict()) == json.dumps(alone.to_dict())
+        assert type(rep.details["tolerance"]) is type(alone.details["tolerance"])
+        # lambda_min of W = N M_8 N - M^(1,1) as one eigh of its own
+        big = section(t, 9)
+        scale = np.arange(1, 9, dtype=float)
+        w = 1.0 * (scale[:, None] * big[:8, :8] * scale[None, :]) - big[1:, 1:]
+        assert rep.values == [float(np.linalg.eigh(w)[0][0])]
         assert (rep.verdict == "holds") == rep.details["is_identity_multiple"]
 
 

@@ -324,15 +324,60 @@ def test_circle_sections_are_bitwise_the_full_outer_product_loops(m):
     # keeps the nesting of P: a product is the leading block of every
     # larger one, so the section the measure slices from its kept size-65
     # product is bitwise the reference built at its own size
-    largest, p = measures._product(m, 65), measures.circle_expansion(m.center, m.radius, 65)
+    largest, p = measures._product((m,), 65)[0], measures.circle_expansion(m.center, m.radius, 65)
     moment_section(m, 65)
     for n in range(1, 66):
         ref = circle_product(m, n)
-        built = measures._product(m, n)
+        built = measures._product((m,), n)[0]
         assert built.tobytes() == ref.tobytes()
         assert built.tobytes() == largest[:n, :n].tobytes()
         assert measures.circle_expansion(m.center, m.radius, n).tobytes() == p[:n, :n].tobytes()
         assert moment_section(m, n).tobytes() == numkernel.mirror_upper(ref).tobytes()
+
+
+def _circles_of_one_weight(fourier, seed: int) -> list:
+    """Five circles with the weight ``fourier``: centers in [-2, 2]^2 with
+    signed-zero parts, radii in [0.25, 4]."""
+    rng = np.random.default_rng(seed)
+    re, im, radii = rng.uniform(-2.0, 2.0, 5), rng.uniform(-2.0, 2.0, 5), rng.uniform(0.25, 4.0, 5)
+    return [
+        WeightedCircle(complex(-0.0 if k % 3 == 0 else re[k], -0.0 if k == 1 else im[k]), radii[k], fourier)
+        for k in range(5)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 20, 33, 65])
+@pytest.mark.parametrize(
+    "fourier", [measures.UNIT_WEIGHT, COS08_OFFCENTER.fourier, _random_circles(3, 41)[2].fourier],
+    ids=["arc-length", "degree-1", "degree-3"],
+)
+def test_stacked_circle_sections_are_bitwise_each_circle_alone(fourier, n):
+    # one moment_sections call sweeps the stack; equal fresh circles are
+    # built one at a time, and the quadrature on an exact grid is the oracle
+    stacked, alone = _circles_of_one_weight(fourier, n), _circles_of_one_weight(fourier, n)
+    sections = measures.moment_sections(stacked, n)
+    expansions = measures.circle_expansion([c.center for c in stacked], [c.radius for c in stacked], n)
+    assert expansions.shape == (5, n, n)
+    for c, section, expansion in zip(alone, sections, expansions):
+        assert section.shape == (n, n) and not section.flags.writeable
+        assert section.tobytes() == moment_section(c, n).tobytes()
+        assert expansion.tobytes() == measures.circle_expansion(c.center, c.radius, n).tobytes()
+        quad = moment_quadrature(c, range(n), range(n), measures.exact_grid(c, n))
+        scale = np.sqrt(np.outer(np.abs(quad.diagonal()), np.abs(quad.diagonal())))
+        assert np.max(np.abs(section - quad) / scale) <= 1e-10
+
+
+def test_only_circles_of_one_weight_make_one_stack():
+    fresh = lambda: CircleLebesgue(0.5, 1.0)  # noqa: E731 - keeps no section yet
+    for other in (WeightedCircle(0.5, 1.0, COS_QUARTER.fourier), Atomic(((0.5, 1.0),)), MeasureSum(((1.0, fresh()),))):
+        with pytest.raises(ValueError, match="share one weight"):
+            measures.moment_sections([fresh(), other], 4)
+    with pytest.raises(ValueError, match="share one weight"):
+        measures.moment_sections([Atomic(((0.5, 1.0),)), Atomic(((0.5, 1.0),))], 4)
+    kept = fresh()
+    moment_section(kept, 6)  # a kept section does not lift the rule
+    with pytest.raises(ValueError, match="share one weight"):
+        measures.moment_sections([kept, WeightedCircle(0.5, 1.0, COS_QUARTER.fourier)], 4)
 
 
 def _random_atomics(count: int, seed: int) -> list:
@@ -354,9 +399,9 @@ def test_atomic_sections_nest_at_every_size(m):
     # V diag(mass) V^* sums exact zeros beyond a leading block, and the
     # Vandermonde rows nest (n = 3 included): every product is the leading
     # block of the size-65 one
-    largest = measures._product(m, 65)
+    largest = measures._product((m,), 65)[0]
     for n in range(1, 66):
-        built = measures._product(m, n)
+        built = measures._product((m,), n)[0]
         assert built.tobytes() == largest[:n, :n].tobytes()
         assert moment_section(m, n).tobytes() == numkernel.mirror_upper(built).tobytes()
 
@@ -369,13 +414,13 @@ def test_each_measure_keeps_one_read_only_product(monkeypatch):
     mixed = MeasureSum(((1.0, half), (2.0, atoms)))
     fresh = [to_json(m) for m in (half, atoms, mixed)], [repr(m) for m in (half, atoms, mixed)]
     first = moment_section(mixed, 8)
-    assert builds == [(mixed, 8), (half, 8), (atoms, 8)]
+    assert builds == [((mixed,), 8), ((half,), 8), ((atoms,), 8)]
     # smaller sizes, single moments and the terms on their own are slices
     section = moment_section(mixed, 5)
     assert moment(mixed, 2, 4) == section[2, 4] and moment(half, 7, 7) == moment_section(half, 8)[7, 7]
     assert len(builds) == 3
     moment_section(atoms, 9)  # a larger size rebuilds the measure's product
-    assert builds[3:] == [(atoms, 9)]
+    assert builds[3:] == [((atoms,), 9)]
     assert not moment_section(atoms, 9).flags.writeable
     # a returned section is a read-only block of the kept one
     assert_read_only(section, lambda: moment_section(mixed, 5))

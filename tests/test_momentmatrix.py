@@ -180,6 +180,27 @@ def test_overflow_is_raised_at_the_first_non_finite_size(mu, size):
     assert m._largest.shape == (size - 1, size - 1)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warning
+@pytest.mark.parametrize(
+    "bad, size",
+    [(CircleLebesgue(0.0, 1e200), 2), (CircleLebesgue(1e150, 1.0), 3), (CircleLebesgue(0.0, 1e100), 3)],
+    ids=["radius", "center", "radius-at-3"],
+)
+def test_an_overflowing_circle_of_a_stack_is_named_at_its_size(bad, size):
+    # four circles in one sweep; the last overflows at every size from 2 on
+    circles = [CircleLebesgue(0.5, 1.0), bad, CircleLebesgue(-0.5j, 2.0), CircleLebesgue(0.0, 1e300)]
+    labels = [mm.of_measure(c).label for c in circles]
+    assert np.isfinite(np.stack(measures.moment_sections(circles[:3], size - 1))).all()
+    stack = np.stack(measures.moment_sections(circles, size))
+    assert stack.shape == (4, size, size)
+    with pytest.raises(Overflow) as stacked:
+        numkernel.require_finite(stack, labels)
+    with pytest.raises(Overflow) as alone:  # the circle's own matrix, built alone
+        mm.section(mm.of_measure(CircleLebesgue(bad.center, bad.radius)), size)
+    assert str(stacked.value) == str(alone.value)
+    assert str(alone.value) == f"values of {labels[1]} at size {size} overflowed the double range"
+
+
 def test_moment_matrix_entries_match_measure_moments():
     a = mm.section(mm.of_measure(SHIFTED), 5)
     for i in range(5):

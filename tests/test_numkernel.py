@@ -40,6 +40,37 @@ def test_mirror_upper_is_the_conjugate_mirror_on_shared_indices(n):
         lower[0][...] = 0
 
 
+def test_stacked_mirror_and_eigensolve_are_bitwise_each_matrix_alone():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 8, 33):
+        a = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
+        mirrored = mirror_upper(a)
+        lams, vecs = herm_eig(mirrored)
+        assert lams.shape == (6, n) and vecs.shape == (6, n, n)
+        for k in range(6):
+            assert mirrored[k].tobytes() == mirror_upper(a[k]).tobytes()
+            lam, vec = herm_eig(mirrored[k])
+            assert lams[k].tobytes() == lam.tobytes() and vecs[k].tobytes() == vec.tobytes()
+    for bad in (np.zeros((2, 3, 4)), np.zeros((2, 2, 3, 3)), np.zeros(3)):
+        with pytest.raises(ValueError):
+            mirror_upper(bad)
+    with pytest.raises(ValueError):
+        cholesky(np.eye(3)[None])  # a factorization takes one matrix
+
+
+def test_require_finite_names_the_first_non_finite_matrix_of_a_stack():
+    a = np.zeros((3, 5, 5), dtype=complex)
+    assert numkernel.require_finite(a, ["a", "b", "c"]) is a
+    a[2, 4, 0], a[1, 0, 3] = np.inf, np.nan
+    # the size is the matrices' n = shape[-1], not the stack's k = shape[0]
+    with pytest.raises(Overflow, match=r"^values of b at size 5 overflowed"):
+        numkernel.require_finite(a, ["a", "b", "c"])
+    with pytest.raises(Overflow, match=r"^values of c at size 5 overflowed"):
+        numkernel.require_finite(a[[0, 2]], ("a", "c"))
+    with pytest.raises(Overflow, match=r"^values of one at size 5 overflowed"):
+        numkernel.require_finite(a[1], "one")
+
+
 def test_cholesky_frozen_2x2():
     lower = cholesky(np.array([[2.0, 1.0], [1.0, 2.0]]))
     expected = np.array([[np.sqrt(2.0), 0.0], [1.0 / np.sqrt(2.0), np.sqrt(1.5)]])
