@@ -291,7 +291,7 @@ _COMMANDS = {
                     sobolev.pencil_of_measures(*pencil), sobolev.pencil_of_measures(*pencil_b), n_max)),
     "eigenlimits": (("weight",), {"n_list": _n_list},
                     lambda prefix, weight, n_list: criteria.eigen_limit_report(weight.fourier, n_list)),
-    "prop12": (("measure", "circles"), {"n_max": _size(2, MAX_SECTION)},
+    "prop12": (("measure", "circles"), {"n_max": _size(4, MAX_SECTION)},
                lambda prefix, measure, circles, n_max: criteria.bpe_weighted_circles_report(
                    measure, circles, n_max)),
 }
@@ -449,11 +449,11 @@ def _builtin_lemma3_shifted(out_dir, n_max, rng) -> dict:
         r = 2.0 * rng.uniform(0.05, 1.0)
         pairs.append((a, r))
     samples = _random_rows(rng, 20 * 25, 20).reshape(20, 25, 21)
-    circles = [measures.CircleLebesgue(a, r) for a, r in pairs]
-    with np.errstate(over="ignore", invalid="ignore"):  # reported by require_finite
-        secs = np.stack(measures.moment_sections(circles, 20))  # one sweep for all 20
-    numkernel.require_finite(secs, [momentmatrix.of_measure(c).label for c in circles])
     centers, radii = (np.array(x) for x in zip(*pairs))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by require_finite
+        secs = measures.circle_sections(centers, radii, measures.UNIT_WEIGHT, 20)  # one sweep for all 20
+    # the labels are built only if a section overflowed
+    numkernel.require_finite(secs, (momentmatrix.of_measure(measures.CircleLebesgue(a, r)).label for a, r in pairs))
     # column k of v P is b_k r^k, b the Taylor coefficients about a
     taylor = samples @ measures.circle_expansion(centers, radii, 21)
     lhs = np.sum(np.abs(taylor[..., 1:]) ** 2, axis=-1)
@@ -744,8 +744,8 @@ def main(argv=None) -> int:
             print(name)
         return 0
 
-    if not 2 <= args.nmax <= MAX_SECTION:
-        print(f"--nmax must lie in [2, {MAX_SECTION}]", file=sys.stderr)
+    if not 4 <= args.nmax <= MAX_SECTION:  # bpe-disk-map applies the bpe rule at nmax
+        print(f"--nmax must lie in [4, {MAX_SECTION}]", file=sys.stderr)
         return 2
     if args.seed < 0:
         print("--seed must be a nonnegative integer", file=sys.stderr)

@@ -132,7 +132,8 @@ def gamma_table(m: MomentMatrix, points, n_max: int) -> np.ndarray:
         e = vandermonde(np.asarray(points, dtype=complex), n_max)
     finite = np.isfinite(e).all(axis=0)
     table = np.full(e.shape, math.nan)
-    table[:, finite] = 1.0 / np.cumsum(np.abs(numkernel.solve_lower(fac.lower, e[:, finite])) ** 2, axis=0)
+    with np.errstate(over="ignore"):  # a sum past the double range: gamma 0
+        table[:, finite] = 1.0 / np.cumsum(np.abs(numkernel.solve_lower(fac.lower, e[:, finite])) ** 2, axis=0)
     return table
 
 
@@ -170,7 +171,10 @@ def gamma_via_kernel(m: MomentMatrix, a: complex, n: int) -> float:
     """
     total = 0.0
     for coeffs in sobolev.orthonormal_polys(m, n):
-        total += abs(complex(evaluate(coeffs, a))) ** 2
+        value = abs(complex(evaluate(coeffs, a)))
+        if not math.isfinite(value * value):  # where value ** 2 raises OverflowError
+            raise numkernel.Overflow(f"kernel terms |P_k|^2 at {complex(a)} for {m.label}", n)
+        total += value ** 2
     return 1.0 / total
 
 

@@ -17,20 +17,20 @@ diagonals of a degree-d weight, so the sweep adds just the terms that can
 be nonzero, in the order the full product would.  The terms it skips are
 exact zeros and every accumulator starts at +0, so each section is bitwise
 the full product's; ``_times_adjoint`` (the full product) serves atoms
-only.  Circles that share one weight sweep as one (k, n, n) stack, each
-through the operations of its own sweep.  Every kind nests: the product
-of size n is bitwise the leading block of every larger one (P, the
-Vandermonde rows and the sweep's accumulators nest, and what a larger
-size adds to a leading entry is exact zeros).  So each measure keeps one
-section, the mirror of the largest product built for it (exactly
-Hermitian: the lower triangle mirrors the upper one), read-only and
-outside its fields (``==``, ``hash``, ``repr`` and the JSON ignore it);
-sections, single moments, sum terms and every moment matrix of the
-measure read blocks of it, and only a larger size rebuilds it.  Sections
-are cross-checkable against trapezoid quadrature on a uniform angular
-grid; ``exact_grid`` picks the smallest grid on which that rule is exact
-for a section.  The grid rows exp(i k theta) are tabulated once per grid
-size and frequency, read-only, and shared by weight validation,
+only.  Every kind nests: the product of size n is bitwise the leading
+block of every larger one (P, the Vandermonde rows and the sweep's
+accumulators nest, and what a larger size adds to a leading entry is
+exact zeros).  So each measure keeps one n x n section, the mirror of
+the largest product built for it (exactly Hermitian: the lower triangle
+mirrors the upper one), read-only and outside its fields (``==``,
+``hash``, ``repr`` and the JSON ignore it); sections, single moments,
+sum terms and every moment matrix of the measure read blocks of it, and
+only a larger size rebuilds it.  ``circle_sections`` sweeps circles of
+one weight as one (k, n, n) stack that no measure keeps.  Sections are
+cross-checkable against trapezoid quadrature on a uniform angular grid;
+``exact_grid`` picks the smallest grid on which that rule is exact for a
+section.  The grid rows exp(i k theta) are tabulated once per grid size
+and frequency, read-only, and shared by weight validation,
 ``weight_values`` and the quadrature; a canonical weight's extremes on
 the validation grid are evaluated once and shared by every circle that
 carries it.  Numbers entering a measure pass one validation layer
@@ -59,12 +59,12 @@ __all__ = [
     "MeasureSum",
     "WeightedCircle",
     "circle_expansion",
+    "circle_sections",
     "exact_grid",
     "from_json",
     "moment",
     "moment_quadrature",
     "moment_section",
-    "moment_sections",
     "parse_fourier",
     "parse_pair",
     "parse_real",
@@ -350,65 +350,66 @@ def _times_adjoint(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _product(ms: tuple, n: int) -> np.ndarray:
-    # the sections of ``ms`` as matrix products, stacked (k, n, n), each
-    # Hermitian up to roundoff and bitwise the leading block of every larger
-    # one; callers read their mirrors through moment_sections
-    m = ms[0]
+def _sweep(center, radius, fourier, n: int) -> np.ndarray:
+    """P T P^* of circles with the canonical weight ``fourier``: (n, n) for
+    a scalar center and radius, a stack (k, n, n) for arrays of shape (k,),
+    each product bitwise as alone.  It adds the terms of X = P T, then of
+    X P^*, that can be nonzero, in _times_adjoint's order: P is lower
+    triangular and T[j, k] = w(k - j) lives on 2d + 1 diagonals, so X adds
+    them in ascending order and column k of X vanishes above row k - d.
+    A skipped term is an exact zero, and an accumulator that starts at +0
+    never becomes -0, so adding it would change no bit (nor would the sign
+    of a zero in a weight that compares equal).  Past the double range a
+    skipped 0 * inf is no NaN, but the diagonal keeps every inf of P: a
+    product overflows at the same size."""
+    p = circle_expansion(center, radius, n)
+    x = np.zeros(p.shape, dtype=complex)
+    for o, c in fourier:  # X[:, j] += P[:, j + o] conj(w(o))
+        if abs(o) < n:
+            x[..., max(0, -o) : n - max(0, o)] += p[..., max(0, o) : n + min(0, o)] * np.conj(c)
+    d = max(abs(k) for k, _ in fourier)
+    s = np.zeros(p.shape, dtype=complex)
+    rows = p.conj()
+    for k in range(n):
+        s[..., max(0, k - d) :, k:] += x[..., max(0, k - d) :, k, None] * rows[..., None, k:, k]
+    return s
+
+
+def _product(m: Measure, n: int) -> np.ndarray:
+    # the section as a matrix product, Hermitian up to roundoff and bitwise
+    # the leading block of every larger one; read through moment_section
     if isinstance(m, WeightedCircle):
-        # P T P^* summed as _times_adjoint(_times_adjoint(P, T), P) would,
-        # over only the terms that can be nonzero: P is lower triangular and
-        # T[j, k] = w(k - j) lives on 2d + 1 diagonals, so X = P T adds them
-        # in ascending order and column k of X vanishes above row k - d.  A
-        # skipped term is an exact zero, and an accumulator that starts at
-        # +0 never becomes -0, so adding it would change no bit (nor would
-        # the sign of a zero in a weight that compares equal).  Past the
-        # double range a skipped 0 * inf is no NaN, but the diagonal keeps
-        # every inf of P: a section overflows at the same size.
-        p = circle_expansion([c.center for c in ms], [c.radius for c in ms], n)
-        x = np.zeros(p.shape, dtype=complex)
-        for o, c in m.fourier:  # X[:, j] += P[:, j + o] conj(w(o))
-            if abs(o) < n:
-                x[:, :, max(0, -o) : n - max(0, o)] += p[:, :, max(0, o) : n + min(0, o)] * np.conj(c)
-        d = _weight_degree(m)
-        s = np.zeros(p.shape, dtype=complex)
-        rows = p.conj()
-        for k in range(n):
-            lo = max(0, k - d)
-            s[:, lo:, k:] += x[:, lo:, k, None] * rows[:, None, k:, k]
-        return s
+        return _sweep(m.center, m.radius, m.fourier, n)
     if isinstance(m, Atomic):
         v = vandermonde([z for z, _ in m.atoms], n)
-        return _times_adjoint(v * np.array([w for _, w in m.atoms]), v)[None]
+        return _times_adjoint(v * np.array([w for _, w in m.atoms]), v)
     if isinstance(m, MeasureSum):
         # a term's section differs from its product only where this mirror
         # overwrites, so a finite sum's section is bitwise the mirrored sum
         # of its terms' products
-        return sum(s * moment_section(comp, n) for s, comp in m.terms)[None]
+        return sum(s * moment_section(comp, n) for s, comp in m.terms)
     raise TypeError(f"not a measure: {m!r}")
 
 
-def moment_sections(ms, n: int) -> list:
-    """Leading n x n sections [c[i, j]] of one measure, or of circles that
-    share one weight: read-only blocks of the sections they keep (see the
-    module docstring), bitwise the sections built at size n.  Those that
-    keep none of size n yet are built together, by one _product call."""
+def moment_section(m: Measure, n: int) -> np.ndarray:
+    """Leading n x n section [c[i, j]] of the moment matrix: a read-only
+    block of the one section ``m`` keeps (see the module docstring),
+    bitwise the section built at size n."""
     if n < 1:
         raise ValueError("section size must be at least 1")
-    if len(ms) > 1 and not all(isinstance(m, WeightedCircle) and m.fourier == ms[0].fourier for m in ms):
-        raise ValueError("only circles that share one weight make one stack")
-    todo = [m for m in ms if getattr(m, "_section", None) is None or m._section.shape[0] < n]
-    if todo:
-        built = numkernel.mirror_upper(_product(tuple(todo), n))
-        built.flags.writeable = False
-        for m, kept in zip(todo, built):
-            object.__setattr__(m, "_section", kept)  # not a field: ==, hash and repr ignore it
-    return [m._section[:n, :n] for m in ms]
+    kept = getattr(m, "_section", None)
+    if kept is None or kept.shape[0] < n:
+        kept = numkernel.mirror_upper(_product(m, n))
+        kept.flags.writeable = False
+        object.__setattr__(m, "_section", kept)  # not a field: ==, hash and repr ignore it
+    return kept[:n, :n]
 
 
-def moment_section(m: Measure, n: int) -> np.ndarray:
-    """Leading n x n section of one measure: moment_sections of a stack of one."""
-    return moment_sections((m,), n)[0]
+def circle_sections(centers, radii, fourier, n: int) -> np.ndarray:
+    """The mirrored sections of the circles (centers[s], radii[s]) with one
+    canonical weight, as a stack (k, n, n) from one sweep, each bitwise its
+    circle's moment_section; no measure keeps them."""
+    return numkernel.mirror_upper(_sweep(centers, radii, fourier, n))
 
 
 def moment(m: Measure, i: int, j: int) -> complex:

@@ -78,8 +78,8 @@ class Overflow(Exception):
 
 def require_finite(a: np.ndarray, label="") -> np.ndarray:
     """``a`` itself, or Overflow at size ``a.shape[-1]`` when any entry is
-    NaN or infinite; a stack (k, n, n) takes its k labels, and the Overflow
-    names the first matrix with a non-finite entry."""
+    NaN or infinite; a stack (k, n, n) takes an iterable of k labels, read
+    only on failure, and the Overflow names the first non-finite matrix."""
     if not np.all(np.isfinite(a)):
         labels = [label] if isinstance(label, str) else list(label)
         bad = int(np.argmin(np.isfinite(a).reshape(len(labels), -1).all(axis=1)))

@@ -65,7 +65,7 @@ def summed_product(m, n: int) -> np.ndarray:
     mirror is the reference a sum's section must equal bit for bit."""
     if isinstance(m, measures.MeasureSum):
         return sum(s * summed_product(comp, n) for s, comp in m.terms)
-    return measures._product((m,), n)[0]
+    return measures._product(m, n)
 
 
 def assert_read_only(block, reread):

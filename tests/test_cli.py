@@ -340,11 +340,17 @@ def test_prop7_decides_its_52_cases_with_one_eigensolve(tmp_path, monkeypatch):
 
 
 def test_lemma3_shifted_builds_its_20_sections_with_one_sweep(tmp_path, monkeypatch):
-    built = []
-    product = measures._product
-    monkeypatch.setattr(measures, "_product", lambda ms, n: built.append((len(ms), n)) or product(ms, n))
+    # one circle_sections call, no measure's own product, and no label
+    # unless a section overflowed
+    built, labelled = [], []
+    sections, product, of_measure = measures.circle_sections, measures._product, momentmatrix.of_measure
+    monkeypatch.setattr(measures, "circle_sections",
+                        lambda c, r, w, n: built.append((len(c), len(r), w, n)) or sections(c, r, w, n))
+    monkeypatch.setattr(measures, "_product", lambda m, n: built.append((m, n)) or product(m, n))
+    monkeypatch.setattr(momentmatrix, "of_measure", lambda mu: labelled.append(mu) or of_measure(mu))
     assert run_builtin("lemma3-shifted", str(tmp_path))["verdict"] == "holds"
-    assert built == [(20, 20)]
+    assert built == [(20, 20, measures.UNIT_WEIGHT, 20)]
+    assert labelled == []
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +462,33 @@ def test_prop12_first_bad_center_decides_the_error(tmp_path, capsys, circles, me
     spec = write_spec(tmp_path, dict(BASE_SCENARIOS["prop12"], circles=circles, parameters={"n_max": 8}))
     assert main(["--spec", spec, "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err.strip() == f"numeric error: {message}"
+
+
+def test_prop12_below_n_max_4_is_a_scenario_error(tmp_path, capsys):
+    # the centers take the bpe rule, which needs n_max >= 4
+    spec = write_spec(tmp_path, dict(BASE_SCENARIOS["prop12"], measure=UNIT_JSON,
+                                     circles=[[0, 0, 0.5, [[0, 1, 0]]]], parameters={"n_max": 3}))
+    assert main(["--spec", spec, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "scenario error: parameter 'n_max' must lie in [4, 64]\n"
+
+
+def test_gamma_with_overflowing_kernel_terms_exits_3(tmp_path, capsys):
+    # 1e8 ** 20 is finite, |P_20(1e8)|^2 is not
+    spec = write_spec(tmp_path, dict(gamma_scenario(), parameters={"a": [1e8, 0], "n_max": 21}))
+    assert main(["--spec", spec, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        "numeric error: values of kernel terms |P_k|^2 at (100000000+0j) for "
+        '{"kind":"circle","center":[0.0,0.0],"radius":1.0} at size 21 overflowed the double range\n'
+    )
+
+
+@pytest.mark.parametrize("nmax", ["2", "3"])
+def test_nmax_below_4_runs_nothing(tmp_path, capsys, nmax):
+    # bpe-disk-map applies the bpe rule at nmax; --spec takes the same check
+    for argv in (["--builtin", "all"], ["--builtin", "bpe-disk-map"], ["--spec", write_spec(tmp_path, gamma_scenario())]):
+        assert main(argv + ["--nmax", nmax, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", "--nmax must lie in [4, 64]\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_fails_verdict_still_exits_0(tmp_path, capsys):
@@ -766,10 +799,10 @@ def _fresh_suite_calls(tmp_path, module: str, name: str) -> int:
 
 def test_builtin_suite_builds_each_measure_product_once_per_size_increase(tmp_path):
     # every role of a measure (pencil, sum term, single moment) slices the
-    # section it keeps, and lemma3-shifted's 20 circles are one stack: 13
-    # builds at nmax 64, against 33 with one build per circle and 129 with
-    # one per role
-    assert _fresh_suite_calls(tmp_path, "measures", "_product") <= 13
+    # section it keeps, and lemma3-shifted's 20 circles are one
+    # circle_sections stack, which no measure keeps: 12 builds at nmax 64,
+    # against 32 with one build per circle and 129 with one per role
+    assert _fresh_suite_calls(tmp_path, "measures", "_product") <= 12
 
 
 def test_builtin_suite_mirrors_each_kept_section_once(tmp_path):

@@ -324,11 +324,11 @@ def test_circle_sections_are_bitwise_the_full_outer_product_loops(m):
     # keeps the nesting of P: a product is the leading block of every
     # larger one, so the section the measure slices from its kept size-65
     # product is bitwise the reference built at its own size
-    largest, p = measures._product((m,), 65)[0], measures.circle_expansion(m.center, m.radius, 65)
+    largest, p = measures._product(m, 65), measures.circle_expansion(m.center, m.radius, 65)
     moment_section(m, 65)
     for n in range(1, 66):
         ref = circle_product(m, n)
-        built = measures._product((m,), n)[0]
+        built = measures._product(m, n)
         assert built.tobytes() == ref.tobytes()
         assert built.tobytes() == largest[:n, :n].tobytes()
         assert measures.circle_expansion(m.center, m.radius, n).tobytes() == p[:n, :n].tobytes()
@@ -352,14 +352,14 @@ def _circles_of_one_weight(fourier, seed: int) -> list:
     ids=["arc-length", "degree-1", "degree-3"],
 )
 def test_stacked_circle_sections_are_bitwise_each_circle_alone(fourier, n):
-    # one moment_sections call sweeps the stack; equal fresh circles are
-    # built one at a time, and the quadrature on an exact grid is the oracle
-    stacked, alone = _circles_of_one_weight(fourier, n), _circles_of_one_weight(fourier, n)
-    sections = measures.moment_sections(stacked, n)
-    expansions = measures.circle_expansion([c.center for c in stacked], [c.radius for c in stacked], n)
-    assert expansions.shape == (5, n, n)
-    for c, section, expansion in zip(alone, sections, expansions):
-        assert section.shape == (n, n) and not section.flags.writeable
+    # one circle_sections call sweeps the stack; each circle's own section
+    # is built alone, and the quadrature on an exact grid is the oracle
+    circles = _circles_of_one_weight(fourier, n)
+    centers, radii = [c.center for c in circles], [c.radius for c in circles]
+    sections = measures.circle_sections(centers, radii, fourier, n)
+    expansions = measures.circle_expansion(centers, radii, n)
+    assert sections.shape == expansions.shape == (5, n, n)
+    for c, section, expansion in zip(circles, sections, expansions):
         assert section.tobytes() == moment_section(c, n).tobytes()
         assert expansion.tobytes() == measures.circle_expansion(c.center, c.radius, n).tobytes()
         quad = moment_quadrature(c, range(n), range(n), measures.exact_grid(c, n))
@@ -367,17 +367,21 @@ def test_stacked_circle_sections_are_bitwise_each_circle_alone(fourier, n):
         assert np.max(np.abs(section - quad) / scale) <= 1e-10
 
 
-def test_only_circles_of_one_weight_make_one_stack():
-    fresh = lambda: CircleLebesgue(0.5, 1.0)  # noqa: E731 - keeps no section yet
-    for other in (WeightedCircle(0.5, 1.0, COS_QUARTER.fourier), Atomic(((0.5, 1.0),)), MeasureSum(((1.0, fresh()),))):
-        with pytest.raises(ValueError, match="share one weight"):
-            measures.moment_sections([fresh(), other], 4)
-    with pytest.raises(ValueError, match="share one weight"):
-        measures.moment_sections([Atomic(((0.5, 1.0),)), Atomic(((0.5, 1.0),))], 4)
-    kept = fresh()
-    moment_section(kept, 6)  # a kept section does not lift the rule
-    with pytest.raises(ValueError, match="share one weight"):
-        measures.moment_sections([kept, WeightedCircle(0.5, 1.0, COS_QUARTER.fourier)], 4)
+def test_circle_sections_are_kept_by_no_measure(monkeypatch):
+    builds = []
+    product = measures._product
+    monkeypatch.setattr(measures, "_product", lambda m, n: builds.append((m, n)) or product(m, n))
+    circles = _circles_of_one_weight(COS08_OFFCENTER.fourier, 7)
+    measures.circle_sections([c.center for c in circles], [c.radius for c in circles], COS08_OFFCENTER.fourier, 9)
+    assert builds == [] and not any(hasattr(c, "_section") for c in circles)
+    moment_section(circles[0], 4)  # a circle's own section is built on first request
+    assert builds == [(circles[0], 4)]
+
+
+@pytest.mark.parametrize("m", CORPUS)
+def test_products_of_every_kind_are_two_dimensional(m):
+    for n in (1, 2, 5):
+        assert measures._product(m, n).shape == (n, n)
 
 
 def _random_atomics(count: int, seed: int) -> list:
@@ -399,9 +403,9 @@ def test_atomic_sections_nest_at_every_size(m):
     # V diag(mass) V^* sums exact zeros beyond a leading block, and the
     # Vandermonde rows nest (n = 3 included): every product is the leading
     # block of the size-65 one
-    largest = measures._product((m,), 65)[0]
+    largest = measures._product(m, 65)
     for n in range(1, 66):
-        built = measures._product((m,), n)[0]
+        built = measures._product(m, n)
         assert built.tobytes() == largest[:n, :n].tobytes()
         assert moment_section(m, n).tobytes() == numkernel.mirror_upper(built).tobytes()
 
@@ -414,13 +418,13 @@ def test_each_measure_keeps_one_read_only_product(monkeypatch):
     mixed = MeasureSum(((1.0, half), (2.0, atoms)))
     fresh = [to_json(m) for m in (half, atoms, mixed)], [repr(m) for m in (half, atoms, mixed)]
     first = moment_section(mixed, 8)
-    assert builds == [((mixed,), 8), ((half,), 8), ((atoms,), 8)]
+    assert builds == [(mixed, 8), (half, 8), (atoms, 8)]
     # smaller sizes, single moments and the terms on their own are slices
     section = moment_section(mixed, 5)
     assert moment(mixed, 2, 4) == section[2, 4] and moment(half, 7, 7) == moment_section(half, 8)[7, 7]
     assert len(builds) == 3
     moment_section(atoms, 9)  # a larger size rebuilds the measure's product
-    assert builds[3:] == [((atoms,), 9)]
+    assert builds[3:] == [(atoms, 9)]
     assert not moment_section(atoms, 9).flags.writeable
     # a returned section is a read-only block of the kept one
     assert_read_only(section, lambda: moment_section(mixed, 5))

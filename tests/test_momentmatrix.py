@@ -190,11 +190,12 @@ def test_an_overflowing_circle_of_a_stack_is_named_at_its_size(bad, size):
     # four circles in one sweep; the last overflows at every size from 2 on
     circles = [CircleLebesgue(0.5, 1.0), bad, CircleLebesgue(-0.5j, 2.0), CircleLebesgue(0.0, 1e300)]
     labels = [mm.of_measure(c).label for c in circles]
-    assert np.isfinite(np.stack(measures.moment_sections(circles[:3], size - 1))).all()
-    stack = np.stack(measures.moment_sections(circles, size))
+    centers, radii = [c.center for c in circles], [c.radius for c in circles]
+    assert np.isfinite(measures.circle_sections(centers[:3], radii[:3], measures.UNIT_WEIGHT, size - 1)).all()
+    stack = measures.circle_sections(centers, radii, measures.UNIT_WEIGHT, size)
     assert stack.shape == (4, size, size)
-    with pytest.raises(Overflow) as stacked:
-        numkernel.require_finite(stack, labels)
+    with pytest.raises(Overflow) as stacked:  # the labels, as a generator, are read on failure
+        numkernel.require_finite(stack, iter(labels))
     with pytest.raises(Overflow) as alone:  # the circle's own matrix, built alone
         mm.section(mm.of_measure(CircleLebesgue(bad.center, bad.radius)), size)
     assert str(stacked.value) == str(alone.value)
