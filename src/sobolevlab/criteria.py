@@ -181,10 +181,13 @@ def gamma_via_kernel(m: MomentMatrix, a: complex, n: int) -> float:
 def _gamma_minimizer(m: MomentMatrix, a: complex, n: int) -> np.ndarray:
     """Coefficient row attaining gamma: p(a) = 1 with minimal norm^2,
     conj(x) / s with x = G^{-1} e = W^* (W e) and s = e^H x = ||W e||^2,
-    read off the inverse of a factor and an e that gamma_table accepted."""
+    read off the inverse of a factor and an e that gamma_table accepted;
+    y = W e is scaled by a power of two first, exactly, so s = t^2 ||y/t||^2."""
     inverse = momentmatrix.factor(m, n).inverse
     y = inverse @ vandermonde(complex(a), n)[:, 0]
-    return np.conj(inverse.conj().T @ y) / float(np.vdot(y, y).real)
+    t = 2.0 ** (math.frexp(float(np.max(np.abs(y))))[1] - 1)
+    y = y / t
+    return np.conj(inverse.conj().T @ y) / (float(np.vdot(y, y).real) * t)
 
 
 def bpe_columns(m: MomentMatrix, points, n_max: int):

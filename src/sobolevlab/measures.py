@@ -95,8 +95,8 @@ class MeasureFormatError(ValueError):
 def parse_real(x, what: str, error=MeasureFormatError) -> float:
     """``x`` as a finite float; ``error`` for NaN, infinities and anything
     but a real number (booleans and numeric strings included)."""
-    try:
-        v = float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan
+    try:  # the exact-type test first spares most numbers the slower ABC check
+        v = float(x) if type(x) in (float, int) or isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan
     except OverflowError:  # an integer beyond the float range
         v = math.inf
     if not math.isfinite(v):
@@ -317,7 +317,7 @@ def _binomials(n: int, stack: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarr
     and the floats C(i, k), as read-only arrays shared by every circle
     section of that size and stack."""
     i, k = np.tril_indices(n)
-    binom = np.array([float(math.comb(ii, kk)) for ii, kk in zip(i, k)])
+    binom = np.array([float(math.comb(ii, kk)) for ii, kk in zip(i.tolist(), k.tolist())])
     s = np.arange(stack)[:, None]
     out = ((s * n * n + i * n + k).ravel(), ((i - k) * stack + s).ravel(), (k * stack + s).ravel(), np.tile(binom, stack))
     for a in out:

@@ -3,14 +3,15 @@
 A matrix is a builder n -> (n x n leading section) plus a label.
 Sections are materialized on demand through ``section``, which keeps
 only the largest section built so far, read-only, and returns blocks of
-it.  Every built section is mirrored (strict lower triangle = conjugated
-upper one, real diagonal), so sections are exactly Hermitian even if the
-builder is only approximately so, and checked for finiteness, so values
-that overflowed never reach a factorization, which ``factor`` alone
-performs, keeping the factor L of the last size asked for and, once a
-caller reads it, its inverse W = L^{-1}: every reduction, orthonormal
-basis and minimizer reads W with matrix products, point evaluations
-read L alone.
+it.  A builder's writeable output is mirrored (strict lower triangle =
+conjugated upper one, real diagonal), so sections are exactly Hermitian
+even if the builder is only approximately so; a read-only one is a block
+its owner keeps mirrored (a measure's section), taken as it is.  Every
+section is checked for finiteness, so values that overflowed never reach
+a factorization, which ``factor`` alone performs, keeping the factor L
+of the last size asked for and, once a caller reads it, its inverse
+W = L^{-1}: every reduction, orthonormal basis and minimizer reads W
+with matrix products, point evaluations read L alone.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
 
 #: absolute entry tolerance for the constant-diagonal (Toeplitz) test
 TOEPLITZ_TOL = 1e-13
+_COMPACT = json.JSONEncoder(separators=(",", ":"))  # one compact encoder for every label
 
 
 @dataclass(eq=False)
@@ -75,15 +77,19 @@ def section(m: MomentMatrix, n: int) -> np.ndarray:
 
     A read-only block of the largest section built so far, which the
     matrix keeps; a request beyond it builds the new size and replaces
-    it.  A section with non-finite entries raises numkernel.Overflow.
+    it.  A writeable build is mirrored, a read-only one (the block a
+    measure keeps mirrored) taken as it is; a section with non-finite
+    entries raises numkernel.Overflow.
     """
     if n < 1:
         raise ValueError("section size must be at least 1")
     if m._largest is None or m._largest.shape[0] < n:
         with np.errstate(over="ignore", invalid="ignore"):  # reported by require_finite
-            built = numkernel.mirror_upper(m.build(n))
+            built = m.build(n)
+            if built.flags.writeable:
+                built = numkernel.mirror_upper(built)
+                built.flags.writeable = False
         m._largest = numkernel.require_finite(built, m.label)
-        built.flags.writeable = False
     return m._largest[:n, :n]
 
 
@@ -107,7 +113,7 @@ def of_measure(mu: measures.Measure) -> MomentMatrix:
     """Moment matrix of a measure; the label records the measure JSON."""
     return MomentMatrix(
         build=lambda n: measures.moment_section(mu, n),
-        label=json.dumps(measures.to_json(mu), separators=(",", ":")),
+        label=_COMPACT.encode(measures.to_json(mu)),
     )
 
 

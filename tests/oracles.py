@@ -1,5 +1,8 @@
 """Reference helpers shared by the tests; the package does not use them."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -76,3 +79,57 @@ def assert_read_only(block, reread):
     with pytest.raises(ValueError, match="read-only"):
         block[...] = np.nan
     assert reread().tobytes() == before
+
+
+def render_json(obj, indent: int = 0) -> str:
+    """The report renderer's rules, one value at a time through an
+    isinstance chain: the reference ``reporting.render_json`` must match
+    byte for byte."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        return "null" if math.isnan(x) or math.isinf(x) else "%.12e" % x
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f"{inner}{json.dumps(str(k))}: {render_json(v, indent + 1)}"
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        seq = list(obj)
+        if not seq:
+            return "[]"
+        rendered = [render_json(v, indent + 1) for v in seq]
+        if all(isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq):
+            return "[\n" + ",\n".join(inner + r for r in rendered) + f"\n{pad}]"
+        return "[" + ", ".join(rendered) + "]"
+    raise TypeError(f"cannot render {type(obj).__name__} deterministically")
+
+
+def csv_cell(v) -> str:
+    """One CSV cell by the report writer's rules, one value at a time."""
+    if isinstance(v, complex):  # numpy's complex128 included
+        return "%.12e%+.12ei" % (v.real, v.imag)
+    if isinstance(v, (float, np.floating)):
+        x = float(v)
+        return "nan" if math.isnan(x) else "%.12e" % x
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return str(v)
+
+
+def csv_text(header, rows) -> str:
+    """The text ``reporting.write_csv(path, header, rows)`` must write."""
+    lines = [",".join(header)] + [",".join(csv_cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"

@@ -807,10 +807,12 @@ def test_builtin_suite_builds_each_measure_product_once_per_size_increase(tmp_pa
 
 def test_builtin_suite_mirrors_each_kept_section_once(tmp_path):
     # a measure mirrors its product once per build (a stack of circles
-    # once) and a moment matrix its builder's section once per build: 95
-    # mirrors at nmax 64, against 187 with lemma3-shifted's circles mirrored
-    # one at a time and prop7's Toeplitz sections built twice
-    assert _fresh_suite_calls(tmp_path, "numkernel", "mirror_upper") <= 95
+    # once), a moment matrix takes a measure's mirrored block as it is and
+    # mirrors any other builder's section once per build: 71 mirrors at
+    # nmax 64, against 95 with measure sections mirrored again and 187 with
+    # lemma3-shifted's circles mirrored one at a time and prop7's Toeplitz
+    # sections built twice
+    assert _fresh_suite_calls(tmp_path, "numkernel", "mirror_upper") <= 71
 
 
 def test_example7_moments_are_slices_of_its_sections(tmp_path, monkeypatch):

@@ -141,6 +141,14 @@ def test_bpe_fails_outside_disk_with_witness():
     assert norm_sq(section(M_UNIT, 32), w) == pytest.approx(rep.details["gamma_end"], rel=1e-9)
 
 
+def test_bpe_witness_attains_gamma_where_its_norm_overflows():
+    # ||W e||^2 leaves the double range at a = 1e8, n = 21, though W e does not
+    rep = bpe_decide(M_UNIT, 1e8, 21)
+    assert rep.verdict == "fails"
+    assert np.count_nonzero(rep.witness) == 21
+    assert abs(evaluate(rep.witness, 1e8) - 1.0) <= 1e-12
+
+
 def test_bpe_boundary_point_is_inconclusive():
     # gamma_n = 1/n exactly: too slow for "fails", too alive for "holds"
     rep = bpe_decide(M_UNIT, 1.0, 32)

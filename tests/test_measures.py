@@ -1,6 +1,7 @@
 """Measure moments: closed forms vs quadrature, schema validation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -224,6 +225,21 @@ def test_constructor_validation():
         MeasureSum(())
     with pytest.raises(MeasureFormatError):
         MeasureSum(((0.0, UNIT),))
+
+
+@pytest.mark.parametrize("bad", [True, False, "1.0", "nan", math.nan, math.inf, -math.inf, 10**400, None, [1.0], 1j])
+def test_parse_real_rejects_all_but_finite_real_numbers(bad):
+    with pytest.raises(MeasureFormatError, match="must be a finite number"):
+        measures.parse_real(bad, "x")
+
+
+@pytest.mark.parametrize("good, value", [
+    (0.5, 0.5), (-3, -3.0), (2**60, 2.0**60), (np.float64(2.5), 2.5), (np.float32(0.5), 0.5), (np.int64(-7), -7.0),
+    (Fraction(1, 3), 1 / 3),
+])
+def test_parse_real_accepts_finite_real_numbers(good, value):
+    got = measures.parse_real(good, "x")
+    assert type(got) is float and got == value
 
 
 def test_weight_validation():

@@ -63,6 +63,19 @@ def test_matrices_of_one_measure_slice_its_one_product(monkeypatch):
     assert builds == [12]
 
 
+def test_a_measure_section_is_the_measures_kept_array_not_a_copy():
+    mu = CircleLebesgue(0.2 + 0.7j, 1.25)
+    block = mm.section(mm.of_measure(mu), 9)
+    assert block.base is measures.moment_section(mu, 9).base  # no copy, no second mirror
+    # a writeable builder output is mirrored, a read-only one taken as it is
+    upper = np.triu(np.arange(1.0, 10.0).reshape(3, 3) * (1 + 1j))
+    npt.assert_array_equal(mm.section(mm.MomentMatrix(build=lambda n: upper[:n, :n].copy()), 3),
+                           numkernel.mirror_upper(upper))
+    kept = upper.copy()
+    kept.flags.writeable = False
+    assert mm.section(mm.MomentMatrix(build=lambda n: kept[:n, :n]), 3).base is kept
+
+
 def test_zero_matrix():
     npt.assert_array_equal(mm.section(mm.zero_matrix(), 4), np.zeros((4, 4)))
 

@@ -1,11 +1,15 @@
 """Deterministic serialization."""
 
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
+import oracles
+from sobolevlab import cli, reporting
 from sobolevlab.reporting import float_repr, render_json, write_csv, write_json
 
 
@@ -70,3 +74,105 @@ def test_section_csv_format(tmp_path):
     assert lines[0] == "col_0,col_1"
     assert lines[1] == "1.000000000000e+00+0.000000000000e+00i,2.000000000000e+00-3.000000000000e+00i"
     assert txt.endswith("\n")
+
+
+# ---------------------------------------------------------------------------
+# The exact-type table against the per-value rules of oracles.render_json
+# and oracles.csv_text, byte for byte
+# ---------------------------------------------------------------------------
+
+class Labels(dict):
+    pass
+
+
+class Count(int):
+    pass
+
+
+FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.5e-310, 1.7976931348623157e308, -1 / 3, 1e100]
+SCALARS = [
+    None, True, False, 0, -7, 10**30, Count(5), "", "a\"b\\cé\n", np.str_("np"),
+    np.float64(0.1), np.float64(math.nan), np.float32(0.1), np.float32(-math.inf), np.int64(-3), np.uint8(200),
+    np.bool_(True), np.bool_(False), *FLOATS,
+]
+JSON_CORPUS = SCALARS + [
+    [], (), {}, Labels(), [[]], [{}], [[], {}], list(FLOATS), tuple(FLOATS), [1.0, math.nan, 2.0], [math.inf],
+    [-math.inf, 0.0, -0.0], [1e308, 1e308], [1.0, np.float64(2.0)], [1, 2.0, "x", None, True, np.bool_(False)],
+    [[1.0, 2.0], [3.0]], [[1.0], 2.0], ([1, 2], (3.0, math.nan)), [(), [], np.zeros(0)],
+    {"b": 1, "a": [1.5, {"x": -0.0}], 3: None, (1, 2): [[]]}, Labels(z=1.0, a=Labels(k=[np.int64(2)])),
+    {"floats": FLOATS, "nested": [{"k": [1.0, 2.0]}, {"k": []}], "matrix": np.arange(6.0).reshape(2, 3)},
+    np.array([0.5, math.nan, math.inf]), np.array([[1, 2], [3, 4]]), np.array([True, False]), np.float32([1.5, 2.5]),
+]
+
+
+@pytest.mark.parametrize("obj", JSON_CORPUS, ids=lambda obj: type(obj).__name__)
+def test_render_json_matches_the_per_value_oracle(obj):
+    for indent in (0, 2):
+        assert render_json(obj, indent) == oracles.render_json(obj, indent)
+    assert render_json({"k": obj}) == oracles.render_json({"k": obj})
+    assert render_json([obj, obj]) == oracles.render_json([obj, obj])
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [object(), 1.0 + 2.0j, np.complex128(1.0), np.array(1.0), np.array([1j]), {1, 2}, b"x", [object()], {"k": 1j}],
+    ids=lambda obj: type(obj).__name__,
+)
+def test_render_json_rejects_what_the_oracle_rejects(obj):
+    with pytest.raises(TypeError):
+        oracles.render_json(obj)
+    with pytest.raises(TypeError):
+        render_json(obj)
+
+
+def _matrix():
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    a[0, 1], a[1, 0], a[2, 2] = complex(math.nan, -0.0), complex(math.inf, math.nan), complex(-0.0, 5e-324)
+    a.flags.writeable = False
+    return a
+
+
+CSV_CORPUS = {
+    "scalars": [(1, 0.5, "ok"), (2, math.nan, ""), (True, np.bool_(True), False, np.bool_(False))],
+    "floats": [tuple(FLOATS), tuple(np.float64(x) for x in FLOATS), (np.float32(0.1), np.float32(math.nan))],
+    "ints": [(np.int64(-3), np.uint8(7), 10**30, Count(4)), (None, "s", (1, 2), np.str_("t"))],
+    "complex": [(0, 1j, complex(math.nan, -0.0), np.complex128(-0.0 - 2j)), (1, np.complex64(1 + 1j), 0j, 2.0)],
+    "opoly": [[k, *np.arange(k + 1) * (1 - 1j), *[0j] * (3 - k)] for k in range(4)],
+    "empty": [(), []],
+    "matrix": _matrix(),
+    "leading-block": _matrix()[:3, :3],
+    "transposed": _matrix().T,
+    "float-array": np.array([[1.5, math.nan], [-0.0, math.inf]]),
+    "bool-array": np.array([[True, False]]),
+    "complex64-array": np.array([[1 + 2j, math.nan]], dtype=np.complex64),
+}
+
+
+@pytest.mark.parametrize("name", list(CSV_CORPUS))
+def test_write_csv_matches_the_per_value_oracle(tmp_path, name):
+    rows = CSV_CORPUS[name]
+    header = [f"c{j}" for j in range(max(len(r) for r in rows))]
+    write_csv(str(tmp_path / "t.csv"), header, rows)
+    assert (tmp_path / "t.csv").read_text(encoding="utf-8") == oracles.csv_text(header, rows)
+
+
+def test_a_bool_and_a_numpy_bool_in_one_row(tmp_path):
+    write_csv(str(tmp_path / "t.csv"), ("a", "b"), [(True, np.bool_(True))])
+    assert (tmp_path / "t.csv").read_text(encoding="utf-8") == "a,b\n1,True\n"
+
+
+@pytest.mark.parametrize("nmax", [32, 64])
+def test_every_builtin_report_body_matches_the_oracle(tmp_path, monkeypatch, nmax):
+    bodies = []
+    real_json, real_csv = reporting.write_json, reporting.write_csv
+    monkeypatch.setattr(reporting, "write_json", lambda path, obj: bodies.append((path, obj)) or real_json(path, obj))
+    monkeypatch.setattr(reporting, "write_csv", lambda path, header, rows: bodies.append(
+        (path, (header, rows))) or real_csv(path, header, rows))
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["--builtin", "all", "--seed", "0", "--nmax", str(nmax), "--out", str(tmp_path)])
+    assert len(bodies) == 19
+    for path, body in bodies:
+        text = oracles.csv_text(*body) if path.endswith(".csv") else oracles.render_json(body) + "\n"
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == text, path
