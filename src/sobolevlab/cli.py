@@ -31,13 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import criteria, measures, momentmatrix, numkernel, reporting, sobolev
+from .criteria import MAX_SECTION
 from .polynomials import differentiate, evaluate
 
 __all__ = ["Scenario", "ScenarioFormatError", "list_builtins", "main", "parse_scenario", "run"]
 
 DEFAULT_NMAX = 32
 DEFAULT_SEED = 0
-MAX_SECTION = 64
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 
 
@@ -232,7 +232,7 @@ def _run_zeros(prefix, pencil, degree) -> dict:
     return {
         "pencil_label": pen.label,
         "degree": degree,
-        "zeros": [[z.real, z.imag] for z in zeros],
+        "zeros": [[z.real, z.imag] for z in zeros.tolist()],
         "max_zero_modulus": max_mod,
         "mult_op_norm": float(bound),
         "verdict": "holds" if max_mod <= bound + ZERO_BOUND_SLACK else "fails",

@@ -63,6 +63,8 @@ WITNESS_MARGIN = 1e-10
 RIGIDITY_OFFDIAG_RTOL = 1e-12
 #: slack for eigenvalue-vs-weight-range sandwich checks
 EIGEN_SANDWICH_SLACK = 1e-10
+#: largest section size a check or a scenario may ask for
+MAX_SECTION = 64
 
 
 class CenterNotBoundedEvaluation(Exception):
@@ -258,7 +260,7 @@ def _psd_reports(criterion: str, labels: list, ws: np.ndarray, names: list, c: f
     lams, vecs = numkernel.herm_eig(numkernel.require_finite(ws, names), "; ".join(names))
     tols = PSD_FLOOR_FACTOR * ws.shape[-1] * np.finfo(float).eps * np.abs(lams).max(axis=-1, initial=0.0)
     reports = []
-    for label, lam_min, vec, tol in zip(labels, lams[:, 0].tolist(), vecs, tols):
+    for label, lam_min, vec, tol in zip(labels, lams[:, 0].tolist(), vecs, tols.tolist()):
         fails = -lam_min > max(WITNESS_MARGIN, tol)
         verdict = VERDICT_HOLDS if lam_min >= -tol else VERDICT_FAILS if fails else VERDICT_INCONCLUSIVE
         reports.append(CriterionReport(
@@ -277,8 +279,8 @@ def _psd_reports(criterion: str, labels: list, ws: np.ndarray, names: list, c: f
 
 def _wirtinger_checks(ms: list, c: float, n: int) -> list:
     """wirtinger_psd_check of every matrix in ``ms``, by one eigensolve."""
-    if not 2 <= n <= 64:
-        raise ValueError("wirtinger check supports 2 <= n <= 64")
+    if not 2 <= n <= MAX_SECTION:
+        raise ValueError(f"wirtinger check supports 2 <= n <= {MAX_SECTION}")
     if not c > 0:
         raise ValueError("constant must be positive")
     big = np.stack([momentmatrix.section(m, n + 1) for m in ms])

@@ -3,9 +3,9 @@
 Thin kernel shared by everything downstream: the exact Hermitian mirror
 of a section, a pivot-gated Cholesky factorization and the inverse of its
 factor, Hermitian eigensolves (with or without vectors), lower-triangular
-solves by forward substitution, the definite generalized eigenproblem
-read off an inverse factor (for one size, or its top eigenvalue at every
-leading size, solved only at the sizes where Cauchy interlacing does not
+solves by forward substitution, the top eigenvalue of the definite
+generalized eigenproblem at every leading size, read off one inverse
+factor (solved at both ends and wherever Cauchy interlacing does not
 pin it, so a pinned size cannot report a ConvergenceFailure), and
 polynomial roots via the companion matrix.  Eigensolves are delegated to
 LAPACK through numpy; what this module adds is the error contract
@@ -33,7 +33,6 @@ __all__ = [
     "cholesky",
     "companion_roots",
     "eigvalsh",
-    "gen_eig_factored",
     "herm_eig",
     "inverse_lower",
     "mirror_upper",
@@ -194,12 +193,6 @@ def eigvalsh(b, label: str = "") -> np.ndarray:
         return np.linalg.eigvalsh(b)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(label) from exc
-
-
-def gen_eig_factored(q, inverse, label: str = "") -> np.ndarray:
-    """Ascending eigenvalues of the pencil (Q, L L^*) from the inverse
-    factor W = L^{-1}: reduce to W Q W^* and diagonalize."""
-    return eigvalsh(_reduce(_square(q), inverse), label)
 
 
 def nested_gen_eig(q, inverse, failure: NotPositiveDefinite | None, label: str = "") -> list:

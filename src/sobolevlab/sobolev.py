@@ -58,17 +58,19 @@ class SobolevPencil:
     def __post_init__(self):
         if not self.label:
             self.label = f"{{m0={self.m0.label}, m1={self.m1.label}}}"
-        self.gram = MomentMatrix(build=self._gram, label=self.label)
+        m0, m1 = self.m0, self.m1  # not self: a pencil and its Gram matrix form no cycle
 
-    def _gram(self, n: int) -> np.ndarray:
-        """section(M0, n) + D: row and column 0 of D vanish and
-        D[i, j] = i j M1[i-1, j-1], so v D v^* == ||p'||^2_{M1}."""
-        g0 = momentmatrix.section(self.m0, n)
-        d = np.zeros((n, n), dtype=complex)
-        if n > 1:
-            k = np.arange(1, n, dtype=float)
-            d[1:, 1:] = np.outer(k, k) * momentmatrix.section(self.m1, n - 1)
-        return g0 + d
+        def build(n: int) -> np.ndarray:
+            """section(M0, n) + D: row and column 0 of D vanish and
+            D[i, j] = i j M1[i-1, j-1], so v D v^* == ||p'||^2_{M1}."""
+            g0 = momentmatrix.section(m0, n)
+            d = np.zeros((n, n), dtype=complex)
+            if n > 1:
+                k = np.arange(1, n, dtype=float)
+                d[1:, 1:] = np.outer(k, k) * momentmatrix.section(m1, n - 1)
+            return g0 + d
+
+        self.gram = MomentMatrix(build=build, label=self.label)
 
 
 def pencil_of_measures(mu0: measures.Measure, mu1: measures.Measure | None, label: str = "") -> SobolevPencil:
@@ -108,7 +110,8 @@ def mult_op_norm(p: SobolevPencil, n: int) -> float:
     sup ||z q|| / ||q|| over the span of 1..z^{n-1}: the square root of
     the top generalized eigenvalue of (S G_{n+1} S^*, G_n) where S shifts
     coefficients up by one, i.e. the trailing n x n block of G_{n+1}
-    against G_n.  Nondecreasing in n.
+    against G_n, the last entry of ``numkernel.nested_gen_eig`` (always
+    solved, so bitwise norm_sequence's).  Nondecreasing in n.
     """
     if n < 1:
         raise ValueError("operator norm needs n >= 1")
@@ -116,8 +119,10 @@ def mult_op_norm(p: SobolevPencil, n: int) -> float:
     fac = momentmatrix.factor(p.gram, n)
     if fac.failure is not None:
         raise fac.failure
-    lam = numkernel.gen_eig_factored(q, fac.inverse, p.label)
-    return math.sqrt(max(float(lam[-1]), 0.0))
+    top = numkernel.nested_gen_eig(q, fac.inverse, None, p.label)[-1]
+    if isinstance(top, numkernel.ConvergenceFailure):
+        raise top
+    return math.sqrt(max(top, 0.0))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sobolevlab import measures
+from sobolevlab.numkernel import cholesky, inverse_lower
 from sobolevlab.polynomials import as_coeffs
 
 
@@ -41,6 +42,20 @@ def counting_eigvalsh(monkeypatch, fails=lambda a: False):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     return sizes
+
+
+def reduced_eigvals(q, inverse) -> np.ndarray:
+    """Ascending eigenvalues of the pencil (Q, L L^*) from the inverse
+    factor W = L^{-1}: W Q W^*, symmetrized, by one np.linalg.eigvalsh.
+    The per-size reference for the nested top-eigenvalue sequences."""
+    b = inverse @ np.asarray(q, dtype=complex) @ inverse.conj().T
+    return np.linalg.eigvalsh(0.5 * (b + b.conj().T))
+
+
+def pencil_eigvals(q, g, label: str = "") -> np.ndarray:
+    """reduced_eigvals over a fresh factor of G and its inverse; a pivot
+    failure of G raises numkernel's NotPositiveDefinite named by ``label``."""
+    return reduced_eigvals(q, inverse_lower(cholesky(g, label)))
 
 
 def circle_product(m, n: int) -> np.ndarray:

@@ -635,6 +635,24 @@ def test_base_scenarios_succeed(base):
     assert _main_on_text(json.dumps(BASE_SCENARIOS[base])) == (0, "")
 
 
+def _numpy_values(obj, path="report") -> list:
+    """Paths of the numpy scalars and arrays inside a report body."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return [path]
+    if isinstance(obj, dict):
+        return [p for k, v in obj.items() for p in _numpy_values(v, f"{path}.{k}")]
+    if isinstance(obj, (list, tuple)):
+        return [p for i, v in enumerate(obj) for p in _numpy_values(v, f"{path}[{i}]")]
+    return []
+
+
+@pytest.mark.parametrize("base", ["zeros", "dominance", "wirtinger"])
+def test_report_bodies_hold_plain_python_values(tmp_path, base):
+    # the zero pairs and PSD tolerances reach the renderer as Python floats
+    report = run(parse_scenario(BASE_SCENARIOS[base]), str(tmp_path))
+    assert _numpy_values(report) == []
+
+
 @pytest.mark.parametrize(
     "field, value, code, message",
     [

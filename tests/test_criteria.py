@@ -26,11 +26,11 @@ from sobolevlab.criteria import (
 )
 from sobolevlab.measures import Atomic, CircleLebesgue, MeasureSum, WeightedCircle, weight_grid_extremes
 from sobolevlab.momentmatrix import norm_sq, section
-from sobolevlab.numkernel import ConvergenceFailure, cholesky, gen_eig_factored, inverse_lower
+from sobolevlab.numkernel import ConvergenceFailure
 from sobolevlab.polynomials import differentiate, evaluate
 from sobolevlab.sobolev import gram_section, norm_sequence, pencil_of_measures
 
-from oracles import counting_eigvalsh
+from oracles import counting_eigvalsh, pencil_eigvals
 
 UNIT = CircleLebesgue(0.0, 1.0)
 HALF = CircleLebesgue(0.0, 0.5)
@@ -38,11 +38,6 @@ HALF_PLUS_UNIT = MeasureSum(((1.0, HALF), (1.0, UNIT)))
 W04 = WeightedCircle(0.0, 1.0, ((0, 1.0), (1, 0.4), (-1, 0.4)))
 M_UNIT = mm.of_measure(UNIT)
 M_HALF = mm.of_measure(HALF)
-
-
-def _gen_eig(q, g, label=""):
-    """Eigenvalues of the pencil (Q, G) over a fresh factor of G and its inverse."""
-    return gen_eig_factored(q, inverse_lower(cholesky(g, label)), label)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +230,7 @@ def test_wirtinger_shifted_circle_needs_larger_constant():
     deleted = section(m, n + 1)[1:, 1:]
     scale = np.arange(1, n + 1, dtype=float)
     c_star = float(
-        _gen_eig(deleted, scale[:, None] * full * scale[None, :])[-1]
+        pencil_eigvals(deleted, scale[:, None] * full * scale[None, :])[-1]
     )
     assert c_star > 4.0
     assert wirtinger_psd_check(m, c_star * (1.0 + 1e-6), n).verdict == "holds"
@@ -452,7 +447,7 @@ def test_comparability_bounds_matches_per_size_reference(mu0, mu1):
     rep = comparability_bounds(pencil_of_measures(mu0, mu1), pencil_of_measures(UNIT, UNIT), 20)
     assert rep.n_list == list(range(2, 21))
     for n, low, top in zip(rep.n_list, rep.details["lower_values"], rep.values):
-        lam = _gen_eig(_fresh_gram(UNIT, UNIT, n), _fresh_gram(mu0, mu1, n))
+        lam = pencil_eigvals(_fresh_gram(UNIT, UNIT, n), _fresh_gram(mu0, mu1, n))
         assert abs(top - lam[-1]) <= 1e-12 * abs(lam[-1])
         assert abs(low - lam[0]) <= 1e-12 * abs(lam[-1])
 

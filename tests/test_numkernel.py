@@ -10,9 +10,7 @@ from sobolevlab.numkernel import (
     Overflow,
     cholesky,
     companion_roots,
-    gen_eig_factored,
     herm_eig,
-    inverse_lower,
     mirror_upper,
     nested_gen_eig,
     solve_lower,
@@ -155,41 +153,6 @@ def test_herm_eig_ascending_and_reconstructs():
     assert vals[0] <= vals[1]
     rebuilt = vecs @ np.diag(vals) @ vecs.conj().T
     npt.assert_allclose(rebuilt, a, atol=1e-12)
-
-
-def _gen_eig(q, g, label=""):
-    """Eigenvalues of the pencil (Q, G) over a fresh factor of G and its inverse."""
-    return gen_eig_factored(q, inverse_lower(cholesky(g, label)), label)
-
-
-def test_gen_eig_factored_frozen_diagonal():
-    vals = _gen_eig(np.diag([1.0, 1.0]), np.diag([1.0, 4.0]))
-    npt.assert_allclose(vals, [0.25, 1.0], rtol=1e-14)
-    # pencil (G, G) is all ones
-    rng = np.random.default_rng(8)
-    b = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    g = b @ b.conj().T + 5 * np.eye(5)
-    npt.assert_allclose(_gen_eig(g, g), np.ones(5), rtol=1e-12)
-
-
-def test_gen_eig_factored_rayleigh_bounds():
-    rng = np.random.default_rng(21)
-    n = 7
-    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    g = b @ b.conj().T + n * np.eye(n)
-    c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q = c @ c.conj().T
-    vals = _gen_eig(q, g)
-    assert np.all(np.diff(vals) >= -1e-12)
-    for _ in range(40):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        ratio = np.vdot(v, q @ v).real / np.vdot(v, g @ v).real
-        assert vals[0] - 1e-10 <= ratio <= vals[-1] + 1e-10
-
-
-def test_gen_eig_factored_over_a_fresh_factor_propagates_pivot_failure():
-    with pytest.raises(NotPositiveDefinite):
-        _gen_eig(np.eye(2), np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 EPS = np.finfo(float).eps

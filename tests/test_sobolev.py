@@ -1,6 +1,8 @@
 """Gram sections, orthonormal polynomials, operator norms, plateaus."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -15,7 +17,7 @@ from sobolevlab.measures import (
     moment_section,
 )
 from sobolevlab.momentmatrix import norm_sq, section
-from sobolevlab.numkernel import NotPositiveDefinite, cholesky, gen_eig_factored, inverse_lower
+from sobolevlab.numkernel import NotPositiveDefinite
 from sobolevlab.polynomials import differentiate, evaluate, random_coeffs
 from sobolevlab.sobolev import (
     NormSequence,
@@ -29,7 +31,7 @@ from sobolevlab.sobolev import (
     sobolev_zeros,
 )
 
-from oracles import assert_read_only, counting_eigvalsh
+from oracles import assert_read_only, counting_eigvalsh, pencil_eigvals, reduced_eigvals
 
 UNIT = CircleLebesgue(0.0, 1.0)
 HALF = CircleLebesgue(0.0, 0.5)
@@ -197,7 +199,7 @@ def test_example6_mult_op_matches_a_60_digit_reduction():
             w = mpmath.inverse(mpmath.cholesky(g[0:n, 0:n]))
             exact = np.sort([float(x) for x in mpmath.eigh(w * g[1 : n + 1, 1 : n + 1] * w.H, eigvals_only=True)])
             inverse = mm.factor(p.gram, n).inverse
-            got = gen_eig_factored(q[:n, :n], inverse, p.label)
+            got = reduced_eigvals(q[:n, :n], inverse)
             top = exact[-1]
             assert abs(seq.values[n - 1] - math.sqrt(top)) <= 1e-13 * math.sqrt(top), n
             assert abs(got[-1] - top) <= 1e-13 * top, n
@@ -234,6 +236,24 @@ def test_mult_op_norm_diagonal_ratio_oracles():
 def test_mult_op_norm_nondecreasing(p):
     vals = [mult_op_norm(p, n) for n in range(1, 13)]
     assert all(b >= a - 1e-10 for a, b in zip(vals, vals[1:]))
+
+
+def test_a_dropped_pencil_is_freed_without_the_cycle_collector():
+    # the Gram builder keeps the two matrices, not the pencil, so a pencil
+    # whose sections, factor and inverse were built goes with its last name
+    p = pencil_of_measures(UNIT, CircleLebesgue(0.5, 2.0))
+    mult_op_norm(p, 12)
+    sobolev_zeros(p, 11)
+    assert p.gram._factor is not None and p.gram._largest is not None
+    refs = [weakref.ref(p), weakref.ref(p.gram)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del p
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_mult_op_norm_bounded_by_quotient_oracle(subtests=None):
@@ -320,11 +340,6 @@ def _fresh_gram(mu0, mu1, n):
     return gram_section(pencil_of_measures(mu0, mu1), n)
 
 
-def _gen_eig(q, g, label=""):
-    """Eigenvalues of the pencil (Q, G) over a fresh factor of G and its inverse."""
-    return gen_eig_factored(q, inverse_lower(cholesky(g, label)), label)
-
-
 NESTED_PENCILS = [
     (UNIT, CircleLebesgue(0.5, 2.0)),
     (W04, HALF),
@@ -344,7 +359,7 @@ def test_norm_sequence_matches_per_size_reference(mu0, mu1, quantity):
             q = _fresh_gram(mu0, mu1, n + 1)[1:, 1:]
         else:
             q = moment_section(mu1, n)
-        top = float(_gen_eig(q, _fresh_gram(mu0, mu1, n))[-1])
+        top = float(pencil_eigvals(q, _fresh_gram(mu0, mu1, n))[-1])
         ref = math.sqrt(top) if quantity == "mult_op" else top
         assert abs(seq.values[n - 1] - ref) <= 1e-12 * abs(ref)
 
@@ -361,8 +376,19 @@ def test_norm_sequence_shares_the_breakdown_pivot():
     assert all(math.isnan(v) for v in seq.values[56:])
     for n in (57, 64):  # the per-size factorization fails at the same pivot
         with pytest.raises(NotPositiveDefinite) as info:
-            _gen_eig(_fresh_gram(UNIT, mu1, n + 1)[1:, 1:], _fresh_gram(UNIT, mu1, n), p.label)
+            pencil_eigvals(_fresh_gram(UNIT, mu1, n + 1)[1:, 1:], _fresh_gram(UNIT, mu1, n), p.label)
         assert str(info.value) == message
+    # mult_op_norm is the sequence's last entry, bit for bit, for example 5
+    # (atoms) and example 6, and reports the same breakdown at n = 57
+    atoms = Atomic(((0.3 + 0.0j, 1.0), (-0.2 + 0.4j, 1.0)))
+    for mu in (atoms, mu1):
+        for n in (8, 21, 56):
+            top = mult_op_norm(pencil_of_measures(UNIT, mu), n)
+            assert top == norm_sequence(pencil_of_measures(UNIT, mu), n, "mult_op").values[-1]
+    assert norm_sequence(pencil_of_measures(UNIT, mu1), 57, "mult_op").errors[-1] == message
+    with pytest.raises(NotPositiveDefinite) as info:
+        mult_op_norm(pencil_of_measures(UNIT, mu1), 57)
+    assert str(info.value) == message
 
 
 def test_example6_mult_op_solves_few_sizes(monkeypatch):
