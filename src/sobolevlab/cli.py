@@ -24,6 +24,7 @@ import functools
 import json
 import math
 import os
+import random
 import re
 import sys
 from dataclasses import dataclass
@@ -354,6 +355,9 @@ UNIT = measures.CircleLebesgue(0.0, 1.0)
 HALF = measures.CircleLebesgue(0.0, 0.5)
 W_COS08 = ((0, 1.0 + 0j), (1, 0.4 + 0j), (-1, 0.4 + 0j))  # w = 1 + 0.8 cos
 HALF_PLUS_UNIT = measures.MeasureSum(((1.0, HALF), (1.0, UNIT)))
+# lemma3-shifted's trapezoid grid: exact for its integrands, |p(a + r e^{it}) - p(a)|^2
+# with deg p <= 20, whose frequencies |k| <= 20 lie below 64
+SHIFTED_GRID_POINTS = 64
 
 
 def _zero_bound_scan(pen: sobolev.SobolevPencil, degrees) -> dict:
@@ -392,15 +396,27 @@ def _builtin_identity_moments(out_dir, n_max, rng) -> dict:
     }
 
 
-def _random_rows(rng, count: int, max_degree: int) -> np.ndarray:
+def _uniforms(rng: random.Random, k: int) -> np.ndarray:
+    """``k`` uniforms in [0, 1): the top 53 bits of the 64-bit
+    little-endian words of one ``rng.randbytes`` call."""
+    return (np.frombuffer(rng.randbytes(8 * k), "<u8") >> 11) * 2.0**-53
+
+
+def _random_rows(rng: random.Random, count: int, max_degree: int) -> np.ndarray:
     """``count`` random polynomials as the rows of a count x
     (max_degree + 1) matrix, drawn as one batch: degrees uniform in
     1..max_degree, standard complex normal coefficients up to each
-    degree and exact zeros above it."""
-    degrees = rng.integers(1, max_degree + 1, size=count)
-    shape = (count, max_degree + 1)
-    rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    rows[np.arange(max_degree + 1) > degrees[:, None]] = 0.0
+    degree and exact zeros above it.
+
+    The first ``count`` uniforms give the degrees, 1 + floor(u max_degree);
+    the next ones give each coefficient up to its row's degree, row by
+    row, from one Box-Muller pair (u1, u2): sqrt(-2 log(1 - u1)) e^{2 pi i u2},
+    with E|z|^2 = 2."""
+    degrees = 1 + np.floor(_uniforms(rng, count) * max_degree).astype(int)
+    kept = np.arange(max_degree + 1) <= degrees[:, None]
+    u1, u2 = _uniforms(rng, 2 * int(np.count_nonzero(kept))).reshape(2, -1)
+    rows = np.zeros(kept.shape, dtype=complex)
+    rows[kept] = np.sqrt(-2.0 * np.log1p(-u1)) * np.exp(2j * np.pi * u2)
     return rows
 
 
@@ -461,7 +477,7 @@ def _builtin_lemma3_shifted(out_dir, n_max, rng) -> dict:
     scale = np.maximum(np.maximum(lhs, rhs), 1e-300)
     worst_rel_excess = float(np.max((lhs - rhs) / scale))
     worst_identity_dev = 0.0
-    circle = np.exp(1j * (2.0 * np.pi * np.arange(4096) / 4096))  # e^{i theta}, shared by every pair
+    circle = np.exp(1j * (2.0 * np.pi * np.arange(SHIFTED_GRID_POINTS) / SHIFTED_GRID_POINTS))
     for (a, r), v, first in zip(pairs, samples[:, 0], lhs[:, 0].tolist()):
         q = np.abs(evaluate(v, a + r * circle) - complex(evaluate(v, a))) ** 2
         quad = float(q.mean())
@@ -529,7 +545,7 @@ def _builtin_prop7_rigidity(out_dir, n_max, rng) -> dict:
              momentmatrix.of_measure(measures.WeightedCircle(0.0, 1.0, W_COS08))]
     for i in range(50):
         c = {0: complex(rng.uniform(0.5, 2.0))}
-        if rng.uniform() < 0.5:
+        if rng.random() < 0.5:
             for k in range(1, 4):
                 rad = 0.05 * math.sqrt(rng.uniform(0.0, 1.0))
                 ang = rng.uniform(0.0, 2.0 * math.pi)
@@ -708,7 +724,9 @@ def run_builtin(name: str, out_dir: str, n_max: int = DEFAULT_NMAX, seed: int = 
     if name not in _BUILTINS:
         raise ScenarioFormatError(f"unknown builtin {name!r}")
     os.makedirs(out_dir, exist_ok=True)
-    rng = np.random.default_rng([seed, list_builtins().index(name)])
+    # a str seed goes through SHA-512: one stream per (seed, built-in), whatever
+    # the hash seed or the order the built-ins run in
+    rng = random.Random(f"{seed}:{name}")
     report = {"scenario": name, "command": "builtin", **_BUILTINS[name](out_dir, n_max, rng)}
     reporting.write_json(os.path.join(out_dir, f"{name}.json"), report)
     return report

@@ -103,7 +103,8 @@ def factor(m: MomentMatrix, n: int) -> Factor:
         try:
             lower, failure = numkernel.cholesky(section(m, n), m.label), None
         except numkernel.NotPositiveDefinite as exc:
-            lower, failure = exc.lower, exc
+            # without its traceback, whose frames hold the section and the matrix
+            lower, failure = exc.lower, exc.with_traceback(None)
         lower.flags.writeable = False
         m._factor = (n, Factor(lower, failure))
     return m._factor[1]

@@ -256,6 +256,26 @@ def test_a_dropped_pencil_is_freed_without_the_cycle_collector():
             gc.enable()
 
 
+def test_a_pencil_whose_gram_factor_failed_is_freed_without_the_cycle_collector():
+    # the factor keeps its NotPositiveDefinite without the traceback, whose
+    # frames hold the section and the matrix being factored
+    p = pencil_of_measures(UNIT, CircleLebesgue(0.5, 2.0))
+    assert not norm_sequence(p, 57, "mult_op").ok()
+    failure = p.gram._factor[1].failure
+    assert isinstance(failure, NotPositiveDefinite) and failure.__traceback__ is None
+    assert str(failure) == f"pivot 56 of {p.label} is not positive" and failure.lower.shape == (56, 56)
+    del failure
+    refs = [weakref.ref(p), weakref.ref(p.gram), weakref.ref(p.gram._factor[1].failure)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del p
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_mult_op_norm_bounded_by_quotient_oracle(subtests=None):
     # direct Rayleigh check: random q of degree < n
     p = pencil_of_measures(W04, HALF)
