@@ -127,9 +127,7 @@ def gamma_table(m: MomentMatrix, points, n_max: int) -> np.ndarray:
     vandermonde: e_j^H G_n^{-1} e_j sums |Y_kj|^2 over k < n, as the
     factor of the n section is a block of L.  The column of a point whose
     evaluation vector overflows is NaN, no other: row 0 is 1/|1/L_00|^2."""
-    fac = momentmatrix.factor(m, n_max)
-    if fac.failure is not None:
-        raise fac.failure
+    fac = momentmatrix.factor(m, n_max).checked()
     with np.errstate(over="ignore", invalid="ignore"):  # the NaN columns below
         e = vandermonde(np.asarray(points, dtype=complex), n_max)
     finite = np.isfinite(e).all(axis=0)

@@ -14,10 +14,11 @@ Fourier coefficients), V diag(mass) V^* for atoms (V the Vandermonde
 matrix), and the scaled sum for sums.  P T P^* is evaluated as a banded
 triangular sweep: P is lower triangular and T has only the 2d + 1
 diagonals of a degree-d weight, so the sweep adds just the terms that can
-be nonzero, in the order the full product would.  The terms it skips are
-exact zeros and every accumulator starts at +0, so each section is bitwise
-the full product's; ``_times_adjoint`` (the full product) serves atoms
-only.  Every kind nests: the product of size n is bitwise the leading
+be nonzero, in the order the full product would (about the origin P =
+diag(r^k), one term per entry: O(n(2d + 1)) in all).  The terms it skips
+are exact zeros and every accumulator starts at +0, so each section is
+bitwise the full product's; ``_times_adjoint`` (the full product) serves
+atoms only.  Every kind nests: the product of size n is bitwise the leading
 block of every larger one (P, the Vandermonde rows and the sweep's
 accumulators nest, and what a larger size adds to a leading entry is
 exact zeros).  So each measure keeps one n x n section, the mirror of
@@ -357,18 +358,30 @@ def _sweep(center, radius, fourier, n: int) -> np.ndarray:
     X P^*, that can be nonzero, in _times_adjoint's order: P is lower
     triangular and T[j, k] = w(k - j) lives on 2d + 1 diagonals, so X adds
     them in ascending order and column k of X vanishes above row k - d.
+    When every center is 0, P = diag(r^k) (the radius powers, bitwise
+    circle_expansion's diagonal) and entry (i, j) of X P^* has the one
+    term X[i, j] r^j: O(n(2d + 1)) nonzeros, no binomials, no sweep.
     A skipped term is an exact zero, and an accumulator that starts at +0
     never becomes -0, so adding it would change no bit (nor would the sign
     of a zero in a weight that compares equal).  Past the double range a
     skipped 0 * inf is no NaN, but the diagonal keeps every inf of P: a
     product overflows at the same size."""
-    p = circle_expansion(center, radius, n)
+    centered = not np.count_nonzero(center)
+    if centered:
+        powers = vandermonde(np.asarray(radius, dtype=float), n).T.reshape(np.shape(radius) + (n,))
+        p = np.zeros(powers.shape + (n,), dtype=complex)
+        p[..., range(n), range(n)] = powers
+    else:
+        p = circle_expansion(center, radius, n)
     x = np.zeros(p.shape, dtype=complex)
     for o, c in fourier:  # X[:, j] += P[:, j + o] conj(w(o))
         if abs(o) < n:
             x[..., max(0, -o) : n - max(0, o)] += p[..., max(0, o) : n + min(0, o)] * np.conj(c)
-    d = max(abs(k) for k, _ in fourier)
     s = np.zeros(p.shape, dtype=complex)
+    if centered:
+        s += x * powers[..., None, :]
+        return s
+    d = max(abs(k) for k, _ in fourier)
     rows = p.conj()
     for k in range(n):
         s[..., max(0, k - d) :, k:] += x[..., max(0, k - d) :, k, None] * rows[..., None, k:, k]
@@ -407,8 +420,9 @@ def moment_section(m: Measure, n: int) -> np.ndarray:
 
 def circle_sections(centers, radii, fourier, n: int) -> np.ndarray:
     """The mirrored sections of the circles (centers[s], radii[s]) with one
-    canonical weight, as a stack (k, n, n) from one sweep, each bitwise its
-    circle's moment_section; no measure keeps them."""
+    canonical weight, as a stack (k, n, n) from one sweep (P = diag(r^k)
+    when every center is 0), each bitwise its circle's moment_section; no
+    measure keeps them."""
     return numkernel.mirror_upper(_sweep(centers, radii, fourier, n))
 
 

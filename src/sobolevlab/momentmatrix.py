@@ -71,6 +71,13 @@ class Factor:
         inverse.flags.writeable = False
         return inverse
 
+    def checked(self) -> Factor:
+        """The factor, or a fresh copy of ``failure`` raised: raised, the kept
+        one would hold the caller's frames, and the pencil, in its traceback."""
+        if self.failure is not None:
+            raise numkernel.NotPositiveDefinite(self.failure.index, self.failure.label, self.failure.lower)
+        return self
+
 
 def section(m: MomentMatrix, n: int) -> np.ndarray:
     """Dense n x n leading section, exactly Hermitian by mirroring.

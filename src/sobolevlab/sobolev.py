@@ -91,9 +91,7 @@ def orthonormal_polys(m: MomentMatrix, n: int) -> tuple:
     The read-only rows of the inverse factor W = L^{-1} of the section
     (``momentmatrix.factor``; see numkernel.inverse_lower).
     """
-    fac = momentmatrix.factor(m, n)
-    if fac.failure is not None:
-        raise fac.failure
+    fac = momentmatrix.factor(m, n).checked()
     return tuple(fac.inverse[k, : k + 1] for k in range(n))
 
 
@@ -116,9 +114,7 @@ def mult_op_norm(p: SobolevPencil, n: int) -> float:
     if n < 1:
         raise ValueError("operator norm needs n >= 1")
     q = gram_section(p, n + 1)[1:, 1:]
-    fac = momentmatrix.factor(p.gram, n)
-    if fac.failure is not None:
-        raise fac.failure
+    fac = momentmatrix.factor(p.gram, n).checked()
     top = numkernel.nested_gen_eig(q, fac.inverse, None, p.label)[-1]
     if isinstance(top, numkernel.ConvergenceFailure):
         raise top

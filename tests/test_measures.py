@@ -314,15 +314,19 @@ def test_times_adjoint_is_bitwise_the_outer_product_loop():
         assert measures._times_adjoint(u, v).tobytes() == ref.tobytes()
 
 
-def _random_circles(count: int, seed: int) -> list:
+def _random_circles(count: int, seed: int, centered: bool = False) -> list:
     """Circles with centers that have signed-zero parts, radii in [0.25, 4]
-    and positive weights of degree 1-3 (some inner frequencies zero)."""
+    and positive weights of degree 1-3 (some inner frequencies zero); the
+    ``centered`` ones are about 0j, -0.0 + 0j or 0 - 0j, with weights of
+    degree 0-3."""
     rng = np.random.default_rng(seed)
     circles = []
     for case in range(count):
         re, im = rng.uniform(-2.0, 2.0, size=2)
         center = complex(-0.0 if case % 3 == 0 else re, -0.0 if case % 4 == 1 else im)
         degree = 1 + case % 3
+        if centered:
+            center, degree = (0j, complex(-0.0, 0.0), complex(0.0, -0.0))[case % 3], case % 4
         fourier = [(0, 1.0)]
         for k in range(1, degree + 1):
             if k == degree or rng.uniform() < 0.7:
@@ -333,13 +337,19 @@ def _random_circles(count: int, seed: int) -> list:
 
 
 @pytest.mark.parametrize(
-    "m", [m for m in CORPUS if isinstance(m, WeightedCircle)] + _random_circles(12, 13)
+    "m",
+    [m for m in CORPUS if isinstance(m, WeightedCircle)]
+    + _random_circles(12, 13)
+    + _random_circles(12, 29, centered=True)
+    # powers of r that underflow: a -0 term becomes +0 as the reference's does
+    + [WeightedCircle(complex(0.0, -0.0), 1e-100, ((0, 1.0), (1, -0.3j), (-1, 0.3j), (2, -0.2), (-2, -0.2)))],
 )
 def test_circle_sections_are_bitwise_the_full_outer_product_loops(m):
     # the banded triangular sweep skips only exact zeros of P T P^*, and it
     # keeps the nesting of P: a product is the leading block of every
     # larger one, so the section the measure slices from its kept size-65
-    # product is bitwise the reference built at its own size
+    # product is bitwise the reference built at its own size; a circle
+    # about the origin (P diagonal) adds one term per entry to +0
     largest, p = measures._product(m, 65), measures.circle_expansion(m.center, m.radius, 65)
     moment_section(m, 65)
     for n in range(1, 66):
@@ -351,26 +361,41 @@ def test_circle_sections_are_bitwise_the_full_outer_product_loops(m):
         assert moment_section(m, n).tobytes() == numkernel.mirror_upper(ref).tobytes()
 
 
-def _circles_of_one_weight(fourier, seed: int) -> list:
+def _circles_of_one_weight(fourier, seed: int, about_origin=()) -> list:
     """Five circles with the weight ``fourier``: centers in [-2, 2]^2 with
-    signed-zero parts, radii in [0.25, 4]."""
+    signed-zero parts, radii in [0.25, 4]; the circles whose indices are
+    in ``about_origin`` are centered at 0j, -0.0 + 0j or 0 - 0j."""
     rng = np.random.default_rng(seed)
     re, im, radii = rng.uniform(-2.0, 2.0, 5), rng.uniform(-2.0, 2.0, 5), rng.uniform(0.25, 4.0, 5)
     return [
-        WeightedCircle(complex(-0.0 if k % 3 == 0 else re[k], -0.0 if k == 1 else im[k]), radii[k], fourier)
+        WeightedCircle(
+            (0j, complex(-0.0, 0.0), complex(0.0, -0.0))[k % 3] if k in about_origin
+            else complex(-0.0 if k % 3 == 0 else re[k], -0.0 if k == 1 else im[k]),
+            radii[k],
+            fourier,
+        )
         for k in range(5)
     ]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 20, 33, 65])
 @pytest.mark.parametrize(
-    "fourier", [measures.UNIT_WEIGHT, COS08_OFFCENTER.fourier, _random_circles(3, 41)[2].fourier],
-    ids=["arc-length", "degree-1", "degree-3"],
+    "fourier, about_origin",
+    [
+        (measures.UNIT_WEIGHT, ()),
+        (COS08_OFFCENTER.fourier, ()),
+        (_random_circles(3, 41)[2].fourier, ()),
+        (measures.UNIT_WEIGHT, range(5)),
+        (_random_circles(3, 41)[2].fourier, range(5)),
+        (COS08_OFFCENTER.fourier, (0, 2, 3)),
+    ],
+    ids=["arc-length", "degree-1", "degree-3", "arc-length-centered", "degree-3-centered", "degree-1-mixed"],
 )
-def test_stacked_circle_sections_are_bitwise_each_circle_alone(fourier, n):
+def test_stacked_circle_sections_are_bitwise_each_circle_alone(fourier, about_origin, n):
     # one circle_sections call sweeps the stack; each circle's own section
-    # is built alone, and the quadrature on an exact grid is the oracle
-    circles = _circles_of_one_weight(fourier, n)
+    # is built alone, and the quadrature on an exact grid is the oracle; in
+    # a mixed stack the circles about the origin take the binomial P
+    circles = _circles_of_one_weight(fourier, n, about_origin)
     centers, radii = [c.center for c in circles], [c.radius for c in circles]
     sections = measures.circle_sections(centers, radii, fourier, n)
     expansions = measures.circle_expansion(centers, radii, n)
@@ -381,6 +406,23 @@ def test_stacked_circle_sections_are_bitwise_each_circle_alone(fourier, n):
         quad = moment_quadrature(c, range(n), range(n), measures.exact_grid(c, n))
         scale = np.sqrt(np.outer(np.abs(quad.diagonal()), np.abs(quad.diagonal())))
         assert np.max(np.abs(section - quad) / scale) <= 1e-10
+
+
+def test_circles_about_the_origin_build_no_binomial_expansion(monkeypatch):
+    # P = diag(r^k) for a centered circle: only an off-center one pays for
+    # the dense binomial P and its triangular sweep
+    calls = []
+    for name in ("circle_expansion", "_binomials"):
+        real = getattr(measures, name)
+        monkeypatch.setattr(measures, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    fourier = _random_circles(3, 41)[2].fourier
+    measures._product(WeightedCircle(complex(-0.0, 0.0), 2.0, fourier), 33)
+    measures.circle_sections([0j, complex(0.0, -0.0), complex(-0.0, -0.0)], [0.5, 1.0, 3.0], fourier, 33)
+    assert calls == []
+    measures._product(CircleLebesgue(0.5, 2.0), 33)
+    assert calls == ["circle_expansion", "_binomials"]
+    measures.circle_sections([0j, 0.5j], [1.0, 2.0], fourier, 33)
+    assert calls == ["circle_expansion", "_binomials"] * 2
 
 
 def test_circle_sections_are_kept_by_no_measure(monkeypatch):

@@ -11,7 +11,7 @@ from sobolevlab.numkernel import NotPositiveDefinite, Overflow
 from sobolevlab.sobolev import SobolevPencil, gram_section, pencil_of_measures
 from sobolevlab.polynomials import differentiate, random_coeffs
 
-from oracles import assert_read_only
+from oracles import assert_read_only, circle_product
 
 UNIT = CircleLebesgue(0.0, 1.0)
 HALF = CircleLebesgue(0.0, 0.5)
@@ -213,6 +213,27 @@ def test_an_overflowing_circle_of_a_stack_is_named_at_its_size(bad, size):
         mm.section(mm.of_measure(CircleLebesgue(bad.center, bad.radius)), size)
     assert str(stacked.value) == str(alone.value)
     assert str(alone.value) == f"values of {labels[1]} at size {size} overflowed the double range"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("radius", [1e2, 1e4, 1e6, 1e77, 1e154, 1e308])
+def test_centered_circles_overflow_where_the_outer_product_loops_do(radius):
+    # P = diag(r^k) about the origin: a section overflows at the sizes
+    # where the reference's block is non-finite, every finite one is
+    # bitwise the reference's mirror, and no numpy warning escapes
+    weights = [measures.UNIT_WEIGHT, W04.fourier, ((0, 1.0), (1, 0.1j), (-1, -0.1j), (2, 0.3), (-2, 0.3))]
+    for case, fourier in enumerate(weights):
+        center = (0j, complex(-0.0, 0.0), complex(0.0, -0.0))[case]
+        mu = WeightedCircle(center, radius, fourier)
+        m = mm.of_measure(mu)
+        for n in range(1, 66):
+            with np.errstate(all="ignore"):
+                ref = circle_product(mu, n)
+            if np.isfinite(ref).all():
+                assert mm.section(m, n).tobytes() == numkernel.mirror_upper(ref).tobytes()
+            else:
+                with pytest.raises(Overflow):
+                    mm.section(m, n)
 
 
 def test_moment_matrix_entries_match_measure_moments():

@@ -276,6 +276,30 @@ def test_a_pencil_whose_gram_factor_failed_is_freed_without_the_cycle_collector(
             gc.enable()
 
 
+def test_a_pencil_whose_raised_gram_failure_was_caught_is_freed_without_the_cycle_collector():
+    # what is raised is a fresh NotPositiveDefinite: raising the kept one
+    # would give it a traceback whose frames hold the pencil
+    p = pencil_of_measures(UNIT, CircleLebesgue(0.5, 2.0))
+    try:
+        mult_op_norm(p, 57)
+    except NotPositiveDefinite as exc:
+        kept = p.gram._factor[1].failure
+        assert exc is not kept and kept.__traceback__ is None
+        assert str(exc) == str(kept) == f"pivot 56 of {p.label} is not positive" and exc.lower is kept.lower
+    else:
+        raise AssertionError("the example-6 Gram section factors at size 57")
+    del kept
+    refs = [weakref.ref(p), weakref.ref(p.gram), weakref.ref(p.gram._factor[1].failure)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del p
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_mult_op_norm_bounded_by_quotient_oracle(subtests=None):
     # direct Rayleigh check: random q of degree < n
     p = pencil_of_measures(W04, HALF)
