@@ -15,6 +15,13 @@ file nested too deeply to process included), options out of range, or a
 --spec or --out path that cannot be used, 3 for numeric failures
 (singular sections, convergence breakdowns, rejected geometric
 hypotheses).
+
+BLAS runs one thread unless the environment sets OPENBLAS_NUM_THREADS or
+MKL_NUM_THREADS: this module sets both to 1 before it imports numpy, as
+the program's matrices are at most MAX_SECTION wide, too small to gain
+from threads, and a threaded BLAS on a busy host made whole runs several
+times slower.  The setting takes effect only where this module is the
+first to import numpy, as in the ``sobolevlab`` command.
 """
 
 from __future__ import annotations
@@ -28,6 +35,9 @@ import random
 import re
 import sys
 from dataclasses import dataclass
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads BLAS
+os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 import numpy as np
 

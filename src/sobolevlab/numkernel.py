@@ -7,7 +7,12 @@ solves by forward substitution, the top eigenvalue of the definite
 generalized eigenproblem at every leading size, read off one inverse
 factor (solved at both ends and wherever Cauchy interlacing does not
 pin it, so a pinned size cannot report a ConvergenceFailure), and
-polynomial roots via the companion matrix.  Eigensolves are delegated to
+polynomial roots via the companion matrix.  A rotation-invariant pencil
+gives a diagonal reduced matrix, whose inner sizes read the running
+maximum of its diagonal instead of a solve: bitwise LAPACK's top while
+every entry is finite, nonzero and inside the window where zheevd does
+not rescale (about 1e-146 to 1e146), and used only when the solved top
+at full size equals the largest entry.  Eigensolves are delegated to
 LAPACK through numpy; what this module adds is the error contract
 (NotPositiveDefinite with the failing pivot index and the factor before
 it, ConvergenceFailure with the offending label, Overflow for values
@@ -21,6 +26,7 @@ same-size matrices, shape (k, n, n), each matrix bitwise as alone.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -33,6 +39,7 @@ __all__ = [
     "cholesky",
     "companion_roots",
     "eigvalsh",
+    "gen_eig_top",
     "herm_eig",
     "inverse_lower",
     "mirror_upper",
@@ -45,6 +52,11 @@ __all__ = [
 #: marks the section as numerically singular
 PIVOT_RTOL = 1e-14
 _EPS = float(np.finfo(float).eps)
+#: zheevd rescales a matrix whose largest entry lies outside [sqrt(tiny / eps),
+#: its reciprocal] = [2^-485, 2^485], about 1e-146 to 1e146; unscaled, the
+#: eigenvalues of a real diagonal matrix are its entries bit for bit
+_UNSCALED_LO = math.sqrt(float(np.finfo(float).tiny) / _EPS)
+_UNSCALED_HI = 1 / _UNSCALED_LO
 
 
 class NotPositiveDefinite(Exception):
@@ -195,6 +207,36 @@ def eigvalsh(b, label: str = "") -> np.ndarray:
         raise ConvergenceFailure(label) from exc
 
 
+def gen_eig_top(q, inverse, label: str = "") -> float:
+    """The top eigenvalue of the pencil (Q, G) alone, read off G's inverse
+    factor W of Q's size: one solve of W Q W^*, bitwise the last entry of
+    ``nested_gen_eig`` over the same Q and W; ConvergenceFailure when
+    LAPACK does not converge."""
+    return float(eigvalsh(_reduce(_square(q), inverse), label)[-1])
+
+
+def _diagonal_maxima(b: np.ndarray, top: float) -> np.ndarray | None:
+    """The running maximum of B's real diagonal, which is the top at every
+    size bit for bit when B is diagonal and its entries lie in zheevd's
+    unscaled window; None unless B has no nonzero entry off its diagonal,
+    every diagonal entry is finite, nonzero and inside the window, and the
+    solved top at full size ``top`` equals the largest entry."""
+    d = b.diagonal().real
+    mag = np.abs(d)
+    if not (mag.min() >= _UNSCALED_LO and mag.max() <= _UNSCALED_HI):  # NaN fails both
+        return None
+    if np.count_nonzero(b) != len(d):  # every diagonal entry is nonzero, so one is off it
+        return None
+    maxima = np.maximum.accumulate(d)
+    return maxima if maxima[-1] == top else None
+
+
+def _pinned(x, y) -> bool:
+    """Whether two solved tops agree to 4 eps relative, so that interlacing
+    pins every size between them to the upper one."""
+    return isinstance(x, float) and isinstance(y, float) and abs(y - x) <= 4 * _EPS * max(abs(x), abs(y))
+
+
 def nested_gen_eig(q, inverse, failure: NotPositiveDefinite | None, label: str = "") -> list:
     """The top eigenvalue of the pencil (Q[:n, :n], G[:n, :n]) for
     n = 1..len(Q), read off G's inverse factor W and ``failure`` as
@@ -208,25 +250,39 @@ def nested_gen_eig(q, inverse, failure: NotPositiveDefinite | None, label: str =
     otherwise the range is split at its midpoint.  A failed solve is its
     size's ConvergenceFailure and splits each range it ends; a size filled
     by interlacing is not solved, so it cannot report one.
+
+    Sizes 1 and k are always solved by LAPACK.  When both succeed without
+    pinning the sizes between, and B_k is diagonal (a rotation-invariant
+    pencil), every other size the bisection asks for reads the running
+    maximum of B's diagonal instead: that is LAPACK's top bit for bit
+    provided every diagonal entry is finite, nonzero and inside zheevd's
+    unscaled window (about 1e-146 to 1e146), and the size-k top equals the
+    largest entry; otherwise every size is solved or filled by the
+    bisection alone.
     """
     qm = _square(q)
     k = inverse.shape[0]
     b = _reduce(qm[:k, :k], inverse) if k else None
     tops = [None] * k  # tops[n - 1]: the top at size n, or its ConvergenceFailure
+    maxima = None
 
     def top(n: int):
         if tops[n - 1] is None:
             try:
-                tops[n - 1] = float(eigvalsh(b[:n, :n], label)[-1])
+                tops[n - 1] = float(eigvalsh(b[:n, :n], label)[-1] if maxima is None else maxima[n - 1])
             except ConvergenceFailure as exc:
                 tops[n - 1] = exc
         return tops[n - 1]
 
+    if k > 2:
+        x, y = top(1), top(k)
+        if isinstance(x, float) and isinstance(y, float) and not _pinned(x, y):
+            maxima = _diagonal_maxima(b, y)
     ranges = [(1, k)] if k else []  # a stack, lower half on top
     while ranges:
         lo, hi = ranges.pop()
         x, y = top(lo), top(hi)
-        if isinstance(x, float) and isinstance(y, float) and abs(y - x) <= 4 * _EPS * max(abs(x), abs(y)):
+        if _pinned(x, y):
             tops[lo : hi - 1] = [y] * (hi - lo - 1)
         elif hi - lo > 1:
             ranges += [((lo + hi) // 2, hi), (lo, (lo + hi) // 2)]

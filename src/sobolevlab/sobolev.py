@@ -108,17 +108,14 @@ def mult_op_norm(p: SobolevPencil, n: int) -> float:
     sup ||z q|| / ||q|| over the span of 1..z^{n-1}: the square root of
     the top generalized eigenvalue of (S G_{n+1} S^*, G_n) where S shifts
     coefficients up by one, i.e. the trailing n x n block of G_{n+1}
-    against G_n, the last entry of ``numkernel.nested_gen_eig`` (always
-    solved, so bitwise norm_sequence's).  Nondecreasing in n.
+    against G_n, by one solve at size n (``numkernel.gen_eig_top``,
+    bitwise norm_sequence's last value).  Nondecreasing in n.
     """
     if n < 1:
         raise ValueError("operator norm needs n >= 1")
     q = gram_section(p, n + 1)[1:, 1:]
     fac = momentmatrix.factor(p.gram, n).checked()
-    top = numkernel.nested_gen_eig(q, fac.inverse, None, p.label)[-1]
-    if isinstance(top, numkernel.ConvergenceFailure):
-        raise top
-    return math.sqrt(max(top, 0.0))
+    return math.sqrt(max(numkernel.gen_eig_top(q, fac.inverse, p.label), 0.0))
 
 
 @dataclass(frozen=True)

@@ -793,6 +793,27 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout == "[]\n"
 
 
+@pytest.mark.parametrize("given, seen", [(None, "1 1\n"), ("2", "2 1\n")])
+def test_cli_loads_numpy_with_one_blas_thread_unless_the_user_sets_one(given, seen):
+    # the child prints the two thread variables as numpy starts to load
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(sobolevlab.__file__))
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    code = (
+        "import os, sys\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy':\n"
+        "            print(os.environ.get('OPENBLAS_NUM_THREADS'), os.environ.get('MKL_NUM_THREADS'))\n"
+        "            sys.meta_path.remove(self)\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        "import sobolevlab.cli\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == seen
+
+
 def test_builtin_runs_load_no_numpy_random(tmp_path):
     # the built-ins draw from the standard library's generator: importing
     # numpy.random would cost more than most built-ins take

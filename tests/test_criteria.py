@@ -463,6 +463,15 @@ def test_comparability_raises_its_smallest_failing_size(monkeypatch):
     assert 10 in sizes
 
 
+def test_example7_comparability_solves_only_its_ends(monkeypatch):
+    # both reduced matrices of example 7 are diagonal (concentric circles):
+    # each of its two sequences solves sizes 1 and 64 alone
+    sizes = counting_eigvalsh(monkeypatch)
+    rep = comparability_bounds(pencil_of_measures(HALF, UNIT), pencil_of_measures(HALF_PLUS_UNIT, UNIT), 64)
+    assert rep.verdict == "holds"
+    assert sizes == [1, 64, 1, 64]
+
+
 def test_comparability_requires_window():
     with pytest.raises(ValueError):
         comparability_bounds(pencil_of_measures(UNIT, None), pencil_of_measures(UNIT, None), 1)

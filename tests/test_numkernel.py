@@ -18,7 +18,7 @@ from sobolevlab.numkernel import (
 from sobolevlab import numkernel
 from sobolevlab.polynomials import evaluate
 
-from oracles import counting_eigvalsh
+from oracles import counting_eigvalsh, reduced_eigvals
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 65])
@@ -169,10 +169,13 @@ def _nested_hermitian(seed, k, lead):
     return b
 
 
-def _tops(q, failing=()):
+def _tops(q, failing=(), diagonal_rule=True):
     """nested_gen_eig over the identity factor, and the sizes it solved;
-    sizes in ``failing`` do not converge."""
+    sizes in ``failing`` do not converge, and without ``diagonal_rule``
+    every size is solved or filled by interlacing alone."""
     with pytest.MonkeyPatch.context() as mp:
+        if not diagonal_rule:
+            mp.setattr(numkernel, "_diagonal_maxima", lambda b, top: None)
         solved = counting_eigvalsh(mp, lambda a: a.shape[0] in failing)
         tops = nested_gen_eig(q, np.eye(q.shape[0], dtype=complex), None, "B")
     return tops, solved
@@ -236,6 +239,76 @@ def test_nested_gen_eig_gives_failure_beyond_the_factor():
     for n in (1, 2, 3):
         assert abs(tops[n - 1] - np.linalg.eigvalsh(q[:n, :n])[-1]) <= 8 * EPS * tops[n - 1]
     assert nested_gen_eig(q, np.zeros((0, 0), dtype=complex), failure) == [failure] * 5
+
+
+def _random_diagonal(seed, k, lo, hi):
+    """k x k diagonal matrix with entries of random sign and magnitudes
+    10**u, u uniform on [lo, hi]."""
+    rng = np.random.default_rng(seed)
+    return np.diag(rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(lo, hi, k)).astype(complex)
+
+
+def _bits(tops):
+    return [t.hex() if isinstance(t, float) else repr(t) for t in tops]
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_nested_gen_eig_reads_a_diagonal_in_the_window_off_its_diagonal(seed):
+    # magnitudes 1e-145..1e145, inside zheevd's unscaled window: only sizes
+    # 1 and k are solved, and every top is a per-size LAPACK solve's, bit for bit
+    k = 48
+    q = _random_diagonal(seed, k, -145.0, 145.0)
+    tops, solved = _tops(q)
+    assert sorted(solved) == [1, k]
+    assert _bits(tops) == _bits([float(np.linalg.eigvalsh(q[:n, :n])[-1]) for n in range(1, k + 1)])
+
+
+def _outside_the_window():
+    """Diagonal matrices with entries outside zheevd's unscaled window."""
+    rng = np.random.default_rng(5)
+    signs = lambda k: rng.choice([-1.0, 1.0], k)
+    cases = {f"1e-300..1e300 seed {seed}": _random_diagonal(seed, 40, -300.0, 300.0) for seed in range(10)}
+    for name, lo, hi in (("below 1e-146", -300.0, -146.5), ("above 1e146", 146.5, 300.0)):
+        d = np.concatenate([signs(12) * 10.0 ** rng.uniform(lo, hi, 12), signs(28) * 10.0 ** rng.uniform(-5, 5, 28)])
+        cases[f"leading block {name}"] = np.diag(d).astype(complex)
+    cases["signed zeros"] = np.diag(signs(16) * 0.0).astype(complex)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_outside_the_window()))
+def test_nested_gen_eig_solves_a_diagonal_outside_the_window(name):
+    # zheevd rescales these, so the diagonal is not read: tops and solves
+    # are those of the bisection alone, bit for bit
+    q = _outside_the_window()[name]
+    tops, solved = _tops(q)
+    before, solved_before = _tops(q, diagonal_rule=False)
+    assert _bits(tops) == _bits(before) and solved == solved_before
+    for n in set(solved):
+        assert tops[n - 1].hex() == float(reduced_eigvals(q[:n, :n], np.eye(n))[-1]).hex()
+
+
+def test_nested_gen_eig_reads_no_diagonal_with_a_zero_or_non_finite_entry_or_off_its_diagonal():
+    rising = np.diag(np.arange(1.0, 10.0)).astype(complex)
+    assert sorted(_tops(rising)[1]) == [1, 9]
+    zero, off, non_finite = rising.copy(), rising.copy(), rising.copy()
+    zero[4, 4] = 0.0
+    off[2, 5] = off[5, 2] = 1e-300
+    non_finite[4, 4] = np.inf
+    for q in (zero, off, non_finite):
+        with np.errstate(invalid="ignore"):  # W Q W^* of the infinite entry has NaNs
+            tops, solved = _tops(q)
+            before, solved_before = _tops(q, diagonal_rule=False)
+        assert _bits(tops) == _bits(before) and solved == solved_before
+        assert len(solved) > 2
+    # the rule itself, on reduced matrices given as they are
+    maxima = numkernel._diagonal_maxima
+    npt.assert_array_equal(maxima(np.diag([2.0, -1.0, 3.0]).astype(complex), 3.0), [2.0, 2.0, 3.0])
+    for d in ([2.0, np.inf, 3.0], [2.0, np.nan, 3.0], [2.0, 0.0, 3.0], [2.0, 1e-147, 3.0], [2.0, -1e147, 3.0]):
+        assert maxima(np.diag(d).astype(complex), 3.0) is None
+    assert maxima(np.diag([2.0, 1.0, 3.0]).astype(complex), np.nextafter(3.0, 4.0)) is None  # the guard
+    b = np.diag([2.0, 1.0, 3.0]).astype(complex)
+    b[0, 2] = b[2, 0] = 1e-300
+    assert maxima(b, 3.0) is None
 
 
 def test_companion_roots_frozen():

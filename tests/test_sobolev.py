@@ -17,7 +17,7 @@ from sobolevlab.measures import (
     moment_section,
 )
 from sobolevlab.momentmatrix import norm_sq, section
-from sobolevlab.numkernel import NotPositiveDefinite
+from sobolevlab.numkernel import ConvergenceFailure, NotPositiveDefinite
 from sobolevlab.polynomials import differentiate, evaluate, random_coeffs
 from sobolevlab.sobolev import (
     NormSequence,
@@ -441,6 +441,30 @@ def test_example6_mult_op_solves_few_sizes(monkeypatch):
     seq = norm_sequence(pencil_of_measures(UNIT, CircleLebesgue(0.5, 2.0)), 64, "mult_op")
     assert seq.errors.count(None) == 56
     assert len(sizes) <= 20 and max(sizes) == 56
+
+
+def test_mult_op_norm_makes_one_eigensolve(monkeypatch):
+    # the top at size n alone: one solve, bitwise the sequence's last value,
+    # and a failed solve is raised under the pencil's label
+    p = pencil_of_measures(UNIT, CircleLebesgue(0.5, 2.0))
+    value = norm_sequence(p, 40, "mult_op").values[-1]
+    sizes = counting_eigvalsh(monkeypatch)
+    assert mult_op_norm(p, 40) == value
+    assert sizes == [40]
+    monkeypatch.undo()
+    counting_eigvalsh(monkeypatch, lambda a: True)
+    with pytest.raises(ConvergenceFailure) as info:
+        mult_op_norm(p, 40)
+    assert str(info.value) == f"eigensolver failed to converge on {p.label}"
+
+
+@pytest.mark.parametrize("quantity", ["mult_op", "cond4"])
+def test_example4_sequences_read_their_diagonal(monkeypatch, quantity):
+    # concentric circles: every reduced matrix is diagonal, so at most the
+    # two ends of the n_max 64 sequence are solved
+    sizes = counting_eigvalsh(monkeypatch)
+    seq = norm_sequence(P_HALF_UNIT, 64, quantity)
+    assert seq.ok() and len(sizes) <= 2
 
 
 def test_norm_sequence_eigensolve_failure_lands_at_its_size(monkeypatch):
