@@ -378,7 +378,9 @@ def _zero_bound_scan(pen: sobolev.SobolevPencil, degrees) -> dict:
     seq = sobolev.norm_sequence(pen, top, "mult_op")
     if not seq.ok():  # the factor passed, so an eigensolver failed
         raise numkernel.ConvergenceFailure(pen.label)
-    mods = [float(np.max(np.abs(numkernel.companion_roots(ops[d])))) for d in degrees]
+    mods = [  # c z^d, a rotation-invariant pencil's, has only the zero 0: no eigensolve
+        float(np.max(np.abs(numkernel.companion_roots(ops[d])))) if ops[d][:-1].any() else 0.0 for d in degrees
+    ]
     bounds = [seq.values[d] for d in degrees]
     worst_excess = max(m - b for m, b in zip(mods, bounds))
     return {

@@ -138,7 +138,7 @@ def toeplitz_rule(coeffs, label: str = "toeplitz") -> MomentMatrix:
     c = {int(k): complex(v) for k, v in dict(coeffs).items()}
 
     def build(n: int) -> np.ndarray:
-        band = np.array([c.get(d, np.conj(c.get(-d, 0.0 + 0.0j))) for d in range(1 - n, n)])
+        band = np.array([c[d] if d in c else np.conj(c.get(-d, 0j)) for d in range(1 - n, n)])
         k = np.arange(n)
         return band[k[None, :] - k[:, None] + n - 1]
 

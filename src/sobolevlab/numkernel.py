@@ -19,6 +19,9 @@ it, ConvergenceFailure with the offending label, Overflow for values
 beyond the double range) and the exact reductions used by the callers.
 Moment-matrix sections are factored once per matrix and size by
 ``momentmatrix.factor``, and a factor is inverted when first read.
+With no nonzero entry below the diagonal (a rotation-invariant measure's
+section), factoring and solving read the diagonal in one step instead of
+the row loops, bitwise their result, signs of zeros included.
 The mirror, the finiteness check and ``herm_eig`` also take a stack of
 same-size matrices, shape (k, n, n), each matrix bitwise as alone.
 """
@@ -134,22 +137,34 @@ def cholesky(g, label: str = "") -> np.ndarray:
     which covers indefinite, singular, and numerically singular input;
     the exception carries the k x k factor computed so far as ``lower``.
     The relative test is per column so that graded but well-posed Gram
-    sections (diagonals spanning many orders of magnitude) pass.
+    sections (diagonals spanning many orders of magnitude) pass.  With no
+    nonzero entry below the diagonal and no NaN on it, every Schur update
+    is +0, so L is built from the diagonal at once, bitwise the row loop,
+    signs of zeros included; any other G runs the loop.
     """
     a = _square(g)
     n = a.shape[0]
     diag = a.diagonal().real
+    limits = PIVOT_RTOL * np.maximum(diag, 0.0)  # NaN for a NaN entry, whose pivot then passes
     lower = np.zeros((n, n), dtype=complex)
+    (rows, cols), (index, _) = _mirror_indices(n)
+    below = a[rows, cols]
+    if not (np.count_nonzero(below) or np.isnan(diag).any()):  # after a NaN pivot the loop makes NaN rows
+        failed = np.flatnonzero(diag <= limits)
+        if len(failed):  # the factor before it is that of the leading block
+            raise NotPositiveDefinite(int(failed[0]), label, cholesky(a[: failed[0], : failed[0]]))
+        root = np.sqrt(diag)
+        lower[index, index] = root
+        lower[rows, cols] = below / root[cols]
+        return lower
     for k in range(n):
-        pivot = a[k, k].real - np.real(lower[k, :k] @ np.conj(lower[k, :k]))
-        if pivot <= PIVOT_RTOL * max(diag[k], 0.0):
+        row = np.conj(lower[k, :k])
+        pivot = diag[k] - np.real(lower[k, :k] @ row)
+        if pivot <= limits[k]:
             raise NotPositiveDefinite(k, label, lower[:k, :k].copy())
-        lkk = np.sqrt(pivot)
-        lower[k, k] = lkk
+        lower[k, k] = lkk = np.sqrt(pivot)
         if k + 1 < n:
-            lower[k + 1 :, k] = (
-                a[k + 1 :, k] - lower[k + 1 :, :k] @ np.conj(lower[k, :k])
-            ) / lkk
+            lower[k + 1 :, k] = (a[k + 1 :, k] - lower[k + 1 :, :k] @ row) / lkk
     return lower
 
 
@@ -166,7 +181,10 @@ def solve_lower(lower, b) -> np.ndarray:
     """x with L x = b for a lower-triangular L, where b is a vector or a
     matrix of right-hand side columns: forward substitution over rows,
     x[k] = (b[k] - L[k, :k] x[:k]) / L[k, k].  Only the lower triangle of
-    L is read.  Overflow when either input has a non-finite entry."""
+    L is read.  Overflow when either input has a non-finite entry.  With
+    no nonzero entry below L's diagonal, x = b / diag(L) in one step,
+    bitwise the substitution while every quotient is finite (past an
+    infinite one, the substitution's 0 * inf makes NaN, so it runs)."""
     lower, b = np.asarray(lower), np.asarray(b)
     n = lower.shape[0] if lower.ndim == 2 else -1
     if lower.shape != (n, n) or b.ndim not in (1, 2) or b.shape[0] != n:
@@ -174,6 +192,12 @@ def solve_lower(lower, b) -> np.ndarray:
     require_finite(lower, "triangular factor")
     require_finite(b.T, "right-hand side")  # transposed: the size is n, not the column count
     x = np.zeros(b.shape, dtype=np.result_type(lower, b, float))
+    (rows, cols), _ = _mirror_indices(n)
+    if not np.count_nonzero(lower[rows, cols]):
+        with np.errstate(all="ignore"):  # a non-finite quotient warns in the substitution
+            x.T[...] = b.T / lower.diagonal()
+        if np.isfinite(x).all():
+            return x
     for k in range(n):
         x[k] = (b[k] - lower[k, :k] @ x[:k]) / lower[k, k]
     return x
@@ -195,7 +219,7 @@ def inverse_lower(lower) -> np.ndarray:
 def _reduce(q: np.ndarray, inverse: np.ndarray) -> np.ndarray:
     """W Q W^*, symmetrized."""
     b = inverse @ q @ inverse.conj().T
-    return 0.5 * (b + b.conj().T)
+    return 0.5 * b + 0.5 * b.conj().T  # halved first: a sum of two entries above 9e307 overflows
 
 
 def eigvalsh(b, label: str = "") -> np.ndarray:

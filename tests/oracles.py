@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sobolevlab import measures
-from sobolevlab.numkernel import cholesky, inverse_lower
+from sobolevlab.numkernel import PIVOT_RTOL, NotPositiveDefinite, cholesky, inverse_lower
 from sobolevlab.polynomials import as_coeffs
 
 
@@ -26,6 +26,37 @@ def recenter(v, a: complex) -> np.ndarray:
         for k in range(n - 2, i - 1, -1):
             b[k] += a * b[k + 1]
     return b
+
+
+def cholesky_rows(g, label: str = "") -> np.ndarray:
+    """numkernel.cholesky as a row loop for every input, one Schur pivot
+    and one column per row: the reference its diagonal rule must equal
+    bit for bit, signs of zeros, failure index and ``lower`` included."""
+    a = np.asarray(g, dtype=complex)
+    n = a.shape[0]
+    diag = a.diagonal().real
+    lower = np.zeros((n, n), dtype=complex)
+    for k in range(n):
+        pivot = a[k, k].real - np.real(lower[k, :k] @ np.conj(lower[k, :k]))
+        if pivot <= PIVOT_RTOL * max(diag[k], 0.0):
+            raise NotPositiveDefinite(k, label, lower[:k, :k].copy())
+        lkk = np.sqrt(pivot)
+        lower[k, k] = lkk
+        if k + 1 < n:
+            lower[k + 1 :, k] = (a[k + 1 :, k] - lower[k + 1 :, :k] @ np.conj(lower[k, :k])) / lkk
+    return lower
+
+
+def substitute_rows(lower, b) -> np.ndarray:
+    """numkernel.solve_lower as forward substitution over rows for every
+    factor, x[k] = (b[k] - L[k, :k] x[:k]) / L[k, k]: the reference its
+    diagonal rule must equal bit for bit, signs of zeros and NaN rows
+    included."""
+    lower, b = np.asarray(lower), np.asarray(b)
+    x = np.zeros(b.shape, dtype=np.result_type(lower, b, float))
+    for k in range(lower.shape[0]):
+        x[k] = (b[k] - lower[k, :k] @ x[:k]) / lower[k, k]
+    return x
 
 
 def counting_eigvalsh(monkeypatch, fails=lambda a: False):

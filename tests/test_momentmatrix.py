@@ -4,14 +4,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from sobolevlab import cli, criteria, measures, numkernel
+from sobolevlab import cli, criteria, measures, numkernel, sobolev
 from sobolevlab import momentmatrix as mm
 from sobolevlab.measures import Atomic, CircleLebesgue, MeasureSum, WeightedCircle, moment
 from sobolevlab.numkernel import NotPositiveDefinite, Overflow
 from sobolevlab.sobolev import SobolevPencil, gram_section, pencil_of_measures
 from sobolevlab.polynomials import differentiate, random_coeffs
 
-from oracles import assert_read_only, circle_product
+from oracles import assert_read_only, cholesky_rows, circle_product, counting_eigvalsh, substitute_rows
 
 UNIT = CircleLebesgue(0.0, 1.0)
 HALF = CircleLebesgue(0.0, 0.5)
@@ -98,6 +98,16 @@ def test_toeplitz_rule_sections_and_negative_fallback():
     # explicit negative frequency wins over the conjugate fallback
     t2 = mm.section(mm.toeplitz_rule({1: 1.0j, -1: -1.0j}), 2)
     assert t2[0, 1] == 1.0j and t2[1, 0] == -1.0j
+
+
+def test_toeplitz_rule_band_reads_each_diagonal_or_its_conjugate_mirror():
+    # the raw build, before mirroring: c[d] where given, else conj(c[-d]),
+    # else conj(0j) = 0 - 0j
+    c = {0: 2.0, 1: 0.5 + 0.25j, 2: -0.0, -3: 1.0 - 1.0j}
+    band = mm.toeplitz_rule(c).build(5)[0]
+    expected = [2.0, 0.5 + 0.25j, complex(-0.0, 0.0), 1.0 + 1.0j, complex(0.0, -0.0)]
+    assert band.tobytes() == np.array(expected).tobytes()
+    assert mm.toeplitz_rule(c).build(5)[4, 1].tobytes() == np.array(1.0 - 1.0j).tobytes()
 
 
 def test_derivative_conjugate_identity_measure():
@@ -392,3 +402,40 @@ def test_zero_bound_scan_factors_once(cholesky_calls):
     scan = cli._zero_bound_scan(pencil_of_measures(UNIT, CircleLebesgue(0.5, 2.0)), range(1, 21))
     assert scan["degrees"] == list(range(1, 21))
     assert cholesky_calls == [21]
+
+
+def test_zero_bound_scan_reads_a_monomial_without_an_eigensolve(monkeypatch):
+    # the unit circle's pencil is rotation invariant: every orthonormal
+    # polynomial is c z^d, whose zeros are 0, as LAPACK finds them too
+    pen = pencil_of_measures(UNIT, HALF)
+    ops = sobolev.orthonormal_polys(pen.gram, 41)
+    solved = [float(np.max(np.abs(numkernel.companion_roots(ops[d])))) for d in range(1, 41)]
+    roots = _counted(monkeypatch, "companion_roots")
+    assert cli._zero_bound_scan(pen, range(1, 41))["max_zero_modulus"] == solved == [0.0] * 40
+    assert roots == []
+    # off the diagonal from degree 2 on: row 0 of the Gram is that of the unit circle's
+    cli._zero_bound_scan(pencil_of_measures(UNIT, SHIFTED), range(1, 6))
+    assert roots == [(d + 1,) for d in range(2, 6)]
+
+
+def test_builtin_suite_at_nmax_64_runs_the_row_loops_only_off_the_diagonal(monkeypatch, tmp_path):
+    # arc length on a circle about 0 has a diagonal section: of the 8
+    # factorizations and 8 solves, 4 each (examples 4 and 7, bpe-disk-map)
+    # read the diagonal, bitwise the row loops; the scan of example 7's
+    # pencil makes 30 companion eigensolves, one per degree that is not c z^d
+    loops = {"cholesky": [], "solve_lower": []}
+    for name, oracle in (("cholesky", cholesky_rows), ("solve_lower", substitute_rows)):
+
+        def run_both(a, *rest, plain=getattr(numkernel, name), oracle=oracle, calls=loops[name]):
+            calls.append(bool(np.tril(a, -1).any()))
+            out = plain(a, *rest)
+            assert out.tobytes() == oracle(a, *rest).tobytes()
+            return out
+
+        monkeypatch.setattr(numkernel, name, run_both)
+    roots = _counted(monkeypatch, "companion_roots")
+    solves = counting_eigvalsh(monkeypatch)
+    assert cli.main(["--builtin", "all", "--nmax", "64", "--out", str(tmp_path)]) == 0
+    assert len(loops["cholesky"]) == len(loops["solve_lower"]) == 8
+    assert sum(loops["cholesky"]) == sum(loops["solve_lower"]) == 4
+    assert len(roots) == 30 and len(solves) == 128

@@ -1,5 +1,7 @@
 """Pivot-gated Cholesky, eigensolvers, companion roots."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -18,7 +20,7 @@ from sobolevlab.numkernel import (
 from sobolevlab import numkernel
 from sobolevlab.polynomials import evaluate
 
-from oracles import counting_eigvalsh, reduced_eigvals
+from oracles import cholesky_rows, counting_eigvalsh, reduced_eigvals, substitute_rows
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 65])
@@ -143,6 +145,113 @@ def test_solve_lower_rejects_non_finite_inputs(bad):
         solve_lower(np.eye(3), rhs)
     with pytest.raises(ValueError):
         solve_lower(np.eye(3), np.ones(2))
+
+
+def _zeros(rng, shape) -> np.ndarray:
+    """Complex zeros whose real and imaginary parts have random signs."""
+    z = np.zeros(shape, dtype=complex)
+    z.real, z.imag = rng.choice([0.0, -0.0], shape), rng.choice([0.0, -0.0], shape)
+    return z
+
+
+def _with_zeros_below(rng, a) -> np.ndarray:
+    """A copy of ``a`` with random signed zeros strictly below its diagonal."""
+    out = np.array(a, dtype=complex)
+    below = np.tril_indices(out.shape[0], -1)
+    out[below] = _zeros(rng, len(below[0]))
+    return out
+
+
+def _factor_outcome(factorize, a):
+    """The factor's bytes, or the failure's index, label and ``lower`` bytes."""
+    try:
+        return factorize(a, "D").tobytes()
+    except NotPositiveDefinite as exc:
+        return exc.index, exc.label, exc.lower.shape, exc.lower.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_cholesky_of_a_diagonal_section_is_the_row_loops_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    d = 10.0 ** rng.uniform(-300.0, 300.0, 40)
+    mirrored = mirror_upper(np.diag(d))
+    lower = cholesky(mirrored)
+    assert lower.tobytes() == cholesky_rows(mirrored).tobytes()
+    # the mirror leaves 0 - 0j below the diagonal, and so does the loop's a[i, k] / l_k
+    below = np.tril_indices(40, -1)
+    assert not np.signbit(lower[below].real).any() and np.signbit(lower[below].imag).all()
+    for a in (np.diag(d), np.diag(d).astype(complex) + 1j * np.diag(d), _with_zeros_below(rng, np.diag(d))):
+        assert cholesky(a).tobytes() == cholesky_rows(a).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_cholesky_of_a_diagonal_fails_where_the_row_loop_does(seed):
+    # magnitudes 1e-300..1e300 with a few zeros, negative zeros, negative
+    # and NaN entries: the same failure index and leading factor, or the
+    # same factor, bit for bit
+    rng = np.random.default_rng(seed)
+    d = 10.0 ** rng.uniform(-300.0, 300.0, 24)
+    d[rng.choice(24, 3, replace=False)] = rng.choice([0.0, -0.0, -1.0, -1e-300, np.nan, 5e-324], 3)
+    for a in (mirror_upper(np.diag(d)), _with_zeros_below(rng, np.diag(d))):
+        with np.errstate(invalid="ignore"):  # the loop divides by a NaN pivot's root
+            assert _factor_outcome(cholesky, a) == _factor_outcome(cholesky_rows, a)
+
+
+def test_cholesky_with_one_entry_below_the_diagonal_runs_the_row_loop():
+    a = mirror_upper(np.diag([4.0, 9.0, 16.0]).astype(complex))
+    a[2, 0] = 2.0  # only the lower triangle is read
+    lower = cholesky(a)
+    assert lower.tobytes() == cholesky_rows(a).tobytes()
+    assert lower[2, 0] == 1.0 and lower[2, 2] == np.sqrt(15.0)
+    a[2, 0] = 8.0  # the Schur pivot 16 - 16 fails, though the entry 16 would pass
+    assert _factor_outcome(cholesky, a) == _factor_outcome(cholesky_rows, a)
+    with pytest.raises(NotPositiveDefinite) as info:
+        cholesky(a)
+    assert info.value.index == 2
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_solve_lower_by_a_diagonal_factor_is_the_substitutions_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    n = 30
+    factor = cholesky(mirror_upper(np.diag(10.0 ** rng.uniform(-150.0, 150.0, n))))
+    vector = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    matrix = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    vector[::3], matrix[::3] = _zeros(rng, len(vector[::3])), _zeros(rng, matrix[::3].shape)
+    for lower in (factor, _with_zeros_below(rng, factor), factor.diagonal().real * np.eye(n)):
+        for b in (vector, matrix, vector.real, np.eye(n)):
+            got = solve_lower(lower, b)
+            assert got.dtype == substitute_rows(lower, b).dtype and got.flags.c_contiguous
+            assert got.tobytes() == substitute_rows(lower, b).tobytes()
+    assert numkernel.inverse_lower(factor).tobytes() == substitute_rows(factor[::-1, ::-1].T, np.eye(n))[::-1, ::-1].T.tobytes()
+
+
+def test_solve_lower_past_an_infinite_quotient_makes_the_substitutions_nan_rows():
+    lower = np.diag([1.0, 1e-300, 1.0, 2.0]).astype(complex)
+    for b in (np.array([1.0, 1e10, 3.0, -0.0]), np.array([[1.0, 0.0], [1e10, 1.0], [3.0, 0.0], [4.0, -0.0]])):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, ref = solve_lower(lower, b), substitute_rows(lower, b)
+        assert got.tobytes() == ref.tobytes()
+        assert np.isinf(got[1]).any() and np.isnan(got[2:]).any()
+
+
+def test_solve_lower_with_one_entry_below_the_diagonal_substitutes():
+    lower = np.eye(3)
+    lower[2, 0] = 1.0
+    b = np.array([1.0, 2.0, 1.0])
+    assert solve_lower(lower, b).tolist() == [1.0, 2.0, 0.0]
+    assert solve_lower(lower, b).tobytes() == substitute_rows(lower, b).tobytes()
+
+
+def test_reduced_matrix_near_the_double_range_stays_finite():
+    # halving before the sum: W Q W^* with an entry of 1e308 is symmetrized
+    # without overflow, and the diagonal rule reads its tops
+    q = np.diag(np.arange(1.0, 10.0)).astype(complex)
+    q[6, 6] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tops = nested_gen_eig(q, np.eye(9, dtype=complex), None, "B")
+    assert tops == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 1e308, 1e308, 1e308]
 
 
 def test_herm_eig_ascending_and_reconstructs():
