@@ -223,7 +223,8 @@ def test_solve_lower_by_a_diagonal_factor_is_the_substitutions_bit_for_bit(seed)
             got = solve_lower(lower, b)
             assert got.dtype == substitute_rows(lower, b).dtype and got.flags.c_contiguous
             assert got.tobytes() == substitute_rows(lower, b).tobytes()
-    assert numkernel.inverse_lower(factor).tobytes() == substitute_rows(factor[::-1, ::-1].T, np.eye(n))[::-1, ::-1].T.tobytes()
+    flipped = substitute_rows(factor[::-1, ::-1].T, np.eye(n))  # inverse_lower's solve, by rows
+    assert numkernel.inverse_lower(factor).tobytes() == flipped[::-1, ::-1].T.tobytes()
 
 
 def test_solve_lower_past_an_infinite_quotient_makes_the_substitutions_nan_rows():
@@ -245,7 +246,7 @@ def test_solve_lower_with_one_entry_below_the_diagonal_substitutes():
 
 def test_reduced_matrix_near_the_double_range_stays_finite():
     # halving before the sum: W Q W^* with an entry of 1e308 is symmetrized
-    # without overflow, and the diagonal rule reads its tops
+    # without overflow, so no size sees an infinite entry
     q = np.diag(np.arange(1.0, 10.0)).astype(complex)
     q[6, 6] = 1e308
     with warnings.catch_warnings():
