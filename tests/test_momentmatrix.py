@@ -421,8 +421,9 @@ def test_zero_bound_scan_reads_a_monomial_without_an_eigensolve(monkeypatch):
 def test_builtin_suite_at_nmax_64_runs_the_row_loops_only_off_the_diagonal(monkeypatch, tmp_path):
     # arc length on a circle about 0 has a diagonal section: of the 8
     # factorizations and 8 solves, 4 each (examples 4 and 7, bpe-disk-map)
-    # read the diagonal, bitwise the row loops; the scan of example 7's
-    # pencil makes 30 companion eigensolves, one per degree that is not c z^d
+    # read the diagonal, bitwise the row loops; the three zero-bound scans
+    # make 30 companion eigensolves, one per degree whose polynomial is not
+    # c z^d (all 20 of example 7's are, and degree 1 of examples 5 and 6)
     loops = {"cholesky": [], "solve_lower": []}
     for name, oracle in (("cholesky", cholesky_rows), ("solve_lower", substitute_rows)):
 
