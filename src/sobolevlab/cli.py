@@ -43,7 +43,7 @@ import numpy as np
 
 from . import criteria, measures, momentmatrix, numkernel, reporting, sobolev
 from .criteria import MAX_SECTION
-from .polynomials import differentiate, evaluate
+from .polynomials import differentiate, vandermonde
 
 __all__ = ["Scenario", "ScenarioFormatError", "list_builtins", "main", "parse_scenario", "run"]
 
@@ -365,9 +365,11 @@ UNIT = measures.CircleLebesgue(0.0, 1.0)
 HALF = measures.CircleLebesgue(0.0, 0.5)
 W_COS08 = ((0, 1.0 + 0j), (1, 0.4 + 0j), (-1, 0.4 + 0j))  # w = 1 + 0.8 cos
 HALF_PLUS_UNIT = measures.MeasureSum(((1.0, HALF), (1.0, UNIT)))
-# lemma3-shifted's trapezoid grid: exact for its integrands, |p(a + r e^{it}) - p(a)|^2
-# with deg p <= 20, whose frequencies |k| <= 20 lie below 64
-SHIFTED_GRID_POINTS = 64
+#: p = z, the extremal polynomial of the Wirtinger-type built-ins' closed-form constants
+Z = np.array([0.0, 1.0], dtype=complex)
+#: a witness attains a constant c when its ratio ||p||^2 / ||p'||^2 lies this
+#: close to c, relative to c
+WITNESS_RTOL = 1e-10
 
 
 def _zero_bound_scan(pen: sobolev.SobolevPencil, degrees) -> dict:
@@ -408,64 +410,46 @@ def _builtin_identity_moments(out_dir, n_max, rng) -> dict:
     }
 
 
-def _uniforms(rng: random.Random, k: int) -> np.ndarray:
-    """``k`` uniforms in [0, 1): the top 53 bits of the 64-bit
-    little-endian words of one ``rng.randbytes`` call."""
-    return (np.frombuffer(rng.randbytes(8 * k), "<u8") >> 11) * 2.0**-53
-
-
-def _random_rows(rng: random.Random, count: int, max_degree: int) -> np.ndarray:
-    """``count`` random polynomials as the rows of a count x
-    (max_degree + 1) matrix, drawn as one batch: degrees uniform in
-    1..max_degree, standard complex normal coefficients up to each
-    degree and exact zeros above it.
-
-    The first ``count`` uniforms give the degrees, 1 + floor(u max_degree);
-    the next ones give each coefficient up to its row's degree, row by
-    row, from one Box-Muller pair (u1, u2): sqrt(-2 log(1 - u1)) e^{2 pi i u2},
-    with E|z|^2 = 2."""
-    degrees = 1 + np.floor(_uniforms(rng, count) * max_degree).astype(int)
-    kept = np.arange(max_degree + 1) <= degrees[:, None]
-    u1, u2 = _uniforms(rng, 2 * int(np.count_nonzero(kept))).reshape(2, -1)
-    rows = np.zeros(kept.shape, dtype=complex)
-    rows[kept] = np.sqrt(-2.0 * np.log1p(-u1)) * np.exp(2j * np.pi * u2)
-    return rows
-
-
-def _derivative_rows(rows: np.ndarray) -> np.ndarray:
-    """Coefficient rows of the derivatives: column k is (k + 1) rows[..., k + 1]."""
-    return rows[..., 1:] * np.arange(1, rows.shape[-1])
-
-
-def _forms(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The quadratic forms v A v^* of every row v, momentmatrix.norm_sq
-    for a whole batch (A Hermitian and as wide as the rows); a stack of k
-    matrices A takes a stack of k batches of rows, by one stacked matmul."""
-    return np.sum((rows @ a) * rows.conj(), axis=-1).real
-
-
-def _sampled_wirtinger(m: momentmatrix.MomentMatrix, c: float, n: int, rng) -> tuple:
-    """Both sides of the Wirtinger inequality ||p||^2 <= c ||p'||^2 in
-    ``m`` for 500 random polynomials of degree <= n with p(0) = 0: the
-    forms over section(m, n + 1) and c times those of the derivatives
-    over section(m, n), as two arrays."""
-    v = _random_rows(rng, 500, n)
-    v[:, 0] = 0.0
-    lhs = _forms(momentmatrix.section(m, n + 1), v)
-    return lhs, c * _forms(momentmatrix.section(m, n), _derivative_rows(v))
+def _wirtinger_sides(m: momentmatrix.MomentMatrix, v, n: int) -> tuple:
+    """||p||^2 and ||p'||^2 in ``m`` of the coefficient row ``v`` of degree
+    <= n, over section(m, n + 1) and section(m, n)."""
+    return (momentmatrix.norm_sq(momentmatrix.section(m, n + 1), v),
+            momentmatrix.norm_sq(momentmatrix.section(m, n), differentiate(v)))
 
 
 def _builtin_lemma3_unitcircle(out_dir, n_max, rng) -> dict:
+    # the PSD check bounds the constant 1; z, with ratio 1, shows no smaller one holds
     m = momentmatrix.of_measure(UNIT)
-    lhs, rhs = _sampled_wirtinger(m, 1.0, 20, rng)
-    worst = float(np.max(lhs - rhs))
+    rep = criteria.wirtinger_psd_check(m, 1.0, 20)
+    lhs, rhs = _wirtinger_sides(m, Z, 20)
+    ratio = lhs / rhs
     return {
         "label": m.label,
-        "samples": 500,
         "max_degree": 20,
-        "worst_inequality_excess": worst,
-        "verdict": "holds" if worst <= 1e-9 else "fails",
+        "wirtinger": rep.to_dict(),
+        "witness": "z",
+        "witness_ratio": ratio,
+        "verdict": "holds" if rep.verdict == "holds" and abs(ratio - 1.0) <= WITNESS_RTOL else "fails",
     }
+
+
+def _shifted_wirtinger(centers, radii, secs) -> tuple:
+    """The criteria r^2 N M_n N - E M E^* of ||p - p(a)||^2 <= r^2 ||p'||^2
+    on the circles |z - a| = r, p of degree <= n, as a stack (k, n, n) from
+    the circles' sections M at n + 1 (M_n their leading blocks,
+    N = diag(1..n)), and each circle's ratio ||p - p(a)||^2 / ||p'||^2 of
+    p = z.  Row k - 1 of E holds the coefficients of z^k - a^k, so
+    p = p(0) + sum_k u_{k-1} z^k has the two sides u E M E^* u^* and
+    u N M_n N u^*; z is u = e_0."""
+    n = secs.shape[-1] - 1
+    e = np.zeros((len(centers), n, n + 1), dtype=complex)
+    e[:, :, 0] = -vandermonde(centers, n + 1)[1:].T
+    e[:, :, 1:] = np.eye(n)
+    shifted = e @ secs @ e.conj().swapaxes(1, 2)
+    scale = np.arange(1, n + 1, dtype=float)
+    derivative = scale[:, None] * secs[:, :n, :n] * scale[None, :]
+    ws = (radii * radii)[:, None, None] * derivative - shifted
+    return ws, shifted[:, 0, 0].real / derivative[:, 0, 0].real
 
 
 def _builtin_lemma3_shifted(out_dir, n_max, rng) -> dict:
@@ -476,35 +460,33 @@ def _builtin_lemma3_shifted(out_dir, n_max, rng) -> dict:
         a = rad * complex(math.cos(ang), math.sin(ang))
         r = 2.0 * rng.uniform(0.05, 1.0)
         pairs.append((a, r))
-    samples = _random_rows(rng, 20 * 25, 20).reshape(20, 25, 21)
     centers, radii = (np.array(x) for x in zip(*pairs))
     with np.errstate(over="ignore", invalid="ignore"):  # reported by require_finite
-        secs = measures.circle_sections(centers, radii, measures.UNIT_WEIGHT, 20)  # one sweep for all 20
+        secs = measures.circle_sections(centers, radii, measures.UNIT_WEIGHT, 21)  # one sweep for all 20
     # the labels are built only if a section overflowed
     numkernel.require_finite(secs, (momentmatrix.of_measure(measures.CircleLebesgue(a, r)).label for a, r in pairs))
-    # column k of v P is b_k r^k, b the Taylor coefficients about a
-    taylor = samples @ measures.circle_expansion(centers, radii, 21)
-    lhs = np.sum(np.abs(taylor[..., 1:]) ** 2, axis=-1)
-    rhs = (radii * radii)[:, None] * _forms(secs, _derivative_rows(samples))
-    scale = np.maximum(np.maximum(lhs, rhs), 1e-300)
-    worst_rel_excess = float(np.max((lhs - rhs) / scale))
-    worst_identity_dev = 0.0
-    circle = np.exp(1j * (2.0 * np.pi * np.arange(SHIFTED_GRID_POINTS) / SHIFTED_GRID_POINTS))
-    for (a, r), v, first in zip(pairs, samples[:, 0], lhs[:, 0].tolist()):
-        q = np.abs(evaluate(v, a + r * circle) - complex(evaluate(v, a))) ** 2
-        quad = float(q.mean())
-        worst_identity_dev = max(worst_identity_dev, abs(first - quad) / (1.0 + abs(quad)))
-    ok = worst_rel_excess <= 1e-9 and worst_identity_dev <= 1e-10
+    ws, ratios = _shifted_wirtinger(centers, radii, secs)
+    # the PSD checks bound the constants r^2, by one eigensolve; z - a, with ratio r^2, attains them
+    circles = [f"circle({a}, {r})" for a, r in pairs]
+    r2 = radii * radii
+    reports = criteria._psd_reports("wirtinger_psd", [{"circle": c} for c in circles], ws,
+                                    [f"r^2 N M N - E M E^* for {c}" for c in circles], r2)
+    worst = float(np.max(np.abs(ratios / r2 - 1.0)))
+    ok = all(rep.verdict == "holds" for rep in reports) and worst <= WITNESS_RTOL
     return {
         "pairs": [[a.real, a.imag, r] for a, r in pairs],
-        "samples_per_pair": 25,
-        "worst_relative_excess": worst_rel_excess,
-        "worst_identity_deviation": worst_identity_dev,
+        "max_degree": 20,
+        "lambda_min": [rep.values[0] for rep in reports],
+        "tolerance": [rep.details["tolerance"] for rep in reports],
+        "witness": "z - a",
+        "worst_witness_ratio_deviation": worst,
         "verdict": "holds" if ok else "fails",
     }
 
 
 def _builtin_prop6_equivalence(out_dir, n_max, rng) -> dict:
+    # a "holds" case is consistent when z attains its constant, a "fails"
+    # case when its witness beats the constant
     graded = momentmatrix.MomentMatrix(
         build=lambda n: np.diag([5.0**k for k in range(n)]).astype(complex),
         label="diag(5^k)",
@@ -520,18 +502,12 @@ def _builtin_prop6_equivalence(out_dir, n_max, rng) -> dict:
     for tag, m, c, n, expected in cases:
         rep = criteria.wirtinger_psd_check(m, c, n)
         ok = rep.verdict == expected
-        consistency = True
-        detail = 0.0
-        if rep.verdict == "holds":
-            lhs, rhs = _sampled_wirtinger(m, c, n, rng)
-            excess = lhs - rhs
-            detail = max(detail, float(np.max(excess)))
-            consistency = not np.any(excess > 1e-10 * np.maximum(np.maximum(lhs, rhs), 1.0))
-        elif rep.witness is not None:
-            lhs = momentmatrix.norm_sq(momentmatrix.section(m, n + 1), rep.witness)
-            rhs = c * momentmatrix.norm_sq(momentmatrix.section(m, n), differentiate(rep.witness))
-            detail = lhs - rhs
-            consistency = detail > 1e-10
+        witness = Z if rep.verdict == "holds" else rep.witness
+        consistency, detail, ratio = True, 0.0, None
+        if witness is not None:
+            lhs, rhs = _wirtinger_sides(m, witness, n)
+            detail, ratio = lhs - c * rhs, lhs / rhs
+            consistency = abs(detail) <= WITNESS_RTOL * c * rhs if rep.verdict == "holds" else detail > 1e-10
         all_ok = all_ok and ok and consistency
         case_rows.append(
             {
@@ -541,6 +517,7 @@ def _builtin_prop6_equivalence(out_dir, n_max, rng) -> dict:
                 "verdict": rep.verdict,
                 "expected": expected,
                 "lambda_min": rep.values[0],
+                "witness_ratio": ratio,
                 "consistency_margin": detail,
                 "consistent": bool(consistency),
             }

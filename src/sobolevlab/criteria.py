@@ -243,10 +243,11 @@ def bpe_decide(m: MomentMatrix, a: complex, n_max: int) -> CriterionReport:
 # Wirtinger-type inequalities and dominance
 # ---------------------------------------------------------------------------
 
-def _psd_reports(criterion: str, labels: list, ws: np.ndarray, names: list, c: float) -> list:
+def _psd_reports(criterion: str, labels: list, ws: np.ndarray, names: list, c) -> list:
     """Three-valued PSD decisions for the stack (k, n, n) of criterion
     matrices ``ws``, named by ``names``, as the k reports of ``criterion``
-    with constant ``c`` and the k ``labels``, from one stacked eigensolve.
+    with the k ``labels`` and constant ``c`` (one for all, or one per
+    matrix), from one stacked eigensolve.
 
     The value is lambda_min; on "fails" the witness is the canonicalized
     coefficient row hitting it.  The holds-tolerance scales with the
@@ -258,7 +259,8 @@ def _psd_reports(criterion: str, labels: list, ws: np.ndarray, names: list, c: f
     lams, vecs = numkernel.herm_eig(numkernel.require_finite(ws, names), "; ".join(names))
     tols = PSD_FLOOR_FACTOR * ws.shape[-1] * np.finfo(float).eps * np.abs(lams).max(axis=-1, initial=0.0)
     reports = []
-    for label, lam_min, vec, tol in zip(labels, lams[:, 0].tolist(), vecs, tols.tolist()):
+    constants = np.broadcast_to(c, len(labels)).tolist()
+    for label, lam_min, vec, tol, constant in zip(labels, lams[:, 0].tolist(), vecs, tols.tolist(), constants):
         fails = -lam_min > max(WITNESS_MARGIN, tol)
         verdict = VERDICT_HOLDS if lam_min >= -tol else VERDICT_FAILS if fails else VERDICT_INCONCLUSIVE
         reports.append(CriterionReport(
@@ -268,7 +270,7 @@ def _psd_reports(criterion: str, labels: list, ws: np.ndarray, names: list, c: f
             values=[lam_min],
             verdict=verdict,
             witness=_canonical_vector(np.conj(vec[:, 0])) if verdict == VERDICT_FAILS else None,
-            constant=float(c),
+            constant=float(constant),
             parameters={"psd_floor_factor": PSD_FLOOR_FACTOR, "witness_margin": WITNESS_MARGIN},
             details={"tolerance": tol},
         ))

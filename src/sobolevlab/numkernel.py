@@ -137,20 +137,20 @@ def cholesky(g, label: str = "") -> np.ndarray:
     which covers indefinite, singular, and numerically singular input;
     the exception carries the k x k factor computed so far as ``lower``.
     The relative test is per column so that graded but well-posed Gram
-    sections (diagonals spanning many orders of magnitude) pass.  With no
-    nonzero entry below the diagonal and no NaN on it, every Schur update
-    is +0, so L is built from the diagonal at once, bitwise the row loop,
-    signs of zeros included; any other G runs the loop.
+    sections (diagonals spanning many orders of magnitude) pass, and a NaN
+    pivot fails.  With no nonzero entry below the diagonal, every Schur
+    update is +0, so L is built from the diagonal at once, bitwise the row
+    loop, signs of zeros included; any other G runs the loop.
     """
     a = _square(g)
     n = a.shape[0]
     diag = a.diagonal().real
-    limits = PIVOT_RTOL * np.maximum(diag, 0.0)  # NaN for a NaN entry, whose pivot then passes
+    limits = PIVOT_RTOL * np.maximum(diag, 0.0)  # NaN for a NaN entry: no pivot exceeds it
     lower = np.zeros((n, n), dtype=complex)
     (rows, cols), (index, _) = _mirror_indices(n)
     below = a[rows, cols]
-    if not (np.count_nonzero(below) or np.isnan(diag).any()):  # after a NaN pivot the loop makes NaN rows
-        failed = np.flatnonzero(diag <= limits)
+    if not np.count_nonzero(below):
+        failed = np.flatnonzero(~(diag > limits))
         if len(failed):  # the factor before it is that of the leading block
             raise NotPositiveDefinite(int(failed[0]), label, cholesky(a[: failed[0], : failed[0]]))
         root = np.sqrt(diag)
@@ -160,7 +160,7 @@ def cholesky(g, label: str = "") -> np.ndarray:
     for k in range(n):
         row = np.conj(lower[k, :k])
         pivot = diag[k] - np.real(lower[k, :k] @ row)
-        if pivot <= limits[k]:
+        if not pivot > limits[k]:  # a NaN pivot fails
             raise NotPositiveDefinite(k, label, lower[:k, :k].copy())
         lower[k, k] = lkk = np.sqrt(pivot)
         if k + 1 < n:

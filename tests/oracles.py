@@ -38,7 +38,7 @@ def cholesky_rows(g, label: str = "") -> np.ndarray:
     lower = np.zeros((n, n), dtype=complex)
     for k in range(n):
         pivot = a[k, k].real - np.real(lower[k, :k] @ np.conj(lower[k, :k]))
-        if pivot <= PIVOT_RTOL * max(diag[k], 0.0):
+        if not pivot > PIVOT_RTOL * max(diag[k], 0.0):
             raise NotPositiveDefinite(k, label, lower[:k, :k].copy())
         lkk = np.sqrt(pivot)
         lower[k, k] = lkk

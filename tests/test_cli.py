@@ -17,7 +17,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import sobolevlab
-from sobolevlab import cli, measures, momentmatrix, numkernel, sobolev
+from sobolevlab import cli, criteria, measures, momentmatrix, numkernel, sobolev
 from sobolevlab.cli import (
     Scenario,
     ScenarioFormatError,
@@ -275,45 +275,10 @@ def test_run_builtin_seeded_determinism(tmp_path):
     assert (d1 / "lemma3-unitcircle.json").read_bytes() == (d2 / "lemma3-unitcircle.json").read_bytes()
 
 
-def test_random_rows_are_one_seeded_batch():
-    rows = cli._random_rows(random.Random("3:1"), 300, 12)
-    assert rows.shape == (300, 13) and rows.dtype == complex
-    # the batch's first draw: 300 uniforms from the top 53 bits of 64-bit words
-    words = np.frombuffer(random.Random("3:1").randbytes(8 * 300), "<u8")
-    degrees = 1 + np.floor((words >> 11) * 2.0**-53 * 12).astype(int)
-    assert set(degrees) == set(range(1, 13))
-    for row, deg in zip(rows, degrees):
-        assert row[deg] != 0 and not np.any(row[deg + 1:])
-    assert cli._random_rows(random.Random("3:1"), 300, 12).tobytes() == rows.tobytes()
-
-
-def test_random_rows_draw_every_degree_and_standard_complex_normals():
-    rows = cli._random_rows(random.Random(8), 20000, 20)
-    nonzero = rows != 0
-    degrees = 20 - np.argmax(nonzero[:, ::-1], axis=1)
-    assert set(degrees) == set(range(1, 21))
-    assert np.all(nonzero == (np.arange(21) <= degrees[:, None]))
-    z = rows[nonzero]  # 220,000 draws: the standard errors are about 0.003
-    assert abs(z.mean()) < 0.02
-    assert abs(np.mean(np.abs(z) ** 2) - 2.0) < 0.05
-    assert abs(np.mean(z * z)) < 0.05  # circular: real and imaginary parts independent, equal variance
-
-
-@pytest.mark.parametrize("measure", [cli.UNIT, measures.CircleLebesgue(0.3 - 0.6j, 1.7), cli.HALF_PLUS_UNIT],
-                         ids=["unit", "shifted", "sum"])
-def test_batched_forms_match_norm_sq(measure):
-    a = momentmatrix.section(momentmatrix.of_measure(measure), 21)
-    rows = cli._random_rows(random.Random(4), 200, 20)
-    forms = cli._forms(a, rows)
-    derivatives = cli._forms(a[:20, :20], cli._derivative_rows(rows))
-    for v, form, derivative in zip(rows, forms, derivatives):
-        assert abs(form - momentmatrix.norm_sq(a, v)) <= 1e-13 * momentmatrix.norm_sq(a, v)
-        ref = momentmatrix.norm_sq(a[:20, :20], differentiate(v))
-        assert abs(derivative - ref) <= 1e-13 * ref
-
-
 def test_shifted_circle_taylor_rows_match_recenter():
-    rows = cli._random_rows(random.Random(6), 100, 20)
+    rng = np.random.default_rng(6)  # degrees 1..20, zeros above each
+    degrees = rng.integers(1, 21, 100)
+    rows = (rng.standard_normal((100, 21)) + 1j * rng.standard_normal((100, 21))) * (np.arange(21) <= degrees[:, None])
     for a, r in [(0.0, 1.0), (0.5 - 0.3j, 0.2), (-0.7 + 0.1j, 1.9)]:
         taylor = rows @ measures.circle_expansion(a, r, 21)
         for v, t in zip(rows, taylor):
@@ -323,38 +288,24 @@ def test_shifted_circle_taylor_rows_match_recenter():
             assert not np.any(t[len(b):])
 
 
-def test_shifted_grid_mean_matches_4096_points_for_degree_20():
-    # the trapezoid rule is exact below the grid size, so 64 points do what 4,096 did
-    rng = np.random.default_rng(21)
-    for _ in range(20):
-        v = rng.standard_normal(21) + 1j * rng.standard_normal(21)
-        a, r = complex(*rng.uniform(-0.7, 0.7, 2)), rng.uniform(0.1, 2.0)
-        means = []
-        for points in (cli.SHIFTED_GRID_POINTS, 4096):
-            circle = np.exp(1j * (2.0 * np.pi * np.arange(points) / points))
-            means.append(float(np.mean(np.abs(evaluate(v, a + r * circle) - complex(evaluate(v, a))) ** 2)))
-        assert abs(means[0] - means[1]) <= 1e-13 * means[1]
-
-
-SAMPLED_BUILTINS = ["lemma3-unitcircle", "lemma3-shifted", "prop6-equivalence", "prop7-rigidity"]
+WIRTINGER_BUILTINS = ["lemma3-unitcircle", "lemma3-shifted", "prop6-equivalence", "prop7-rigidity"]
 
 
 def test_sampled_builtins_depend_on_the_seed_alone(tmp_path):
     # fresh interpreters under two hash seeds, the second running the
     # built-ins in reverse order, write the same bytes; another seed moves
-    # those of lemma3-shifted and prop7-rigidity, while the other two report
-    # worst excesses that are 0 at every seed (a degree-1 sample attains
-    # equality)
+    # those of lemma3-shifted and prop7-rigidity, which draw their circles
+    # and Toeplitz symbols, while the other two draw nothing
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sobolevlab.__file__)))
     code = (
         "import sys; from sobolevlab import cli\n"
         "for name in sys.argv[2:]:\n"
         "    cli.run_builtin(name, sys.argv[1], n_max=8, seed=0)\n"
     )
-    for hashseed, names in (("1", SAMPLED_BUILTINS), ("2", SAMPLED_BUILTINS[::-1])):
+    for hashseed, names in (("1", WIRTINGER_BUILTINS), ("2", WIRTINGER_BUILTINS[::-1])):
         subprocess.run([sys.executable, "-c", code, str(tmp_path / f"hash{hashseed}"), *names],
                        env=dict(env, PYTHONHASHSEED=hashseed), check=True)
-    for name in SAMPLED_BUILTINS:
+    for name in WIRTINGER_BUILTINS:
         run_builtin(name, str(tmp_path / "seed1"), n_max=8, seed=1)
         report = (tmp_path / "hash1" / f"{name}.json").read_bytes()
         assert (tmp_path / "hash2" / f"{name}.json").read_bytes() == report
@@ -362,7 +313,7 @@ def test_sampled_builtins_depend_on_the_seed_alone(tmp_path):
         assert moved == (name in ("lemma3-shifted", "prop7-rigidity"))
 
 
-@pytest.mark.parametrize("name", SAMPLED_BUILTINS)
+@pytest.mark.parametrize("name", WIRTINGER_BUILTINS)
 def test_sampled_builtins_hold_at_seeds_0_to_9(tmp_path, name):
     for s in range(10):
         assert run_builtin(name, str(tmp_path), n_max=8, seed=s)["verdict"] == "holds"
@@ -402,8 +353,74 @@ def test_lemma3_shifted_builds_its_20_sections_with_one_sweep(tmp_path, monkeypa
     monkeypatch.setattr(measures, "_product", lambda m, n: built.append((m, n)) or product(m, n))
     monkeypatch.setattr(momentmatrix, "of_measure", lambda mu: labelled.append(mu) or of_measure(mu))
     assert run_builtin("lemma3-shifted", str(tmp_path))["verdict"] == "holds"
-    assert built == [(20, 20, measures.UNIT_WEIGHT, 20)]
+    assert built == [(20, 20, measures.UNIT_WEIGHT, 21)]
     assert labelled == []
+
+
+def test_lemma3_shifted_decides_its_20_circles_with_one_eigensolve(tmp_path, monkeypatch):
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    report = run_builtin("lemma3-shifted", str(tmp_path))
+    assert shapes == [(20, 20, 20)]
+    assert len(report["lambda_min"]) == len(report["tolerance"]) == 20
+
+
+@pytest.mark.parametrize("name", ["lemma3-unitcircle", "prop6-equivalence"])
+def test_wirtinger_certificates_draw_no_random_polynomial(tmp_path, monkeypatch, name):
+    drawn = []
+    randbytes = random.Random.randbytes
+    monkeypatch.setattr(random.Random, "randbytes", lambda self, k: drawn.append(k) or randbytes(self, k))
+    assert run_builtin(name, str(tmp_path))["verdict"] == "holds"
+    assert drawn == []
+
+
+def test_lemma3_unitcircle_and_prop6_report_ratios_of_z_equal_to_their_constants(tmp_path):
+    report = run_builtin("lemma3-unitcircle", str(tmp_path))
+    assert report["wirtinger"]["verdict"] == "holds" and report["witness"] == "z"
+    assert abs(report["witness_ratio"] - 1.0) <= 1e-12
+    for case in run_builtin("prop6-equivalence", str(tmp_path))["cases"]:
+        if case["verdict"] == "holds":  # |z| = 1 with c = 1 and |z| = 2 with c = 4
+            assert abs(case["witness_ratio"] - case["constant"]) <= 1e-12 * case["constant"]
+        else:  # the failure's witness beats its constant
+            assert case["witness_ratio"] > case["constant"]
+
+
+def _shifted_circles(pairs, n):
+    centers, radii = (np.array(x) for x in zip(*pairs))
+    secs = measures.circle_sections(centers, radii, measures.UNIT_WEIGHT, n + 1)
+    return centers, radii, cli._shifted_wirtinger(centers, radii, secs)
+
+
+@pytest.mark.parametrize("r", [0.3, 1.0, 1.9])
+def test_shifted_criterion_about_the_origin_is_the_wirtinger_check_matrix(monkeypatch, r):
+    # E M E^* at a = 0 is the deleted block M^(1,1)
+    captured = []
+    psd_reports = criteria._psd_reports
+    monkeypatch.setattr(criteria, "_psd_reports", lambda *args: captured.append(args[2]) or psd_reports(*args))
+    rep = criteria.wirtinger_psd_check(momentmatrix.of_measure(measures.CircleLebesgue(0.0, r)), r * r, 20)
+    _, _, (ws, ratios) = _shifted_circles([(0j, r)], 20)
+    np.testing.assert_array_equal(ws, captured[0])
+    assert rep.verdict == "holds" and abs(ratios[0] - r * r) <= 1e-12 * r * r
+
+
+def test_shifted_criterion_forms_match_quadrature_and_z_minus_a_attains_r_squared():
+    # u W u^* is r^2 ||p'||^2 - ||p - p(a)||^2 for p = sum_k u_{k-1} z^k, each
+    # norm by the trapezoid rule on 64 points, exact for degree <= 20 (|k| < 64)
+    pairs = [(0.5 - 0.3j, 0.2), (-0.7 + 0.1j, 1.9), (0.05j, 1.0), (-0.9, 0.4)]
+    centers, radii, (ws, ratios) = _shifted_circles(pairs, 20)
+    rng = np.random.default_rng(27)
+    circle = np.exp(2j * np.pi * np.arange(64) / 64)
+    for (a, r), w in zip(pairs, ws):
+        for _ in range(5):
+            u = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+            p = np.concatenate(([0.0], u))
+            z = a + r * circle
+            lhs = np.mean(np.abs(evaluate(p, z) - complex(evaluate(p, a))) ** 2)
+            rhs = np.mean(np.abs(evaluate(differentiate(p), z)) ** 2)
+            form = complex(u @ w @ u.conj()).real
+            assert abs(form - (r * r * rhs - lhs)) <= 1e-12 * (r * r * rhs + lhs)
+    np.testing.assert_allclose(ratios, radii * radii, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

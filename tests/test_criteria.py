@@ -212,6 +212,33 @@ def test_wirtinger_radius_squared_constant_for_centered_circles():
     assert rep.values[0] == pytest.approx(-0.1, abs=1e-3)
 
 
+@pytest.mark.parametrize("r, n", [(1.0, 8), (1.0, 16), (1.0, 20), (2.0, 8)])
+def test_wirtinger_closed_form_constant_is_bounded_and_attained_by_z(r, n):
+    # the certificate of the Wirtinger built-ins: the PSD check holds just
+    # above c = r^2 and fails just below it with the witness z, whose ratio
+    # ||z||^2 / ||1||^2 is c
+    m, c = mm.of_measure(CircleLebesgue(0.0, r)), r * r
+    assert wirtinger_psd_check(m, c * (1.0 + 1e-9), n).verdict == "holds"
+    rep = wirtinger_psd_check(m, c * (1.0 - 1e-6), n)
+    assert rep.verdict == "fails"
+    assert rep.witness.tobytes() == np.eye(n + 1, dtype=complex)[1].tobytes()
+    z = np.array([0.0, 1.0])
+    ratio = norm_sq(section(m, n + 1), z) / norm_sq(section(m, n), differentiate(z))
+    assert abs(ratio - c) <= 1e-12 * c
+
+
+def test_wirtinger_tolerance_hides_a_constant_that_the_witness_rules_out():
+    # the holds-tolerance scales with the largest eigenvalue: on |z| = 2 at
+    # n = 12, c = 4 (1 - 1e-6) still reads "holds", while z's ratio 4 shows
+    # that no constant below 4 holds
+    m, c = mm.of_measure(CircleLebesgue(0.0, 2.0)), 4.0 * (1.0 - 1e-6)
+    rep = wirtinger_psd_check(m, c, 12)
+    assert rep.verdict == "holds"
+    assert -rep.details["tolerance"] <= rep.values[0] < 0.0
+    z = np.array([0.0, 1.0])
+    assert norm_sq(section(m, 13), z) / norm_sq(section(m, 12), differentiate(z)) > c
+
+
 def test_wirtinger_shifted_circle_needs_larger_constant():
     # centering matters: on |z - a| = r the monomial z has norm^2
     # |a|^2 + r^2, so c = r^2 fails once a != 0 (via p(z) = z)

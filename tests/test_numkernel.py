@@ -193,8 +193,17 @@ def test_cholesky_of_a_diagonal_fails_where_the_row_loop_does(seed):
     d = 10.0 ** rng.uniform(-300.0, 300.0, 24)
     d[rng.choice(24, 3, replace=False)] = rng.choice([0.0, -0.0, -1.0, -1e-300, np.nan, 5e-324], 3)
     for a in (mirror_upper(np.diag(d)), _with_zeros_below(rng, np.diag(d))):
-        with np.errstate(invalid="ignore"):  # the loop divides by a NaN pivot's root
-            assert _factor_outcome(cholesky, a) == _factor_outcome(cholesky_rows, a)
+        assert _factor_outcome(cholesky, a) == _factor_outcome(cholesky_rows, a)
+
+
+@pytest.mark.parametrize("below", [0.0, 0.5], ids=["diagonal", "row-loop"])
+def test_cholesky_fails_at_a_nan_pivot_with_the_factor_before_it(below):
+    a = np.diag([4.0, np.nan, 1.0, -1.0]).astype(complex)
+    a[3, 0] = below
+    with pytest.raises(NotPositiveDefinite) as info:
+        cholesky(a)
+    assert info.value.index == 1
+    assert info.value.lower.tobytes() == np.array([[2.0 + 0j]]).tobytes()
 
 
 def test_cholesky_with_one_entry_below_the_diagonal_runs_the_row_loop():
