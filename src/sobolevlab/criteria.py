@@ -259,7 +259,7 @@ def _psd_reports(criterion: str, labels: list, ws: np.ndarray, names: list, c) -
     lams, vecs = numkernel.herm_eig(numkernel.require_finite(ws, names), "; ".join(names))
     tols = PSD_FLOOR_FACTOR * ws.shape[-1] * np.finfo(float).eps * np.abs(lams).max(axis=-1, initial=0.0)
     reports = []
-    constants = np.broadcast_to(c, len(labels)).tolist()
+    constants = np.full(len(labels), c, dtype=float).tolist()
     for label, lam_min, vec, tol, constant in zip(labels, lams[:, 0].tolist(), vecs, tols.tolist(), constants):
         fails = -lam_min > max(WITNESS_MARGIN, tol)
         verdict = VERDICT_HOLDS if lam_min >= -tol else VERDICT_FAILS if fails else VERDICT_INCONCLUSIVE
@@ -270,7 +270,7 @@ def _psd_reports(criterion: str, labels: list, ws: np.ndarray, names: list, c) -
             values=[lam_min],
             verdict=verdict,
             witness=_canonical_vector(np.conj(vec[:, 0])) if verdict == VERDICT_FAILS else None,
-            constant=float(constant),
+            constant=constant,
             parameters={"psd_floor_factor": PSD_FLOOR_FACTOR, "witness_margin": WITNESS_MARGIN},
             details={"tolerance": tol},
         ))
