@@ -223,8 +223,9 @@ def _reduce(q: np.ndarray, inverse: np.ndarray) -> np.ndarray:
 
 
 def eigvalsh(b, label: str = "") -> np.ndarray:
-    """numpy's ascending eigenvalues of a Hermitian matrix, without
-    eigenvectors; ConvergenceFailure when LAPACK does not converge."""
+    """numpy's ascending eigenvalues of a Hermitian matrix, or of each
+    matrix in a stack (k, n, n), without eigenvectors; ConvergenceFailure
+    when LAPACK does not converge."""
     try:
         return np.linalg.eigvalsh(b)
     except np.linalg.LinAlgError as exc:

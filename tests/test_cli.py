@@ -358,11 +358,13 @@ def test_lemma3_shifted_builds_its_20_sections_with_one_sweep(tmp_path, monkeypa
 
 
 def test_lemma3_shifted_decides_its_20_circles_with_one_eigensolve(tmp_path, monkeypatch):
+    # eigenvalues alone: the report prints no witness
     shapes = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(("eigh", a.shape)) or eigh(a))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(("eigvalsh", a.shape)) or eigvalsh(a))
     report = run_builtin("lemma3-shifted", str(tmp_path))
-    assert shapes == [(20, 20, 20)]
+    assert shapes == [("eigvalsh", (20, 20, 20))]
     assert len(report["lambda_min"]) == len(report["tolerance"]) == 20
 
 

@@ -344,6 +344,24 @@ def test_stacked_rigidities_are_the_reports_of_one_at_a_time_calls():
         assert (rep.verdict == "holds") == rep.details["is_identity_multiple"]
 
 
+def test_psd_reports_without_witnesses_decide_as_with_them():
+    # one eigenvalue-only solve: the same verdicts, lambda_min and tolerances
+    # up to roundoff, one constant per matrix, and no witness
+    ms = [M_UNIT, mm.of_measure(W04), mm.of_measure(CircleLebesgue(0.0, 2.0)), mm.of_measure(CircleLebesgue(0.0, 0.5))]
+    scale = np.arange(1, 9, dtype=float)
+    cs = [1.0, 1.0, 3.9, 0.25]
+    ws = np.stack([c * (scale[:, None] * section(m, 8) * scale) - section(m, 9)[1:, 1:] for m, c in zip(ms, cs)])
+    names = [f"case {k}" for k in range(4)]
+    full = criteria._psd_reports("w", [{}] * 4, ws, names, cs)
+    lean = criteria._psd_reports("w", [{}] * 4, ws, names, cs, witnesses=False)
+    assert [r.verdict for r in full] == [r.verdict for r in lean] == ["holds", "fails", "fails", "holds"]
+    assert [r.constant for r in lean] == cs
+    for a, b in zip(full, lean):
+        assert abs(a.values[0] - b.values[0]) <= a.details["tolerance"]
+        assert b.details["tolerance"] == pytest.approx(a.details["tolerance"], rel=1e-12)
+        assert b.witness is None
+
+
 def test_rigidity_requires_toeplitz():
     with pytest.raises(ValueError):
         toeplitz_rigidity(M_HALF, 8)
