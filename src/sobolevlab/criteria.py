@@ -30,6 +30,7 @@ __all__ = [
     "bpe_columns",
     "bpe_decide",
     "bpe_weighted_circles_report",
+    "circle_wirtinger_checks",
     "comparability_bounds",
     "dominance_check",
     "eigen_limit_report",
@@ -171,7 +172,8 @@ def gamma_via_kernel(m: MomentMatrix, a: complex, n: int) -> float:
     """
     total = 0.0
     for coeffs in sobolev.orthonormal_polys(m, n):
-        value = abs(complex(evaluate(coeffs, a)))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed Horner step: Overflow below
+            value = abs(complex(evaluate(coeffs, a)))
         if not math.isfinite(value * value):  # where value ** 2 raises OverflowError
             raise numkernel.Overflow(f"kernel terms |P_k|^2 at {complex(a)} for {m.label}", n)
         total += value ** 2
@@ -243,61 +245,87 @@ def bpe_decide(m: MomentMatrix, a: complex, n_max: int) -> CriterionReport:
 # Wirtinger-type inequalities and dominance
 # ---------------------------------------------------------------------------
 
-def _psd_reports(criterion: str, labels: list, ws: np.ndarray, names: list, c, witnesses: bool = True) -> list:
+def _psd_reports(criterion: str, labels: list, ws: np.ndarray, names: list, c) -> list:
     """Three-valued PSD decisions for the stack (k, n, n) of criterion
     matrices ``ws``, named by ``names``, as the k reports of ``criterion``
     with the k ``labels`` and constant ``c`` (one for all, or one per
-    matrix), from one stacked eigensolve.
+    matrix), from one eigenvalue-only solve of the stack.
 
     The value is lambda_min; on "fails" the witness is the canonicalized
-    coefficient row hitting it.  The holds-tolerance scales with the
-    eigensolver's backward error (n * eps * spectral norm), so graded
-    sections with huge entries do not mask violations that sit well above
-    the roundoff floor.  A stack with non-finite entries raises
-    numkernel.Overflow naming the first such matrix.  With ``witnesses``
-    false, for a caller that reads no witness, the solve computes no
-    eigenvectors (a stack (20, 20, 20) took 0.37 ms instead of 1.3 ms on
-    a 2-CPU host) and no report carries a witness.
-    """
+    coefficient row hitting it, from one eigh of the failing matrices
+    alone (bitwise that of a solve of the whole stack).  The holds-tolerance
+    scales with the eigensolver's backward error (n * eps * spectral norm),
+    so graded sections with huge entries do not mask violations well above
+    the roundoff floor.  numkernel.Overflow names the first non-finite matrix."""
     ws, joined = numkernel.require_finite(ws, names), "; ".join(names)
-    lams, vecs = numkernel.herm_eig(ws, joined) if witnesses else (numkernel.eigvalsh(ws, joined), None)
+    lams = numkernel.eigvalsh(ws, joined)
     tols = PSD_FLOOR_FACTOR * ws.shape[-1] * np.finfo(float).eps * np.abs(lams).max(axis=-1, initial=0.0)
-    reports = []
-    constants = np.full(len(labels), c, dtype=float).tolist()
-    for k, (label, lam_min, tol, constant) in enumerate(zip(labels, lams[:, 0].tolist(), tols.tolist(), constants)):
-        fails = -lam_min > max(WITNESS_MARGIN, tol)
-        verdict = VERDICT_HOLDS if lam_min >= -tol else VERDICT_FAILS if fails else VERDICT_INCONCLUSIVE
-        reports.append(CriterionReport(
-            criterion=criterion,
-            labels=label,
-            n_list=[ws.shape[-1]],
-            values=[lam_min],
-            verdict=verdict,
-            witness=_canonical_vector(np.conj(vecs[k, :, 0])) if verdict == VERDICT_FAILS and witnesses else None,
-            constant=constant,
-            parameters={"psd_floor_factor": PSD_FLOOR_FACTOR, "witness_margin": WITNESS_MARGIN},
-            details={"tolerance": tol},
-        ))
-    return reports
+    fails = -lams[:, 0] > np.maximum(WITNESS_MARGIN, tols)
+    vecs = iter(numkernel.herm_eig(ws[fails], joined)[1][:, :, 0] if fails.any() else ())
+    rows = zip(lams[:, 0].tolist(), tols.tolist(), np.full(len(labels), c, dtype=float).tolist(), fails.tolist())
+    return [CriterionReport(
+        criterion=criterion,
+        labels=label,
+        n_list=[ws.shape[-1]],
+        values=[lam_min],
+        verdict=VERDICT_FAILS if fail else VERDICT_HOLDS if lam_min >= -tol else VERDICT_INCONCLUSIVE,
+        witness=_canonical_vector(np.conj(next(vecs))) if fail else None,
+        constant=constant,
+        parameters={"psd_floor_factor": PSD_FLOOR_FACTOR, "witness_margin": WITNESS_MARGIN},
+        details={"tolerance": tol},
+    ) for label, (lam_min, tol, constant, fail) in zip(labels, rows)]
+
+
+def _shifted_wirtinger(labels: list, names: list, secs: np.ndarray, centers: np.ndarray, c) -> tuple:
+    """The "wirtinger_psd" _psd_reports of c N M_n N - E_a M E_a^*, the
+    criterion of ||p - p(a)||^2 <= c ||p'||^2 for degree <= n (N = diag(1..n),
+    row k - 1 of E_a the coefficients of z^k - a^k), for the stack (k, n + 1,
+    n + 1) of sections M with one shift point a and constant c each, and each
+    matrix's ratio for p = z - a.  E_a M E_a^* is read as the block M^(1,1)
+    when every a is 0; a witness u is lifted to the row u E_a (+0 at a = 0)."""
+    n = secs.shape[-1] - 1
+    powers = vandermonde(centers, n + 1)[1:].T  # row s: a^1, ..., a^n of matrix s
+    shifted = secs[:, 1:, 1:]
+    if centers.any():
+        e = np.zeros((len(centers), n, n + 1), dtype=complex)
+        e[:, :, 0] = -powers
+        e[:, :, 1:] = np.eye(n)
+        shifted = e @ secs @ e.conj().swapaxes(1, 2)
+    scale = np.arange(1, n + 1, dtype=float)
+    derivative = scale[:, None] * secs[:, :n, :n] * scale[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):  # _psd_reports rejects non-finite entries
+        ws = np.asarray(c, dtype=float)[..., None, None] * derivative - shifted
+    reports = _psd_reports("wirtinger_psd", labels, ws, names, c)
+    for rep, row in zip(reports, powers):
+        if rep.witness is not None:
+            rep.witness = np.concatenate(([0j - rep.witness @ row], rep.witness))
+    return reports, shifted[:, 0, 0].real / derivative[:, 0, 0].real
 
 
 def _wirtinger_checks(ms: list, c: float, n: int) -> list:
     """wirtinger_psd_check of every matrix in ``ms``, by one eigensolve."""
-    if not 2 <= n <= MAX_SECTION:
-        raise ValueError(f"wirtinger check supports 2 <= n <= {MAX_SECTION}")
-    if not c > 0:
-        raise ValueError("constant must be positive")
-    big = np.stack([momentmatrix.section(m, n + 1) for m in ms])
-    deleted, full = big[:, 1:, 1:], big[:, :n, :n]  # M^(1,1) and M_n, two blocks of M_{n+1}
-    scale = np.arange(1, n + 1, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # _psd_reports rejects non-finite entries
-        w = c * (scale[:, None] * full * scale[None, :]) - deleted
+    if not (2 <= n <= MAX_SECTION and c > 0):
+        raise ValueError(f"wirtinger check needs 2 <= n <= {MAX_SECTION} and a positive constant")
+    secs = np.stack([momentmatrix.section(m, n + 1) for m in ms])
     names = [f"{c} * N M N - M^(1,1) for M = {m.label}" for m in ms]
-    reports = _psd_reports("wirtinger_psd", [{"matrix": m.label} for m in ms], w, names, c)
-    for rep in reports:
-        if rep.witness is not None:
-            rep.witness = np.concatenate(([0.0 + 0.0j], rep.witness))
-    return reports
+    return _shifted_wirtinger([{"matrix": m.label} for m in ms], names, secs, np.zeros(len(ms), dtype=complex), c)[0]
+
+
+def circle_wirtinger_checks(centers, radii, n: int) -> tuple:
+    """The reports of ||p - p(a)||^2 <= r^2 ||p'||^2 for degree <= n on the
+    circles |z - a| = r with arc length, and each circle's ratio of z - a
+    (r^2 up to roundoff: no smaller constant holds), from one circle_sections
+    sweep and one eigensolve; a matrix label is built only for an Overflow."""
+    centers, radii = np.asarray(centers, dtype=complex), np.asarray(radii, dtype=float)
+    if not (2 <= n <= MAX_SECTION and (radii > 0).all()):
+        raise ValueError(f"circle wirtinger checks need 2 <= n <= {MAX_SECTION} and positive radii")
+    pairs = list(zip(centers.tolist(), radii.tolist()))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by require_finite
+        secs = measures.circle_sections(centers, radii, measures.UNIT_WEIGHT, n + 1)
+    numkernel.require_finite(secs, (momentmatrix.of_measure(measures.CircleLebesgue(a, r)).label for a, r in pairs))
+    circles = [f"circle({a}, {r})" for a, r in pairs]
+    return _shifted_wirtinger([{"circle": c} for c in circles], [f"r^2 N M N - E M E^* for {c}" for c in circles],
+                              secs, centers, radii * radii)
 
 
 def wirtinger_psd_check(m: MomentMatrix, c: float, n: int) -> CriterionReport:
@@ -349,11 +377,10 @@ def dominance_check(m0: MomentMatrix, m1: MomentMatrix, c: float, n: int) -> Cri
     Positive semidefiniteness of c * M0_n - M1_n, with the same
     three-valued verdict and witness contract as the Wirtinger check.
     """
-    if not c > 0:
-        raise ValueError("constant must be positive")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    w = c * momentmatrix.section(m0, n) - momentmatrix.section(m1, n)
+    if not (c > 0 and n >= 1):
+        raise ValueError("dominance check needs a positive constant and n >= 1")
+    with np.errstate(over="ignore", invalid="ignore"):  # _psd_reports rejects non-finite entries
+        w = c * momentmatrix.section(m0, n) - momentmatrix.section(m1, n)
     labels = {"m0": m0.label, "m1": m1.label}
     return _psd_reports("dominance", [labels], w[None], [f"{c} * {m0.label} - {m1.label}"], c)[0]
 

@@ -216,10 +216,11 @@ def inverse_lower(lower) -> np.ndarray:
     return solve_lower(lower[::-1, ::-1].T, np.eye(lower.shape[0], dtype=complex))[::-1, ::-1].T
 
 
-def _reduce(q: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-    """W Q W^*, symmetrized."""
-    b = inverse @ q @ inverse.conj().T
-    return 0.5 * b + 0.5 * b.conj().T  # halved first: a sum of two entries above 9e307 overflows
+def _reduce(q: np.ndarray, inverse: np.ndarray, label: str) -> np.ndarray:
+    """W Q W^*, symmetrized; Overflow when an entry leaves the double range."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by require_finite
+        b = inverse @ q @ inverse.conj().T
+        return require_finite(0.5 * b + 0.5 * b.conj().T, label)  # halved first: a sum above 9e307 overflows
 
 
 def eigvalsh(b, label: str = "") -> np.ndarray:
@@ -236,8 +237,8 @@ def gen_eig_top(q, inverse, label: str = "") -> float:
     """The top eigenvalue of the pencil (Q, G) alone, read off G's inverse
     factor W of Q's size: one solve of W Q W^*, bitwise the last entry of
     ``nested_gen_eig`` over the same Q and W; ConvergenceFailure when
-    LAPACK does not converge."""
-    return float(eigvalsh(_reduce(_square(q), inverse), label)[-1])
+    LAPACK does not converge, Overflow when W Q W^* does."""
+    return float(eigvalsh(_reduce(_square(q), inverse, label), label)[-1])
 
 
 def _diagonal_maxima(b: np.ndarray, top: float) -> np.ndarray | None:
@@ -287,7 +288,7 @@ def nested_gen_eig(q, inverse, failure: NotPositiveDefinite | None, label: str =
     """
     qm = _square(q)
     k = inverse.shape[0]
-    b = _reduce(qm[:k, :k], inverse) if k else None
+    b = _reduce(qm[:k, :k], inverse, label) if k else None
     tops = [None] * k  # tops[n - 1]: the top at size n, or its ConvergenceFailure
     maxima = None
 

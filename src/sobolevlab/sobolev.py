@@ -138,7 +138,8 @@ def norm_sequence(p: SobolevPencil, n_max: int, quantity: str) -> NormSequence:
     quantity 'mult_op': multiplication-operator norm.
     quantity 'cond4':   top eigenvalue of (section(M1, n), G_n), the best
                         constant in ||q||^2_{M1} <= C ||q||^2 at size n.
-    Failures (singular sections) are recorded per n instead of raising.
+    Failures (singular sections) are recorded per n instead of raising;
+    a W Q W^* past the double range raises numkernel.Overflow.
     """
     if quantity not in SEQUENCE_QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")

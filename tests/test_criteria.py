@@ -336,30 +336,111 @@ def test_stacked_rigidities_are_the_reports_of_one_at_a_time_calls():
         # JSON floats are exact: verdict, lambda_min, tolerance and witness bits
         assert json.dumps(rep.to_dict()) == json.dumps(alone.to_dict())
         assert type(rep.details["tolerance"]) is type(alone.details["tolerance"])
-        # lambda_min of W = N M_8 N - M^(1,1) as one eigh of its own
+        # lambda_min of W = N M_8 N - M^(1,1) as one eigvalsh of its own
         big = section(t, 9)
         scale = np.arange(1, 9, dtype=float)
         w = 1.0 * (scale[:, None] * big[:8, :8] * scale[None, :]) - big[1:, 1:]
-        assert rep.values == [float(np.linalg.eigh(w)[0][0])]
+        assert rep.values == [float(np.linalg.eigvalsh(w)[0])]
         assert (rep.verdict == "holds") == rep.details["is_identity_multiple"]
 
 
-def test_psd_reports_without_witnesses_decide_as_with_them():
-    # one eigenvalue-only solve: the same verdicts, lambda_min and tolerances
-    # up to roundoff, one constant per matrix, and no witness
+def test_psd_reports_take_witnesses_from_the_failing_matrices_alone(monkeypatch):
+    # one eigenvalue-only solve of the stack decides; the witnesses of the
+    # failing matrices are bitwise those of one eigh of the whole stack
     ms = [M_UNIT, mm.of_measure(W04), mm.of_measure(CircleLebesgue(0.0, 2.0)), mm.of_measure(CircleLebesgue(0.0, 0.5))]
     scale = np.arange(1, 9, dtype=float)
     cs = [1.0, 1.0, 3.9, 0.25]
     ws = np.stack([c * (scale[:, None] * section(m, 8) * scale) - section(m, 9)[1:, 1:] for m, c in zip(ms, cs)])
-    names = [f"case {k}" for k in range(4)]
-    full = criteria._psd_reports("w", [{}] * 4, ws, names, cs)
-    lean = criteria._psd_reports("w", [{}] * 4, ws, names, cs, witnesses=False)
-    assert [r.verdict for r in full] == [r.verdict for r in lean] == ["holds", "fails", "fails", "holds"]
-    assert [r.constant for r in lean] == cs
-    for a, b in zip(full, lean):
-        assert abs(a.values[0] - b.values[0]) <= a.details["tolerance"]
-        assert b.details["tolerance"] == pytest.approx(a.details["tolerance"], rel=1e-12)
-        assert b.witness is None
+    lams, vecs = np.linalg.eigvalsh(ws), np.linalg.eigh(ws)[1]
+    shapes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    reports = criteria._psd_reports("w", [{}] * 4, ws, [f"case {k}" for k in range(4)], cs)
+    assert [r.verdict for r in reports] == ["holds", "fails", "fails", "holds"]
+    assert shapes == [(2, 8, 8)]
+    assert [r.constant for r in reports] == cs
+    for k, rep in enumerate(reports):
+        assert rep.values == [float(lams[k, 0])]
+        if rep.verdict == "fails":
+            assert rep.witness.tobytes() == criteria._canonical_vector(np.conj(vecs[k, :, 0])).tobytes()
+        else:
+            assert rep.witness is None
+
+
+def _violation(rep, m0, m1, a=0j):
+    """||p - p(a)||^2 - c ||p'||^2 of a Wirtinger-type witness p in the
+    matrix m1, or ||p||^2_{M1} - c ||p||^2_{M0} of a dominance witness,
+    each norm recomputed on the sections."""
+    p = rep.witness.copy()
+    if m0 is None:
+        p[0] -= evaluate(p, a)
+        return norm_sq(section(m1, len(p)), p) - rep.constant * norm_sq(section(m1, len(p) - 1), differentiate(p))
+    return norm_sq(section(m1, len(p)), p) - rep.constant * norm_sq(section(m0, len(p)), p)
+
+
+def test_every_failing_psd_report_carries_a_witness_beyond_the_margin():
+    a, r = 0.4 - 0.3j, 0.8
+    shifted = mm.of_measure(CircleLebesgue(a, r))
+    secs = section(shifted, 13)[None]
+    cases = [
+        (wirtinger_psd_check(mm.of_measure(W04), 1.0, 3), None, mm.of_measure(W04), 0j),
+        (wirtinger_psd_check(M_UNIT, 0.9, 12), None, M_UNIT, 0j),
+        (dominance_check(M_HALF, M_UNIT, 1e6, 16), M_HALF, M_UNIT, 0j),
+        (dominance_check(M_UNIT, mm.of_measure(W04), 1.0, 8), M_UNIT, mm.of_measure(W04), 0j),
+        (toeplitz_rigidity(mm.of_measure(W04), 8), None, mm.of_measure(W04), 0j),
+        # half the sharp constant r^2 on |z - a| = r
+        (criteria._shifted_wirtinger([{}], ["shifted"], secs, np.array([a]), r * r / 2)[0][0], None, shifted, a),
+    ]
+    for rep, m0, m1, center in cases:
+        assert rep.verdict == "fails"
+        if m0 is None:  # the witness is lifted to a row that vanishes at the shift point
+            assert abs(complex(evaluate(rep.witness, center))) <= 1e-12
+        assert _violation(rep, m0, m1, center) > criteria.WITNESS_MARGIN
+        assert _violation(rep, m0, m1, center) == pytest.approx(-rep.values[0], rel=1e-9)
+
+
+@pytest.mark.parametrize("r", [0.3, 1.0, 1.9])
+def test_shifted_criterion_about_the_origin_is_the_wirtinger_check_matrix(monkeypatch, r):
+    # E M E^* at a = 0 is the deleted block M^(1,1), bit for bit
+    captured = []
+    psd_reports = criteria._psd_reports
+    monkeypatch.setattr(criteria, "_psd_reports", lambda *args: captured.append(args[2]) or psd_reports(*args))
+    m = mm.of_measure(CircleLebesgue(0.0, r))
+    rep = wirtinger_psd_check(m, r * r, 20)
+    reports, ratios = criteria.circle_wirtinger_checks([0j], [r], 20)
+    big, scale = section(m, 21), np.arange(1, 21, dtype=float)
+    sliced = r * r * (scale[:, None] * big[:20, :20] * scale[None, :]) - big[1:, 1:]
+    assert captured[0].tobytes() == captured[1].tobytes() == sliced.tobytes()
+    assert rep.verdict == reports[0].verdict == "holds" and abs(ratios[0] - r * r) <= 1e-12 * r * r
+
+
+def test_shifted_criterion_forms_match_quadrature_and_z_minus_a_attains_r_squared(monkeypatch):
+    # u W u^* is r^2 ||p'||^2 - ||p - p(a)||^2 for p = sum_k u_{k-1} z^k, each
+    # norm by the trapezoid rule on 64 points, exact for degree <= 20 (|k| < 64)
+    captured = []
+    psd_reports = criteria._psd_reports
+    monkeypatch.setattr(criteria, "_psd_reports", lambda *args: captured.append(args[2]) or psd_reports(*args))
+    pairs = [(0.5 - 0.3j, 0.2), (-0.7 + 0.1j, 1.9), (0.05j, 1.0), (-0.9, 0.4)]
+    centers, radii = (np.array(x) for x in zip(*pairs))
+    reports, ratios = criteria.circle_wirtinger_checks(centers, radii, 20)
+    assert [rep.verdict for rep in reports] == ["holds"] * 4
+    rng = np.random.default_rng(27)
+    circle = np.exp(2j * np.pi * np.arange(64) / 64)
+    for (a, r), w in zip(pairs, captured[0]):
+        for _ in range(5):
+            u = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+            p = np.concatenate(([0.0], u))
+            z = a + r * circle
+            lhs = np.mean(np.abs(evaluate(p, z) - complex(evaluate(p, a))) ** 2)
+            rhs = np.mean(np.abs(evaluate(differentiate(p), z)) ** 2)
+            form = complex(u @ w @ u.conj()).real
+            assert abs(form - (r * r * rhs - lhs)) <= 1e-12 * (r * r * rhs + lhs)
+    npt.assert_allclose(ratios, radii * radii, rtol=1e-12, atol=0.0)
+
+
+def test_circle_wirtinger_checks_validation():
+    for centers, radii, n in (([0j], [1.0], 1), ([0j], [1.0], 65), ([0j], [0.0], 8), ([complex("nan")], [1.0], 8)):
+        with pytest.raises(ValueError):
+            criteria.circle_wirtinger_checks(centers, radii, n)
 
 
 def test_rigidity_requires_toeplitz():

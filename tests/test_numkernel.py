@@ -264,6 +264,14 @@ def test_reduced_matrix_near_the_double_range_stays_finite():
     assert tops == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 1e308, 1e308, 1e308]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("solve", [numkernel.gen_eig_top, lambda q, w, label: nested_gen_eig(q, w, None, label)])
+def test_reduced_matrix_past_the_double_range_is_an_overflow(solve):
+    # W Q W^* = diag(1e400), without a numpy warning
+    with pytest.raises(Overflow, match="values of B at size 3 overflowed the double range"):
+        solve(np.eye(3, dtype=complex), np.diag([1.0, 1e200, 1.0]).astype(complex), "B")
+
+
 def test_herm_eig_ascending_and_reconstructs():
     vals, _ = herm_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
     npt.assert_allclose(vals, [-1.0, 1.0], atol=1e-15)
@@ -413,12 +421,13 @@ def test_nested_gen_eig_reads_no_diagonal_with_a_zero_or_non_finite_entry_or_off
     zero[4, 4] = 0.0
     off[2, 5] = off[5, 2] = 1e-300
     non_finite[4, 4] = np.inf
-    for q in (zero, off, non_finite):
-        with np.errstate(invalid="ignore"):  # W Q W^* of the infinite entry has NaNs
-            tops, solved = _tops(q)
-            before, solved_before = _tops(q, diagonal_rule=False)
+    for q in (zero, off):
+        tops, solved = _tops(q)
+        before, solved_before = _tops(q, diagonal_rule=False)
         assert _bits(tops) == _bits(before) and solved == solved_before
         assert len(solved) > 2
+    with pytest.raises(Overflow):  # W Q W^* of the infinite entry is rejected before any solve
+        _tops(non_finite)
     # the rule itself, on reduced matrices given as they are
     maxima = numkernel._diagonal_maxima
     npt.assert_array_equal(maxima(np.diag([2.0, -1.0, 3.0]).astype(complex), 3.0), [2.0, 2.0, 3.0])
