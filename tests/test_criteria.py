@@ -398,45 +398,6 @@ def test_every_failing_psd_report_carries_a_witness_beyond_the_margin():
         assert _violation(rep, m0, m1, center) == pytest.approx(-rep.values[0], rel=1e-9)
 
 
-@pytest.mark.parametrize("r", [0.3, 1.0, 1.9])
-def test_shifted_criterion_about_the_origin_is_the_wirtinger_check_matrix(monkeypatch, r):
-    # E M E^* at a = 0 is the deleted block M^(1,1), bit for bit
-    captured = []
-    psd_reports = criteria._psd_reports
-    monkeypatch.setattr(criteria, "_psd_reports", lambda *args: captured.append(args[2]) or psd_reports(*args))
-    m = mm.of_measure(CircleLebesgue(0.0, r))
-    rep = wirtinger_psd_check(m, r * r, 20)
-    reports, ratios = criteria.circle_wirtinger_checks([0j], [r], 20)
-    big, scale = section(m, 21), np.arange(1, 21, dtype=float)
-    sliced = r * r * (scale[:, None] * big[:20, :20] * scale[None, :]) - big[1:, 1:]
-    assert captured[0].tobytes() == captured[1].tobytes() == sliced.tobytes()
-    assert rep.verdict == reports[0].verdict == "holds" and abs(ratios[0] - r * r) <= 1e-12 * r * r
-
-
-def test_shifted_criterion_forms_match_quadrature_and_z_minus_a_attains_r_squared(monkeypatch):
-    # u W u^* is r^2 ||p'||^2 - ||p - p(a)||^2 for p = sum_k u_{k-1} z^k, each
-    # norm by the trapezoid rule on 64 points, exact for degree <= 20 (|k| < 64)
-    captured = []
-    psd_reports = criteria._psd_reports
-    monkeypatch.setattr(criteria, "_psd_reports", lambda *args: captured.append(args[2]) or psd_reports(*args))
-    pairs = [(0.5 - 0.3j, 0.2), (-0.7 + 0.1j, 1.9), (0.05j, 1.0), (-0.9, 0.4)]
-    centers, radii = (np.array(x) for x in zip(*pairs))
-    reports, ratios = criteria.circle_wirtinger_checks(centers, radii, 20)
-    assert [rep.verdict for rep in reports] == ["holds"] * 4
-    rng = np.random.default_rng(27)
-    circle = np.exp(2j * np.pi * np.arange(64) / 64)
-    for (a, r), w in zip(pairs, captured[0]):
-        for _ in range(5):
-            u = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-            p = np.concatenate(([0.0], u))
-            z = a + r * circle
-            lhs = np.mean(np.abs(evaluate(p, z) - complex(evaluate(p, a))) ** 2)
-            rhs = np.mean(np.abs(evaluate(differentiate(p), z)) ** 2)
-            form = complex(u @ w @ u.conj()).real
-            assert abs(form - (r * r * rhs - lhs)) <= 1e-12 * (r * r * rhs + lhs)
-    npt.assert_allclose(ratios, radii * radii, rtol=1e-12, atol=0.0)
-
-
 def test_circle_wirtinger_checks_validation():
     for centers, radii, n in (([0j], [1.0], 1), ([0j], [1.0], 65), ([0j], [0.0], 8), ([complex("nan")], [1.0], 8)):
         with pytest.raises(ValueError):
