@@ -424,22 +424,25 @@ def comparability_bounds(
     """Two-sided constants c, C with c ||.||_P^2 <= ||.||_Q^2 <= C ||.||_P^2
     on degree < n, for n = 2..n_max.
 
-    Verdict "holds" when both extreme eigenvalue sequences have settled
-    and the lower one stays positive; otherwise "inconclusive".  The
-    reported constant is the upper one; the lower sequence and constant
-    ride along in the details.
+    Both sequences are the extreme eigenvalues of the pencil (Q, G_P) at
+    each size, read by one ``numkernel.nested_gen_eig`` call with
+    ``both_ends``, so each solved size gives both ends.  Verdict "holds"
+    when both sequences have settled and the lower one stays positive;
+    otherwise "inconclusive".  The reported constant is the upper one; the
+    lower sequence and constant ride along in the details.  A size that
+    fails (a ConvergenceFailure, or the NotPositiveDefinite breakdown of
+    G_P) is raised, the smallest first, so ``compare`` exits 3 where
+    ``cond4`` and ``multop`` record the failure per size.
     """
     if n_max < 2:
         raise ValueError("need n_max >= 2")
     ns = list(range(2, n_max + 1))
     gram_q = sobolev.gram_section(q, n_max)
     fac = momentmatrix.factor(p.gram, n_max)
-    # the bottom of (Q, G) is minus the top of (-Q, G)
-    highs, neg_lows = (numkernel.nested_gen_eig(g, fac.inverse, fac.failure, p.label)[1:] for g in (gram_q, -gram_q))
-    for top in (t for pair in zip(highs, neg_lows) for t in pair):  # the smallest failing size first
-        if isinstance(top, Exception):
-            raise top
-    lows = [-top for top in neg_lows]
+    lows, highs = numkernel.nested_gen_eig(gram_q, fac.inverse, fac.failure, p.label, both_ends=True)
+    lows, highs = lows[1:], highs[1:]
+    for failure in (top for top in highs if isinstance(top, Exception)):  # one failure per size, at both ends
+        raise failure  # the smallest failing size's
     settled = sobolev.plateau(ns, highs) and sobolev.plateau(ns, lows) and lows[-1] > 0.0
     return CriterionReport(
         criterion="comparability",

@@ -6,13 +6,14 @@ factor, Hermitian eigensolves (with or without vectors), lower-triangular
 solves by forward substitution, the top eigenvalue of the definite
 generalized eigenproblem at every leading size, read off one inverse
 factor (solved at both ends and wherever Cauchy interlacing does not
-pin it, so a pinned size cannot report a ConvergenceFailure), and
+pin it, so a pinned size cannot report a ConvergenceFailure), and on
+request the bottom eigenvalue from the same solve of each size, and
 polynomial roots via the companion matrix.  A rotation-invariant pencil
 gives a diagonal reduced matrix, whose inner sizes read the running
-maximum of its diagonal instead of a solve: bitwise LAPACK's top while
-every entry is finite, nonzero and inside the window where zheevd does
-not rescale (about 1e-146 to 1e146), and used only when the solved top
-at full size equals the largest entry.  Eigensolves are delegated to
+maximum and minimum of its diagonal instead of a solve: bitwise LAPACK's
+top and bottom while every entry is finite, nonzero and inside the
+window where zheevd does not rescale (about 1e-146 to 1e146), and used
+only when the solved ends at full size equal the extreme entries.  Eigensolves are delegated to
 LAPACK through numpy; what this module adds is the error contract
 (NotPositiveDefinite with the failing pivot index and the factor before
 it, ConvergenceFailure with the offending label, Overflow for values
@@ -258,61 +259,71 @@ def _diagonal_maxima(b: np.ndarray, top: float) -> np.ndarray | None:
 
 
 def _pinned(x, y) -> bool:
-    """Whether two solved tops agree to 4 eps relative, so that interlacing
-    pins every size between them to the upper one."""
+    """Whether two solved tops (or two solved bottoms) agree to 4 eps
+    relative, so that interlacing pins every size between them to the
+    upper one's."""
     return isinstance(x, float) and isinstance(y, float) and abs(y - x) <= 4 * _EPS * max(abs(x), abs(y))
 
 
-def nested_gen_eig(q, inverse, failure: NotPositiveDefinite | None, label: str = "") -> list:
+def nested_gen_eig(q, inverse, failure: NotPositiveDefinite | None, label: str = "", both_ends: bool = False):
     """The top eigenvalue of the pencil (Q[:n, :n], G[:n, :n]) for
     n = 1..len(Q), read off G's inverse factor W and ``failure`` as
     ``momentmatrix.factor`` returns them: the reduced matrix B_n at size n
     is the leading block of W Q W^*, as W is lower triangular, up to the
-    size k of W; every n > k gets ``failure``.
+    size k of W; every n > k gets ``failure``.  With ``both_ends``, the
+    pair (bottoms, tops) of lists, where the bottom eigenvalue at each size
+    comes from the same solve as the top.
 
-    The top of B_n is nondecreasing in n (Cauchy interlacing), so sizes are
-    solved by bisection on [1, k]: when the tops at the two ends of a range
-    agree to 4 eps relative, every size between gets the upper end's value;
-    otherwise the range is split at its midpoint.  A failed solve is its
-    size's ConvergenceFailure and splits each range it ends; a size filled
-    by interlacing is not solved, so it cannot report one.
+    The top of B_n is nondecreasing in n and the bottom nonincreasing
+    (Cauchy interlacing), so sizes are solved by bisection on [1, k]: when
+    the tops at the two ends of a range agree to 4 eps relative (and, with
+    ``both_ends``, the bottoms too), every size between gets the upper
+    end's values; otherwise the range is split at its midpoint.  A failed
+    solve is its size's ConvergenceFailure in both lists and splits each
+    range it ends; a size filled by interlacing is not solved, so it cannot
+    report one.
 
     Sizes 1 and k are always solved by LAPACK.  When both succeed without
     pinning the sizes between, and B_k is diagonal (a rotation-invariant
     pencil), every other size the bisection asks for reads the running
-    maximum of B's diagonal instead: that is LAPACK's top bit for bit
-    provided every diagonal entry is finite, nonzero and inside zheevd's
-    unscaled window (about 1e-146 to 1e146), and the size-k top equals the
-    largest entry; otherwise every size is solved or filled by the
+    maximum and minimum of B's diagonal instead: that is LAPACK's top and
+    bottom bit for bit provided every diagonal entry is finite, nonzero and
+    inside zheevd's unscaled window (about 1e-146 to 1e146), and the size-k
+    top equals the largest entry (and, with ``both_ends``, the size-k
+    bottom the smallest); otherwise every size is solved or filled by the
     bisection alone.
     """
     qm = _square(q)
     k = inverse.shape[0]
     b = _reduce(qm[:k, :k], inverse, label) if k else None
-    tops = [None] * k  # tops[n - 1]: the top at size n, or its ConvergenceFailure
-    maxima = None
+    record = [None] * k  # record[n - 1]: (bottom, top) at size n, or its ConvergenceFailure twice
+    ends = slice(0 if both_ends else 1, 2)  # the ends whose agreement pins a range
 
-    def top(n: int):
-        if tops[n - 1] is None:
+    def solve(n: int):
+        if record[n - 1] is None:
             try:
-                tops[n - 1] = float(eigvalsh(b[:n, :n], label)[-1] if maxima is None else maxima[n - 1])
+                w = eigvalsh(b[:n, :n], label)
+                record[n - 1] = (float(w[0]), float(w[-1]))
             except ConvergenceFailure as exc:
-                tops[n - 1] = exc
-        return tops[n - 1]
+                record[n - 1] = (exc, exc)
+        return record[n - 1]
 
     if k > 2:
-        x, y = top(1), top(k)
-        if isinstance(x, float) and isinstance(y, float) and not _pinned(x, y):
-            maxima = _diagonal_maxima(b, y)
+        x, y = solve(1), solve(k)
+        if isinstance(x[0], float) and isinstance(y[0], float) and not all(map(_pinned, x[ends], y[ends])):
+            minima, maxima = np.minimum.accumulate(b.diagonal().real), _diagonal_maxima(b, y[1])
+            if maxima is not None and (minima[-1] == y[0] or not both_ends):
+                record[1 : k - 1] = zip(minima[1:-1].tolist(), maxima[1:-1].tolist())
     ranges = [(1, k)] if k else []  # a stack, lower half on top
     while ranges:
         lo, hi = ranges.pop()
-        x, y = top(lo), top(hi)
-        if _pinned(x, y):
-            tops[lo : hi - 1] = [y] * (hi - lo - 1)
+        x, y = solve(lo), solve(hi)
+        if all(map(_pinned, x[ends], y[ends])):
+            record[lo : hi - 1] = [y] * (hi - lo - 1)
         elif hi - lo > 1:
             ranges += [((lo + hi) // 2, hi), (lo, (lo + hi) // 2)]
-    return tops + [failure] * (qm.shape[0] - k)
+    bottoms, tops = ([r[i] for r in record] + [failure] * (qm.shape[0] - k) for i in (0, 1))
+    return (bottoms, tops) if both_ends else tops
 
 
 def companion_roots(v) -> np.ndarray:

@@ -520,15 +520,16 @@ def _fresh_gram(mu0, mu1, n):
     return gram_section(pencil_of_measures(mu0, mu1), n)
 
 
-@pytest.mark.parametrize(
-    "mu0, mu1",
-    [
-        (UNIT, CircleLebesgue(0.5, 2.0)),
-        (W04, HALF),
-        (CircleLebesgue(0.3 + 0.4j, 0.7), UNIT),
-        (UNIT, Atomic(((0.3 + 0.0j, 1.0), (-0.2 + 0.4j, 1.0)))),
-    ],
-)
+#: pencils (mu0, mu1) whose reduced matrix against (UNIT, UNIT) is not diagonal
+NON_DIAGONAL_PAIRS = [
+    (UNIT, CircleLebesgue(0.5, 2.0)),
+    (W04, HALF),
+    (CircleLebesgue(0.3 + 0.4j, 0.7), UNIT),
+    (UNIT, Atomic(((0.3 + 0.0j, 1.0), (-0.2 + 0.4j, 1.0)))),
+]
+
+
+@pytest.mark.parametrize("mu0, mu1", NON_DIAGONAL_PAIRS)
 def test_comparability_bounds_matches_per_size_reference(mu0, mu1):
     # the nested two-pencil path against one factorization per size
     rep = comparability_bounds(pencil_of_measures(mu0, mu1), pencil_of_measures(UNIT, UNIT), 20)
@@ -539,24 +540,33 @@ def test_comparability_bounds_matches_per_size_reference(mu0, mu1):
         assert abs(low - lam[0]) <= 1e-12 * abs(lam[-1])
 
 
+@pytest.mark.parametrize("mu0, mu1", NON_DIAGONAL_PAIRS)
+def test_comparability_solves_no_size_twice(monkeypatch, mu0, mu1):
+    # both ends of a size come from its one eigensolve
+    sizes = counting_eigvalsh(monkeypatch)
+    comparability_bounds(pencil_of_measures(mu0, mu1), pencil_of_measures(UNIT, UNIT), 20)
+    assert sizes and len(set(sizes)) == len(sizes)
+
+
 def test_comparability_raises_its_smallest_failing_size(monkeypatch):
-    # example 6's Gram breaks down at pivot 56 at n_max 64; a lower-sequence
-    # eigensolve (a matrix -B_n, negative diagonal) failing at size 10 comes
-    # first and is the error raised
+    # example 6's Gram breaks down at pivot 56 at n_max 64; the one
+    # eigensolve at size 10, which gives both ends, fails first and is the
+    # error raised
     p = pencil_of_measures(UNIT, CircleLebesgue(0.5, 2.0))
-    sizes = counting_eigvalsh(monkeypatch, lambda a: a.shape[0] == 10 and a[0, 0].real < 0)
+    sizes = counting_eigvalsh(monkeypatch, lambda a: a.shape[0] == 10)
     with pytest.raises(ConvergenceFailure):
         comparability_bounds(p, pencil_of_measures(UNIT, UNIT), 64)
-    assert 10 in sizes
+    assert sizes.count(10) == 1
 
 
 def test_example7_comparability_solves_only_its_ends(monkeypatch):
-    # both reduced matrices of example 7 are diagonal (concentric circles):
-    # each of its two sequences solves sizes 1 and 64 alone
+    # example 7's reduced matrix is diagonal (concentric circles): sizes 1
+    # and 64 are solved once, for both ends, and every other size is read
+    # off the diagonal
     sizes = counting_eigvalsh(monkeypatch)
     rep = comparability_bounds(pencil_of_measures(HALF, UNIT), pencil_of_measures(HALF_PLUS_UNIT, UNIT), 64)
     assert rep.verdict == "holds"
-    assert sizes == [1, 64, 1, 64]
+    assert sizes == [1, 64]
 
 
 def test_comparability_requires_window():

@@ -296,15 +296,16 @@ def _nested_hermitian(seed, k, lead):
     return b
 
 
-def _tops(q, failing=(), diagonal_rule=True):
+def _tops(q, failing=(), diagonal_rule=True, both_ends=False):
     """nested_gen_eig over the identity factor, and the sizes it solved;
     sizes in ``failing`` do not converge, and without ``diagonal_rule``
-    every size is solved or filled by interlacing alone."""
+    every size is solved or filled by interlacing alone.  With
+    ``both_ends``, the result is the pair (bottoms, tops)."""
     with pytest.MonkeyPatch.context() as mp:
         if not diagonal_rule:
             mp.setattr(numkernel, "_diagonal_maxima", lambda b, top: None)
         solved = counting_eigvalsh(mp, lambda a: a.shape[0] in failing)
-        tops = nested_gen_eig(q, np.eye(q.shape[0], dtype=complex), None, "B")
+        tops = nested_gen_eig(q, np.eye(q.shape[0], dtype=complex), None, "B", both_ends=both_ends)
     return tops, solved
 
 
@@ -368,6 +369,41 @@ def test_nested_gen_eig_gives_failure_beyond_the_factor():
     assert nested_gen_eig(q, np.zeros((0, 0), dtype=complex), failure) == [failure] * 5
 
 
+@pytest.mark.parametrize("lead", [0.0, 1e3, 1e9, 1e12])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_nested_gen_eig_reads_both_ends_off_one_solve_per_size(seed, lead):
+    # each solved size gives LAPACK's bottom and top bit for bit, a filled
+    # size the upper end's pair, within 4 eps of its own; no size is solved twice
+    k = 40
+    q = _nested_hermitian(seed, k, lead)
+    (bottoms, tops), solved = _tops(q, both_ends=True)
+    assert len(bottoms) == len(tops) == k and len(set(solved)) == len(solved)
+    for n, bottom, top in zip(range(1, k + 1), bottoms, tops):
+        ref = np.linalg.eigvalsh(q[:n, :n])
+        if n in solved:
+            assert (bottom, top) == (ref[0], ref[-1])
+        assert abs(bottom - ref[0]) <= 8 * EPS * abs(ref[-1]) and abs(top - ref[-1]) <= 8 * EPS * abs(ref[-1])
+    assert all(later <= earlier for earlier, later in zip(bottoms, bottoms[1:]))
+    # the tops alone pin more ranges, so they solve a subset of the sizes
+    assert set(_tops(q)[1]) <= set(solved)
+
+
+def test_nested_gen_eig_keeps_one_failure_per_size_at_both_ends():
+    # a failed solve is the same ConvergenceFailure in both lists, and the
+    # factor's failure fills both past its size
+    q = _nested_hermitian(3, 12, 0.0)
+    (clean_bottoms, clean_tops), _ = _tops(q, both_ends=True)
+    (bottoms, tops), solved = _tops(q, failing=(5,), both_ends=True)
+    assert isinstance(tops[4], ConvergenceFailure) and bottoms[4] is tops[4]
+    assert bottoms[:4] + bottoms[5:] == clean_bottoms[:4] + clean_bottoms[5:]
+    assert tops[:4] + tops[5:] == clean_tops[:4] + clean_tops[5:]
+    assert solved.count(5) == 1
+    failure = NotPositiveDefinite(3, "G")
+    bottoms, tops = nested_gen_eig(q[:5, :5], np.eye(3, dtype=complex), failure, "G", both_ends=True)
+    assert bottoms[3:] == tops[3:] == [failure, failure]
+    assert nested_gen_eig(q[:5, :5], np.zeros((0, 0), dtype=complex), failure, both_ends=True) == ([failure] * 5,) * 2
+
+
 def _random_diagonal(seed, k, lo, hi):
     """k x k diagonal matrix with entries of random sign and magnitudes
     10**u, u uniform on [lo, hi]."""
@@ -412,6 +448,57 @@ def test_nested_gen_eig_solves_a_diagonal_outside_the_window(name):
     assert _bits(tops) == _bits(before) and solved == solved_before
     for n in set(solved):
         assert tops[n - 1].hex() == float(reduced_eigvals(q[:n, :n], np.eye(n))[-1]).hex()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_nested_gen_eig_reads_both_ends_of_a_diagonal_in_the_window_off_its_diagonal(seed):
+    # only sizes 1 and k are solved; the bottoms are the running minimum of
+    # the diagonal and each size's LAPACK bottom, bit for bit
+    k = 48
+    q = _random_diagonal(seed, k, -145.0, 145.0)
+    (bottoms, tops), solved = _tops(q, both_ends=True)
+    assert sorted(solved) == [1, k]
+    d = q.diagonal().real
+    assert _bits(bottoms) == _bits(np.minimum.accumulate(d).tolist()) and _bits(tops) == _bits(_tops(q)[0])
+    assert _bits(bottoms) == _bits([float(np.linalg.eigvalsh(q[:n, :n])[0]) for n in range(1, k + 1)])
+
+
+@pytest.mark.parametrize("name", sorted(_outside_the_window()))
+def test_nested_gen_eig_solves_both_ends_of_a_diagonal_outside_the_window(name):
+    # zheevd rescales these, so the diagonal is not read for either end
+    q = _outside_the_window()[name]
+    ends, solved = _tops(q, both_ends=True)
+    before, solved_before = _tops(q, diagonal_rule=False, both_ends=True)
+    assert [_bits(e) for e in ends] == [_bits(e) for e in before] and solved == solved_before
+    for n in set(solved):
+        ref = reduced_eigvals(q[:n, :n], np.eye(n))
+        assert (ends[0][n - 1].hex(), ends[1][n - 1].hex()) == (float(ref[0]).hex(), float(ref[-1]).hex())
+
+
+def test_nested_gen_eig_solves_every_size_of_a_diagonal_outside_the_window_that_moves_an_end_at_each():
+    # each entry sets a new top or a new bottom, so no range pins and every size is solved
+    d = 1e200 * np.array([(-1.0) ** n * (n + 1) for n in range(16)])
+    (bottoms, tops), solved = _tops(np.diag(d).astype(complex), both_ends=True)
+    assert sorted(solved) == list(range(1, 17))
+    assert bottoms == np.minimum.accumulate(d).tolist() and tops == np.maximum.accumulate(d).tolist()
+
+
+def test_nested_gen_eig_does_not_read_a_diagonal_whose_solved_bottom_is_not_its_smallest_entry(monkeypatch):
+    # the guard on the bottom end: a size-k bottom 2 ulps off the smallest
+    # entry turns the rule off for both ends, and only for both ends
+    q = np.diag(np.arange(1.0, 10.0)).astype(complex)
+    real, solved = np.linalg.eigvalsh, []
+
+    def eigvalsh(a):
+        solved.append(len(a))
+        return real(a) + np.where(np.arange(len(a)) == 0, 2 * EPS * (len(a) == 9), 0.0)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    bottoms, tops = nested_gen_eig(q, np.eye(9, dtype=complex), None, "B", both_ends=True)
+    assert sorted(solved) == list(range(1, 10)) and bottoms[-1] == 1.0 + 2 * EPS
+    assert tops == [float(n) for n in range(1, 10)]
+    solved.clear()
+    assert nested_gen_eig(q, np.eye(9, dtype=complex), None, "B") == tops and sorted(solved) == [1, 9]
 
 
 def test_nested_gen_eig_reads_no_diagonal_with_a_zero_or_non_finite_entry_or_off_its_diagonal():
