@@ -7,7 +7,12 @@ zero scatters, and matrix dumps) with fixed float formatting, so the
 same invocation always produces byte-identical files.
 
 Each command's runner takes its parsed inputs and parameters as keyword
-arguments, under the names the scenario file gives them.
+arguments, under the names the scenario file gives them, and returns one
+``criteria.CriterionReport``.  Every report file has the same top level:
+``scenario``, ``command``, ``records`` (the records' ``to_dict``: a
+command writes one, a built-in one per sub-verdict its combined verdict
+reads) and ``verdict``; identity-moments also keeps ``label``, the
+compact JSON of its measure, after ``command``.
 
 Exit codes: 0 when every verdict was computed (verdicts of "fails" are
 results, not errors), 2 for malformed scenarios or measures (a --spec
@@ -144,7 +149,7 @@ def _positive(v, key: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Command runners: runner(path prefix, **inputs, **parameters) -> report body or CriterionReport
+# Command runners: runner(path prefix, **inputs, **parameters) -> CriterionReport
 # ---------------------------------------------------------------------------
 
 ZERO_BOUND_SLACK = 1e-6
@@ -166,112 +171,81 @@ def _write_matrix(path: str, a: np.ndarray) -> None:
     reporting.write_csv(path, [f"col_{j}" for j in range(a.shape[1])], a)
 
 
-def _section_check(mu: measures.Measure, n: int, path: str):
-    """(matrix, n x n section, largest |section - quadrature| entry, grid
-    size) on the smallest grid where the quadrature is exact
-    (``measures.exact_grid``); the section is written to ``path``."""
+def _section_check(mu: measures.Measure, n: int, path: str) -> tuple:
+    """(n x n section, its "moment_quadrature" record): the largest
+    |section - quadrature| entry on the smallest grid where the quadrature
+    is exact (``measures.exact_grid``), "holds" within 1e-10; the section
+    is written to ``path``."""
     m = momentmatrix.of_measure(mu)
     a = momentmatrix.section(m, n)
     grid = measures.exact_grid(mu, n)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite oracle: NaN deviation, "inconclusive"
         dev = float(np.abs(a - measures.moment_quadrature(mu, range(n), range(n), grid)).max())
     _write_matrix(path, a)
-    return m, a, dev, grid
+    return a, criteria.CriterionReport(
+        m.subject, "moment_quadrature", [n], [dev], "holds" if dev <= 1e-10 else "inconclusive",
+        parameters={"tolerance": 1e-10},
+        details={"grid_points": grid, "toeplitz": bool(n >= 2 and momentmatrix.is_toeplitz(m, n))},
+    )
 
 
-def _mult_op(pen: sobolev.SobolevPencil, n_max: int, path: str | None = None) -> dict:
-    """Report fields of the mult_op sequence; with ``path``, the sequence
-    is also written there as CSV."""
+def _mult_op(pen: sobolev.SobolevPencil, n_max: int, path: str | None = None) -> criteria.CriterionReport:
+    """The mult_op sequence's record, "holds" once it has settled; with
+    ``path``, the sequence is also written there as CSV."""
     seq = sobolev.norm_sequence(pen, n_max, "mult_op")
     errors = ["" if e is None else e for e in seq.errors]
     if path is not None:
         reporting.write_csv(path, ("n", "value", "error"), list(zip(seq.n_list, seq.values, errors)))
-    return {
-        "pencil_label": seq.label,
-        "quantity": seq.quantity,
-        "n_list": list(seq.n_list),
-        "values": list(seq.values),
-        "errors": errors,
-        "plateau": bool(seq.ok() and sobolev.plateau(seq.n_list, seq.values)),
-    }
+    settled = seq.ok() and sobolev.plateau(seq.n_list, seq.values)
+    return criteria.CriterionReport(pen.subject, "mult_op", list(seq.n_list), list(seq.values),
+                                    "holds" if settled else "inconclusive",
+                                    parameters={"plateau_rtol": sobolev.PLATEAU_RTOL}, details={"errors": errors})
 
 
-def _run_moments(prefix, measure, n) -> dict:
-    m, _, dev, grid = _section_check(measure, n, f"{prefix}_section.csv")
-    return {
-        "label": m.label,
-        "n": n,
-        "grid_points": grid,
-        "max_quadrature_deviation": dev,
-        "toeplitz": bool(n >= 2 and momentmatrix.is_toeplitz(m, n)),
-        "verdict": "holds" if dev <= 1e-10 else "inconclusive",
-    }
-
-
-def _run_gram(prefix, pencil, n) -> dict:
+def _run_gram(prefix, pencil, n) -> criteria.CriterionReport:
     pen = sobolev.pencil_of_measures(*pencil)
     g = sobolev.gram_section(pen, n)
     _write_matrix(f"{prefix}_gram.csv", g)
-    return {
-        "pencil_label": pen.label,
-        "n": n,
-        "diagonal": [float(x) for x in g.diagonal().real],
-        "verdict": "holds",
-    }
+    return criteria.CriterionReport(pen.subject, "gram_section", [n], [], "holds",
+                                    details={"diagonal": g.diagonal().real.tolist()})
 
 
-def _run_opoly(prefix, pencil, n) -> dict:
+def _run_opoly(prefix, pencil, n) -> criteria.CriterionReport:
     pen = sobolev.pencil_of_measures(*pencil)
     ops = sobolev.orthonormal_polys(pen.gram, n)
     w = momentmatrix.factor(pen.gram, n).inverse  # its rows are ops
     resid = float(np.max(np.abs(w @ sobolev.gram_section(pen, n) @ w.conj().T - np.eye(n))))
     rows = [[k, *c, *[0j] * (n - len(c))] for k, c in enumerate(ops)]
     reporting.write_csv(f"{prefix}_opoly.csv", ["degree"] + [f"c{j}" for j in range(n)], rows)
-    return {
-        "pencil_label": pen.label,
-        "n": n,
-        "orthonormality_residual": resid,
-        "verdict": "holds" if resid <= 1e-9 else "inconclusive",
-    }
+    return criteria.CriterionReport(pen.subject, "orthonormality", [n], [resid],
+                                    "holds" if resid <= 1e-9 else "inconclusive", parameters={"tolerance": 1e-9})
 
 
-def _run_zeros(prefix, pencil, degree) -> dict:
+def _run_zeros(prefix, pencil, degree) -> criteria.CriterionReport:
     pen = sobolev.pencil_of_measures(*pencil)
     bound = sobolev.mult_op_norm(pen, degree + 1)  # larger section first; the zeros read a block
     zeros = sobolev.sobolev_zeros(pen, degree)
     max_mod = float(np.max(np.abs(zeros)))
     reporting.write_csv(f"{prefix}_zeros.csv", ("re", "im", "modulus"), [(z.real, z.imag, abs(z)) for z in zeros])
-    return {
-        "pencil_label": pen.label,
-        "degree": degree,
-        "zeros": [[z.real, z.imag] for z in zeros.tolist()],
-        "max_zero_modulus": max_mod,
-        "mult_op_norm": float(bound),
-        "verdict": "holds" if max_mod <= bound + ZERO_BOUND_SLACK else "fails",
-    }
+    return criteria.CriterionReport(
+        pen.subject, "zero_bound", [degree], [max_mod], "holds" if max_mod <= bound + ZERO_BOUND_SLACK else "fails",
+        parameters={"slack": ZERO_BOUND_SLACK},
+        details={"mult_op_bound": [float(bound)], "zeros": [[z.real, z.imag] for z in zeros.tolist()]},
+    )
 
 
-def _run_multop(prefix, pencil, n_max) -> dict:
-    body = _mult_op(sobolev.pencil_of_measures(*pencil), n_max, f"{prefix}_multop.csv")
-    return dict(body, verdict="holds" if body["plateau"] else "inconclusive")
-
-
-def _run_gamma(prefix, measure, n_max, a) -> dict:
+def _run_gamma(prefix, measure, n_max, a) -> criteria.CriterionReport:
     m = momentmatrix.of_measure(measure)
     ns = list(range(2, n_max + 1))
     vals = criteria.gamma_sequence(m, a, n_max)[1:]
     kernel = criteria.gamma_via_kernel(m, a, n_max)
     agreement = abs(vals[-1] - kernel) / max(abs(kernel), 1e-300)
     reporting.write_csv(f"{prefix}_gamma.csv", ("n", "gamma"), list(zip(ns, vals)))
-    return {
-        "label": m.label,
-        "point": [a.real, a.imag],
-        "n_list": ns,
-        "values": vals,
-        "kernel_value": kernel,
-        "two_method_relative_gap": agreement,
-        "verdict": "holds" if agreement <= 1e-9 else "inconclusive",
-    }
+    return criteria.CriterionReport(
+        m.subject, "gamma_kernel_agreement", ns, vals, "holds" if agreement <= 1e-9 else "inconclusive",
+        parameters={"tolerance": 1e-9},
+        details={"point": [a.real, a.imag], "kernel_value": kernel, "two_method_relative_gap": agreement},
+    )
 
 
 def _run_dominance(prefix, pencil, n, constant) -> criteria.CriterionReport:
@@ -283,11 +257,13 @@ def _run_dominance(prefix, pencil, n, constant) -> criteria.CriterionReport:
 
 # name -> (inputs, {parameter: parser}, runner); parameters are checked in order
 _COMMANDS = {
-    "moments": (("measure",), {"n": _size(1, MAX_SECTION)}, _run_moments),
+    "moments": (("measure",), {"n": _size(1, MAX_SECTION)},
+                lambda prefix, measure, n: _section_check(measure, n, f"{prefix}_section.csv")[1]),
     "gram": (("pencil",), {"n": _size(1, MAX_SECTION)}, _run_gram),
     "opoly": (("pencil",), {"n": _size(1, MAX_SECTION)}, _run_opoly),
     "zeros": (("pencil",), {"degree": _size(1, MAX_SECTION - 1)}, _run_zeros),
-    "multop": (("pencil",), {"n_max": _size(2, MAX_SECTION)}, _run_multop),
+    "multop": (("pencil",), {"n_max": _size(2, MAX_SECTION)},
+               lambda prefix, pencil, n_max: _mult_op(sobolev.pencil_of_measures(*pencil), n_max, f"{prefix}_multop.csv")),
     "gamma": (("measure",), {"n_max": _size(2, MAX_SECTION), "a": _point}, _run_gamma),
     "bpe": (("measure",), {"n_max": _size(4, MAX_SECTION), "a": _point},
             lambda prefix, measure, n_max, a: criteria.bpe_decide(momentmatrix.of_measure(measure), a, n_max)),
@@ -345,15 +321,13 @@ def parse_scenario(obj) -> Scenario:
 
 def run(sc: Scenario, out_dir: str) -> dict:
     """Execute a parsed scenario, write its files into ``out_dir`` (made
-    if missing), return the report."""
+    if missing), return the report: its one record and that verdict."""
     os.makedirs(out_dir, exist_ok=True)
     prefix = os.path.join(out_dir, sc.name)
-    body = _COMMANDS[sc.command][2](prefix, **sc.inputs, **sc.parameters)
-    if isinstance(body, criteria.CriterionReport):
-        if body.criterion in _REPORT_COLUMNS:
-            _write_report_csv(body, f"{prefix}_{sc.command}.csv")
-        body = {"report": body.to_dict(), "verdict": body.verdict}
-    report = {"scenario": sc.name, "command": sc.command, **body}
+    rec = _COMMANDS[sc.command][2](prefix, **sc.inputs, **sc.parameters)
+    if rec.criterion in _REPORT_COLUMNS:
+        _write_report_csv(rec, f"{prefix}_{sc.command}.csv")
+    report = {"scenario": sc.name, "command": sc.command, "records": [rec.to_dict()], "verdict": rec.verdict}
     reporting.write_json(os.path.join(out_dir, f"{sc.name}.json"), report)
     return report
 
@@ -373,9 +347,10 @@ Z = np.array([0.0, 1.0], dtype=complex)
 WITNESS_RTOL = 1e-10
 
 
-def _zero_bound_scan(pen: sobolev.SobolevPencil, degrees) -> dict:
-    """Max zero modulus per degree 1..d against the operator-norm bound,
-    all read off the pencil's one Gram factor at size d + 1."""
+def _zero_bound_scan(pen: sobolev.SobolevPencil, degrees) -> criteria.CriterionReport:
+    """The "zero_bound" record of the max zero modulus per degree 1..d
+    against the operator-norm bound, all read off the pencil's one Gram
+    factor at size d + 1."""
     top = max(degrees) + 1
     ops = sobolev.orthonormal_polys(pen.gram, top)
     seq = sobolev.norm_sequence(pen, top, "mult_op")
@@ -386,29 +361,32 @@ def _zero_bound_scan(pen: sobolev.SobolevPencil, degrees) -> dict:
     ]
     bounds = [seq.values[d] for d in degrees]
     worst_excess = max(m - b for m, b in zip(mods, bounds))
-    return {
-        "degrees": [int(d) for d in degrees],
-        "max_zero_modulus": mods,
-        "mult_op_bound": bounds,
-        "worst_excess": worst_excess,
-        "bounded": bool(worst_excess <= ZERO_BOUND_SLACK),
-    }
+    return criteria.CriterionReport(
+        pen.subject, "zero_bound", [int(d) for d in degrees], mods,
+        "holds" if worst_excess <= ZERO_BOUND_SLACK else "fails",
+        parameters={"slack": ZERO_BOUND_SLACK}, details={"mult_op_bound": bounds, "worst_excess": worst_excess},
+    )
 
 
-def _builtin_identity_moments(out_dir, n_max, rng) -> dict:
+def _with_top_power(rep: criteria.CriterionReport) -> criteria.CriterionReport:
+    """The record, its details given the top power of its witness (None
+    without one): a dominance witness concentrates on high powers."""
+    rep.details["witness_top_power"] = None if rep.witness is None else int(np.argmax(np.abs(rep.witness)))
+    return rep
+
+
+def _verdict(ok: bool) -> str:
+    return "holds" if ok else "fails"
+
+
+# Each built-in returns (its records, its combined verdict).
+
+def _builtin_identity_moments(out_dir, n_max, rng) -> tuple:
     n = 32
-    path = os.path.join(out_dir, "identity-moments_section.csv")
-    m, a, quad_dev, grid = _section_check(UNIT, n, path)
+    a, quad = _section_check(UNIT, n, os.path.join(out_dir, "identity-moments_section.csv"))
     identity_dev = float(np.max(np.abs(a - np.eye(n))))
-    verdict = "holds" if identity_dev == 0.0 and quad_dev <= 1e-10 else "fails"
-    return {
-        "label": m.label,
-        "n": n,
-        "max_identity_deviation": identity_dev,
-        "max_quadrature_deviation": quad_dev,
-        "quadrature_grid": grid,
-        "verdict": verdict,
-    }
+    ident = criteria.CriterionReport(quad.subject, "identity_section", [n], [identity_dev], _verdict(identity_dev == 0.0))
+    return [quad, ident], _verdict(quad.verdict == ident.verdict == "holds")
 
 
 def _wirtinger_sides(m: momentmatrix.MomentMatrix, v, n: int) -> tuple:
@@ -418,23 +396,16 @@ def _wirtinger_sides(m: momentmatrix.MomentMatrix, v, n: int) -> tuple:
             momentmatrix.norm_sq(momentmatrix.section(m, n), differentiate(v)))
 
 
-def _builtin_lemma3_unitcircle(out_dir, n_max, rng) -> dict:
+def _builtin_lemma3_unitcircle(out_dir, n_max, rng) -> tuple:
     # the PSD check bounds the constant 1; z, with ratio 1, shows no smaller one holds
     m = momentmatrix.of_measure(UNIT)
     rep = criteria.wirtinger_psd_check(m, 1.0, 20)
     lhs, rhs = _wirtinger_sides(m, Z, 20)
-    ratio = lhs / rhs
-    return {
-        "label": m.label,
-        "max_degree": 20,
-        "wirtinger": rep.to_dict(),
-        "witness": "z",
-        "witness_ratio": ratio,
-        "verdict": "holds" if rep.verdict == "holds" and abs(ratio - 1.0) <= WITNESS_RTOL else "fails",
-    }
+    rep.details.update(witness_polynomial="z", witness_ratio=lhs / rhs)
+    return [rep], _verdict(rep.verdict == "holds" and abs(lhs / rhs - 1.0) <= WITNESS_RTOL)
 
 
-def _builtin_lemma3_shifted(out_dir, n_max, rng) -> dict:
+def _builtin_lemma3_shifted(out_dir, n_max, rng) -> tuple:
     pairs = []
     for _ in range(20):
         rad = math.sqrt(rng.uniform(0.0, 1.0))
@@ -444,64 +415,43 @@ def _builtin_lemma3_shifted(out_dir, n_max, rng) -> dict:
         pairs.append((a, r))
     # the PSD checks bound the constants r^2; z - a, with ratio r^2, attains them
     reports, ratios = criteria.circle_wirtinger_checks(*zip(*pairs), 20)
-    worst = max(abs(ratio / rep.constant - 1.0) for ratio, rep in zip(ratios.tolist(), reports))
-    ok = all(rep.verdict == "holds" for rep in reports) and worst <= WITNESS_RTOL
-    return {
-        "pairs": [[a.real, a.imag, r] for a, r in pairs],
-        "max_degree": 20,
-        "lambda_min": [rep.values[0] for rep in reports],
-        "tolerance": [rep.details["tolerance"] for rep in reports],
-        "witness": "z - a",
-        "worst_witness_ratio_deviation": worst,
-        "verdict": "holds" if ok else "fails",
-    }
+    for rep, ratio in zip(reports, ratios.tolist()):
+        rep.details.update(witness_polynomial="z - a", witness_ratio=ratio,
+                           witness_ratio_deviation=abs(ratio / rep.constant - 1.0))
+    return reports, _verdict(all(
+        rep.verdict == "holds" and rep.details["witness_ratio_deviation"] <= WITNESS_RTOL for rep in reports))
 
 
-def _builtin_prop6_equivalence(out_dir, n_max, rng) -> dict:
+def _builtin_prop6_equivalence(out_dir, n_max, rng) -> tuple:
     # a "holds" case is consistent when z attains its constant, a "fails"
     # case when its witness beats the constant
     graded = momentmatrix.MomentMatrix(
         build=lambda n: np.diag([5.0**k for k in range(n)]).astype(complex),
         label="diag(5^k)",
+        subject={"kind": "graded_diagonal", "ratio": 5.0},
     )
     cases = [
-        ("lebesgue-unit", momentmatrix.of_measure(UNIT), 1.0, 16, "holds"),
-        ("weighted-cos-0.4", momentmatrix.of_measure(measures.WeightedCircle(0.0, 1.0, W_COS08)), 1.0, 3, "fails"),
-        ("graded-diagonal", graded, 1.0, 8, "fails"),
-        ("shifted-circle-r2", momentmatrix.of_measure(measures.CircleLebesgue(0.0, 2.0)), 4.0, 12, "holds"),
+        (momentmatrix.of_measure(UNIT), 1.0, 16, "holds"),
+        (momentmatrix.of_measure(measures.WeightedCircle(0.0, 1.0, W_COS08)), 1.0, 3, "fails"),
+        (graded, 1.0, 8, "fails"),
+        (momentmatrix.of_measure(measures.CircleLebesgue(0.0, 2.0)), 4.0, 12, "holds"),
     ]
-    case_rows = []
-    all_ok = True
-    for tag, m, c, n, expected in cases:
+    records, all_ok = [], True
+    for m, c, n, expected in cases:
         rep = criteria.wirtinger_psd_check(m, c, n)
-        ok = rep.verdict == expected
         witness = Z if rep.verdict == "holds" else rep.witness
         consistency, detail, ratio = True, 0.0, None
         if witness is not None:
             lhs, rhs = _wirtinger_sides(m, witness, n)
             detail, ratio = lhs - c * rhs, lhs / rhs
             consistency = abs(detail) <= WITNESS_RTOL * c * rhs if rep.verdict == "holds" else detail > 1e-10
-        all_ok = all_ok and ok and consistency
-        case_rows.append(
-            {
-                "case": tag,
-                "constant": float(c),
-                "n": n,
-                "verdict": rep.verdict,
-                "expected": expected,
-                "lambda_min": rep.values[0],
-                "witness_ratio": ratio,
-                "consistency_margin": detail,
-                "consistent": bool(consistency),
-            }
-        )
-    return {
-        "cases": case_rows,
-        "verdict": "holds" if all_ok else "fails",
-    }
+        all_ok = all_ok and rep.verdict == expected and consistency
+        rep.details.update(expected=expected, witness_ratio=ratio, consistency_margin=detail, consistent=bool(consistency))
+        records.append(rep)
+    return records, _verdict(all_ok)
 
 
-def _builtin_prop7_rigidity(out_dir, n_max, rng) -> dict:
+def _builtin_prop7_rigidity(out_dir, n_max, rng) -> tuple:
     n = 8
     cases = [momentmatrix.toeplitz_rule({0: 3.0}, label="3*identity"),
              momentmatrix.of_measure(measures.WeightedCircle(0.0, 1.0, W_COS08))]
@@ -513,64 +463,36 @@ def _builtin_prop7_rigidity(out_dir, n_max, rng) -> dict:
                 ang = rng.uniform(0.0, 2.0 * math.pi)
                 c[k] = rad * complex(math.cos(ang), math.sin(ang))
         cases.append(momentmatrix.toeplitz_rule(c, label=f"random-toeplitz-{i}"))
-    rows = []
-    for t, rep in zip(cases, criteria.toeplitz_rigidities(cases, n)):
-        direct = bool(rep.details["is_identity_multiple"])
-        rows.append(
-            {
-                "label": t.label,
-                "verdict": rep.verdict,
-                "offdiag_max": rep.details["offdiag_max"],
-                "is_identity_multiple": direct,
-                "agrees": (rep.verdict == "holds") == direct,
-            }
-        )
-    mismatches = sum(not row["agrees"] for row in rows)
-    return {
-        "n": n,
-        "cases": rows,
-        "mismatches": mismatches,
-        "verdict": "holds" if mismatches == 0 else "fails",
-    }
+    # each verdict must agree with the direct off-diagonal test
+    reports = criteria.toeplitz_rigidities(cases, n)
+    return reports, _verdict(all((rep.verdict == "holds") == rep.details["is_identity_multiple"] for rep in reports))
 
 
-def _builtin_example4(out_dir, n_max, rng) -> dict:
-    dom = criteria.dominance_check(momentmatrix.of_measure(HALF), momentmatrix.of_measure(UNIT), 1e6, 16)
-    witness_top = None if dom.witness is None else int(np.argmax(np.abs(dom.witness)))
-    pen = sobolev.pencil_of_measures(HALF, UNIT, label="{m0=circle(0;1/2), m1=circle(0;1)}")
+def _builtin_example4(out_dir, n_max, rng) -> tuple:
+    dom = _with_top_power(
+        criteria.dominance_check(momentmatrix.of_measure(HALF), momentmatrix.of_measure(UNIT), 1e6, 16))
+    pen = sobolev.pencil_of_measures(HALF, UNIT)
     mult = _mult_op(pen, n_max, os.path.join(out_dir, "example4-mr-m_multop.csv"))  # size n_max + 1 first
     bound = criteria.sobolev_domination_bound(pen, n_max)
     ok = (
         dom.verdict == "fails"  # a "fails" report carries its witness
-        and witness_top >= 10
-        and bound.verdict == "holds"
-        and mult["plateau"]
+        and dom.details["witness_top_power"] >= 10
+        and bound.verdict == mult.verdict == "holds"
     )
-    return {
-        "dominance": dom.to_dict(),
-        "dominance_witness_top_power": witness_top,
-        "domination": bound.to_dict(),
-        "mult_op": mult,
-        "verdict": "holds" if ok else "fails",
-    }
+    return [dom, bound, mult], _verdict(ok)
 
 
-def _builtin_example5(out_dir, n_max, rng) -> dict:
+def _builtin_example5(out_dir, n_max, rng) -> tuple:
     atoms = measures.Atomic(((0.3 + 0.0j, 1.0), (-0.2 + 0.4j, 1.0)))
     pen = sobolev.pencil_of_measures(UNIT, atoms)
     mult = _mult_op(pen, n_max, os.path.join(out_dir, "example5-discrete_multop.csv"))  # size n_max + 1 first
     bound = criteria.sobolev_domination_bound(pen, n_max)
     zeros = _zero_bound_scan(pen, range(1, 13))
-    ok = bound.verdict == "holds" and mult["plateau"] and zeros["bounded"]
-    return {
-        "domination": bound.to_dict(),
-        "mult_op": mult,
-        "zero_bound_scan": zeros,
-        "verdict": "holds" if ok else "fails",
-    }
+    records = [bound, mult, zeros]
+    return records, _verdict(all(rep.verdict == "holds" for rep in records))
 
 
-def _builtin_example6(out_dir, n_max, rng) -> dict:
+def _builtin_example6(out_dir, n_max, rng) -> tuple:
     pen = sobolev.pencil_of_measures(UNIT, measures.CircleLebesgue(0.5, 2.0))
     mult = _mult_op(pen, n_max, os.path.join(out_dir, "example6-circles_multop.csv"))
     bound = criteria.sobolev_domination_bound(pen, n_max)  # before the scan replaces the n_max factor
@@ -578,55 +500,43 @@ def _builtin_example6(out_dir, n_max, rng) -> dict:
     reporting.write_csv(
         os.path.join(out_dir, "example6-circles_zeros.csv"),
         ("degree", "max_zero_modulus", "mult_op_bound"),
-        list(zip(zeros["degrees"], zeros["max_zero_modulus"], zeros["mult_op_bound"])),
+        list(zip(zeros.n_list, zeros.values, zeros.details["mult_op_bound"])),
     )
-    ok = mult["plateau"] and zeros["bounded"] and bound.verdict == "holds"
-    return {
-        "mult_op": mult,
-        "zero_bound_scan": zeros,
-        "domination": bound.to_dict(),
-        "verdict": "holds" if ok else "fails",
-    }
+    records = [mult, zeros, bound]
+    return records, _verdict(all(rep.verdict == "holds" for rep in records))
 
 
-def _builtin_example7(out_dir, n_max, rng) -> dict:
-    pen_p = sobolev.pencil_of_measures(HALF, UNIT, label="{m0=circle(0;1/2), m1=circle(0;1)}")
-    pen_q = sobolev.pencil_of_measures(HALF_PLUS_UNIT, UNIT, label="{m0=circle(0;1/2)+circle(0;1), m1=circle(0;1)}")
+def _builtin_example7(out_dir, n_max, rng) -> tuple:
+    pen_p = sobolev.pencil_of_measures(HALF, UNIT)
+    pen_q = sobolev.pencil_of_measures(HALF_PLUS_UNIT, UNIT)
     comp = criteria.comparability_bounds(pen_p, pen_q, n_max)
     _write_report_csv(comp, os.path.join(out_dir, "example7-comparability_compare.csv"))
-    contrast = criteria.dominance_check(
+    contrast = _with_top_power(criteria.dominance_check(
         momentmatrix.of_measure(HALF), momentmatrix.of_measure(HALF_PLUS_UNIT), float(4**14), 16
-    )
-    contrast_top = None if contrast.witness is None else int(np.argmax(np.abs(contrast.witness)))
-    ratio_dev = 0.0
+    ))
+    ratio_devs = []  # relative deviations of the diagonal moment ratios from 1 + 4^k
     for k in range(1, 21):
         num = measures.moment(HALF_PLUS_UNIT, k, k).real
         den = measures.moment(HALF, k, k).real
         expected = 1.0 + 4.0**k
-        ratio_dev = max(ratio_dev, abs(num / den - expected) / expected)
+        ratio_devs.append(abs(num / den - expected) / expected)
+    ratio = criteria.CriterionReport(
+        contrast.subject, "monomial_ratio", list(range(1, 21)), ratio_devs, _verdict(max(ratio_devs) <= 1e-8),
+        parameters={"rtol": 1e-8},
+    )
     mult = _mult_op(pen_p, n_max)
     zeros = _zero_bound_scan(pen_p, range(1, 21))
     ok = (
         comp.verdict == "holds"
         and comp.details["lower_constant"] >= 1.0
         and contrast.verdict == "fails"
-        and contrast_top >= 10
-        and ratio_dev <= 1e-8
-        and mult["plateau"]
-        and zeros["bounded"]
+        and contrast.details["witness_top_power"] >= 10
+        and ratio.verdict == mult.verdict == zeros.verdict == "holds"
     )
-    return {
-        "comparability": comp.to_dict(),
-        "component_dominance": contrast.to_dict(),
-        "component_dominance_witness_top_power": contrast_top,
-        "monomial_ratio_max_relative_deviation": ratio_dev,
-        "mult_op": mult,
-        "zero_bound_scan": zeros,
-        "verdict": "holds" if ok else "fails",
-    }
+    return [comp, contrast, ratio, mult, zeros], _verdict(ok)
 
 
-def _builtin_bpe_disk_map(out_dir, n_max, rng) -> dict:
+def _builtin_bpe_disk_map(out_dir, n_max, rng) -> tuple:
     m = momentmatrix.of_measure(UNIT)
     points = [0j]
     for radius in (0.3, 0.6, 0.9, 1.1, 1.2, 1.3):
@@ -642,22 +552,15 @@ def _builtin_bpe_disk_map(out_dir, n_max, rng) -> dict:
         ("re", "im", "modulus", "gamma_end", "verdict"),
         rows,
     )
-    return {
-        "label": m.label,
-        "n_max": n_max,
-        "points": len(points),
-        "disk_agrees_with_geometry": bool(consistent),
-        "verdict": "holds" if consistent else "fails",
-    }
+    # one summary record: the per-point rows are the CSV's
+    return [criteria.CriterionReport(m.subject, "bpe_geometry", [n_max], [], _verdict(consistent),
+                                     details={"points": len(points)})], _verdict(consistent)
 
 
-def _builtin_eigenlimits(out_dir, n_max, rng) -> dict:
+def _builtin_eigenlimits(out_dir, n_max, rng) -> tuple:
     rep = criteria.eigen_limit_report(W_COS08, [4, 8, 16, 32])
     _write_report_csv(rep, os.path.join(out_dir, "eigenlimits-weighted_limits.csv"))
-    return {
-        "report": rep.to_dict(),
-        "verdict": rep.verdict,
-    }
+    return [rep], rep.verdict
 
 
 _BUILTINS = {
@@ -687,7 +590,11 @@ def run_builtin(name: str, out_dir: str, n_max: int = DEFAULT_NMAX, seed: int = 
     # a str seed goes through SHA-512: one stream per (seed, built-in), whatever
     # the hash seed or the order the built-ins run in
     rng = random.Random(f"{seed}:{name}")
-    report = {"scenario": name, "command": "builtin", **_BUILTINS[name](out_dir, n_max, rng)}
+    records, verdict = _BUILTINS[name](out_dir, n_max, rng)
+    report = {"scenario": name, "command": "builtin"}
+    if name == "identity-moments":  # the benchmark reads the measure back from this compact JSON
+        report["label"] = json.dumps(records[0].subject, separators=(",", ":"))
+    report.update(records=[rep.to_dict() for rep in records], verdict=verdict)
     reporting.write_json(os.path.join(out_dir, f"{name}.json"), report)
     return report
 

@@ -1,9 +1,12 @@
 """Boundedness criteria on finite sections, with auditable reports.
 
-Every decision procedure returns a CriterionReport carrying the numbers
-it looked at, the thresholds it applied, and -- whenever the verdict is
-"fails" -- a coefficient-vector witness that violates the defining
-inequality by a re-checkable margin.  Verdicts are three-valued:
+Every decision procedure returns a CriterionReport, the one verdict
+record behind every report: the subject it tested as JSON (a measure's
+``measures.to_json``, a pencil's {"m0": ..., "m1": ...}, a Toeplitz
+rule's coefficients), the numbers it looked at, the thresholds it
+applied, and -- whenever the verdict is "fails" -- a coefficient-vector
+witness that violates the defining inequality by a re-checkable margin.
+Verdicts are three-valued:
 
 * "holds":        the finite-section evidence satisfies the criterion,
 * "fails":        a concrete witness violates it,
@@ -78,8 +81,10 @@ class CenterNotBoundedEvaluation(Exception):
 
 @dataclass
 class CriterionReport:
+    """One verdict record; ``to_dict`` gives its fields in this order."""
+
+    subject: dict | None
     criterion: str
-    labels: dict
     n_list: list
     values: list
     verdict: str
@@ -92,10 +97,10 @@ class CriterionReport:
         """JSON-ready dict with a fixed field order."""
         witness = None
         if self.witness is not None:
-            witness = [[complex(z).real, complex(z).imag] for z in self.witness]
+            witness = [[z.real, z.imag] for z in np.asarray(self.witness).tolist()]
         return {
+            "subject": self.subject,
             "criterion": self.criterion,
-            "labels": dict(self.labels),
             "n_list": [int(n) for n in self.n_list],
             "values": [float(v) for v in self.values],
             "verdict": self.verdict,
@@ -220,8 +225,8 @@ def bpe_decide(m: MomentMatrix, a: complex, n_max: int) -> CriterionReport:
     """
     gammas, verdict, decay = next(bpe_columns(m, [a], n_max))
     return CriterionReport(
+        subject=m.subject,
         criterion="bpe",
-        labels={"matrix": m.label},
         n_list=list(range(2, n_max + 1)),
         values=gammas[1:],
         verdict=verdict,
@@ -245,10 +250,10 @@ def bpe_decide(m: MomentMatrix, a: complex, n_max: int) -> CriterionReport:
 # Wirtinger-type inequalities and dominance
 # ---------------------------------------------------------------------------
 
-def _psd_reports(criterion: str, labels: list, ws: np.ndarray, names: list, c) -> list:
+def _psd_reports(criterion: str, subjects: list, ws: np.ndarray, names: list, c) -> list:
     """Three-valued PSD decisions for the stack (k, n, n) of criterion
     matrices ``ws``, named by ``names``, as the k reports of ``criterion``
-    with the k ``labels`` and constant ``c`` (one for all, or one per
+    on the k ``subjects`` with constant ``c`` (one for all, or one per
     matrix), from one eigenvalue-only solve of the stack.
 
     The value is lambda_min; on "fails" the witness is the canonicalized
@@ -262,10 +267,10 @@ def _psd_reports(criterion: str, labels: list, ws: np.ndarray, names: list, c) -
     tols = PSD_FLOOR_FACTOR * ws.shape[-1] * np.finfo(float).eps * np.abs(lams).max(axis=-1, initial=0.0)
     fails = -lams[:, 0] > np.maximum(WITNESS_MARGIN, tols)
     vecs = iter(numkernel.herm_eig(ws[fails], joined)[1][:, :, 0] if fails.any() else ())
-    rows = zip(lams[:, 0].tolist(), tols.tolist(), np.full(len(labels), c, dtype=float).tolist(), fails.tolist())
+    rows = zip(lams[:, 0].tolist(), tols.tolist(), np.full(len(subjects), c, dtype=float).tolist(), fails.tolist())
     return [CriterionReport(
+        subject=subject,
         criterion=criterion,
-        labels=label,
         n_list=[ws.shape[-1]],
         values=[lam_min],
         verdict=VERDICT_FAILS if fail else VERDICT_HOLDS if lam_min >= -tol else VERDICT_INCONCLUSIVE,
@@ -273,10 +278,10 @@ def _psd_reports(criterion: str, labels: list, ws: np.ndarray, names: list, c) -
         constant=constant,
         parameters={"psd_floor_factor": PSD_FLOOR_FACTOR, "witness_margin": WITNESS_MARGIN},
         details={"tolerance": tol},
-    ) for label, (lam_min, tol, constant, fail) in zip(labels, rows)]
+    ) for subject, (lam_min, tol, constant, fail) in zip(subjects, rows)]
 
 
-def _shifted_wirtinger(labels: list, names: list, secs: np.ndarray, centers: np.ndarray, c) -> tuple:
+def _shifted_wirtinger(subjects: list, names: list, secs: np.ndarray, centers: np.ndarray, c) -> tuple:
     """The "wirtinger_psd" _psd_reports of c N M_n N - E_a M E_a^*, the
     criterion of ||p - p(a)||^2 <= c ||p'||^2 for degree <= n (N = diag(1..n),
     row k - 1 of E_a the coefficients of z^k - a^k), for the stack (k, n + 1,
@@ -295,7 +300,7 @@ def _shifted_wirtinger(labels: list, names: list, secs: np.ndarray, centers: np.
     derivative = scale[:, None] * secs[:, :n, :n] * scale[None, :]
     with np.errstate(over="ignore", invalid="ignore"):  # _psd_reports rejects non-finite entries
         ws = np.asarray(c, dtype=float)[..., None, None] * derivative - shifted
-    reports = _psd_reports("wirtinger_psd", labels, ws, names, c)
+    reports = _psd_reports("wirtinger_psd", subjects, ws, names, c)
     for rep, row in zip(reports, powers):
         if rep.witness is not None:
             rep.witness = np.concatenate(([0j - rep.witness @ row], rep.witness))
@@ -308,14 +313,15 @@ def _wirtinger_checks(ms: list, c: float, n: int) -> list:
         raise ValueError(f"wirtinger check needs 2 <= n <= {MAX_SECTION} and a positive constant")
     secs = np.stack([momentmatrix.section(m, n + 1) for m in ms])
     names = [f"{c} * N M N - M^(1,1) for M = {m.label}" for m in ms]
-    return _shifted_wirtinger([{"matrix": m.label} for m in ms], names, secs, np.zeros(len(ms), dtype=complex), c)[0]
+    return _shifted_wirtinger([m.subject for m in ms], names, secs, np.zeros(len(ms), dtype=complex), c)[0]
 
 
 def circle_wirtinger_checks(centers, radii, n: int) -> tuple:
     """The reports of ||p - p(a)||^2 <= r^2 ||p'||^2 for degree <= n on the
     circles |z - a| = r with arc length, and each circle's ratio of z - a
     (r^2 up to roundoff: no smaller constant holds), from one circle_sections
-    sweep and one eigensolve; a matrix label is built only for an Overflow."""
+    sweep and one eigensolve; a matrix label is built only for an Overflow.
+    Each report's subject is its circle's measure JSON."""
     centers, radii = np.asarray(centers, dtype=complex), np.asarray(radii, dtype=float)
     if not (2 <= n <= MAX_SECTION and (radii > 0).all()):
         raise ValueError(f"circle wirtinger checks need 2 <= n <= {MAX_SECTION} and positive radii")
@@ -323,8 +329,8 @@ def circle_wirtinger_checks(centers, radii, n: int) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):  # reported by require_finite
         secs = measures.circle_sections(centers, radii, measures.UNIT_WEIGHT, n + 1)
     numkernel.require_finite(secs, (momentmatrix.of_measure(measures.CircleLebesgue(a, r)).label for a, r in pairs))
-    circles = [f"circle({a}, {r})" for a, r in pairs]
-    return _shifted_wirtinger([{"circle": c} for c in circles], [f"r^2 N M N - E M E^* for {c}" for c in circles],
+    subjects = [measures.to_json(measures.CircleLebesgue(a, r)) for a, r in pairs]
+    return _shifted_wirtinger(subjects, [f"r^2 N M N - E M E^* for circle({a}, {r})" for a, r in pairs],
                               secs, centers, radii * radii)
 
 
@@ -381,8 +387,8 @@ def dominance_check(m0: MomentMatrix, m1: MomentMatrix, c: float, n: int) -> Cri
         raise ValueError("dominance check needs a positive constant and n >= 1")
     with np.errstate(over="ignore", invalid="ignore"):  # _psd_reports rejects non-finite entries
         w = c * momentmatrix.section(m0, n) - momentmatrix.section(m1, n)
-    labels = {"m0": m0.label, "m1": m1.label}
-    return _psd_reports("dominance", [labels], w[None], [f"{c} * {m0.label} - {m1.label}"], c)[0]
+    subject = {"m0": m0.subject, "m1": m1.subject}
+    return _psd_reports("dominance", [subject], w[None], [f"{c} * {m0.label} - {m1.label}"], c)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +413,8 @@ def sobolev_domination_bound(p: sobolev.SobolevPencil, n_max: int) -> CriterionR
     else:
         verdict = VERDICT_HOLDS if sobolev.plateau(ns, vals) else VERDICT_INCONCLUSIVE
     return CriterionReport(
+        subject=p.subject,
         criterion="sobolev_domination",
-        labels={"pencil": p.label},
         n_list=ns,
         values=vals,
         verdict=verdict,
@@ -445,8 +451,8 @@ def comparability_bounds(
         raise failure  # the smallest failing size's
     settled = sobolev.plateau(ns, highs) and sobolev.plateau(ns, lows) and lows[-1] > 0.0
     return CriterionReport(
+        subject={"pencil": p.subject, "other": q.subject},
         criterion="comparability",
-        labels={"pencil": p.label, "other": q.label},
         n_list=ns,
         values=highs,
         verdict=VERDICT_HOLDS if settled else VERDICT_INCONCLUSIVE,
@@ -492,8 +498,8 @@ def eigen_limit_report(fourier, n_list) -> CriterionReport:
         b <= a + EIGEN_SANDWICH_SLACK for a, b in zip(gaps_low, gaps_low[1:])
     ) and all(b <= a + EIGEN_SANDWICH_SLACK for a, b in zip(gaps_high, gaps_high[1:]))
     return CriterionReport(
+        subject=m.subject,
         criterion="eigen_limits",
-        labels={"weight": m.label},
         n_list=ns,
         values=lams,
         verdict=VERDICT_HOLDS if inside and shrinking else VERDICT_INCONCLUSIVE,
@@ -538,8 +544,8 @@ def bpe_weighted_circles_report(
         else VERDICT_INCONCLUSIVE
     )
     return CriterionReport(
+        subject=pen.subject,
         criterion="bpe_weighted_circles",
-        labels={"pencil": pen.label},
         n_list=list(mseq.n_list),
         values=[float(v) for v in mseq.values],
         verdict=verdict,

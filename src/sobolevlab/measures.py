@@ -237,7 +237,7 @@ def _canonical_weight(fourier) -> tuple[tuple[int, complex], ...]:
             raise MeasureFormatError(
                 "weight coefficients are not Hermitian: w(-%d) != conj(w(%d))" % (k, k)
             )
-        val = 0.5 * (plus + np.conj(minus))
+        val = complex(0.5 * (plus + np.conj(minus)))  # a Python complex: to_json gives reports plain floats
         if k == 0:
             val = complex(val.real, 0.0)
             if not val.real > 0:
@@ -245,7 +245,7 @@ def _canonical_weight(fourier) -> tuple[tuple[int, complex], ...]:
             canon[0] = val
         else:
             canon[k] = val
-            canon[-k] = np.conj(val)
+            canon[-k] = val.conjugate()
     if len(canon) > 1:  # a constant with a positive mean is positive everywhere
         wmin, _ = weight_grid_extremes(tuple(sorted(canon.items())))
         if wmin < -WEIGHT_POSITIVITY_TOL * max(1.0, canon[0].real):

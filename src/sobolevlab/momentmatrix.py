@@ -1,6 +1,8 @@
 """Infinite Hermitian moment matrices represented by section builders.
 
-A matrix is a builder n -> (n x n leading section) plus a label.
+A matrix is a builder n -> (n x n leading section) plus a label for
+messages and a subject, the JSON that says what the matrix is: the
+measure's ``measures.to_json`` or the Toeplitz rule's coefficients.
 Sections are materialized on demand through ``section``, which keeps
 only the largest section built so far, read-only, and returns blocks of
 it.  A builder's writeable output is mirrored (strict lower triangle =
@@ -47,11 +49,14 @@ class MomentMatrix:
     """Section builder for an infinite Hermitian matrix.
 
     ``build(n)`` returns the leading n x n section; the builder of a
-    measure's matrix is ``measures.moment_section``.
+    measure's matrix is ``measures.moment_section``.  ``subject`` is
+    the JSON that reports name the matrix by (None where no builder
+    gives one, as for the zero matrix).
     """
 
     build: Callable[[int], np.ndarray]
     label: str = ""
+    subject: dict | None = None
     _largest: np.ndarray | None = field(default=None, init=False, repr=False)
     _factor: tuple | None = field(default=None, init=False, repr=False)
 
@@ -118,11 +123,10 @@ def factor(m: MomentMatrix, n: int) -> Factor:
 
 
 def of_measure(mu: measures.Measure) -> MomentMatrix:
-    """Moment matrix of a measure; the label records the measure JSON."""
-    return MomentMatrix(
-        build=lambda n: measures.moment_section(mu, n),
-        label=_COMPACT.encode(measures.to_json(mu)),
-    )
+    """Moment matrix of a measure; its subject is the measure JSON, its
+    label that JSON in compact text."""
+    subject = measures.to_json(mu)
+    return MomentMatrix(build=lambda n: measures.moment_section(mu, n), label=_COMPACT.encode(subject), subject=subject)
 
 
 def zero_matrix() -> MomentMatrix:
@@ -133,16 +137,18 @@ def toeplitz_rule(coeffs, label: str = "toeplitz") -> MomentMatrix:
     """Hermitian Toeplitz matrix from diagonal values: entry (i, j) = c[j - i].
 
     Missing negative frequencies fall back to the conjugate of the
-    positive one, so {0: c0, 1: c1, ...} suffices.
+    positive one, so {0: c0, 1: c1, ...} suffices.  The subject lists
+    the coefficients as [k, re, im] rows in the order given.
     """
     c = {int(k): complex(v) for k, v in dict(coeffs).items()}
+    subject = {"kind": "toeplitz", "name": label, "coefficients": [[k, v.real, v.imag] for k, v in c.items()]}
 
     def build(n: int) -> np.ndarray:
         band = np.array([c[d] if d in c else np.conj(c.get(-d, 0j)) for d in range(1 - n, n)])
         k = np.arange(n)
         return band[k[None, :] - k[:, None] + n - 1]
 
-    return MomentMatrix(build=build, label=label)
+    return MomentMatrix(build=build, label=label, subject=subject)
 
 
 def is_toeplitz(m: MomentMatrix, n: int) -> bool:

@@ -43,7 +43,7 @@ def _dict(obj: dict, indent: int) -> str:
     if not obj:
         return "{}"
     pad = "  " * indent
-    items = [f"{pad}  {_string(str(k))}: {render_json(v, indent + 1)}" for k, v in obj.items()]
+    items = [f"{pad}  {_string(str(k))}: {_JSON.get(type(v), render_json)(v, indent + 1)}" for k, v in obj.items()]
     return "{\n" + ",\n".join(items) + f"\n{pad}}}"
 
 
@@ -53,7 +53,7 @@ def _list(seq: list, indent: int) -> str:
     kinds = set(map(type, seq))
     if kinds == {float} and math.isfinite(sum(seq)):  # an overflowing sum takes the item path
         return "[" + ", ".join([FLOAT_FORMAT] * len(seq)) % tuple(seq) + "]"
-    rendered = [render_json(v, indent + 1) for v in seq]
+    rendered = [_JSON.get(type(v), render_json)(v, indent + 1) for v in seq]
     if all(issubclass(k, (dict, list, tuple, np.ndarray)) for k in kinds):  # one item per line
         pad = "  " * indent
         return "[\n" + ",\n".join(f"{pad}  {r}" for r in rendered) + f"\n{pad}]"

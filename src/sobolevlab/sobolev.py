@@ -72,6 +72,11 @@ class SobolevPencil:
 
         self.gram = MomentMatrix(build=build, label=self.label)
 
+    @property
+    def subject(self) -> dict:
+        """{"m0": ..., "m1": ...}: the subjects of the two matrices."""
+        return {"m0": self.m0.subject, "m1": self.m1.subject}
+
 
 def pencil_of_measures(mu0: measures.Measure, mu1: measures.Measure | None, label: str = "") -> SobolevPencil:
     """Pencil of the moment matrices of two measures (None: M1 = 0)."""

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import random
 import re
@@ -148,7 +149,7 @@ def test_run_gamma_writes_fixed_format_report(tmp_path):
     sc = parse_scenario(gamma_scenario())
     report = run(sc, str(tmp_path))
     assert report["verdict"] == "holds"
-    assert report["two_method_relative_gap"] <= 1e-9
+    assert report["records"][0]["details"]["two_method_relative_gap"] <= 1e-9
     text = (tmp_path / "my-gamma.json").read_text(encoding="utf-8")
     # every float is rendered with 12-digit scientific notation
     assert re.search(r'"kernel_value": -?\d\.\d{12}e[+-]\d{2,3}', text)
@@ -166,9 +167,10 @@ def test_run_moments_weighted_circle(tmp_path):
     )
     report = run(sc, str(tmp_path))
     assert report["verdict"] == "holds"
-    assert report["toeplitz"] is True
-    assert report["max_quadrature_deviation"] <= 1e-10
-    assert report["grid_points"] == 256  # n + weight degree = 7: the smallest grid is exact
+    [record] = report["records"]
+    assert record["details"]["toeplitz"] is True
+    assert record["values"][0] <= 1e-10
+    assert record["details"]["grid_points"] == 256  # n + weight degree = 7: the smallest grid is exact
     header = (tmp_path / "mom_section.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header == ",".join(f"col_{j}" for j in range(6))
 
@@ -180,8 +182,9 @@ def test_run_zeros_reports_bound(tmp_path):
     )
     report = run(sc, str(tmp_path))
     assert report["verdict"] == "holds"
-    assert report["max_zero_modulus"] <= report["mult_op_norm"] + 1e-6
-    assert len(report["zeros"]) == 5
+    [record] = report["records"]
+    assert record["values"][0] <= record["details"]["mult_op_bound"][0] + 1e-6
+    assert len(record["details"]["zeros"]) == 5
 
 
 def test_zero_bound_failure_is_a_numeric_error(tmp_path, monkeypatch):
@@ -209,7 +212,7 @@ def test_run_compare_identical_pencils(tmp_path):
     )
     report = run(sc, str(tmp_path))
     assert report["verdict"] == "holds"
-    assert report["report"]["constant"] == pytest.approx(1.0)
+    assert report["records"][0]["constant"] == pytest.approx(1.0)
     lines = (tmp_path / "cmp_compare.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "n,lower,upper"
 
@@ -221,7 +224,7 @@ def test_run_multop_atomic_records_failures(tmp_path):
     )
     report = run(sc, str(tmp_path))
     assert report["verdict"] == "inconclusive"
-    assert any(e for e in report["errors"])
+    assert any(e for e in report["records"][0]["details"]["errors"])
 
 
 def test_run_is_deterministic(tmp_path):
@@ -263,7 +266,7 @@ def test_run_builtin_unknown_name():
 def test_run_builtin_identity_moments(tmp_path):
     report = run_builtin("identity-moments", str(tmp_path))
     assert report["verdict"] == "holds"
-    assert report["max_identity_deviation"] == 0.0
+    assert report["records"][1]["criterion"] == "identity_section" and report["records"][1]["values"] == [0.0]
     assert (tmp_path / "identity-moments.json").exists()
 
 
@@ -320,10 +323,22 @@ def test_sampled_builtins_hold_at_seeds_0_to_9(tmp_path, name):
 
 
 def test_prop7_labels_its_random_cases_in_draw_order(tmp_path):
-    labels = [case["label"] for case in run_builtin("prop7-rigidity", str(tmp_path))["cases"]]
-    cos08 = momentmatrix.of_measure(measures.WeightedCircle(0.0, 1.0, cli.W_COS08)).label
-    assert labels == ["3*identity", cos08] + [f"random-toeplitz-{i}" for i in range(50)]
-    assert len(set(labels)) == 52
+    subjects = [rec["subject"] for rec in run_builtin("prop7-rigidity", str(tmp_path))["records"]]
+    cos08 = measures.to_json(measures.WeightedCircle(0.0, 1.0, cli.W_COS08))
+    names = ["3*identity"] + [f"random-toeplitz-{i}" for i in range(50)]
+    assert subjects[1] == cos08
+    assert [s["name"] for s in subjects[:1] + subjects[2:]] == names
+    # the coefficients, as the seed's stream draws them: c0, then c1..c3 for about half the cases
+    rng = random.Random(f"{cli.DEFAULT_SEED}:prop7-rigidity")
+    for subject in subjects[2:]:
+        drawn = [[0, rng.uniform(0.5, 2.0), 0.0]]
+        if rng.random() < 0.5:
+            for k in range(1, 4):
+                rad, ang = 0.05 * math.sqrt(rng.uniform(0.0, 1.0)), rng.uniform(0.0, 2.0 * math.pi)
+                z = rad * complex(math.cos(ang), math.sin(ang))
+                drawn.append([k, z.real, z.imag])
+        assert subject == {"kind": "toeplitz", "name": subject["name"], "coefficients": drawn}
+    assert subjects[0]["coefficients"] == [[0, 3.0, 0.0]]
 
 
 def test_prop7_decides_its_52_cases_with_one_eigensolve(tmp_path, monkeypatch):
@@ -342,7 +357,7 @@ def test_prop7_decides_its_52_cases_with_one_eigensolve(tmp_path, monkeypatch):
     monkeypatch.setattr(momentmatrix, "toeplitz_rule", counted_rule)
     report = run_builtin("prop7-rigidity", str(tmp_path))
     assert report["verdict"] == "holds"
-    failing = sum(case["verdict"] == "fails" for case in report["cases"])
+    failing = sum(rec["verdict"] == "fails" for rec in report["records"])
     assert 0 < failing < 52
     assert shapes == [("eigvalsh", (52, 8, 8)), ("eigh", (failing, 8, 8))]
     assert builds == [9] * 51  # each Toeplitz section once, at n + 1
@@ -370,7 +385,7 @@ def test_lemma3_shifted_decides_its_20_circles_with_one_eigensolve(tmp_path, mon
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(("eigvalsh", a.shape)) or eigvalsh(a))
     report = run_builtin("lemma3-shifted", str(tmp_path))
     assert shapes == [("eigvalsh", (20, 20, 20))]
-    assert len(report["lambda_min"]) == len(report["tolerance"]) == 20
+    assert len(report["records"]) == 20 and all(len(rec["values"]) == 1 for rec in report["records"])
 
 
 @pytest.mark.parametrize("name", ["lemma3-unitcircle", "prop6-equivalence"])
@@ -383,14 +398,14 @@ def test_wirtinger_certificates_draw_no_random_polynomial(tmp_path, monkeypatch,
 
 
 def test_lemma3_unitcircle_and_prop6_report_ratios_of_z_equal_to_their_constants(tmp_path):
-    report = run_builtin("lemma3-unitcircle", str(tmp_path))
-    assert report["wirtinger"]["verdict"] == "holds" and report["witness"] == "z"
-    assert abs(report["witness_ratio"] - 1.0) <= 1e-12
-    for case in run_builtin("prop6-equivalence", str(tmp_path))["cases"]:
+    [record] = run_builtin("lemma3-unitcircle", str(tmp_path))["records"]
+    assert record["verdict"] == "holds" and record["details"]["witness_polynomial"] == "z"
+    assert abs(record["details"]["witness_ratio"] - 1.0) <= 1e-12
+    for case in run_builtin("prop6-equivalence", str(tmp_path))["records"]:
         if case["verdict"] == "holds":  # |z| = 1 with c = 1 and |z| = 2 with c = 4
-            assert abs(case["witness_ratio"] - case["constant"]) <= 1e-12 * case["constant"]
+            assert abs(case["details"]["witness_ratio"] - case["constant"]) <= 1e-12 * case["constant"]
         else:  # the failure's witness beats its constant
-            assert case["witness_ratio"] > case["constant"]
+            assert case["details"]["witness_ratio"] > case["constant"]
 
 
 @pytest.mark.parametrize("r", [0.3, 1.0, 1.9])
@@ -520,7 +535,7 @@ def test_prop12_tests_its_centers_with_one_solve(tmp_path, monkeypatch):
     monkeypatch.setattr(numkernel, "solve_lower", lambda lower, b: shapes.append(np.shape(b)) or solve_lower(lower, b))
     circles = [[0.1, 0.0, 0.3, [[0, 1.0, 0.0]]], [0.0, 0.2, 0.3, [[0, 1.0, 0.0]]], [-0.3, 0.0, 0.3, [[0, 1.0, 0.0]]]]
     report = run(parse_scenario(dict(BASE_SCENARIOS["prop12"], circles=circles, parameters={"n_max": 8})), str(tmp_path))
-    assert report["verdict"] == "holds" and len(report["report"]["details"]["center_gammas"]) == 3
+    assert report["verdict"] == "holds" and len(report["records"][0]["details"]["center_gammas"]) == 3
     assert [s for s in shapes if s != (s[0], s[0])] == [(8, 3)]
 
 
@@ -601,7 +616,7 @@ def test_overflowing_values_exit_as_before_or_3_without_a_warning(tmp_path, caps
     assert capsys.readouterr().err == err
     if code == 0:
         report = json.loads((tmp_path / "out" / "big.json").read_text())
-        assert report["max_quadrature_deviation"] is None and report["verdict"] == "inconclusive"
+        assert report["records"][0]["values"] == [None] and report["verdict"] == "inconclusive"
 
 
 @pytest.mark.parametrize("nmax", ["2", "3"])
@@ -768,11 +783,88 @@ def _numpy_values(obj, path="report") -> list:
     return []
 
 
-@pytest.mark.parametrize("base", ["zeros", "dominance", "wirtinger"])
+@pytest.mark.parametrize("base", ["zeros", "dominance", "wirtinger", "opoly"])
 def test_report_bodies_hold_plain_python_values(tmp_path, base):
-    # the zero pairs and PSD tolerances reach the renderer as Python floats
+    # the zero pairs, PSD tolerances and a weighted circle's subject reach
+    # the renderer as Python floats
     report = run(parse_scenario(BASE_SCENARIOS[base]), str(tmp_path))
     assert _numpy_values(report) == []
+
+
+RECORD_KEYS = ["subject", "criterion", "n_list", "values", "verdict", "witness", "constant", "parameters", "details"]
+
+
+def _matrix_of(subject) -> momentmatrix.MomentMatrix:
+    """The matrix a measure or Toeplitz subject names, rebuilt from it."""
+    if subject["kind"] == "toeplitz":
+        return momentmatrix.toeplitz_rule({k: complex(re, im) for k, re, im in subject["coefficients"]},
+                                          label=subject["name"])
+    return momentmatrix.of_measure(measures.from_json(subject))
+
+
+def _check_subject(subject, written, record) -> None:
+    """A measure subject, as written, goes through from_json and to_json
+    unchanged; a Toeplitz one rebuilds the section its record tested (the
+    record's diagonal value and largest off-diagonal entry, exactly), and
+    so does its written text, to its 13 digits; pencils and pairs are
+    checked member by member."""
+    if subject is None:
+        return
+    if "kind" not in subject:
+        assert list(subject) in (["m0", "m1"], ["pencil", "other"])
+        for key in subject:
+            _check_subject(subject[key], written[key], record)
+        return
+    if subject["kind"] == "graded_diagonal":
+        assert written == subject == {"kind": "graded_diagonal", "ratio": 5.0}
+    elif subject["kind"] == "toeplitz":
+        n = record["n_list"][0]
+        row0 = momentmatrix.section(_matrix_of(subject), n)[0]
+        assert row0[0].real == record["details"]["diagonal_value"]
+        assert max(map(abs, row0[1:].tolist())) == record["details"]["offdiag_max"]
+        np.testing.assert_allclose(momentmatrix.section(_matrix_of(written), n)[0], row0, rtol=1e-12, atol=1e-13)
+    else:
+        assert measures.to_json(measures.from_json(written)) == written
+        assert measures.to_json(measures.from_json(subject)) == subject
+
+
+def test_every_report_is_one_record_list_with_rebuildable_subjects(tmp_path):
+    # --builtin all at nmax 32 and one scenario per command: one top level,
+    # every record's keys in the fixed order, every subject rebuilt
+    reports = {name: run_builtin(name, str(tmp_path), n_max=32) for name in cli.list_builtins()}
+    for base in sorted(BASE_SCENARIOS):
+        sc = parse_scenario(BASE_SCENARIOS[base])
+        reports[sc.name] = run(sc, str(tmp_path))
+    commands = set()
+    for name, report in reports.items():
+        text = (tmp_path / f"{name}.json").read_text(encoding="utf-8")
+        top = [key for key, _ in json.loads(text, object_pairs_hook=list)]
+        assert top == ["scenario", "command", *(["label"] if name == "identity-moments" else []), "records", "verdict"]
+        written = json.loads(text)
+        assert written["verdict"] == report["verdict"]
+        commands.add(written["command"])
+        assert len(written["records"]) == len(report["records"]) >= 1
+        for pairs in dict(json.loads(text, object_pairs_hook=list))["records"]:
+            assert [key for key, _ in pairs] == RECORD_KEYS
+        for record, written_record in zip(report["records"], written["records"]):
+            _check_subject(record["subject"], written_record["subject"], record)
+    assert commands == {"builtin", *cli._COMMANDS}
+
+
+def test_prop7_fails_records_carry_witnesses_that_recheck(tmp_path):
+    # each "fails" record's witness, read back from the file, violates the
+    # Wirtinger inequality with c = 1 on the section rebuilt from its subject
+    run_builtin("prop7-rigidity", str(tmp_path))
+    records = json.loads((tmp_path / "prop7-rigidity.json").read_text(encoding="utf-8"))["records"]
+    failing = [rec for rec in records if rec["verdict"] == "fails"]
+    assert len(failing) == 34
+    for rec in failing:
+        m, n, c = _matrix_of(rec["subject"]), rec["n_list"][0], rec["constant"]
+        v = np.array([complex(re, im) for re, im in rec["witness"]])
+        assert c == 1.0 and len(v) == n + 1 and v[0] == 0  # the lifted witness: p(0) = 0
+        form = c * momentmatrix.norm_sq(momentmatrix.section(m, n), differentiate(v)) - momentmatrix.norm_sq(
+            momentmatrix.section(m, n + 1), v)
+        assert form < -criteria.WITNESS_MARGIN
 
 
 @pytest.mark.parametrize(
@@ -1045,7 +1137,7 @@ def test_example6_factors_each_size_once(tmp_path, monkeypatch):
     monkeypatch.setattr(numkernel, "cholesky", lambda g, label="": sizes.append(len(g)) or cholesky(g, label))
     report = run_builtin("example6-circles", str(tmp_path), n_max=32)
     assert sizes == [32, 21]
-    assert list(report)[2:] == ["mult_op", "zero_bound_scan", "domination", "verdict"]
+    assert [rec["criterion"] for rec in report["records"]] == ["mult_op", "zero_bound", "sobolev_domination"]
 
 
 def _files(d):
@@ -1071,6 +1163,6 @@ def test_main_calls_in_one_process_match_a_fresh_process(tmp_path):
         assert exc.value.code == 2
         assert main(["--spec", spec_b, "--out", str(tmp_path / "b")]) == 0
         assert main(["--spec", spec_a, "--out", str(tmp_path / "again")]) == 0
-    assert json.loads((tmp_path / "b" / "mb.json").read_text())["grid_points"] == 512
+    assert json.loads((tmp_path / "b" / "mb.json").read_text())["records"][0]["details"]["grid_points"] == 512
     fresh = _files(tmp_path / "fresh")
     assert fresh and _files(tmp_path / "first") == fresh == _files(tmp_path / "again")

@@ -644,8 +644,8 @@ def test_weighted_circles_report_rejects_bad_center():
 
 def test_report_to_dict_fixed_order_and_witness_pairs():
     rep = CriterionReport(
+        subject={"kind": "circle", "center": [0.0, 0.0], "radius": 1.0},
         criterion="demo",
-        labels={"matrix": "x"},
         n_list=[2, 3],
         values=[0.5, 0.25],
         verdict="holds",
@@ -654,8 +654,8 @@ def test_report_to_dict_fixed_order_and_witness_pairs():
     )
     d = rep.to_dict()
     assert list(d.keys()) == [
+        "subject",
         "criterion",
-        "labels",
         "n_list",
         "values",
         "verdict",

@@ -400,7 +400,7 @@ def test_reading_the_inverse_builds_it_once_per_factor(monkeypatch):
 
 def test_zero_bound_scan_factors_once(cholesky_calls):
     scan = cli._zero_bound_scan(pencil_of_measures(UNIT, CircleLebesgue(0.5, 2.0)), range(1, 21))
-    assert scan["degrees"] == list(range(1, 21))
+    assert scan.n_list == list(range(1, 21))
     assert cholesky_calls == [21]
 
 
@@ -411,7 +411,7 @@ def test_zero_bound_scan_reads_a_monomial_without_an_eigensolve(monkeypatch):
     ops = sobolev.orthonormal_polys(pen.gram, 41)
     solved = [float(np.max(np.abs(numkernel.companion_roots(ops[d])))) for d in range(1, 41)]
     roots = _counted(monkeypatch, "companion_roots")
-    assert cli._zero_bound_scan(pen, range(1, 41))["max_zero_modulus"] == solved == [0.0] * 40
+    assert cli._zero_bound_scan(pen, range(1, 41)).values == solved == [0.0] * 40
     assert roots == []
     # off the diagonal from degree 2 on: row 0 of the Gram is that of the unit circle's
     cli._zero_bound_scan(pencil_of_measures(UNIT, SHIFTED), range(1, 6))
