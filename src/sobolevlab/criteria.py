@@ -447,8 +447,9 @@ def comparability_bounds(
     fac = momentmatrix.factor(p.gram, n_max)
     lows, highs = numkernel.nested_gen_eig(gram_q, fac.inverse, fac.failure, p.label, both_ends=True)
     lows, highs = lows[1:], highs[1:]
-    for failure in (top for top in highs if isinstance(top, Exception)):  # one failure per size, at both ends
-        raise failure  # the smallest failing size's
+    for failure in (top for top in highs if isinstance(top, numkernel.ConvergenceFailure)):
+        raise failure  # the smallest failing size's; every size past G_P's breakdown is larger
+    fac.checked()  # the breakdown itself, raised as a fresh copy of the one the factor keeps
     settled = sobolev.plateau(ns, highs) and sobolev.plateau(ns, lows) and lows[-1] > 0.0
     return CriterionReport(
         subject={"pencil": p.subject, "other": q.subject},

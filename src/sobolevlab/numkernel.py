@@ -9,15 +9,13 @@ factor (solved at both ends and wherever Cauchy interlacing does not
 pin it, so a pinned size cannot report a ConvergenceFailure), and on
 request the bottom eigenvalue from the same solve of each size, and
 polynomial roots via the companion matrix.  A rotation-invariant pencil
-gives a diagonal reduced matrix, whose inner sizes read the running
-maximum and minimum of its diagonal instead of a solve: bitwise LAPACK's
-top and bottom while every entry is finite, nonzero and inside the
-window where zheevd does not rescale (about 1e-146 to 1e146), and used
-only when the solved ends at full size equal the extreme entries.  Eigensolves are delegated to
-LAPACK through numpy; what this module adds is the error contract
-(NotPositiveDefinite with the failing pivot index and the factor before
-it, ConvergenceFailure with the offending label, Overflow for values
-beyond the double range) and the exact reductions used by the callers.
+gives a diagonal reduced matrix, which is its own spectrum: every size
+reads the running maximum and minimum of its diagonal, with no solve.
+Eigensolves are delegated to LAPACK through numpy; what this module adds
+is the error contract (NotPositiveDefinite with the failing pivot index
+and the factor before it, ConvergenceFailure with the offending label,
+Overflow for values beyond the double range) and the exact reductions
+used by the callers.
 Moment-matrix sections are factored once per matrix and size by
 ``momentmatrix.factor``, and a factor is inverted when first read.
 With no nonzero entry below the diagonal (a rotation-invariant measure's
@@ -30,7 +28,6 @@ same-size matrices, shape (k, n, n), each matrix bitwise as alone.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -56,11 +53,6 @@ __all__ = [
 #: marks the section as numerically singular
 PIVOT_RTOL = 1e-14
 _EPS = float(np.finfo(float).eps)
-#: zheevd rescales a matrix whose largest entry lies outside [sqrt(tiny / eps),
-#: its reciprocal] = [2^-485, 2^485], about 1e-146 to 1e146; unscaled, the
-#: eigenvalues of a real diagonal matrix are its entries bit for bit
-_UNSCALED_LO = math.sqrt(float(np.finfo(float).tiny) / _EPS)
-_UNSCALED_HI = 1 / _UNSCALED_LO
 
 
 class NotPositiveDefinite(Exception):
@@ -234,28 +226,26 @@ def eigvalsh(b, label: str = "") -> np.ndarray:
         raise ConvergenceFailure(label) from exc
 
 
+def _diagonal_ends(b: np.ndarray):
+    """The running minimum and maximum of B's real diagonal, which are the
+    bottom and top of every leading block when B has no nonzero entry
+    below its diagonal (a Hermitian B is then diagonal); None otherwise."""
+    (rows, cols), _ = _mirror_indices(b.shape[0])
+    if np.count_nonzero(b[rows, cols]):
+        return None
+    d = b.diagonal().real
+    return np.minimum.accumulate(d), np.maximum.accumulate(d)
+
+
 def gen_eig_top(q, inverse, label: str = "") -> float:
     """The top eigenvalue of the pencil (Q, G) alone, read off G's inverse
-    factor W of Q's size: one solve of W Q W^*, bitwise the last entry of
-    ``nested_gen_eig`` over the same Q and W; ConvergenceFailure when
-    LAPACK does not converge, Overflow when W Q W^* does."""
-    return float(eigvalsh(_reduce(_square(q), inverse, label), label)[-1])
-
-
-def _diagonal_maxima(b: np.ndarray, top: float) -> np.ndarray | None:
-    """The running maximum of B's real diagonal, which is the top at every
-    size bit for bit when B is diagonal and its entries lie in zheevd's
-    unscaled window; None unless B has no nonzero entry off its diagonal,
-    every diagonal entry is finite, nonzero and inside the window, and the
-    solved top at full size ``top`` equals the largest entry."""
-    d = b.diagonal().real
-    mag = np.abs(d)
-    if not (mag.min() >= _UNSCALED_LO and mag.max() <= _UNSCALED_HI):  # NaN fails both
-        return None
-    if np.count_nonzero(b) != len(d):  # every diagonal entry is nonzero, so one is off it
-        return None
-    maxima = np.maximum.accumulate(d)
-    return maxima if maxima[-1] == top else None
+    factor W of Q's size: the largest diagonal entry of a diagonal W Q W^*,
+    or else one solve of it, bitwise the last entry of ``nested_gen_eig``
+    over the same Q and W; ConvergenceFailure when LAPACK does not
+    converge, Overflow when W Q W^* does."""
+    b = _reduce(_square(q), inverse, label)
+    diagonal = _diagonal_ends(b)
+    return float(diagonal[1][-1]) if diagonal is not None else float(eigvalsh(b, label)[-1])
 
 
 def _pinned(x, y) -> bool:
@@ -274,29 +264,24 @@ def nested_gen_eig(q, inverse, failure: NotPositiveDefinite | None, label: str =
     pair (bottoms, tops) of lists, where the bottom eigenvalue at each size
     comes from the same solve as the top.
 
-    The top of B_n is nondecreasing in n and the bottom nonincreasing
-    (Cauchy interlacing), so sizes are solved by bisection on [1, k]: when
-    the tops at the two ends of a range agree to 4 eps relative (and, with
+    When B = W Q W^* has no nonzero entry below its diagonal (a
+    rotation-invariant pencil), each size's bottom and top are the running
+    minimum and maximum of its diagonal, with no solve.  Otherwise the top
+    of B_n is nondecreasing in n and the bottom nonincreasing (Cauchy
+    interlacing), so sizes are solved by bisection on [1, k]: when the tops
+    at the two ends of a range agree to 4 eps relative (and, with
     ``both_ends``, the bottoms too), every size between gets the upper
     end's values; otherwise the range is split at its midpoint.  A failed
     solve is its size's ConvergenceFailure in both lists and splits each
     range it ends; a size filled by interlacing is not solved, so it cannot
     report one.
-
-    Sizes 1 and k are always solved by LAPACK.  When both succeed without
-    pinning the sizes between, and B_k is diagonal (a rotation-invariant
-    pencil), every other size the bisection asks for reads the running
-    maximum and minimum of B's diagonal instead: that is LAPACK's top and
-    bottom bit for bit provided every diagonal entry is finite, nonzero and
-    inside zheevd's unscaled window (about 1e-146 to 1e146), and the size-k
-    top equals the largest entry (and, with ``both_ends``, the size-k
-    bottom the smallest); otherwise every size is solved or filled by the
-    bisection alone.
     """
     qm = _square(q)
     k = inverse.shape[0]
-    b = _reduce(qm[:k, :k], inverse, label) if k else None
-    record = [None] * k  # record[n - 1]: (bottom, top) at size n, or its ConvergenceFailure twice
+    b = _reduce(qm[:k, :k], inverse, label)
+    diagonal = _diagonal_ends(b)
+    # record[n - 1]: (bottom, top) at size n, or its ConvergenceFailure twice
+    record = [None] * k if diagonal is None else list(zip(*(d.tolist() for d in diagonal)))
     ends = slice(0 if both_ends else 1, 2)  # the ends whose agreement pins a range
 
     def solve(n: int):
@@ -308,13 +293,7 @@ def nested_gen_eig(q, inverse, failure: NotPositiveDefinite | None, label: str =
                 record[n - 1] = (exc, exc)
         return record[n - 1]
 
-    if k > 2:
-        x, y = solve(1), solve(k)
-        if isinstance(x[0], float) and isinstance(y[0], float) and not all(map(_pinned, x[ends], y[ends])):
-            minima, maxima = np.minimum.accumulate(b.diagonal().real), _diagonal_maxima(b, y[1])
-            if maxima is not None and (minima[-1] == y[0] or not both_ends):
-                record[1 : k - 1] = zip(minima[1:-1].tolist(), maxima[1:-1].tolist())
-    ranges = [(1, k)] if k else []  # a stack, lower half on top
+    ranges = [(1, k)] if diagonal is None else []  # a stack, lower half on top
     while ranges:
         lo, hi = ranges.pop()
         x, y = solve(lo), solve(hi)

@@ -188,14 +188,16 @@ def test_run_zeros_reports_bound(tmp_path):
 
 
 def test_zero_bound_failure_is_a_numeric_error(tmp_path, monkeypatch):
-    # a failed eigensolve of the bound raises instead of reporting NaN
+    # a failed eigensolve of the bound raises instead of reporting NaN; mu1
+    # off the origin, as a diagonal reduced matrix is read without a solve
     def no_convergence(a):
         raise np.linalg.LinAlgError("no convergence")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    shifted = {"kind": "circle", "center": [0.5, 0.0], "radius": 2.0}
     sc = parse_scenario(
         {"name": "z", "command": "zeros",
-         "pencil": {"m0": UNIT_JSON, "m1": UNIT_JSON}, "parameters": {"degree": 5}}
+         "pencil": {"m0": UNIT_JSON, "m1": shifted}, "parameters": {"degree": 5}}
     )
     message = r"eigensolver failed to converge on \{m0="
     with pytest.raises(ConvergenceFailure, match=message):

@@ -1,7 +1,9 @@
 """Decision procedures: point evaluation, PSD criteria, plateau bounds."""
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -26,7 +28,7 @@ from sobolevlab.criteria import (
 )
 from sobolevlab.measures import Atomic, CircleLebesgue, MeasureSum, WeightedCircle, weight_grid_extremes
 from sobolevlab.momentmatrix import norm_sq, section
-from sobolevlab.numkernel import ConvergenceFailure
+from sobolevlab.numkernel import ConvergenceFailure, NotPositiveDefinite
 from sobolevlab.polynomials import differentiate, evaluate
 from sobolevlab.sobolev import gram_section, norm_sequence, pencil_of_measures
 
@@ -559,14 +561,35 @@ def test_comparability_raises_its_smallest_failing_size(monkeypatch):
     assert sizes.count(10) == 1
 
 
-def test_example7_comparability_solves_only_its_ends(monkeypatch):
-    # example 7's reduced matrix is diagonal (concentric circles): sizes 1
-    # and 64 are solved once, for both ends, and every other size is read
-    # off the diagonal
+def test_example7_comparability_reads_every_size_off_the_diagonal(monkeypatch):
+    # example 7's reduced matrix is diagonal (concentric circles): both
+    # ends of every size are read off the diagonal, with no eigensolve
     sizes = counting_eigvalsh(monkeypatch)
     rep = comparability_bounds(pencil_of_measures(HALF, UNIT), pencil_of_measures(HALF_PLUS_UNIT, UNIT), 64)
     assert rep.verdict == "holds"
-    assert sizes == [1, 64]
+    assert sizes == []
+
+
+def test_comparability_raises_a_fresh_copy_of_the_gram_breakdown():
+    # two atoms: G_P breaks down at pivot 2; what is raised is a fresh
+    # NotPositiveDefinite, as raising the one the factor keeps would give it
+    # a traceback whose frames hold the pencil
+    p = pencil_of_measures(Atomic(((0.3 + 0.0j, 1.0), (-0.2 + 0.4j, 1.0))), None)
+    with pytest.raises(NotPositiveDefinite, match="^pivot 2 of ") as info:
+        comparability_bounds(p, pencil_of_measures(UNIT, UNIT), 6)
+    kept = p.gram._factor[1].failure
+    assert info.value is not kept and kept.__traceback__ is None
+    assert str(info.value) == str(kept) and info.value.lower is kept.lower
+    del info, kept
+    refs = [weakref.ref(p), weakref.ref(p.gram), weakref.ref(p.gram._factor[1].failure)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del p
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_comparability_requires_window():

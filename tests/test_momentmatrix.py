@@ -424,7 +424,8 @@ def test_builtin_suite_at_nmax_64_runs_the_row_loops_only_off_the_diagonal(monke
     # read the diagonal, bitwise the row loops; the three zero-bound scans
     # make 30 companion eigensolves, one per degree whose polynomial is not
     # c z^d (all 20 of example 7's are, and degree 1 of examples 5 and 6);
-    # of the 135 eigvalsh calls, 9 decide PSD criteria: lemma3-shifted's stack of 20,
+    # diagonal reduced matrices are read without a solve, and of the 125
+    # eigvalsh calls, 9 decide PSD criteria: lemma3-shifted's stack of 20,
     # prop7's of 52, and one matrix each for lemma3-unitcircle, prop6's 4 cases and the two
     # dominance checks
     loops = {"cholesky": [], "solve_lower": []}
@@ -442,4 +443,4 @@ def test_builtin_suite_at_nmax_64_runs_the_row_loops_only_off_the_diagonal(monke
     assert cli.main(["--builtin", "all", "--nmax", "64", "--out", str(tmp_path)]) == 0
     assert len(loops["cholesky"]) == len(loops["solve_lower"]) == 8
     assert sum(loops["cholesky"]) == sum(loops["solve_lower"]) == 4
-    assert len(roots) == 30 and len(solves) == 135
+    assert len(roots) == 30 and len(solves) == 125

@@ -206,19 +206,6 @@ def test_cholesky_fails_at_a_nan_pivot_with_the_factor_before_it(below):
     assert info.value.lower.tobytes() == np.array([[2.0 + 0j]]).tobytes()
 
 
-def test_cholesky_with_one_entry_below_the_diagonal_runs_the_row_loop():
-    a = mirror_upper(np.diag([4.0, 9.0, 16.0]).astype(complex))
-    a[2, 0] = 2.0  # only the lower triangle is read
-    lower = cholesky(a)
-    assert lower.tobytes() == cholesky_rows(a).tobytes()
-    assert lower[2, 0] == 1.0 and lower[2, 2] == np.sqrt(15.0)
-    a[2, 0] = 8.0  # the Schur pivot 16 - 16 fails, though the entry 16 would pass
-    assert _factor_outcome(cholesky, a) == _factor_outcome(cholesky_rows, a)
-    with pytest.raises(NotPositiveDefinite) as info:
-        cholesky(a)
-    assert info.value.index == 2
-
-
 @pytest.mark.parametrize("seed", range(10))
 def test_solve_lower_by_a_diagonal_factor_is_the_substitutions_bit_for_bit(seed):
     rng = np.random.default_rng(seed)
@@ -243,14 +230,6 @@ def test_solve_lower_past_an_infinite_quotient_makes_the_substitutions_nan_rows(
             got, ref = solve_lower(lower, b), substitute_rows(lower, b)
         assert got.tobytes() == ref.tobytes()
         assert np.isinf(got[1]).any() and np.isnan(got[2:]).any()
-
-
-def test_solve_lower_with_one_entry_below_the_diagonal_substitutes():
-    lower = np.eye(3)
-    lower[2, 0] = 1.0
-    b = np.array([1.0, 2.0, 1.0])
-    assert solve_lower(lower, b).tolist() == [1.0, 2.0, 0.0]
-    assert solve_lower(lower, b).tobytes() == substitute_rows(lower, b).tobytes()
 
 
 def test_reduced_matrix_near_the_double_range_stays_finite():
@@ -296,17 +275,22 @@ def _nested_hermitian(seed, k, lead):
     return b
 
 
-def _tops(q, failing=(), diagonal_rule=True, both_ends=False):
+def _tops(q, failing=(), both_ends=False):
     """nested_gen_eig over the identity factor, and the sizes it solved;
-    sizes in ``failing`` do not converge, and without ``diagonal_rule``
-    every size is solved or filled by interlacing alone.  With
-    ``both_ends``, the result is the pair (bottoms, tops)."""
+    sizes in ``failing`` do not converge.  With ``both_ends``, the result
+    is the pair (bottoms, tops)."""
     with pytest.MonkeyPatch.context() as mp:
-        if not diagonal_rule:
-            mp.setattr(numkernel, "_diagonal_maxima", lambda b, top: None)
         solved = counting_eigvalsh(mp, lambda a: a.shape[0] in failing)
         tops = nested_gen_eig(q, np.eye(q.shape[0], dtype=complex), None, "B", both_ends=both_ends)
     return tops, solved
+
+
+def _flat():
+    """A sequence of tops that is 5 at every size, with one pair of entries
+    off the diagonal so that the sizes go through the bisection."""
+    q = np.diag([5.0, 1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 0.5, 3.0]).astype(complex)
+    q[7, 8] = q[8, 7] = 0.25
+    return q
 
 
 @pytest.mark.parametrize("lead", [0.0, 1e3, 1e9, 1e12])
@@ -325,12 +309,13 @@ def test_nested_gen_eig_matches_a_solve_per_size(seed, lead):
 
 
 def test_nested_gen_eig_fills_a_flat_sequence_from_its_two_ends():
-    q = np.diag([5.0, 1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 0.5, 3.0]).astype(complex)
-    tops, solved = _tops(q)
+    tops, solved = _tops(_flat())
     assert tops == [5.0] * 9
     assert sorted(solved) == [1, 9]
     # ends 2 ulps apart pin the size between them to the upper end's value
-    tops, solved = _tops(np.diag([1.0, 1.0 + EPS, 1.0 + 2 * EPS]).astype(complex))
+    q = np.diag([1.0, 1.0 + EPS, 1.0 + 2 * EPS]).astype(complex)
+    q[1, 2] = q[2, 1] = 1e-300
+    tops, solved = _tops(q)
     assert tops == [1.0, 1.0 + 2 * EPS, 1.0 + 2 * EPS]
     assert sorted(solved) == [1, 3]
 
@@ -338,8 +323,7 @@ def test_nested_gen_eig_fills_a_flat_sequence_from_its_two_ends():
 def test_nested_gen_eig_keeps_a_failed_size_and_its_neighbours():
     # a failure at a solved end splits its range: the failed size holds its
     # ConvergenceFailure and every other size keeps its value
-    q = np.diag([5.0, 1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 0.5, 3.0]).astype(complex)
-    tops, solved = _tops(q, failing=(9,))
+    tops, solved = _tops(_flat(), failing=(9,))
     assert isinstance(tops[8], ConvergenceFailure) and str(tops[8]) == "eigensolver failed to converge on B"
     assert tops[:8] == [5.0] * 8
     assert 8 in solved
@@ -354,8 +338,7 @@ def test_nested_gen_eig_keeps_a_failed_size_and_its_neighbours():
 
 def test_nested_gen_eig_does_not_solve_an_interlaced_size():
     # size 5 lies inside the pinned range [1, 9]: its solve is never asked for
-    q = np.diag([5.0, 1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 0.5, 3.0]).astype(complex)
-    tops, solved = _tops(q, failing=(5,))
+    tops, solved = _tops(_flat(), failing=(5,))
     assert tops == [5.0] * 9 and 5 not in solved
 
 
@@ -411,23 +394,39 @@ def _random_diagonal(seed, k, lo, hi):
     return np.diag(rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(lo, hi, k)).astype(complex)
 
 
-def _bits(tops):
-    return [t.hex() if isinstance(t, float) else repr(t) for t in tops]
+def _bits(values):
+    return [v.hex() if isinstance(v, float) else repr(v) for v in values]
+
+
+def _read_off_the_diagonal(q):
+    """(bottoms, tops) of nested_gen_eig over the identity factor, the
+    tops without ``both_ends`` and gen_eig_top, each bitwise as the others
+    give it; no size is solved."""
+    (bottoms, tops), solved = _tops(q, both_ends=True)
+    alone, solved_alone = _tops(q)
+    with pytest.MonkeyPatch.context() as mp:
+        solved_top = counting_eigvalsh(mp)
+        top = numkernel.gen_eig_top(q, np.eye(q.shape[0], dtype=complex), "B")
+    assert solved == solved_alone == solved_top == []
+    assert _bits(alone) == _bits(tops) and top.hex() == tops[-1].hex()
+    return bottoms, tops
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_nested_gen_eig_reads_a_diagonal_in_the_window_off_its_diagonal(seed):
-    # magnitudes 1e-145..1e145, inside zheevd's unscaled window: only sizes
-    # 1 and k are solved, and every top is a per-size LAPACK solve's, bit for bit
+    # magnitudes 1e-145..1e145, where zheevd does not rescale: every size's
+    # bottom and top are a per-size LAPACK solve's, bit for bit
     k = 48
     q = _random_diagonal(seed, k, -145.0, 145.0)
-    tops, solved = _tops(q)
-    assert sorted(solved) == [1, k]
-    assert _bits(tops) == _bits([float(np.linalg.eigvalsh(q[:n, :n])[-1]) for n in range(1, k + 1)])
+    bottoms, tops = _read_off_the_diagonal(q)
+    solves = [np.linalg.eigvalsh(q[:n, :n]) for n in range(1, k + 1)]
+    assert _bits(bottoms) == _bits([float(w[0]) for w in solves])
+    assert _bits(tops) == _bits([float(w[-1]) for w in solves])
 
 
-def _outside_the_window():
-    """Diagonal matrices with entries outside zheevd's unscaled window."""
+def _any_diagonal():
+    """Diagonal matrices with entries outside zheevd's unscaled window
+    (about 1e-146 to 1e146), zeros, or an end that moves at every size."""
     rng = np.random.default_rng(5)
     signs = lambda k: rng.choice([-1.0, 1.0], k)
     cases = {f"1e-300..1e300 seed {seed}": _random_diagonal(seed, 40, -300.0, 300.0) for seed in range(10)}
@@ -435,95 +434,58 @@ def _outside_the_window():
         d = np.concatenate([signs(12) * 10.0 ** rng.uniform(lo, hi, 12), signs(28) * 10.0 ** rng.uniform(-5, 5, 28)])
         cases[f"leading block {name}"] = np.diag(d).astype(complex)
     cases["signed zeros"] = np.diag(signs(16) * 0.0).astype(complex)
+    d = signs(16) * 10.0 ** rng.uniform(-5, 5, 16)
+    d[rng.choice(16, 5, replace=False)] = [0.0, -0.0, 0.0, -0.0, 0.0]
+    cases["zeros among entries"] = np.diag(d).astype(complex)
+    cases["an end moves at each size"] = np.diag(1e200 * np.array([(-1.0) ** n * (n + 1) for n in range(16)]) + 0j)
+    cases["ends within 4 eps"] = np.diag([1.0, 1.0 + EPS, 1.0 + 2 * EPS]).astype(complex)
     return cases
 
 
-@pytest.mark.parametrize("name", sorted(_outside_the_window()))
-def test_nested_gen_eig_solves_a_diagonal_outside_the_window(name):
-    # zheevd rescales these, so the diagonal is not read: tops and solves
-    # are those of the bisection alone, bit for bit
-    q = _outside_the_window()[name]
-    tops, solved = _tops(q)
-    before, solved_before = _tops(q, diagonal_rule=False)
-    assert _bits(tops) == _bits(before) and solved == solved_before
-    for n in set(solved):
-        assert tops[n - 1].hex() == float(reduced_eigvals(q[:n, :n], np.eye(n))[-1]).hex()
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_nested_gen_eig_reads_both_ends_of_a_diagonal_in_the_window_off_its_diagonal(seed):
-    # only sizes 1 and k are solved; the bottoms are the running minimum of
-    # the diagonal and each size's LAPACK bottom, bit for bit
-    k = 48
-    q = _random_diagonal(seed, k, -145.0, 145.0)
-    (bottoms, tops), solved = _tops(q, both_ends=True)
-    assert sorted(solved) == [1, k]
+@pytest.mark.parametrize("name", sorted(_any_diagonal()))
+def test_nested_gen_eig_reads_any_diagonal_off_its_diagonal(monkeypatch, name):
+    # at any magnitude, zeros and signed zeros included, each size's bottom
+    # and top are the running minimum and maximum of the diagonal, bit for
+    # bit; B is Q as it is (the product by the identity factor would turn
+    # -0 into +0)
+    monkeypatch.setattr(numkernel, "_reduce", lambda q, inverse, label: q)
+    q = _any_diagonal()[name]
+    bottoms, tops = _read_off_the_diagonal(q)
     d = q.diagonal().real
-    assert _bits(bottoms) == _bits(np.minimum.accumulate(d).tolist()) and _bits(tops) == _bits(_tops(q)[0])
-    assert _bits(bottoms) == _bits([float(np.linalg.eigvalsh(q[:n, :n])[0]) for n in range(1, k + 1)])
+    assert _bits(bottoms) == _bits(np.minimum.accumulate(d).tolist())
+    assert _bits(tops) == _bits(np.maximum.accumulate(d).tolist())
 
 
-@pytest.mark.parametrize("name", sorted(_outside_the_window()))
-def test_nested_gen_eig_solves_both_ends_of_a_diagonal_outside_the_window(name):
-    # zheevd rescales these, so the diagonal is not read for either end
-    q = _outside_the_window()[name]
-    ends, solved = _tops(q, both_ends=True)
-    before, solved_before = _tops(q, diagonal_rule=False, both_ends=True)
-    assert [_bits(e) for e in ends] == [_bits(e) for e in before] and solved == solved_before
-    for n in set(solved):
-        ref = reduced_eigvals(q[:n, :n], np.eye(n))
-        assert (ends[0][n - 1].hex(), ends[1][n - 1].hex()) == (float(ref[0]).hex(), float(ref[-1]).hex())
-
-
-def test_nested_gen_eig_solves_every_size_of_a_diagonal_outside_the_window_that_moves_an_end_at_each():
-    # each entry sets a new top or a new bottom, so no range pins and every size is solved
-    d = 1e200 * np.array([(-1.0) ** n * (n + 1) for n in range(16)])
-    (bottoms, tops), solved = _tops(np.diag(d).astype(complex), both_ends=True)
-    assert sorted(solved) == list(range(1, 17))
-    assert bottoms == np.minimum.accumulate(d).tolist() and tops == np.maximum.accumulate(d).tolist()
-
-
-def test_nested_gen_eig_does_not_read_a_diagonal_whose_solved_bottom_is_not_its_smallest_entry(monkeypatch):
-    # the guard on the bottom end: a size-k bottom 2 ulps off the smallest
-    # entry turns the rule off for both ends, and only for both ends
-    q = np.diag(np.arange(1.0, 10.0)).astype(complex)
-    real, solved = np.linalg.eigvalsh, []
-
-    def eigvalsh(a):
-        solved.append(len(a))
-        return real(a) + np.where(np.arange(len(a)) == 0, 2 * EPS * (len(a) == 9), 0.0)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-    bottoms, tops = nested_gen_eig(q, np.eye(9, dtype=complex), None, "B", both_ends=True)
-    assert sorted(solved) == list(range(1, 10)) and bottoms[-1] == 1.0 + 2 * EPS
-    assert tops == [float(n) for n in range(1, 10)]
-    solved.clear()
-    assert nested_gen_eig(q, np.eye(9, dtype=complex), None, "B") == tops and sorted(solved) == [1, 9]
-
-
-def test_nested_gen_eig_reads_no_diagonal_with_a_zero_or_non_finite_entry_or_off_its_diagonal():
-    rising = np.diag(np.arange(1.0, 10.0)).astype(complex)
-    assert sorted(_tops(rising)[1]) == [1, 9]
-    zero, off, non_finite = rising.copy(), rising.copy(), rising.copy()
-    zero[4, 4] = 0.0
-    off[2, 5] = off[5, 2] = 1e-300
-    non_finite[4, 4] = np.inf
-    for q in (zero, off):
-        tops, solved = _tops(q)
-        before, solved_before = _tops(q, diagonal_rule=False)
-        assert _bits(tops) == _bits(before) and solved == solved_before
-        assert len(solved) > 2
-    with pytest.raises(Overflow):  # W Q W^* of the infinite entry is rejected before any solve
-        _tops(non_finite)
-    # the rule itself, on reduced matrices given as they are
-    maxima = numkernel._diagonal_maxima
-    npt.assert_array_equal(maxima(np.diag([2.0, -1.0, 3.0]).astype(complex), 3.0), [2.0, 2.0, 3.0])
-    for d in ([2.0, np.inf, 3.0], [2.0, np.nan, 3.0], [2.0, 0.0, 3.0], [2.0, 1e-147, 3.0], [2.0, -1e147, 3.0]):
-        assert maxima(np.diag(d).astype(complex), 3.0) is None
-    assert maxima(np.diag([2.0, 1.0, 3.0]).astype(complex), np.nextafter(3.0, 4.0)) is None  # the guard
-    b = np.diag([2.0, 1.0, 3.0]).astype(complex)
-    b[0, 2] = b[2, 0] = 1e-300
-    assert maxima(b, 3.0) is None
+@pytest.mark.parametrize("below", [-0.0, 1e-300, 2.0, 8.0])
+@pytest.mark.parametrize("name", ["cholesky", "solve_lower", "nested_gen_eig", "gen_eig_top"])
+def test_only_a_nonzero_entry_below_the_diagonal_runs_the_general_path(monkeypatch, name, below):
+    # diag(4, 9, 16) with one entry below its diagonal: each result is
+    # bitwise the row loop's, the substitution's or the per-size solves',
+    # failures included; a signed zero keeps the diagonal reading, and any
+    # nonzero entry, however small, solves
+    a = np.diag([4.0, 9.0, 16.0]).astype(complex)
+    a[2, 0] = below
+    eye = np.eye(3, dtype=complex)
+    run, general = {  # each called as (a, label), as _factor_outcome calls them
+        "cholesky": (cholesky, cholesky_rows),
+        "solve_lower": (lambda a, _: solve_lower(a, np.ones(3)), lambda a, _: substitute_rows(a, np.ones(3))),
+        "nested_gen_eig": (
+            lambda a, label: np.array(nested_gen_eig(a, eye, None, label)),
+            lambda a, _: np.array([reduced_eigvals(a[:n, :n], eye[:n, :n])[-1] for n in (1, 2, 3)]),
+        ),
+        "gen_eig_top": (lambda a, label: np.array(numkernel.gen_eig_top(a, eye, label)),
+                        lambda a, _: reduced_eigvals(a, eye)[-1]),
+    }[name]
+    solved = counting_eigvalsh(monkeypatch)
+    got = _factor_outcome(run, a)
+    if name in ("nested_gen_eig", "gen_eig_top"):
+        assert bool(solved) == (below != 0)
+    monkeypatch.undo()
+    assert got == _factor_outcome(general, a)
+    if below >= 2.0:  # the entry moves the result: the diagonal alone gives another
+        assert got != _factor_outcome(run, np.diag(a.diagonal()))
+    if name == "cholesky" and below == 8.0:  # the Schur pivot 16 - 16 fails, though the entry 16 would pass
+        assert got[0] == 2
 
 
 def test_companion_roots_frozen():
