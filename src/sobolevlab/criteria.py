@@ -435,21 +435,18 @@ def comparability_bounds(
     ``both_ends``, so each solved size gives both ends.  Verdict "holds"
     when both sequences have settled and the lower one stays positive;
     otherwise "inconclusive".  The reported constant is the upper one; the
-    lower sequence and constant ride along in the details.  A size that
-    fails (a ConvergenceFailure, or the NotPositiveDefinite breakdown of
-    G_P) is raised, the smallest first, so ``compare`` exits 3 where
-    ``cond4`` and ``multop`` record the failure per size.
+    lower sequence and constant ride along in the details.  A breakdown of
+    G_P is raised (NotPositiveDefinite) before any solve, so ``compare``
+    exits 3 where ``cond4`` and ``multop`` record it per size; a failed
+    solve raises ConvergenceFailure.
     """
     if n_max < 2:
         raise ValueError("need n_max >= 2")
     ns = list(range(2, n_max + 1))
     gram_q = sobolev.gram_section(q, n_max)
-    fac = momentmatrix.factor(p.gram, n_max)
-    lows, highs = numkernel.nested_gen_eig(gram_q, fac.inverse, fac.failure, p.label, both_ends=True)
+    fac = momentmatrix.factor(p.gram, n_max).checked()
+    lows, highs = numkernel.nested_gen_eig(gram_q, fac.inverse, p.label, both_ends=True)
     lows, highs = lows[1:], highs[1:]
-    for failure in (top for top in highs if isinstance(top, numkernel.ConvergenceFailure)):
-        raise failure  # the smallest failing size's; every size past G_P's breakdown is larger
-    fac.checked()  # the breakdown itself, raised as a fresh copy of the one the factor keeps
     settled = sobolev.plateau(ns, highs) and sobolev.plateau(ns, lows) and lows[-1] > 0.0
     return CriterionReport(
         subject={"pencil": p.subject, "other": q.subject},

@@ -58,17 +58,19 @@ class MomentMatrix:
     label: str = ""
     subject: dict | None = None
     _largest: np.ndarray | None = field(default=None, init=False, repr=False)
-    _factor: tuple | None = field(default=None, init=False, repr=False)
+    _factor: Factor | None = field(default=None, init=False, repr=False)
 
 
 @dataclass(eq=False)
 class Factor:
-    """Read-only Cholesky factor ``lower`` of one section, with the
-    NotPositiveDefinite ``failure`` when only a leading block factored;
+    """Read-only Cholesky factor ``lower`` of the leading block of the
+    n x n section of the matrix labelled ``label`` that factored: all of
+    it, or the k x k block before the failing pivot k < n.
     ``inverse`` = numkernel.inverse_lower(lower) is built on first read."""
 
     lower: np.ndarray
-    failure: numkernel.NotPositiveDefinite | None
+    n: int
+    label: str
 
     @functools.cached_property
     def inverse(self) -> np.ndarray:
@@ -76,11 +78,16 @@ class Factor:
         inverse.flags.writeable = False
         return inverse
 
+    @property
+    def failure(self) -> numkernel.NotPositiveDefinite | None:
+        """NotPositiveDefinite(k) when pivot k < n failed, else None."""
+        k = self.lower.shape[0]
+        return numkernel.NotPositiveDefinite(k, self.label, self.lower) if k < self.n else None
+
     def checked(self) -> Factor:
-        """The factor, or a fresh copy of ``failure`` raised: raised, the kept
-        one would hold the caller's frames, and the pencil, in its traceback."""
+        """The factor, or its ``failure`` raised."""
         if self.failure is not None:
-            raise numkernel.NotPositiveDefinite(self.failure.index, self.failure.label, self.failure.lower)
+            raise self.failure
         return self
 
 
@@ -106,20 +113,19 @@ def section(m: MomentMatrix, n: int) -> np.ndarray:
 
 
 def factor(m: MomentMatrix, n: int) -> Factor:
-    """Factor with L = numkernel.cholesky(section(m, n), m.label), or,
-    when pivot k < n fails, the factor of the leading k x k block and the
-    NotPositiveDefinite(k).  It is kept on the matrix for the last n
-    asked, its inverse too once read; another n is factored afresh,
-    because a block of a factor is not bitwise the factor of the block."""
-    if m._factor is None or m._factor[0] != n:
+    """Factor of numkernel.cholesky(section(m, n), m.label): L itself,
+    or, when pivot k < n fails, the factor of the leading k x k block.
+    It is kept on the matrix for the last n asked, its inverse too once
+    read; another n is factored afresh, because a block of a factor is
+    not bitwise the factor of the block."""
+    if m._factor is None or m._factor.n != n:
         try:
-            lower, failure = numkernel.cholesky(section(m, n), m.label), None
+            lower = numkernel.cholesky(section(m, n), m.label)
         except numkernel.NotPositiveDefinite as exc:
-            # without its traceback, whose frames hold the section and the matrix
-            lower, failure = exc.lower, exc.with_traceback(None)
+            lower = exc.lower
         lower.flags.writeable = False
-        m._factor = (n, Factor(lower, failure))
-    return m._factor[1]
+        m._factor = Factor(lower, n, m.label)
+    return m._factor
 
 
 def of_measure(mu: measures.Measure) -> MomentMatrix:

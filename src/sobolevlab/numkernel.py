@@ -6,11 +6,11 @@ factor, Hermitian eigensolves (with or without vectors), lower-triangular
 solves by forward substitution, the top eigenvalue of the definite
 generalized eigenproblem at every leading size, read off one inverse
 factor (solved at both ends and wherever Cauchy interlacing does not
-pin it, so a pinned size cannot report a ConvergenceFailure), and on
-request the bottom eigenvalue from the same solve of each size, and
-polynomial roots via the companion matrix.  A rotation-invariant pencil
-gives a diagonal reduced matrix, which is its own spectrum: every size
-reads the running maximum and minimum of its diagonal, with no solve.
+pin it), and on request the bottom eigenvalue from the same solve of
+each size, and polynomial roots via the companion matrix.  A
+rotation-invariant pencil gives a diagonal reduced matrix, which is its
+own spectrum: every size reads the running maximum and minimum of its
+diagonal, with no solve.
 Eigensolves are delegated to LAPACK through numpy; what this module adds
 is the error contract (NotPositiveDefinite with the failing pivot index
 and the factor before it, ConvergenceFailure with the offending label,
@@ -248,21 +248,21 @@ def gen_eig_top(q, inverse, label: str = "") -> float:
     return float(diagonal[1][-1]) if diagonal is not None else float(eigvalsh(b, label)[-1])
 
 
-def _pinned(x, y) -> bool:
+def _pinned(x: float, y: float) -> bool:
     """Whether two solved tops (or two solved bottoms) agree to 4 eps
     relative, so that interlacing pins every size between them to the
     upper one's."""
-    return isinstance(x, float) and isinstance(y, float) and abs(y - x) <= 4 * _EPS * max(abs(x), abs(y))
+    return abs(y - x) <= 4 * _EPS * max(abs(x), abs(y))
 
 
-def nested_gen_eig(q, inverse, failure: NotPositiveDefinite | None, label: str = "", both_ends: bool = False):
+def nested_gen_eig(q, inverse, label: str = "", both_ends: bool = False):
     """The top eigenvalue of the pencil (Q[:n, :n], G[:n, :n]) for
-    n = 1..len(Q), read off G's inverse factor W and ``failure`` as
-    ``momentmatrix.factor`` returns them: the reduced matrix B_n at size n
-    is the leading block of W Q W^*, as W is lower triangular, up to the
-    size k of W; every n > k gets ``failure``.  With ``both_ends``, the
-    pair (bottoms, tops) of lists, where the bottom eigenvalue at each size
-    comes from the same solve as the top.
+    n = 1..k, read off the k x k inverse factor W of G's leading block
+    (``momentmatrix.factor``'s, so k is short of len(Q) when G broke down):
+    the reduced matrix B_n at size n is the leading block of W Q W^*, as W
+    is lower triangular.  With ``both_ends``, the pair (bottoms, tops) of
+    lists, where the bottom eigenvalue at each size comes from the same
+    solve as the top.
 
     When B = W Q W^* has no nonzero entry below its diagonal (a
     rotation-invariant pencil), each size's bottom and top are the running
@@ -272,25 +272,20 @@ def nested_gen_eig(q, inverse, failure: NotPositiveDefinite | None, label: str =
     at the two ends of a range agree to 4 eps relative (and, with
     ``both_ends``, the bottoms too), every size between gets the upper
     end's values; otherwise the range is split at its midpoint.  A failed
-    solve is its size's ConvergenceFailure in both lists and splits each
-    range it ends; a size filled by interlacing is not solved, so it cannot
-    report one.
+    solve raises ConvergenceFailure, a W Q W^* past the double range
+    Overflow.
     """
-    qm = _square(q)
     k = inverse.shape[0]
-    b = _reduce(qm[:k, :k], inverse, label)
+    b = _reduce(_square(q)[:k, :k], inverse, label)
     diagonal = _diagonal_ends(b)
-    # record[n - 1]: (bottom, top) at size n, or its ConvergenceFailure twice
+    # record[n - 1]: (bottom, top) at size n
     record = [None] * k if diagonal is None else list(zip(*(d.tolist() for d in diagonal)))
     ends = slice(0 if both_ends else 1, 2)  # the ends whose agreement pins a range
 
     def solve(n: int):
         if record[n - 1] is None:
-            try:
-                w = eigvalsh(b[:n, :n], label)
-                record[n - 1] = (float(w[0]), float(w[-1]))
-            except ConvergenceFailure as exc:
-                record[n - 1] = (exc, exc)
+            w = eigvalsh(b[:n, :n], label)
+            record[n - 1] = (float(w[0]), float(w[-1]))
         return record[n - 1]
 
     ranges = [(1, k)] if diagonal is None else []  # a stack, lower half on top
@@ -301,7 +296,7 @@ def nested_gen_eig(q, inverse, failure: NotPositiveDefinite | None, label: str =
             record[lo : hi - 1] = [y] * (hi - lo - 1)
         elif hi - lo > 1:
             ranges += [((lo + hi) // 2, hi), (lo, (lo + hi) // 2)]
-    bottoms, tops = ([r[i] for r in record] + [failure] * (qm.shape[0] - k) for i in (0, 1))
+    bottoms, tops = ([r[i] for r in record] for i in (0, 1))
     return (bottoms, tops) if both_ends else tops
 
 

@@ -143,8 +143,9 @@ def norm_sequence(p: SobolevPencil, n_max: int, quantity: str) -> NormSequence:
     quantity 'mult_op': multiplication-operator norm.
     quantity 'cond4':   top eigenvalue of (section(M1, n), G_n), the best
                         constant in ||q||^2_{M1} <= C ||q||^2 at size n.
-    Failures (singular sections) are recorded per n instead of raising;
-    a W Q W^* past the double range raises numkernel.Overflow.
+    A breakdown of G at pivot k gives every n > k NaN and its text; a
+    failed eigensolve raises numkernel.ConvergenceFailure, a W Q W^* past
+    the double range numkernel.Overflow.
     """
     if quantity not in SEQUENCE_QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
@@ -152,20 +153,16 @@ def norm_sequence(p: SobolevPencil, n_max: int, quantity: str) -> NormSequence:
         q = gram_section(p, n_max + 1)[1:, 1:]
     else:
         q = momentmatrix.section(p.m1, n_max)
-    values, errors, fac = [], [], momentmatrix.factor(p.gram, n_max)
-    for top in numkernel.nested_gen_eig(q, fac.inverse, fac.failure, p.label):
-        if isinstance(top, Exception):
-            values.append(math.nan)
-            errors.append(str(top))
-            continue
-        values.append(math.sqrt(max(top, 0.0)) if quantity == "mult_op" else top)
-        errors.append(None)
+    fac = momentmatrix.factor(p.gram, n_max)
+    tops = numkernel.nested_gen_eig(q, fac.inverse, p.label)
+    values = [math.sqrt(max(top, 0.0)) for top in tops] if quantity == "mult_op" else tops
+    broken = n_max - len(tops)
     return NormSequence(
         label=p.label,
         quantity=quantity,
         n_list=tuple(range(1, n_max + 1)),
-        values=tuple(values),
-        errors=tuple(errors),
+        values=(*values, *[math.nan] * broken),
+        errors=(*[None] * len(tops), *[str(fac.failure)] * broken),
     )
 
 

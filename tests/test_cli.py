@@ -32,7 +32,7 @@ from sobolevlab.measures import MeasureFormatError
 from sobolevlab.numkernel import ConvergenceFailure
 from sobolevlab.polynomials import differentiate, evaluate
 
-from oracles import recenter
+from oracles import counting_eigvalsh, recenter
 
 UNIT_JSON = {"kind": "circle", "center": [0.0, 0.0], "radius": 1.0}
 HALF_JSON = {"kind": "circle", "center": [0.0, 0.0], "radius": 0.5}
@@ -657,6 +657,51 @@ def test_main_malformed_numbers_exit_2(tmp_path, capsys, measure):
     assert main(["--spec", spec, "--out", str(tmp_path / "out")]) == 2
     assert "scenario error" in capsys.readouterr().err
     assert not (tmp_path / "out" / "bad.json").exists()
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"name": "d", "command": "dominance", "pencil": {"m0": UNIT_JSON, "m1": None},
+          "parameters": {"n": 4, "constant": 1.0}}, "dominance needs two measures"),
+        ([1, 2], "scenario must be a JSON object"),
+        ({"name": "g", "command": "gamma", "measure": UNIT_JSON, "parameters": [16]}, "parameters must be an object"),
+        ({"name": "e", "command": "eigenlimits", "weight": [[0, 0, 0]], "parameters": {"n_list": [2, 4]}},
+         "weight is identically zero"),
+        ({"name": "m", "command": "moments", "parameters": {"n": 4},
+          "measure": {"kind": "weighted_circle", "center": [0.0, 0.0], "radius": 1.0, "fourier": [[0, 0, 0]]}},
+         "weight is identically zero"),
+    ],
+    ids=["dominance-one-measure", "not-an-object", "parameters-not-an-object", "zero-weight", "zero-weighted-circle"],
+)
+def test_main_malformed_scenario_exits_2_before_making_out(tmp_path, capsys, obj, message):
+    # every malformed file is rejected by parse_scenario, before --out is made
+    out = tmp_path / "out"
+    assert main(["--spec", write_spec(tmp_path, obj), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"scenario error: {message}\n"
+    assert not out.exists()
+
+
+SHIFTED_JSON = {"kind": "circle", "center": [0.5, 0.0], "radius": 2.0}
+
+
+@pytest.mark.parametrize("command", ["multop", "cond4", "compare", "prop12"])
+def test_main_failed_eigensolve_exits_3(tmp_path, capsys, monkeypatch, command):
+    # off-center pencils, whose reduced matrices are solved: a solve that
+    # does not converge is a numeric error under the pencil's label
+    obj = copy.deepcopy(BASE_SCENARIOS[command])
+    if command == "prop12":
+        sc = parse_scenario(obj)
+        mu1 = measures.MeasureSum(tuple((1.0, circle) for circle in sc.inputs["circles"]))
+        label = sobolev.pencil_of_measures(sc.inputs["measure"], mu1).label
+    else:
+        obj["pencil"] = {"m0": UNIT_JSON, "m1": SHIFTED_JSON}
+        label = sobolev.pencil_of_measures(*parse_scenario(obj).inputs["pencil"]).label
+    counting_eigvalsh(monkeypatch, lambda a: True)
+    assert main(["--spec", write_spec(tmp_path, obj), "--out", str(tmp_path / "out")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"numeric error: eigensolver failed to converge on {label}\n"
 
 
 def test_eigenlimits_weight_is_validated_at_parse_time():

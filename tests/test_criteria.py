@@ -550,15 +550,15 @@ def test_comparability_solves_no_size_twice(monkeypatch, mu0, mu1):
     assert sizes and len(set(sizes)) == len(sizes)
 
 
-def test_comparability_raises_its_smallest_failing_size(monkeypatch):
-    # example 6's Gram breaks down at pivot 56 at n_max 64; the one
-    # eigensolve at size 10, which gives both ends, fails first and is the
-    # error raised
+def test_comparability_raises_a_failed_solve(monkeypatch):
+    # below example 6's breakdown at pivot 56, the one eigensolve at size
+    # 10, which gives both ends, fails and is raised: no size is solved after it
     p = pencil_of_measures(UNIT, CircleLebesgue(0.5, 2.0))
     sizes = counting_eigvalsh(monkeypatch, lambda a: a.shape[0] == 10)
-    with pytest.raises(ConvergenceFailure):
-        comparability_bounds(p, pencil_of_measures(UNIT, UNIT), 64)
-    assert sizes.count(10) == 1
+    with pytest.raises(ConvergenceFailure) as info:
+        comparability_bounds(p, pencil_of_measures(UNIT, UNIT), 56)
+    assert str(info.value) == f"eigensolver failed to converge on {p.label}"
+    assert sizes[-1] == 10 and sizes.count(10) == 1
 
 
 def test_example7_comparability_reads_every_size_off_the_diagonal(monkeypatch):
@@ -570,18 +570,20 @@ def test_example7_comparability_reads_every_size_off_the_diagonal(monkeypatch):
     assert sizes == []
 
 
-def test_comparability_raises_a_fresh_copy_of_the_gram_breakdown():
-    # two atoms: G_P breaks down at pivot 2; what is raised is a fresh
-    # NotPositiveDefinite, as raising the one the factor keeps would give it
-    # a traceback whose frames hold the pencil
-    p = pencil_of_measures(Atomic(((0.3 + 0.0j, 1.0), (-0.2 + 0.4j, 1.0))), None)
-    with pytest.raises(NotPositiveDefinite, match="^pivot 2 of ") as info:
-        comparability_bounds(p, pencil_of_measures(UNIT, UNIT), 6)
-    kept = p.gram._factor[1].failure
-    assert info.value is not kept and kept.__traceback__ is None
-    assert str(info.value) == str(kept) and info.value.lower is kept.lower
-    del info, kept
-    refs = [weakref.ref(p), weakref.ref(p.gram), weakref.ref(p.gram._factor[1].failure)]
+@pytest.mark.parametrize("mu0, mu1, n_max, pivot", [
+    (Atomic(((0.3 + 0.0j, 1.0), (-0.2 + 0.4j, 1.0))), None, 6, 2),
+    (UNIT, CircleLebesgue(0.5, 2.0), 64, 56),
+], ids=["two-atoms", "example6"])
+def test_comparability_raises_the_gram_breakdown_before_any_solve(monkeypatch, mu0, mu1, n_max, pivot):
+    # G_P's breakdown is raised before any eigensolve, and the pencil is
+    # freed without the cycle collector once the error is dropped
+    p = pencil_of_measures(mu0, mu1)
+    sizes = counting_eigvalsh(monkeypatch)
+    with pytest.raises(NotPositiveDefinite, match=f"^pivot {pivot} of ") as info:
+        comparability_bounds(p, pencil_of_measures(UNIT, UNIT), n_max)
+    assert sizes == [] and info.value.lower is p.gram._factor.lower
+    del info
+    refs = [weakref.ref(p), weakref.ref(p.gram), weakref.ref(p.gram._factor)]
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -239,12 +239,12 @@ def test_reduced_matrix_near_the_double_range_stays_finite():
     q[6, 6] = 1e308
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tops = nested_gen_eig(q, np.eye(9, dtype=complex), None, "B")
+        tops = nested_gen_eig(q, np.eye(9, dtype=complex), "B")
     assert tops == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 1e308, 1e308, 1e308]
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("solve", [numkernel.gen_eig_top, lambda q, w, label: nested_gen_eig(q, w, None, label)])
+@pytest.mark.parametrize("solve", [numkernel.gen_eig_top, nested_gen_eig])
 def test_reduced_matrix_past_the_double_range_is_an_overflow(solve):
     # W Q W^* = diag(1e400), without a numpy warning
     with pytest.raises(Overflow, match="values of B at size 3 overflowed the double range"):
@@ -281,7 +281,7 @@ def _tops(q, failing=(), both_ends=False):
     is the pair (bottoms, tops)."""
     with pytest.MonkeyPatch.context() as mp:
         solved = counting_eigvalsh(mp, lambda a: a.shape[0] in failing)
-        tops = nested_gen_eig(q, np.eye(q.shape[0], dtype=complex), None, "B", both_ends=both_ends)
+        tops = nested_gen_eig(q, np.eye(q.shape[0], dtype=complex), "B", both_ends=both_ends)
     return tops, solved
 
 
@@ -320,20 +320,28 @@ def test_nested_gen_eig_fills_a_flat_sequence_from_its_two_ends():
     assert sorted(solved) == [1, 3]
 
 
-def test_nested_gen_eig_keeps_a_failed_size_and_its_neighbours():
-    # a failure at a solved end splits its range: the failed size holds its
-    # ConvergenceFailure and every other size keeps its value
-    tops, solved = _tops(_flat(), failing=(9,))
-    assert isinstance(tops[8], ConvergenceFailure) and str(tops[8]) == "eigensolver failed to converge on B"
-    assert tops[:8] == [5.0] * 8
-    assert 8 in solved
-    # on a sequence that never settles every size is solved
+def _raised(q, failing, both_ends=False):
+    """The ConvergenceFailure that nested_gen_eig over the identity factor
+    raises when the sizes in ``failing`` do not converge, and the sizes it
+    solved up to it."""
+    with pytest.MonkeyPatch.context() as mp:
+        solved = counting_eigvalsh(mp, lambda a: a.shape[0] in failing)
+        with pytest.raises(ConvergenceFailure) as info:
+            nested_gen_eig(q, np.eye(q.shape[0], dtype=complex), "B", both_ends=both_ends)
+    return info.value, solved
+
+
+@pytest.mark.parametrize("both_ends", [False, True])
+def test_nested_gen_eig_raises_a_failed_solve(both_ends):
+    # a failed solve stops the sequence: it raises under the label, and no
+    # size is solved after it
+    failure, solved = _raised(_flat(), (9,), both_ends)
+    assert str(failure) == "eigensolver failed to converge on B"
+    assert solved[-1] == 9
+    # on a sequence that never settles, the failed size is reached once, last
     q = _nested_hermitian(3, 12, 0.0)
-    clean, _ = _tops(q)
-    tops, solved = _tops(q, failing=(5,))
-    assert isinstance(tops[4], ConvergenceFailure)
-    assert tops[:4] + tops[5:] == clean[:4] + clean[5:]
-    assert sorted(solved) == list(range(1, 13))
+    _, solved = _raised(q, (5,), both_ends)
+    assert solved[-1] == 5 and solved.count(5) == 1
 
 
 def test_nested_gen_eig_does_not_solve_an_interlaced_size():
@@ -342,14 +350,20 @@ def test_nested_gen_eig_does_not_solve_an_interlaced_size():
     assert tops == [5.0] * 9 and 5 not in solved
 
 
-def test_nested_gen_eig_gives_failure_beyond_the_factor():
-    failure = NotPositiveDefinite(3, "G")
+@pytest.mark.parametrize("both_ends", [False, True])
+def test_nested_gen_eig_covers_the_sizes_of_its_factor(both_ends):
+    # a 3 x 3 factor of a broken-down G gives the sizes 1..3 of a 5 x 5 Q
+    # and nothing past them; an empty factor gives no size
     q = _nested_hermitian(4, 5, 0.0)
-    tops = nested_gen_eig(q, np.eye(3, dtype=complex), failure, "G")
-    assert tops[3:] == [failure, failure]
+    got = nested_gen_eig(q, np.eye(3, dtype=complex), "G", both_ends=both_ends)
+    bottoms, tops = got if both_ends else (None, got)
+    assert len(tops) == 3 and all(type(top) is float for top in tops)
     for n in (1, 2, 3):
-        assert abs(tops[n - 1] - np.linalg.eigvalsh(q[:n, :n])[-1]) <= 8 * EPS * tops[n - 1]
-    assert nested_gen_eig(q, np.zeros((0, 0), dtype=complex), failure) == [failure] * 5
+        ref = np.linalg.eigvalsh(q[:n, :n])
+        assert abs(tops[n - 1] - ref[-1]) <= 8 * EPS * abs(ref[-1])
+        if both_ends:
+            assert abs(bottoms[n - 1] - ref[0]) <= 8 * EPS * abs(ref[-1])
+    assert nested_gen_eig(q, np.zeros((0, 0), dtype=complex), both_ends=both_ends) == (([], []) if both_ends else [])
 
 
 @pytest.mark.parametrize("lead", [0.0, 1e3, 1e9, 1e12])
@@ -369,22 +383,6 @@ def test_nested_gen_eig_reads_both_ends_off_one_solve_per_size(seed, lead):
     assert all(later <= earlier for earlier, later in zip(bottoms, bottoms[1:]))
     # the tops alone pin more ranges, so they solve a subset of the sizes
     assert set(_tops(q)[1]) <= set(solved)
-
-
-def test_nested_gen_eig_keeps_one_failure_per_size_at_both_ends():
-    # a failed solve is the same ConvergenceFailure in both lists, and the
-    # factor's failure fills both past its size
-    q = _nested_hermitian(3, 12, 0.0)
-    (clean_bottoms, clean_tops), _ = _tops(q, both_ends=True)
-    (bottoms, tops), solved = _tops(q, failing=(5,), both_ends=True)
-    assert isinstance(tops[4], ConvergenceFailure) and bottoms[4] is tops[4]
-    assert bottoms[:4] + bottoms[5:] == clean_bottoms[:4] + clean_bottoms[5:]
-    assert tops[:4] + tops[5:] == clean_tops[:4] + clean_tops[5:]
-    assert solved.count(5) == 1
-    failure = NotPositiveDefinite(3, "G")
-    bottoms, tops = nested_gen_eig(q[:5, :5], np.eye(3, dtype=complex), failure, "G", both_ends=True)
-    assert bottoms[3:] == tops[3:] == [failure, failure]
-    assert nested_gen_eig(q[:5, :5], np.zeros((0, 0), dtype=complex), failure, both_ends=True) == ([failure] * 5,) * 2
 
 
 def _random_diagonal(seed, k, lo, hi):
@@ -470,7 +468,7 @@ def test_only_a_nonzero_entry_below_the_diagonal_runs_the_general_path(monkeypat
         "cholesky": (cholesky, cholesky_rows),
         "solve_lower": (lambda a, _: solve_lower(a, np.ones(3)), lambda a, _: substitute_rows(a, np.ones(3))),
         "nested_gen_eig": (
-            lambda a, label: np.array(nested_gen_eig(a, eye, None, label)),
+            lambda a, label: np.array(nested_gen_eig(a, eye, label)),
             lambda a, _: np.array([reduced_eigvals(a[:n, :n], eye[:n, :n])[-1] for n in (1, 2, 3)]),
         ),
         "gen_eig_top": (lambda a, label: np.array(numkernel.gen_eig_top(a, eye, label)),

@@ -257,15 +257,17 @@ def test_a_dropped_pencil_is_freed_without_the_cycle_collector():
 
 
 def test_a_pencil_whose_gram_factor_failed_is_freed_without_the_cycle_collector():
-    # the factor keeps its NotPositiveDefinite without the traceback, whose
-    # frames hold the section and the matrix being factored
+    # the factor keeps no exception: its failure is built when read, from
+    # the prefix, the size asked for and the matrix label it keeps
     p = pencil_of_measures(UNIT, CircleLebesgue(0.5, 2.0))
     assert not norm_sequence(p, 57, "mult_op").ok()
-    failure = p.gram._factor[1].failure
+    fac = p.gram._factor
+    failure = fac.failure
     assert isinstance(failure, NotPositiveDefinite) and failure.__traceback__ is None
-    assert str(failure) == f"pivot 56 of {p.label} is not positive" and failure.lower.shape == (56, 56)
-    del failure
-    refs = [weakref.ref(p), weakref.ref(p.gram), weakref.ref(p.gram._factor[1].failure)]
+    assert str(failure) == f"pivot 56 of {p.label} is not positive"
+    assert failure.lower is fac.lower and fac.lower.shape == (56, 56)
+    del failure, fac
+    refs = [weakref.ref(p), weakref.ref(p.gram), weakref.ref(p.gram._factor)]
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -277,19 +279,16 @@ def test_a_pencil_whose_gram_factor_failed_is_freed_without_the_cycle_collector(
 
 
 def test_a_pencil_whose_raised_gram_failure_was_caught_is_freed_without_the_cycle_collector():
-    # what is raised is a fresh NotPositiveDefinite: raising the kept one
-    # would give it a traceback whose frames hold the pencil
+    # the raised NotPositiveDefinite is built when raised, so no object the
+    # pencil keeps holds its traceback, whose frames hold the pencil
     p = pencil_of_measures(UNIT, CircleLebesgue(0.5, 2.0))
     try:
         mult_op_norm(p, 57)
     except NotPositiveDefinite as exc:
-        kept = p.gram._factor[1].failure
-        assert exc is not kept and kept.__traceback__ is None
-        assert str(exc) == str(kept) == f"pivot 56 of {p.label} is not positive" and exc.lower is kept.lower
+        assert str(exc) == f"pivot 56 of {p.label} is not positive" and exc.lower is p.gram._factor.lower
     else:
         raise AssertionError("the example-6 Gram section factors at size 57")
-    del kept
-    refs = [weakref.ref(p), weakref.ref(p.gram), weakref.ref(p.gram._factor[1].failure)]
+    refs = [weakref.ref(p), weakref.ref(p.gram), weakref.ref(p.gram._factor)]
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -492,18 +491,18 @@ def test_example4_sequences_read_their_diagonal(monkeypatch, quantity):
     assert seq.ok() and sizes == []
 
 
-def test_norm_sequence_eigensolve_failure_lands_at_its_size(monkeypatch):
+@pytest.mark.parametrize("quantity", ["mult_op", "cond4"])
+def test_norm_sequence_raises_a_failed_eigensolve(monkeypatch, quantity):
+    # a failed solve at any size raises under the pencil's label; only the
+    # Gram breakdown, past pivot 56, is recorded in the sequence
     p = pencil_of_measures(UNIT, CircleLebesgue(0.5, 2.0))
-    clean = norm_sequence(p, 64, "mult_op")
     solved = counting_eigvalsh(monkeypatch)
-    norm_sequence(p, 64, "mult_op")
+    clean = norm_sequence(p, 64, quantity)
+    assert clean.errors == (None,) * 56 + (f"pivot 56 of {p.label} is not positive",) * 8
+    assert not any(map(math.isnan, clean.values[:56])) and all(map(math.isnan, clean.values[56:]))
     n = sorted(solved)[len(solved) // 2]  # a solved size inside the sequence
     monkeypatch.undo()
     counting_eigvalsh(monkeypatch, lambda a: a.shape[0] == n)
-    seq = norm_sequence(p, 64, "mult_op")
-    assert seq.errors[n - 1] == f"eigensolver failed to converge on {p.label}"
-    assert math.isnan(seq.values[n - 1])
-    assert seq.errors[:n - 1] + seq.errors[n:56] == (None,) * 55
-    for k in (*range(n - 1), *range(n, 56)):
-        assert abs(seq.values[k] - clean.values[k]) <= 8 * np.finfo(float).eps * clean.values[k]
-    assert seq.errors[56:] == clean.errors[56:]
+    with pytest.raises(ConvergenceFailure) as info:
+        norm_sequence(p, 64, quantity)
+    assert str(info.value) == f"eigensolver failed to converge on {p.label}"
