@@ -39,7 +39,6 @@ import os
 import random
 import re
 import sys
-from dataclasses import dataclass
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads BLAS
 os.environ.setdefault("MKL_NUM_THREADS", "1")
@@ -65,15 +64,13 @@ class ScenarioFormatError(ValueError):
 # Scenario model
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Scenario:
     """A parsed scenario: its inputs and parameters are keyed by the names
     under which the command's runner takes them."""
 
-    name: str
-    command: str
-    inputs: dict
-    parameters: dict
+    def __init__(self, name: str, command: str, inputs: dict, parameters: dict):
+        self.name, self.command = name, command
+        self.inputs, self.parameters = inputs, parameters
 
 
 def _parse_pencil(obj) -> tuple:

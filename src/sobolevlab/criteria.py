@@ -19,7 +19,6 @@ sections up to the requested size, under documented tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,19 +78,17 @@ class CenterNotBoundedEvaluation(Exception):
         super().__init__(f"center {center} fails the bounded-evaluation test")
 
 
-@dataclass
 class CriterionReport:
-    """One verdict record; ``to_dict`` gives its fields in this order."""
+    """One verdict record; ``to_dict`` gives its fields in this order.
+    ``parameters`` and ``details`` default to a fresh dict each."""
 
-    subject: dict | None
-    criterion: str
-    n_list: list
-    values: list
-    verdict: str
-    witness: np.ndarray | None = None
-    constant: float | None = None
-    parameters: dict = field(default_factory=dict)
-    details: dict = field(default_factory=dict)
+    def __init__(self, subject: dict | None, criterion: str, n_list: list, values: list, verdict: str,
+                 witness: np.ndarray | None = None, constant: float | None = None,
+                 parameters: dict | None = None, details: dict | None = None):
+        self.subject, self.criterion, self.n_list, self.values = subject, criterion, n_list, values
+        self.verdict, self.witness, self.constant = verdict, witness, constant
+        self.parameters = {} if parameters is None else parameters
+        self.details = {} if details is None else details
 
     def to_dict(self) -> dict:
         """JSON-ready dict with a fixed field order."""

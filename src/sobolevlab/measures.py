@@ -44,7 +44,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -139,8 +138,32 @@ def parse_fourier(items) -> tuple[tuple[int, complex], ...]:
     return tuple(pairs)
 
 
-@dataclass(frozen=True)
-class WeightedCircle:
+class _Value:
+    """An immutable value: ``==``, ``hash`` and ``repr`` go by its class and
+    its ``_fields``, which the constructor sets with object.__setattr__ (as
+    ``moment_section`` keeps a section, which is no field)."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__  # del passes no value
+
+
+class WeightedCircle(_Value):
     """Circle measure w(theta) dtheta/(2 pi) with a trig-polynomial weight.
 
     ``fourier`` pairs the integer frequency k with the coefficient of
@@ -150,16 +173,14 @@ class WeightedCircle:
     coefficients are canonicalized so the Hermitian pairing holds exactly.
     """
 
-    center: complex
-    radius: float
-    fourier: tuple[tuple[int, complex], ...]
+    _fields = ("center", "radius", "fourier")
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", _finite_complex(self.center, "circle center"))
-        object.__setattr__(self, "radius", parse_real(self.radius, "circle radius"))
+    def __init__(self, center: complex, radius: float, fourier: tuple[tuple[int, complex], ...]):
+        object.__setattr__(self, "center", _finite_complex(center, "circle center"))
+        object.__setattr__(self, "radius", parse_real(radius, "circle radius"))
         if not self.radius > 0:
             raise MeasureFormatError("circle radius must be positive")
-        object.__setattr__(self, "fourier", _canonical_weight(self.fourier))
+        object.__setattr__(self, "fourier", _canonical_weight(fourier))
 
 
 def CircleLebesgue(center, radius) -> WeightedCircle:
@@ -168,16 +189,13 @@ def CircleLebesgue(center, radius) -> WeightedCircle:
     return WeightedCircle(center, radius, UNIT_WEIGHT)
 
 
-@dataclass(frozen=True)
-class Atomic:
+class Atomic(_Value):
     """Finitely many point masses: sum of mass_k * delta(z_k)."""
 
-    atoms: tuple[tuple[complex, float], ...]
+    _fields = ("atoms",)
 
-    def __post_init__(self):
-        atoms = tuple(
-            (_finite_complex(z, "atom"), parse_real(w, "atom mass")) for z, w in self.atoms
-        )
+    def __init__(self, atoms: tuple[tuple[complex, float], ...]):
+        atoms = tuple((_finite_complex(z, "atom"), parse_real(w, "atom mass")) for z, w in atoms)
         if not atoms:
             raise MeasureFormatError("atomic measure needs at least one atom")
         if any(w <= 0 for _, w in atoms):
@@ -185,14 +203,13 @@ class Atomic:
         object.__setattr__(self, "atoms", atoms)
 
 
-@dataclass(frozen=True)
-class MeasureSum:
+class MeasureSum(_Value):
     """Positive linear combination of measures."""
 
-    terms: tuple[tuple[float, "Measure"], ...]
+    _fields = ("terms",)
 
-    def __post_init__(self):
-        terms = tuple((parse_real(s, "sum scale"), m) for s, m in self.terms)
+    def __init__(self, terms: tuple[tuple[float, Measure], ...]):
+        terms = tuple((parse_real(s, "sum scale"), m) for s, m in terms)
         if not terms:
             raise MeasureFormatError("sum measure needs at least one term")
         if any(s <= 0 for s, _ in terms):

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -44,7 +43,6 @@ TOEPLITZ_TOL = 1e-13
 _COMPACT = json.JSONEncoder(separators=(",", ":"))  # one compact encoder for every label
 
 
-@dataclass(eq=False)
 class MomentMatrix:
     """Section builder for an infinite Hermitian matrix.
 
@@ -54,23 +52,20 @@ class MomentMatrix:
     gives one, as for the zero matrix).
     """
 
-    build: Callable[[int], np.ndarray]
-    label: str = ""
-    subject: dict | None = None
-    _largest: np.ndarray | None = field(default=None, init=False, repr=False)
-    _factor: Factor | None = field(default=None, init=False, repr=False)
+    def __init__(self, build: Callable[[int], np.ndarray], label: str = "", subject: dict | None = None):
+        self.build, self.label, self.subject = build, label, subject
+        self._largest: np.ndarray | None = None  # kept by section
+        self._factor: Factor | None = None  # kept by factor
 
 
-@dataclass(eq=False)
 class Factor:
     """Read-only Cholesky factor ``lower`` of the leading block of the
     n x n section of the matrix labelled ``label`` that factored: all of
     it, or the k x k block before the failing pivot k < n.
     ``inverse`` = numkernel.inverse_lower(lower) is built on first read."""
 
-    lower: np.ndarray
-    n: int
-    label: str
+    def __init__(self, lower: np.ndarray, n: int, label: str):
+        self.lower, self.n, self.label = lower, n, label
 
     @functools.cached_property
     def inverse(self) -> np.ndarray:

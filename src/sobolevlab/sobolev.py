@@ -20,7 +20,6 @@ leading blocks of the n_max inverse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,19 +45,14 @@ PLATEAU_RTOL = 0.01
 SEQUENCE_QUANTITIES = ("mult_op", "cond4")
 
 
-@dataclass(eq=False)
 class SobolevPencil:
-    """Pair of moment matrices defining a Sobolev inner product."""
+    """Pair of moment matrices defining a Sobolev inner product; ``gram``
+    is the matrix of the monomials' Sobolev Gram sections."""
 
-    m0: MomentMatrix
-    m1: MomentMatrix
-    label: str = ""
-    gram: MomentMatrix = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if not self.label:
-            self.label = f"{{m0={self.m0.label}, m1={self.m1.label}}}"
-        m0, m1 = self.m0, self.m1  # not self: a pencil and its Gram matrix form no cycle
+    def __init__(self, m0: MomentMatrix, m1: MomentMatrix, label: str = ""):
+        self.m0, self.m1 = m0, m1
+        self.label = label or f"{{m0={m0.label}, m1={m1.label}}}"
+        # the builder closes over m0 and m1, not self: a pencil and its Gram matrix form no cycle
 
         def build(n: int) -> np.ndarray:
             """section(M0, n) + D: row and column 0 of D vanish and
@@ -123,15 +117,13 @@ def mult_op_norm(p: SobolevPencil, n: int) -> float:
     return math.sqrt(max(numkernel.gen_eig_top(q, fac.inverse, p.label), 0.0))
 
 
-@dataclass(frozen=True)
 class NormSequence:
     """Per-n scalars with in-line failure records (value NaN, message set)."""
 
-    label: str
-    quantity: str
-    n_list: tuple[int, ...]
-    values: tuple[float, ...]
-    errors: tuple[str | None, ...]
+    def __init__(self, label: str, quantity: str, n_list: tuple[int, ...], values: tuple[float, ...],
+                 errors: tuple[str | None, ...]):
+        self.label, self.quantity = label, quantity
+        self.n_list, self.values, self.errors = n_list, values, errors
 
     def ok(self) -> bool:
         return all(e is None for e in self.errors)

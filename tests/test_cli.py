@@ -66,6 +66,13 @@ def test_parse_scenario_happy_path():
     assert sc.parameters["n_max"] == 16
 
 
+def test_scenario_constructor_fields():
+    inputs, parameters = {"measure": measures.CircleLebesgue(0.0, 1.0)}, {"n_max": 4}
+    for sc in (Scenario("demo", "gamma", inputs, parameters),
+               Scenario(name="demo", command="gamma", inputs=inputs, parameters=parameters)):
+        assert (sc.name, sc.command, sc.inputs, sc.parameters) == ("demo", "gamma", inputs, parameters)
+        assert sc.inputs is inputs and sc.parameters is parameters
+
 @pytest.mark.parametrize(
     "mutate",
     [

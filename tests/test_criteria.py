@@ -694,6 +694,17 @@ def test_report_to_dict_fixed_order_and_witness_pairs():
     assert bpe_decide(M_UNIT, 0.5, 8).to_dict()["witness"] is None
 
 
+def test_reports_built_without_parameters_or_details_do_not_share_a_dict():
+    first, second = (CriterionReport(None, "demo", [1], [0.5], "holds") for _ in range(2))
+    assert (first.witness, first.constant, first.parameters, first.details) == (None, None, {}, {})
+    first.parameters["n"], first.details["note"] = 1, "x"
+    assert (second.parameters, second.details) == ({}, {})
+    assert len({id(r.parameters) for r in (first, second)} | {id(r.details) for r in (first, second)}) == 4
+    given = {"n": 2}
+    rep = CriterionReport({"kind": "demo"}, "demo", [2], [1.0], "fails", np.ones(2), 3.0, given, details={"k": 1})
+    assert (rep.subject, rep.criterion, rep.n_list, rep.values, rep.verdict) == ({"kind": "demo"}, "demo", [2], [1.0], "fails")
+    assert (rep.constant, rep.details) == (3.0, {"k": 1}) and rep.parameters is given and rep.witness.shape == (2,)
+
 @pytest.mark.parametrize("m", [M_UNIT, M_HALF, mm.of_measure(W04), mm.of_measure(CircleLebesgue(0.2 - 0.1j, 1.2))])
 def test_gamma_sequence_matches_linear_solve(m):
     n_max = 24

@@ -487,10 +487,59 @@ def test_each_measure_keeps_one_read_only_product(monkeypatch):
     # a returned section is a read-only block of the kept one
     assert_read_only(section, lambda: moment_section(mixed, 5))
     assert moment_section(mixed, 5).tobytes() == first[:5, :5].tobytes()
-    # the kept section is not a field
-    assert mixed == MeasureSum(((1.0, CircleLebesgue(0.0, 0.5)), (2.0, Atomic(((0.5, 1.0), (-0.5j, 2.0))))))
-    assert hash(half) == hash(CircleLebesgue(0.0, 0.5))
+    # the kept section is not a field: ==, hash and repr ignore it
+    unkept = CircleLebesgue(0.0, 0.5), Atomic(((0.5, 1.0), (-0.5j, 2.0)))
+    unkept += (MeasureSum(((1.0, unkept[0]), (2.0, unkept[1]))),)
+    for m, other in zip((half, atoms, mixed), unkept):
+        assert "_section" in vars(m) and "_section" not in vars(other)
+        assert m == other and other == m and hash(m) == hash(other)
     assert ([to_json(m) for m in (half, atoms, mixed)], [repr(m) for m in (half, atoms, mixed)]) == fresh
+
+
+# one measure of each kind, its fields, and its repr as the first release wrote it
+VALUES = [
+    (lambda: CircleLebesgue(0.5 - 0.25j, 2.0), ("center", "radius", "fourier"),
+     "WeightedCircle(center=(0.5-0.25j), radius=2.0, fourier=((0, (1+0j)),))"),
+    (lambda: WeightedCircle(1j, 1.5, ((0, 1.0), (1, 0.25 + 0.125j), (-1, 0.25 - 0.125j))), ("center", "radius", "fourier"),
+     "WeightedCircle(center=1j, radius=1.5, fourier=((-1, (0.25-0.125j)), (0, (1+0j)), (1, (0.25+0.125j))))"),
+    (lambda: Atomic(((0.5, 1.0), (-0.5j, 2.0))), ("atoms",),
+     "Atomic(atoms=(((0.5+0j), 1.0), ((-0-0.5j), 2.0)))"),
+    (lambda: MeasureSum(((1.0, CircleLebesgue(0.5 - 0.25j, 2.0)), (2.0, Atomic(((0.5, 1.0), (-0.5j, 2.0)))))), ("terms",),
+     "MeasureSum(terms=((1.0, WeightedCircle(center=(0.5-0.25j), radius=2.0, fourier=((0, (1+0j)),))),"
+     " (2.0, Atomic(atoms=(((0.5+0j), 1.0), ((-0-0.5j), 2.0))))))"),
+]
+
+
+@pytest.mark.parametrize("make, fields, text", VALUES)
+def test_measures_are_immutable_values(make, fields, text):
+    m = make()
+    assert repr(m) == text
+    for name in (*fields, "_section", "other"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, 1.0)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+        assert hasattr(m, name)
+    assert vars(m).keys() == set(fields) and repr(m) == text
+
+
+@pytest.mark.parametrize("make, fields, text", VALUES)
+def test_measures_compare_and_hash_by_kind_and_fields(make, fields, text):
+    m, twin = make(), make()
+    assert m is not twin and m == twin and not m != twin and hash(m) == hash(twin)
+    assert hash(m) == hash(tuple(getattr(m, name) for name in fields))
+    assert len({m, twin}) == 1
+    others = [make() for make, _, _ in VALUES if make().__class__ is not m.__class__]
+    others += [MeasureSum(((1.0, m),)), tuple(getattr(m, name) for name in fields), to_json(m), None]
+    assert all(m != other and other != m for other in others)
+    # one field apart
+    moved = {
+        "WeightedCircle": lambda: WeightedCircle(m.center, 2.0 * m.radius, m.fourier),
+        "Atomic": lambda: Atomic(m.atoms + ((0.0, 1.0),)),
+        "MeasureSum": lambda: MeasureSum(m.terms[:1]),
+    }[type(m).__name__]()
+    assert m != moved and moved != m
 
 
 def _random_sums(count: int, seed: int, top: float) -> list:

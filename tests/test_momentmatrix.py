@@ -80,6 +80,32 @@ def test_zero_matrix():
     npt.assert_array_equal(mm.section(mm.zero_matrix(), 4), np.zeros((4, 4)))
 
 
+def test_moment_matrix_constructor_defaults():
+    build = lambda n: np.eye(n, dtype=complex)
+    m = mm.MomentMatrix(build)
+    assert (m.build, m.label, m.subject, m._largest, m._factor) == (build, "", None, None, None)
+    subject = {"kind": "demo"}
+    m = mm.MomentMatrix(build=build, label="demo", subject=subject)
+    assert (m.build, m.label, m.subject, m._largest, m._factor) == (build, "demo", subject, None, None)
+    assert mm.MomentMatrix(build, "demo", subject).subject is subject
+    assert m != mm.MomentMatrix(build=build, label="demo", subject=subject)  # identity, not fields
+    assert mm.factor(m, 3).label == "demo" and m._factor is mm.factor(m, 3)
+
+
+def test_factor_constructor_and_its_inverse_built_once(monkeypatch):
+    inverses = _counted(monkeypatch, "inverse_lower")
+    lower = np.diag([2.0, 4.0]).astype(complex)
+    fac = mm.Factor(lower, 3, "demo")
+    assert (fac.lower, fac.n, fac.label) == (lower, 3, "demo") and inverses == []
+    assert fac.inverse is fac.inverse and inverses == [(2, 2)]
+    npt.assert_array_equal(fac.inverse, np.diag([0.5, 0.25]))
+    assert not fac.inverse.flags.writeable
+    assert str(fac.failure) == "pivot 2 of demo is not positive" and fac.failure.lower is lower
+    with pytest.raises(NotPositiveDefinite):
+        fac.checked()
+    whole = mm.Factor(lower=lower, n=2, label="demo")
+    assert whole.failure is None and whole.checked() is whole
+
 def test_of_measure_label_is_measure_json():
     assert mm.of_measure(UNIT).label == '{"kind":"circle","center":[0.0,0.0],"radius":1.0}'
 

@@ -89,6 +89,24 @@ def test_pencil_labels():
     assert pencil_of_measures(UNIT, None, label="custom").label == "custom"
 
 
+def test_pencil_constructor_defaults():
+    m0, m1 = mm.of_measure(UNIT), mm.zero_matrix()
+    p = SobolevPencil(m0, m1)
+    assert (p.m0, p.m1) == (m0, m1) and p.label == f"{{m0={m0.label}, m1=zero}}"
+    assert p.gram.label == p.label and p.gram.subject is None
+    assert p.subject == {"m0": m0.subject, "m1": None}
+    named = SobolevPencil(m0=m0, m1=m1, label="P")
+    assert named.label == "P" == named.gram.label and SobolevPencil(m0, m1, "P").label == "P"
+
+
+def test_norm_sequence_fields_and_ok():
+    fields = dict(label="P", quantity="cond4", n_list=(1, 2), values=(1.0, math.nan), errors=(None, "pivot 1 of P is not positive"))
+    seq = NormSequence(**fields)
+    assert {name: getattr(seq, name) for name in fields} == fields and not seq.ok()
+    seq = NormSequence("P", "mult_op", (1, 2), (1.0, 1.5), (None, None))
+    assert (seq.label, seq.quantity, seq.n_list, seq.values, seq.errors) == ("P", "mult_op", (1, 2), (1.0, 1.5), (None, None))
+    assert seq.ok()
+
 def test_orthonormal_polys_frozen_diagonal_case():
     ops = orthonormal_polys(P_UNIT_UNIT.gram, 3)
     assert len(ops) == 3
