@@ -73,6 +73,7 @@ def test_scenario_constructor_fields():
         assert (sc.name, sc.command, sc.inputs, sc.parameters) == ("demo", "gamma", inputs, parameters)
         assert sc.inputs is inputs and sc.parameters is parameters
 
+
 @pytest.mark.parametrize(
     "mutate",
     [

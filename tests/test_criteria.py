@@ -705,6 +705,7 @@ def test_reports_built_without_parameters_or_details_do_not_share_a_dict():
     assert (rep.subject, rep.criterion, rep.n_list, rep.values, rep.verdict) == ({"kind": "demo"}, "demo", [2], [1.0], "fails")
     assert (rep.constant, rep.details) == (3.0, {"k": 1}) and rep.parameters is given and rep.witness.shape == (2,)
 
+
 @pytest.mark.parametrize("m", [M_UNIT, M_HALF, mm.of_measure(W04), mm.of_measure(CircleLebesgue(0.2 - 0.1j, 1.2))])
 def test_gamma_sequence_matches_linear_solve(m):
     n_max = 24

@@ -496,7 +496,7 @@ def test_each_measure_keeps_one_read_only_product(monkeypatch):
     assert ([to_json(m) for m in (half, atoms, mixed)], [repr(m) for m in (half, atoms, mixed)]) == fresh
 
 
-# one measure of each kind, its fields, and its repr as the first release wrote it
+# one measure of each kind, its fields, and its repr: the strings the dataclass-generated repr gave, kept byte for byte
 VALUES = [
     (lambda: CircleLebesgue(0.5 - 0.25j, 2.0), ("center", "radius", "fourier"),
      "WeightedCircle(center=(0.5-0.25j), radius=2.0, fourier=((0, (1+0j)),))"),
@@ -530,7 +530,7 @@ def test_measures_compare_and_hash_by_kind_and_fields(make, fields, text):
     assert m is not twin and m == twin and not m != twin and hash(m) == hash(twin)
     assert hash(m) == hash(tuple(getattr(m, name) for name in fields))
     assert len({m, twin}) == 1
-    others = [make() for make, _, _ in VALUES if make().__class__ is not m.__class__]
+    others = [build() for build, _, _ in VALUES if build().__class__ is not m.__class__]
     others += [MeasureSum(((1.0, m),)), tuple(getattr(m, name) for name in fields), to_json(m), None]
     assert all(m != other and other != m for other in others)
     # one field apart

@@ -106,6 +106,7 @@ def test_factor_constructor_and_its_inverse_built_once(monkeypatch):
     whole = mm.Factor(lower=lower, n=2, label="demo")
     assert whole.failure is None and whole.checked() is whole
 
+
 def test_of_measure_label_is_measure_json():
     assert mm.of_measure(UNIT).label == '{"kind":"circle","center":[0.0,0.0],"radius":1.0}'
 

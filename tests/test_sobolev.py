@@ -107,6 +107,7 @@ def test_norm_sequence_fields_and_ok():
     assert (seq.label, seq.quantity, seq.n_list, seq.values, seq.errors) == ("P", "mult_op", (1, 2), (1.0, 1.5), (None, None))
     assert seq.ok()
 
+
 def test_orthonormal_polys_frozen_diagonal_case():
     ops = orthonormal_polys(P_UNIT_UNIT.gram, 3)
     assert len(ops) == 3
